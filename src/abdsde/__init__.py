@@ -20,9 +20,8 @@ from .paths import (backward_integral, forward_integral, PathEnsemble,
                     PathProcess, sample_paths)
 from .scenario import make_scenario, Scenario
 from .solver import (constant_initial, ContractionParams, contraction_params,
-                     default_initial, picard_iterate, picard_map,
-                     SolutionProcess, solve_backward_sweep, solve_segmented,
-                     weighted_distance, weighted_norm)
+                     default_initial, picard_iterate, SolutionProcess,
+                     solve_backward_sweep, weighted_distance, weighted_norm)
 from .terminal import constant_terminal, TerminalData, TerminalSpec
 from .tree import build_tree, oracle_solve, tree_for_grid, TreeModel
 from . import errors

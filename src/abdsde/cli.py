@@ -76,6 +76,13 @@ def load_scenario(path: str) -> dict:
     Parse failures raise ParseError; semantic failures raise
     ValidationError naming the underlying condition.
     """
+    config = _read_config(path)
+    _build_all(config)  # full validation pass
+    return config
+
+
+def _read_config(path: str) -> dict:
+    """Parse a scenario file and fill in the defaults, without building."""
     try:
         with open(path) as handle:
             raw = yaml.safe_load(handle)
@@ -85,9 +92,7 @@ def load_scenario(path: str) -> dict:
         raise ParseError(f"scenario file {path} is not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParseError(f"scenario file {path} must hold a mapping at top level")
-    config = _with_defaults(raw)
-    _build_all(config)  # full validation pass
-    return config
+    return _with_defaults(raw)
 
 
 def _with_defaults(raw: dict) -> dict:
@@ -153,8 +158,19 @@ def _build_backend(config: dict, grid):
 
 
 def _build_all(config: dict):
-    """Construct every runtime object, mapping domain errors to ValidationError."""
+    """Construct every runtime object, mapping domain errors to ValidationError.
+
+    Returns (grid, scenario, backend, tree); tree is None unless the
+    backend is exact.
+    """
     try:
+        n_paths = int(config["paths"]["count"])
+        if n_paths < 1:
+            raise ValidationError("paths.count must be >= 1")
+        duality = config.get("duality") or {}
+        for key in ("outer", "inner"):
+            if int(duality.get(key, 1)) < 1:
+                raise ValidationError(f"duality.{key} must be >= 1")
         g = config["grid"]
         grid = make_grid(float(g["T"]), float(g["K"]), float(g["h"]))
         delay = _build_delay(config, grid)
@@ -164,12 +180,17 @@ def _build_all(config: dict):
         scenario = make_scenario(grid, generator, terminal, delay=delay,
                                  implicit_iters=int(config["solver"]["implicit_iters"]))
         backend, tree = _build_backend(config, grid)
+        if tree is None:
+            dims = config["dims"]
+            backend.basis.check_paths(n_paths, int(dims["d"]) + int(dims["l"]))
     except (ParseError, ValidationError):
         raise
     except AbdsdeError as exc:
         raise ValidationError(f"{type(exc).__name__}: {exc}") from exc
-    except (KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError) as exc:
         raise ValidationError(f"malformed scenario: {exc!r}") from exc
+    except ValueError as exc:
+        raise ValidationError(f"invalid scenario value: {exc}") from exc
     return grid, scenario, backend, tree
 
 
@@ -192,11 +213,17 @@ def _write_csv(path: str, config: dict, header: str, rows, extra_comments=()):
 # commands
 # ---------------------------------------------------------------------------
 
-def _cmd_solve(config, out_path):
-    grid, scenario, backend, tree = _build_all(config)
-    paths = tree.ensemble if tree is not None else sample_paths(
-        grid, config["dims"]["d"], config["dims"]["l"],
-        int(config["paths"]["count"]), int(config["paths"]["seed"]))
+def _paths(config, grid, tree):
+    """The tree's atoms for the exact backend, else the configured draw."""
+    if tree is not None:
+        return tree.ensemble
+    return sample_paths(grid, config["dims"]["d"], config["dims"]["l"],
+                        int(config["paths"]["count"]), int(config["paths"]["seed"]))
+
+
+def _cmd_solve(config, built, out_path):
+    grid, scenario, backend, tree = built
+    paths = _paths(config, grid, tree)
     sol = solve_backward_sweep(scenario, paths, backend)
     P = paths.n_paths
     y = sol.Y.values[:, :, 0]
@@ -211,11 +238,11 @@ def _cmd_solve(config, out_path):
     return 0
 
 
-def _cmd_compare(config, out_path):
+def _cmd_compare(config, built, out_path):
     section = config.get("compare")
     if not section:
         raise ValidationError("compare command needs a 'compare' section")
-    grid, scenario1, backend, tree = _build_all(config)
+    grid, scenario1, backend, tree = built
     gen2 = _build_generator(section.get("generator", config["generator"]),
                             config["dims"])
     term2_cfg = section.get("terminal", config["terminal"])
@@ -223,9 +250,7 @@ def _cmd_compare(config, out_path):
                          params=dict(term2_cfg.get("params") or {}))
     scenario2 = make_scenario(grid, gen2, term2, delay=scenario1.delay,
                               implicit_iters=scenario1.implicit_iters)
-    paths = tree.ensemble if tree is not None else sample_paths(
-        grid, config["dims"]["d"], config["dims"]["l"],
-        int(config["paths"]["count"]), int(config["paths"]["seed"]))
+    paths = _paths(config, grid, tree)
     eps = section.get("epsilon")
     report = run_comparison(scenario1, scenario2, paths, backend,
                             epsilon=None if eps is None else float(eps))
@@ -241,11 +266,10 @@ def _cmd_compare(config, out_path):
     return 0 if report.passed else 1
 
 
-def _cmd_duality(config, out_path):
+def _cmd_duality(config, built, out_path):
     section = config.get("duality")
     if not section:
         raise ValidationError("duality command needs a 'duality' section")
-    _build_all(config)  # validates grid/terminal sections
     g = config["grid"]
     term = config["terminal"]
     try:
@@ -283,9 +307,10 @@ def _cmd_duality(config, out_path):
     return 0 if report.passed else 1
 
 
-def _cmd_oracle_check(config, out_path, tolerance: float = 1e-10):
-    grid, scenario, _, _ = _build_all(config)
-    tree = tree_for_grid(grid)
+def _cmd_oracle_check(config, built, out_path, tolerance: float = 1e-10):
+    grid, scenario, _, tree = built
+    if tree is None:
+        tree = tree_for_grid(grid)
     sol = solve_backward_sweep(scenario, tree.ensemble, tree.backend())
     exact = oracle_solve(scenario, tree)
     d_y = np.abs(sol.Y.values - exact.Y.values).max(axis=(0, 2))
@@ -301,8 +326,8 @@ def _cmd_oracle_check(config, out_path, tolerance: float = 1e-10):
     return 0 if passed else 1
 
 
-def _cmd_segment(config, out_path):
-    grid, scenario, _, _ = _build_all(config)
+def _cmd_segment(config, built, out_path):
+    grid, scenario, _, _ = built
     if scenario.delay is None:
         raise ValidationError("segment command needs a 'delay' section")
     seg = segment_interval(scenario.delay, grid)
@@ -323,17 +348,16 @@ _COMMANDS = {
 def run(command: str, scenario_path: str, out_path: str,
         seed: int | None = None, n_paths: int | None = None,
         grid_h: float | None = None) -> int:
-    """Load, override, dispatch; returns the process exit status."""
+    """Read, override, build once, dispatch; returns the process exit status."""
     try:
-        config = load_scenario(scenario_path)
+        config = _read_config(scenario_path)
         if seed is not None:
             config["paths"]["seed"] = int(seed)
         if n_paths is not None:
             config["paths"]["count"] = int(n_paths)
         if grid_h is not None:
             config["grid"]["h"] = float(grid_h)
-            _build_all(config)  # revalidate commensurability
-        return _COMMANDS[command](config, out_path)
+        return _COMMANDS[command](config, _build_all(config), out_path)
     except AbdsdeError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

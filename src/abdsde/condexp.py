@@ -17,6 +17,7 @@ deterministic scenarios exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
@@ -44,6 +45,14 @@ class RegressionBasis:
             raise ValueError("degree must be >= 1")
         if self.ridge < 0:
             raise ValueError("ridge must be >= 0")
+
+    def check_paths(self, n_paths: int, n_state: int) -> None:
+        """Require at least 10 paths per feature of an n_state-variable state."""
+        n_features = math.comb(n_state + self.degree, self.degree)
+        if n_paths < 10 * n_features:
+            raise ValueError(
+                f"{n_paths} paths is too few for {n_features} features "
+                "(need at least 10x)")
 
 
 def _poly_features(state: np.ndarray, degree: int) -> np.ndarray:
@@ -91,11 +100,8 @@ class RegressionBackend:
 
     def condexp(self, targets: np.ndarray, k: int, paths: PathEnsemble) -> np.ndarray:
         flat = targets.reshape(targets.shape[0], -1)
+        self.basis.check_paths(flat.shape[0], paths.d + paths.l)
         X = self.features(paths, k)
-        if flat.shape[0] < 10 * X.shape[1]:
-            raise ValueError(
-                f"{flat.shape[0]} paths is too few for {X.shape[1]} features "
-                "(need at least 10x)")
         fitted, _ = _ridge_fit(X, flat, self.basis.ridge)
         return fitted.reshape(targets.shape)
 

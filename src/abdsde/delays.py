@@ -35,10 +35,6 @@ class DelayForm:
     def __call__(self, t):
         return self.a + self.b * np.asarray(t)
 
-    @property
-    def kind(self) -> str:
-        return "constant" if self.b == 0.0 else "affine"
-
     def substitution_bound(self) -> float:
         """Certified M for the integral substitution (see module docstring)."""
         return max(1.0, 1.0 / (1.0 + self.b))
@@ -157,9 +153,6 @@ class Segmentation:
     @property
     def N(self) -> int:
         return len(self.points) - 1
-
-    def __iter__(self):
-        return iter(self.points)
 
 
 def segment_interval(spec: DelaySpec, grid: TimeGrid) -> Segmentation:

@@ -35,8 +35,6 @@ class AnticipationFunctional:
     name: str
     width: int
     fn: Callable[[Array, Array], Array]
-    reads_y: bool = True
-    reads_z: bool = False
 
     def __call__(self, y_ant: Array, z_ant: Array) -> Array:
         out = self.fn(y_ant, z_ant)
@@ -84,8 +82,6 @@ class GeneratorSpec:
     g: Callable[[float, Array, Array, Array], Array]
     functionals: tuple
     lip: LipschitzData
-    g_depends_on_z: bool = False
-    g_depends_on_anticipation: bool = False
 
     @property
     def q_total(self) -> int:
@@ -144,13 +140,13 @@ def _zeros_g(l: int):
 def _phi_identity_y(m: int) -> AnticipationFunctional:
     return AnticipationFunctional(
         name="anticipated_y", width=m,
-        fn=lambda ya, za: ya, reads_y=True, reads_z=False)
+        fn=lambda ya, za: ya)
 
 
 def _phi_identity_z(d: int) -> AnticipationFunctional:
     return AnticipationFunctional(
         name="anticipated_z", width=d,
-        fn=lambda ya, za: za.reshape(za.shape[0], -1), reads_y=False, reads_z=True)
+        fn=lambda ya, za: za.reshape(za.shape[0], -1))
 
 
 def _scalar_drift_from_e(t, y, z, e):
@@ -228,15 +224,13 @@ def builtin_generator(name: str, **params) -> GeneratorSpec:
                 x = ya[:, 0]
                 v = za[:, 0, 0] if za.shape[2] == 1 else _z_norm(za)
                 return (x + 2.0 * np.abs(np.cos(x)) + np.sin(v) - 2.0)[:, None]
-        phi = AnticipationFunctional(name=f"{name}_phi", width=1, fn=phi_fn,
-                                     reads_y=True, reads_z=True)
+        phi = AnticipationFunctional(name=f"{name}_phi", width=1, fn=phi_fn)
         # |dphi| <= 3|dy| + |dz|  =>  |dphi|^2 <= 10 (|dy|^2 + |dz|^2)
         return GeneratorSpec(
             name=name, m=1, d=d, l=l,
             f=_scalar_drift_from_e,
             g=_growth_g(l), functionals=(phi,),
-            lip=LipschitzData(c=10.0, alpha1=1.0 / 3.0),
-            g_depends_on_z=True)
+            lip=LipschitzData(c=10.0, alpha1=1.0 / 3.0))
 
     if name == "example41_g":
         unknown_params(())
@@ -244,8 +238,7 @@ def builtin_generator(name: str, **params) -> GeneratorSpec:
             name=name, m=1, d=d, l=l,
             f=lambda t, y, z, e: np.zeros((y.shape[0], 1)),
             g=_growth_g(l), functionals=(),
-            lip=LipschitzData(c=1.0, alpha1=1.0 / 3.0),
-            g_depends_on_z=True)
+            lip=LipschitzData(c=1.0, alpha1=1.0 / 3.0))
 
     if name in ("example42_f1", "example42_ftilde", "example42_f2"):
         unknown_params(())
@@ -260,8 +253,7 @@ def builtin_generator(name: str, **params) -> GeneratorSpec:
             c = 9.0
         phi = AnticipationFunctional(
             name=f"{name}_phi", width=1,
-            fn=lambda ya, za, _fn=fn: _fn(ya[:, 0])[:, None],
-            reads_y=True, reads_z=False)
+            fn=lambda ya, za, _fn=fn: _fn(ya[:, 0])[:, None])
         return GeneratorSpec(
             name=name, m=1, d=d, l=l,
             f=_scalar_drift_from_e,
@@ -301,8 +293,7 @@ def builtin_generator(name: str, **params) -> GeneratorSpec:
             + float(sigma_bar @ sigma_bar)
         return GeneratorSpec(
             name=name, m=1, d=d, l=l, f=f, g=g, functionals=functionals,
-            lip=LipschitzData(c=max(c_f, kap2)),
-            g_depends_on_anticipation=False)
+            lip=LipschitzData(c=max(c_f, kap2)))
 
     raise UnknownName(f"no builtin generator named '{name}'")
 

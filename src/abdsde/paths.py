@@ -142,9 +142,6 @@ class PathProcess:
     def n_paths(self) -> int:
         return self.values.shape[0]
 
-    def copy(self) -> "PathProcess":
-        return PathProcess(grid=self.grid, values=self.values.copy())
-
 
 def _values(Z) -> np.ndarray:
     return Z.values if isinstance(Z, PathProcess) else np.asarray(Z)

@@ -30,7 +30,6 @@ class Scenario:
     delay: DelaySpec | None = None
     offsets: GridOffsets | None = None
     implicit_iters: int = 1
-    feasibility_load: float = 0.0  # alpha1 + alpha2*M, checked < 1
 
     @property
     def M(self) -> float:
@@ -65,7 +64,7 @@ def make_scenario(grid: TimeGrid, generator: GeneratorSpec,
                 f"anticipation times are off-grid; snapping to nearest "
                 f"nodes with error up to {offsets.max_snap_error:.3g}",
                 stacklevel=2)
-    load = check_feasible(generator.lip, M)
+    check_feasible(generator.lip, M)
 
     # f(., 0, 0, 0) must be finite on grid nodes (square-integrability proxy)
     y0 = np.zeros((1, generator.m))
@@ -80,4 +79,4 @@ def make_scenario(grid: TimeGrid, generator: GeneratorSpec,
         raise ValidationError("implicit_iters must be >= 1")
     return Scenario(grid=grid, generator=generator, terminal=terminal,
                     delay=delay, offsets=offsets,
-                    implicit_iters=implicit_iters, feasibility_load=load)
+                    implicit_iters=implicit_iters)

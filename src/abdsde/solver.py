@@ -18,10 +18,14 @@ node k are independent of the node-k information field, E[c dW_k | .] = 0
 for any path-constant c; the Z-step uses that identity directly when its
 base target is constant, which keeps deterministic scenarios exact.
 
-`picard_map` freezes a candidate process in the *anticipated* arguments
-only and re-solves; iterating it is the constructive route to the solution,
-and its distances contract in the exponentially weighted norm with the
-factor bounded by `contraction_params`.
+`solve_backward_sweep` is the one solve.  Given `frozen=`, it reads the
+anticipated arguments from that process instead of from the live sweep:
+this is the frozen-anticipation map, whose iteration (`picard_iterate`) is
+the constructive route to the solution and contracts in the exponentially
+weighted norm with the factor bounded by `contraction_params`.  Starting
+from `default_initial`, N applications of the map build the solution piece
+by piece over the N segments of the interval segmentation, which every
+solve records in `metadata["segmentation"]`.
 """
 
 from __future__ import annotations
@@ -32,9 +36,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .condexp import condexp
-from .delays import segment_interval, Segmentation
-from .errors import Infeasible, NoConvergence, NonFinite, ShapeMismatch
-from .generators import LipschitzData
+from .delays import segment_interval
+from .errors import (Infeasible, NoConvergence, NonFinite, NonTermination,
+                     ShapeMismatch)
+from .generators import check_feasible, LipschitzData
 from .paths import PathEnsemble, PathProcess
 from .scenario import Scenario
 
@@ -59,10 +64,6 @@ class SolutionProcess:
     def n_paths(self) -> int:
         return self.Y.n_paths
 
-    def copy(self) -> "SolutionProcess":
-        return SolutionProcess(Y=self.Y.copy(), Z=self.Z.copy(),
-                               metadata=dict(self.metadata))
-
 
 @dataclass(frozen=True)
 class ContractionParams:
@@ -82,9 +83,7 @@ def contraction_params(lip: LipschitzData, M: float,
     cbar = (1 + alpha1 + alpha2*M)/2 < 1.  An explicit lambda0 must still
     yield cbar < 1.
     """
-    load = lip.alpha1 + lip.alpha2 * M
-    if load >= 1.0:
-        raise Infeasible(f"alpha1 + alpha2*M = {load:.6g} >= 1")
+    load = check_feasible(lip, M)
     c = lip.c
     if lam0 is None:
         lam0 = 2.0 * c * (1.0 + M) / (1.0 - load) if c > 0 else 1.0
@@ -149,24 +148,34 @@ def _raw_functionals(scenario: Scenario, Y: np.ndarray, Z: np.ndarray, k: int):
     return gen.eval_functionals(Y[:, k + off.d_delta[k]], Z[:, k + off.d_zeta[k]])
 
 
-def _sweep_nodes(scenario: Scenario, paths: PathEnsemble, backend,
-                 Y: np.ndarray, Z: np.ndarray, k_hi: int, k_lo: int,
-                 frozen: SolutionProcess | None, diagnostics: dict) -> None:
-    """Fill nodes k_hi-1 down to k_lo in place; nodes >= k_hi must be set.
+def solve_backward_sweep(scenario: Scenario, paths: PathEnsemble, backend,
+                         frozen: SolutionProcess | None = None) -> SolutionProcess:
+    """Solve the anticipated equation in one backward sweep.
 
-    Anticipated arguments are read from `frozen` when given (the
-    frozen-anticipation map) and from the live arrays otherwise.
+    Anticipated arguments are read from the live sweep, or from `frozen`
+    when given (the frozen-anticipation map).  The frozen process must live
+    on the scenario grid and paths with the terminal part equal to
+    (xi, eta); the output again has that terminal part.
+
+    metadata["segmentation"] holds the points of `segment_interval`, or
+    (T, 0.0) without a delay, or None when a delay shorter than one step
+    leaves no segmentation on the grid (the offsets snap it to one step).
     """
     gen = scenario.generator
     grid = scenario.grid
     h = grid.h
+    Y, Z = _alloc(scenario, paths)
     if frozen is None:
         ant_Y, ant_Z = Y, Z
     else:
+        if frozen.grid.n_nodes != grid.n_nodes:
+            raise ShapeMismatch("frozen process lives on a different grid")
+        if frozen.n_paths != paths.n_paths:
+            raise ShapeMismatch("frozen process holds a different path count")
         ant_Y, ant_Z = frozen.Y.values, frozen.Z.values
-    resid = diagnostics.setdefault("ybar_residual_rms", {})
+    resid = {}
 
-    for k in range(k_hi - 1, k_lo - 1, -1):
+    for k in range(grid.n_T - 1, -1, -1):
         t_k = grid.time(k)
         e_raw_next = _raw_functionals(scenario, ant_Y, ant_Z, k + 1)
         g_val = np.asarray(
@@ -195,79 +204,28 @@ def _sweep_nodes(scenario: Scenario, paths: PathEnsemble, backend,
         if not (np.all(np.isfinite(Y[:, k])) and np.all(np.isfinite(Z[:, k]))):
             raise NonFinite(f"sweep produced non-finite values at node {k}")
 
-
-def _finish(scenario: Scenario, backend, Y, Z, diagnostics: dict,
-            extra: dict | None = None) -> SolutionProcess:
-    grid = scenario.grid
+    if scenario.delay is None:
+        segmentation = (grid.T, 0.0)
+    else:
+        try:
+            segmentation = segment_interval(scenario.delay, grid).points
+        except NonTermination:
+            segmentation = None
     meta = {
         "backend": getattr(backend, "describe", lambda: str(backend))(),
         "implicit_iters": scenario.implicit_iters,
-        "l2_Y": float(np.mean(np.sum(Y ** 2, axis=2).sum(axis=1)) * grid.h),
-        "l2_Z": float(np.mean(np.sum(Z ** 2, axis=(2, 3)).sum(axis=1)) * grid.h),
+        "l2_Y": float(np.mean(np.sum(Y ** 2, axis=2).sum(axis=1)) * h),
+        "l2_Z": float(np.mean(np.sum(Z ** 2, axis=(2, 3)).sum(axis=1)) * h),
+        "ybar_residual_rms": resid,
+        "segmentation": segmentation,
     }
-    meta.update(diagnostics)
-    if extra:
-        meta.update(extra)
     return SolutionProcess(Y=PathProcess(grid=grid, values=Y),
                            Z=PathProcess(grid=grid, values=Z), metadata=meta)
-
-
-def solve_backward_sweep(scenario: Scenario, paths: PathEnsemble,
-                         backend) -> SolutionProcess:
-    """Solve the anticipated equation in a single backward sweep."""
-    Y, Z = _alloc(scenario, paths)
-    diagnostics: dict = {}
-    _sweep_nodes(scenario, paths, backend, Y, Z, scenario.grid.n_T, 0,
-                 frozen=None, diagnostics=diagnostics)
-    return _finish(scenario, backend, Y, Z, diagnostics)
-
-
-def solve_segmented(scenario: Scenario, paths: PathEnsemble,
-                    backend) -> SolutionProcess:
-    """Solve segment by segment, later segments first.
-
-    Node-for-node this performs the same arithmetic as the global sweep
-    (the per-node update only reads strictly later nodes), so the two
-    agree bitwise; the segmentation is what justifies the equivalence.
-    """
-    grid = scenario.grid
-    if scenario.delay is not None:
-        seg = segment_interval(scenario.delay, grid)
-    else:
-        seg = Segmentation(points=(grid.T, 0.0))
-    Y, Z = _alloc(scenario, paths)
-    diagnostics: dict = {"segmentation": tuple(seg.points)}
-    for i in range(1, seg.N + 1):
-        k_hi = grid.index_of(seg.points[i - 1])
-        k_lo = grid.index_of(seg.points[i])
-        _sweep_nodes(scenario, paths, backend, Y, Z, k_hi, k_lo,
-                     frozen=None, diagnostics=diagnostics)
-    return _finish(scenario, backend, Y, Z, diagnostics)
 
 
 # ---------------------------------------------------------------------------
 # frozen-anticipation map and its fixed-point iteration
 # ---------------------------------------------------------------------------
-
-def picard_map(scenario: Scenario, frozen: SolutionProcess,
-               paths: PathEnsemble, backend) -> SolutionProcess:
-    """Apply the frozen-anticipation map: anticipated arguments read
-    `frozen`, everything else is solved anew.
-
-    The frozen process must live on the scenario grid with the terminal part
-    equal to (xi, eta); the output again has that terminal part.
-    """
-    grid = scenario.grid
-    if frozen.grid.n_nodes != grid.n_nodes:
-        raise ShapeMismatch("frozen process lives on a different grid")
-    if frozen.n_paths != paths.n_paths:
-        raise ShapeMismatch("frozen process holds a different path count")
-    Y, Z = _alloc(scenario, paths)
-    diagnostics: dict = {}
-    _sweep_nodes(scenario, paths, backend, Y, Z, grid.n_T, 0,
-                 frozen=frozen, diagnostics=diagnostics)
-    return _finish(scenario, backend, Y, Z, diagnostics)
-
 
 def default_initial(scenario: Scenario, paths: PathEnsemble) -> SolutionProcess:
     """(y0, z0) = (xi_T extended constantly backward, 0), terminal part kept."""
@@ -306,7 +264,7 @@ def picard_iterate(scenario: Scenario, paths: PathEnsemble, backend,
     current = init if init is not None else default_initial(scenario, paths)
     log: list[float] = []
     for _ in range(max_iter):
-        nxt = picard_map(scenario, current, paths, backend)
+        nxt = solve_backward_sweep(scenario, paths, backend, frozen=current)
         dist = weighted_distance(nxt, current, params)
         log.append(dist)
         current = nxt

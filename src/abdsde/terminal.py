@@ -8,7 +8,7 @@ in t node by node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,6 @@ class TerminalData:
     grid: TimeGrid
     xi: np.ndarray
     eta: np.ndarray
-    deterministic: bool = field(default=False)
 
     def __post_init__(self):
         k_nodes = self.grid.n_end - self.grid.n_T + 1
@@ -38,9 +37,6 @@ class TerminalData:
             raise ShapeMismatch(f"eta must be (P, {k_nodes}, m, d), got {self.eta.shape}")
         if not (np.all(np.isfinite(self.xi)) and np.all(np.isfinite(self.eta))):
             raise NonFinite("terminal data contains non-finite values")
-        self.deterministic = bool(
-            np.all(np.ptp(self.xi, axis=0) == 0.0)
-            and np.all(np.ptp(self.eta, axis=0) == 0.0))
 
     @property
     def n_paths(self) -> int:

@@ -109,8 +109,7 @@ def test_no_anticipation_pair_with_shared_diffusion():
             name=f"ordered({rho})", m=1, d=1, l=1,
             f=lambda t, y, z, e: y + rho,
             g=base.g, functionals=(),
-            lip=LipschitzData(c=1.0, alpha1=1.0 / 3.0),
-            g_depends_on_z=True)
+            lip=LipschitzData(c=1.0, alpha1=1.0 / 3.0))
 
     grid = make_grid(1.0, 0.0, 1 / 16)
     s1 = make_scenario(grid, pair_member(1.0), constant_terminal(1.0))

@@ -3,6 +3,7 @@ import sys
 import textwrap
 
 import pytest
+import yaml
 
 from abdsde.cli import load_scenario, run, scenario_hash
 from abdsde.errors import ParseError, ValidationError
@@ -107,6 +108,35 @@ def test_error_status_two(tmp_path):
     assert run("solve", bad, str(tmp_path / "x.csv")) == 2
 
 
+DUALITY_READY = {
+    "grid": {"T": 1.0, "K": 0.25, "h": 0.25},
+    "delay": {"delta": 0.25},
+    "generator": {"name": "duality_linear", "params": {"mu": 0.2}},
+    "backend": {"kind": "regression"},
+    "paths": {"count": 256, "seed": 11},
+    "duality": {"mu": 0.2, "t0": 0.25, "outer": 2, "inner": 8},
+}
+
+
+@pytest.mark.parametrize("command,section,value,override", [
+    ("solve", "paths", {"count": 0}, {}),
+    ("solve", "paths", {}, {"n_paths": 0}),
+    ("solve", "backend", {"degree": 0}, {}),
+    ("solve", "backend", {"ridge": -1}, {}),
+    ("solve", "grid", {"h": -0.25}, {}),
+    ("solve", "paths", {"count": 30}, {}),  # 6 features need 60 paths
+    ("duality", "duality", {"inner": 0}, {}),
+], ids=["count-0", "flag-paths-0", "degree-0", "ridge-negative", "h-negative",
+        "paths-below-10x-features", "inner-0"])
+def test_out_of_range_input_exits_two(tmp_path, command, section, value,
+                                      override):
+    config = {key: dict(val) for key, val in DUALITY_READY.items()}
+    config[section].update(value)
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(config))
+    assert run(command, str(path), str(tmp_path / "x.csv"), **override) == 2
+
+
 def test_compare_command(tmp_path):
     scenario = _write(tmp_path, "cmp.yaml", """
         grid: {T: 0.5, K: 0.5, h: 0.0625}
@@ -162,6 +192,27 @@ def test_oracle_check_command(tmp_path):
     out = str(tmp_path / "orc.csv")
     assert run("oracle-check", scenario, out) == 0
     assert "result = PASS" in open(out).read()
+
+
+def test_oracle_check_builds_the_tree_once(tmp_path, monkeypatch):
+    import abdsde.tree
+    calls = []
+    build_tree = abdsde.tree.build_tree
+
+    def counting_build_tree(*args, **kwargs):
+        calls.append(args)
+        return build_tree(*args, **kwargs)
+
+    monkeypatch.setattr(abdsde.tree, "build_tree", counting_build_tree)
+    scenario = _write(tmp_path, "orc.yaml", """
+        grid: {T: 0.4, K: 0.2, h: 0.2}
+        delay: {delta: 0.2}
+        generator: {name: example41_f1}
+        terminal: {name: scaled_wt, params: {a: 0.5, b: 1.0}}
+        backend: {kind: exact}
+    """)
+    assert run("oracle-check", scenario, str(tmp_path / "orc.csv")) == 0
+    assert len(calls) == 1
 
 
 def test_segment_command(tmp_path):

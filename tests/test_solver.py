@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 
 from abdsde.condexp import RegressionBackend
-from abdsde.delays import affine_delay, constant_delay, DelaySpec
+from abdsde.delays import affine_delay, constant_delay, DelaySpec, segment_interval
 from abdsde.errors import Infeasible, NoConvergence, NonFinite
 from abdsde.generators import builtin_generator, GeneratorSpec, LipschitzData
 from abdsde.grids import make_grid
 from abdsde.paths import PathProcess, sample_paths
 from abdsde.scenario import make_scenario
 from abdsde.solver import (constant_initial, contraction_params,
-                           default_initial, picard_iterate, picard_map,
-                           SolutionProcess, solve_backward_sweep,
-                           solve_segmented, weighted_distance, weighted_norm)
+                           default_initial, picard_iterate, SolutionProcess,
+                           solve_backward_sweep, weighted_distance, weighted_norm)
 from abdsde.terminal import constant_terminal, TerminalData, TerminalSpec
 from abdsde.tree import tree_for_grid
 
@@ -248,7 +247,7 @@ def _example41_tree_setup():
 def test_sweep_is_fixed_point_of_map():
     scen, tree = _example41_tree_setup()
     sweep = solve_backward_sweep(scen, tree.ensemble, tree.backend())
-    mapped = picard_map(scen, sweep, tree.ensemble, tree.backend())
+    mapped = solve_backward_sweep(scen, tree.ensemble, tree.backend(), frozen=sweep)
     assert np.abs(mapped.Y.values - sweep.Y.values).max() <= 1e-10
     assert np.abs(mapped.Z.values - sweep.Z.values).max() <= 1e-10
 
@@ -258,10 +257,10 @@ def test_map_ignores_frozen_input_for_zero_generator():
     tree = tree_for_grid(grid)
     xi = TerminalSpec(name="scaled_wt", params={"a": 1.0, "b": 0.0})
     scen = make_scenario(grid, builtin_generator("zero"), xi)
-    a = picard_map(scen, constant_initial(scen, tree.ensemble, 0.0),
-                     tree.ensemble, tree.backend())
-    b = picard_map(scen, constant_initial(scen, tree.ensemble, 10.0),
-                     tree.ensemble, tree.backend())
+    a = solve_backward_sweep(scen, tree.ensemble, tree.backend(),
+                             frozen=constant_initial(scen, tree.ensemble, 0.0))
+    b = solve_backward_sweep(scen, tree.ensemble, tree.backend(),
+                             frozen=constant_initial(scen, tree.ensemble, 10.0))
     assert np.array_equal(a.Y.values, b.Y.values)
     assert np.array_equal(a.Z.values, b.Z.values)
 
@@ -278,8 +277,8 @@ def test_map_contracts_random_inputs():
         v.Y.values[:, :n_T] += rng.normal(size=v.Y.values[:, :n_T].shape)
         u.Z.values[:, :n_T] += rng.normal(size=u.Z.values[:, :n_T].shape)
         v.Z.values[:, :n_T] += rng.normal(size=v.Z.values[:, :n_T].shape)
-        iu = picard_map(scen, u, tree.ensemble, tree.backend())
-        iv = picard_map(scen, v, tree.ensemble, tree.backend())
+        iu = solve_backward_sweep(scen, tree.ensemble, tree.backend(), frozen=u)
+        iv = solve_backward_sweep(scen, tree.ensemble, tree.backend(), frozen=v)
         num = weighted_distance(iu, iv, params)
         den = weighted_distance(u, v, params)
         assert num <= (params.cbar + 0.05) * den
@@ -334,8 +333,18 @@ def test_picard_on_regression_backend_converges():
 
 
 # ---------------------------------------------------------------------------
-# segmented solve
+# piece-by-piece construction over the segmentation
 # ---------------------------------------------------------------------------
+
+def _piecewise(scen, paths, backend):
+    """seg.N applications of the frozen-anticipation map from default_initial;
+    application i settles segment i, counted from T."""
+    seg = segment_interval(scen.delay, scen.grid)
+    cur = default_initial(scen, paths)
+    for _ in range(seg.N):
+        cur = solve_backward_sweep(scen, paths, backend, frozen=cur)
+    return cur
+
 
 def test_segmented_equals_global_zero_generator():
     grid = make_grid(1.0, 0.5, 0.25)
@@ -345,7 +354,7 @@ def test_segmented_equals_global_zero_generator():
                          delay=delay)
     paths = sample_paths(grid, 1, 1, 512, seed=8)
     a = solve_backward_sweep(scen, paths, RegressionBackend())
-    b = solve_segmented(scen, paths, RegressionBackend())
+    b = _piecewise(scen, paths, RegressionBackend())
     assert np.array_equal(a.Y.values, b.Y.values)
     assert np.array_equal(a.Z.values, b.Z.values)
 
@@ -353,7 +362,7 @@ def test_segmented_equals_global_zero_generator():
 def test_segmented_equals_global_on_tree():
     scen, tree = _example41_tree_setup()
     a = solve_backward_sweep(scen, tree.ensemble, tree.backend())
-    b = solve_segmented(scen, tree.ensemble, tree.backend())
+    b = _piecewise(scen, tree.ensemble, tree.backend())
     assert np.abs(a.Y.values - b.Y.values).max() <= 1e-12
     assert np.abs(a.Z.values - b.Z.values).max() <= 1e-12
     assert b.metadata["segmentation"] == (0.75, 0.5, 0.25, 0.0)
@@ -365,10 +374,23 @@ def test_segmented_single_segment_when_delay_covers_horizon():
     gen = builtin_generator("anticipated_drift")
     scen = make_scenario(grid, gen, constant_terminal(1.0), delay=delay)
     paths = sample_paths(grid, 1, 1, 256, seed=9)
-    b = solve_segmented(scen, paths, RegressionBackend())
+    b = _piecewise(scen, paths, RegressionBackend())
     assert b.metadata["segmentation"] == (0.5, 0.0)
     a = solve_backward_sweep(scen, paths, RegressionBackend())
     assert np.array_equal(a.Y.values, b.Y.values)
+
+
+def test_sub_step_delay_still_solves_without_segmentation():
+    # a delay shorter than h snaps to one step; no grid segmentation exists
+    grid = make_grid(1.0, 0.125, 0.125)
+    delay = DelaySpec(constant_delay(0.01), constant_delay(0.01), K=0.125)
+    with pytest.warns(UserWarning, match="snapping"):
+        scen = make_scenario(grid, builtin_generator("anticipated_drift"),
+                             constant_terminal(1.0), delay=delay)
+    sol = solve_backward_sweep(scen, sample_paths(grid, 1, 1, 256, seed=1),
+                               RegressionBackend())
+    assert sol.metadata["segmentation"] is None
+    assert np.all(np.isfinite(sol.Y.values))
 
 
 # ---------------------------------------------------------------------------
