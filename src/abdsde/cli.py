@@ -227,7 +227,8 @@ def _cmd_solve(config, built, out_path):
     sol = solve_backward_sweep(scenario, paths, backend)
     P = paths.n_paths
     y = sol.Y.values[:, :, 0]
-    abs_z = np.sqrt(np.sum(sol.Z.values ** 2, axis=(2, 3)))
+    abs_z = np.einsum("pkmd,pkmd->pk", sol.Z.values, sol.Z.values)
+    np.sqrt(abs_z, out=abs_z)
     rows = []
     for k in range(grid.n_nodes):
         rows.append((grid.time(k), y[:, k].mean(),

@@ -62,9 +62,9 @@ def _fit_noise_scale(sol: SolutionProcess, paths: PathEnsemble, backend) -> floa
     sqrt(n_features / n_paths).
     """
     resid = sol.metadata.get("ybar_residual_rms", {})
-    if not resid or not hasattr(backend, "features"):
+    if not resid or not hasattr(backend, "basis"):
         return 0.0
-    n_features = backend.features(paths, 0).shape[1]
+    n_features = backend.basis.n_features(paths.d + paths.l)
     return max(resid.values()) * np.sqrt(n_features / paths.n_paths)
 
 

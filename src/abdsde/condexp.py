@@ -10,9 +10,11 @@ with the future of B (increments at and after k).  Two backends realize it:
   (see `tree.build_tree`); atoms agreeing on past-W and future-B increments
   form one information atom and share the conditional expectation.
 
-Targets that are constant across paths are returned unchanged: a constant
-is its own conditional expectation, and skipping the fit keeps
-deterministic scenarios exact.
+Target columns that are constant across paths are returned unchanged: a
+constant is its own conditional expectation, and skipping its fit keeps
+deterministic scenarios exact.  The shortcut is per column, so a block of
+targets taken at one node (the solver stacks all of a node's targets into
+one call) sends only its varying columns to the backend, in one fit.
 """
 
 from __future__ import annotations
@@ -46,9 +48,13 @@ class RegressionBasis:
         if self.ridge < 0:
             raise ValueError("ridge must be >= 0")
 
+    def n_features(self, n_state: int) -> int:
+        """Number of monomials, intercept included, of an n_state-variable state."""
+        return math.comb(n_state + self.degree, self.degree)
+
     def check_paths(self, n_paths: int, n_state: int) -> None:
         """Require at least 10 paths per feature of an n_state-variable state."""
-        n_features = math.comb(n_state + self.degree, self.degree)
+        n_features = self.n_features(n_state)
         if n_paths < 10 * n_features:
             raise ValueError(
                 f"{n_paths} paths is too few for {n_features} features "
@@ -139,13 +145,21 @@ class ExactTreeBackend:
 def condexp(backend, targets: np.ndarray, k: int, paths: PathEnsemble) -> np.ndarray:
     """Estimate E[target | information at node k], per path.
 
-    Constant targets short-circuit (they are their own conditional
-    expectation); everything else goes through the backend.
+    Columns of the (P, ...) targets that are constant across paths come back
+    bit for bit (they are their own conditional expectation); the others go
+    through the backend in one call.  The check reduces each column along
+    contiguous memory, so callers with many columns pass column-major
+    (order="F") blocks; other layouts are copied to column-major first.
     """
     targets = np.asarray(targets, dtype=float)
     if not np.all(np.isfinite(targets)):
         raise NonFinite("condexp received non-finite targets")
-    flat = targets.reshape(targets.shape[0], -1)
-    if np.all(np.ptp(flat, axis=0) == 0.0):
+    flat = np.asfortranarray(targets.reshape(targets.shape[0], -1))
+    varying = np.ptp(flat, axis=0) != 0.0
+    if not varying.any():
         return targets.copy()
-    return backend.condexp(targets, k, paths)
+    if varying.all():
+        return backend.condexp(targets, k, paths)
+    out = flat.copy(order="F")
+    out[:, varying] = backend.condexp(flat[:, varying], k, paths)
+    return out.reshape(targets.shape)

@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .condexp import RegressionBackend, _poly_features, _ridge_fit
+from .condexp import (RegressionBackend, RegressionBasis, _poly_features,
+                      _ridge_fit)
 from .errors import NonFinite, ValidationError
 from .delays import constant_delay, DelaySpec
 from .generators import builtin_generator
@@ -313,8 +314,7 @@ def measurability_check(sol: SolutionProcess, paths: PathEnsemble, k0: int,
     z = sol.Z.values[:, k0: grid.n_T]
     z_norm = float(np.sqrt(np.mean(np.sum(z ** 2, axis=(2, 3)).sum(axis=1) * grid.h)))
     if tol_z is None:
-        n_features = _poly_features(
-            np.concatenate([paths.w_at(0), paths.b_tail(0)], axis=1), 2).shape[1]
+        n_features = RegressionBasis(degree=2).n_features(paths.d + paths.l)
         tol_z = np.sqrt(n_features / (grid.h * paths.n_paths)) \
             * max(1.0, float(np.abs(sol.Y.values).max()))
     r2 = [

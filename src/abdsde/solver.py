@@ -10,13 +10,20 @@ The discrete scheme, one step from node k+1 to node k (h = step size):
              optionally refined by `implicit_iters` passes
              Yhat <- Ybar_k + h f(t_k, Yhat, Z_k, e_k).
 
-Anticipated indices are strictly in the future (offsets >= 1), so one
-backward sweep already produces the fixed point of the frozen-anticipation
-map below.  The g integrand sits at the right endpoint, matching the
-backward-integral convention of `paths`.  Because increments of W after
-node k are independent of the node-k information field, E[c dW_k | .] = 0
-for any path-constant c; the Z-step uses that identity directly when its
-base target is constant, which keeps deterministic scenarios exact.
+The e-, Z- and Y-steps condition on the same node-k field, so they are one
+stacked projection: a single condexp call on the column block
+[Z target | raw functionals | Y target], one design for all of them
+(least-squares Monte Carlo with one basis per date, as in Gobet, Lemor &
+Warin 2005).  Anticipated indices are strictly in the future (offsets
+>= 1), so node k's raw functionals read final values; they are computed
+once and serve node k-1's g-step as its raw anticipated values.  For the
+same reason one backward sweep already produces the fixed point of the
+frozen-anticipation map below.  The g integrand sits at the right
+endpoint, matching the backward-integral convention of `paths`.  Because
+increments of W after node k are independent of the node-k information
+field, E[c dW_k | .] = 0 for any path-constant c; the Z-step uses that
+identity directly when its base target is constant (its columns are left
+out of the block), which keeps deterministic scenarios exact.
 
 `solve_backward_sweep` is the one solve.  Given `frozen=`, it reads the
 anticipated arguments from that process instead of from the live sweep:
@@ -173,28 +180,40 @@ def solve_backward_sweep(scenario: Scenario, paths: PathEnsemble, backend,
         if frozen.n_paths != paths.n_paths:
             raise ShapeMismatch("frozen process holds a different path count")
         ant_Y, ant_Z = frozen.Y.values, frozen.Z.values
+    P = paths.n_paths
+    n_z, n_e = gen.m * gen.d, gen.q_total
+    # All of node k's targets, [Z target | raw functionals | Y target], in
+    # one column-major buffer reused at every node: one condexp call per node.
+    block = np.empty((P, n_z + n_e + gen.m), order="F")
+    z_cols, e_cols, y_cols = np.split(block, [n_z, n_z + n_e], axis=1)
     resid = {}
 
+    e_raw = _raw_functionals(scenario, ant_Y, ant_Z, grid.n_T)
     for k in range(grid.n_T - 1, -1, -1):
         t_k = grid.time(k)
-        e_raw_next = _raw_functionals(scenario, ant_Y, ant_Z, k + 1)
         g_val = np.asarray(
-            gen.g(grid.time(k + 1), Y[:, k + 1], Z[:, k + 1], e_raw_next))
+            gen.g(grid.time(k + 1), Y[:, k + 1], Z[:, k + 1], e_raw))
         target = Y[:, k + 1] + np.einsum("pml,pl->pm", g_val, paths.dB[:, k])
+        # offsets are >= 1: node k's functionals read final values, and
+        # serve node k-1 as its raw functionals at k
+        e_raw = _raw_functionals(scenario, ant_Y, ant_Z, k)
+        e_cols[:] = e_raw
+        y_cols[:] = target
 
-        if np.all(np.ptp(target, axis=0) == 0.0):
+        if np.all(np.ptp(y_cols, axis=0) == 0.0):
             Z[:, k] = 0.0  # E[c dW_k | node-k field] = 0 for constant c
+            first = n_z
         else:
-            z_target = target[:, :, None] * paths.dW[:, k][:, None, :]
-            Z[:, k] = condexp(backend, z_target, k, paths) / h
+            for i in range(gen.m):
+                np.multiply(target[:, i, None], paths.dW[:, k],
+                            out=z_cols[:, i * gen.d:(i + 1) * gen.d])
+            first = 0
+        z_fit, e_k, y_bar = np.split(
+            condexp(backend, block[:, first:], k, paths),
+            [n_z - first, n_z + n_e - first], axis=1)
+        if first == 0:
+            Z[:, k] = z_fit.reshape(P, gen.m, gen.d) / h
 
-        if gen.anticipates:
-            e_k = condexp(backend, _raw_functionals(scenario, ant_Y, ant_Z, k),
-                          k, paths)
-        else:
-            e_k = np.zeros((target.shape[0], 0))
-
-        y_bar = condexp(backend, target, k, paths)
         resid[k] = float(np.sqrt(np.mean((target - y_bar) ** 2)))
         y_hat = y_bar
         for _ in range(scenario.implicit_iters):
@@ -214,8 +233,9 @@ def solve_backward_sweep(scenario: Scenario, paths: PathEnsemble, backend,
     meta = {
         "backend": getattr(backend, "describe", lambda: str(backend))(),
         "implicit_iters": scenario.implicit_iters,
-        "l2_Y": float(np.mean(np.sum(Y ** 2, axis=2).sum(axis=1)) * h),
-        "l2_Z": float(np.mean(np.sum(Z ** 2, axis=(2, 3)).sum(axis=1)) * h),
+        # full reductions: no (P, n_nodes) temporaries
+        "l2_Y": float(np.einsum("pkm,pkm->", Y, Y)) / P * h,
+        "l2_Z": float(np.einsum("pkmd,pkmd->", Z, Z)) / P * h,
         "ybar_residual_rms": resid,
         "segmentation": segmentation,
     }

@@ -138,3 +138,36 @@ def test_backend_mismatch():
     other = sample_paths(tree.grid, 1, 1, 16, seed=0)
     with pytest.raises(BackendMismatch):
         condexp(tree.backend(), other.w_at(1), 1, other)
+
+
+@pytest.mark.parametrize("kind", ["regression", "exact"])
+def test_block_shortcuts_constant_columns_and_fits_the_rest_together(kind):
+    # constant columns come back bit for bit; the varying ones match one
+    # condexp call per column (bitwise on the exact backend, which fits
+    # column by column; to rounding on regression, one gemm vs gemvs)
+    if kind == "exact":
+        tree = build_tree(4, 0.25)
+        paths, backend = tree.ensemble, tree.backend()
+    else:
+        paths = sample_paths(make_grid(1.0, 0.0, 0.25), 1, 1, 2000, seed=5)
+        backend = RegressionBackend()
+    k, P = 2, paths.n_paths
+    rng = np.random.default_rng(0)
+    block = np.empty((P, 4), order="F")
+    block[:, 0] = rng.normal(size=P)
+    block[:, 1] = 0.1
+    block[:, 2] = np.sin(paths.dW[:, 0, 0]) + rng.normal(size=P)
+    block[:, 3] = -2.5
+    got = condexp(backend, block, k, paths)
+    assert got.shape == (P, 4)
+    assert np.array_equal(got[:, [1, 3]], block[:, [1, 3]])
+    for j in (0, 2):
+        alone = condexp(backend, block[:, [j]], k, paths)[:, 0]
+        if kind == "exact":
+            assert np.array_equal(got[:, j], alone)
+        else:
+            assert np.abs(got[:, j] - alone).max() <= 1e-12
+    # the result does not depend on the memory layout or the trailing shape
+    assert np.array_equal(condexp(backend, np.ascontiguousarray(block), k, paths), got)
+    assert np.array_equal(condexp(backend, block.reshape(P, 2, 2), k, paths),
+                          got.reshape(P, 2, 2))

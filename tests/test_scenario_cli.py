@@ -1,6 +1,7 @@
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 import yaml
@@ -253,3 +254,22 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert open(out).read().startswith("# scenario_hash")
+
+
+def test_solve_matches_the_kept_reference_csv(tmp_path):
+    # bench/reference/solve.csv is the kept output of bench/reference/solve.yaml;
+    # a change to the scheme fails here, not only in the benchmark
+    reference = Path(__file__).resolve().parents[1] / "bench" / "reference"
+    out = tmp_path / "solve.csv"
+    assert run("solve", str(reference / "solve.yaml"), str(out)) == 0
+    lines = out.read_text().splitlines()
+    kept = (reference / "solve.csv").read_text().splitlines()
+    assert len(lines) == len(kept)
+    for line, ref in zip(lines, kept):
+        if line.startswith("#") or line == ref:
+            assert line == ref
+            continue
+        cells, ref_cells = line.split(","), ref.split(",")
+        assert len(cells) == len(ref_cells)
+        for cell, ref_cell in zip(cells, ref_cells):
+            assert abs(float(cell) - float(ref_cell)) <= 1e-12, (line, ref)

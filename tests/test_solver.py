@@ -332,6 +332,33 @@ def test_picard_on_regression_backend_converges():
     assert np.abs(sol.Y.values - sweep.Y.values).max() <= 1e-12
 
 
+def test_one_condexp_call_per_node_and_functionals_once_per_node(monkeypatch):
+    # each node's Z, functional and Y targets go to the backend in one call,
+    # and node k's raw functionals are reused as node k-1's
+    counts = {"condexp": 0, "functionals": 0}
+    condexp_method = RegressionBackend.condexp
+    functionals_method = GeneratorSpec.eval_functionals
+
+    def counting_condexp(self, *args, **kwargs):
+        counts["condexp"] += 1
+        return condexp_method(self, *args, **kwargs)
+
+    def counting_functionals(self, *args, **kwargs):
+        counts["functionals"] += 1
+        return functionals_method(self, *args, **kwargs)
+
+    monkeypatch.setattr(RegressionBackend, "condexp", counting_condexp)
+    monkeypatch.setattr(GeneratorSpec, "eval_functionals", counting_functionals)
+    grid = make_grid(0.5, 0.25, 0.0625)
+    delay = DelaySpec(constant_delay(0.25), constant_delay(0.25), K=0.25)
+    scen = make_scenario(grid, builtin_generator("example41_f1"),
+                         TerminalSpec(name="scaled_wt", params={"a": 0.5, "b": 1.5}),
+                         delay=delay)
+    paths = sample_paths(grid, 1, 1, 512, seed=4)
+    solve_backward_sweep(scen, paths, RegressionBackend())
+    assert counts == {"condexp": grid.n_T, "functionals": grid.n_T + 1}
+
+
 # ---------------------------------------------------------------------------
 # piece-by-piece construction over the segmentation
 # ---------------------------------------------------------------------------
