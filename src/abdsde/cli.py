@@ -144,6 +144,10 @@ def _build_generator(section: dict, dims: dict):
     return spec
 
 
+def _build_terminal(section: dict) -> TerminalSpec:
+    return TerminalSpec(name=section["name"], params=dict(section.get("params") or {}))
+
+
 def _build_backend(config: dict, grid):
     section = config["backend"]
     kind = section.get("kind", "regression")
@@ -175,9 +179,8 @@ def _build_all(config: dict):
         grid = make_grid(float(g["T"]), float(g["K"]), float(g["h"]))
         delay = _build_delay(config, grid)
         generator = _build_generator(config["generator"], config["dims"])
-        term = config["terminal"]
-        terminal = TerminalSpec(name=term["name"], params=dict(term.get("params") or {}))
-        scenario = make_scenario(grid, generator, terminal, delay=delay,
+        scenario = make_scenario(grid, generator, _build_terminal(config["terminal"]),
+                                 delay=delay,
                                  implicit_iters=int(config["solver"]["implicit_iters"]))
         backend, tree = _build_backend(config, grid)
         if tree is None:
@@ -246,9 +249,7 @@ def _cmd_compare(config, built, out_path):
     grid, scenario1, backend, tree = built
     gen2 = _build_generator(section.get("generator", config["generator"]),
                             config["dims"])
-    term2_cfg = section.get("terminal", config["terminal"])
-    term2 = TerminalSpec(name=term2_cfg["name"],
-                         params=dict(term2_cfg.get("params") or {}))
+    term2 = _build_terminal(section.get("terminal", config["terminal"]))
     scenario2 = make_scenario(grid, gen2, term2, delay=scenario1.delay,
                               implicit_iters=scenario1.implicit_iters)
     paths = _paths(config, grid, tree)
@@ -272,7 +273,7 @@ def _cmd_duality(config, built, out_path):
     if not section:
         raise ValidationError("duality command needs a 'duality' section")
     g = config["grid"]
-    term = config["terminal"]
+    _, scenario, backend, _ = built
     try:
         coeffs = LinearDualityCoeffs(
             mu=float(section.get("mu", 0.0)),
@@ -283,8 +284,7 @@ def _cmd_duality(config, built, out_path):
             rho=float(section.get("rho", 0.0)),
             delta=float(g["K"]),
             t0=float(section.get("t0", g["K"])),
-            terminal=TerminalSpec(name=term["name"],
-                                  params=dict(term.get("params") or {})))
+            terminal=scenario.terminal)
     except AbdsdeError as exc:
         raise ValidationError(f"{type(exc).__name__}: {exc}") from exc
     tol_mean = section.get("tol_mean")
@@ -294,7 +294,7 @@ def _cmd_duality(config, built, out_path):
         P=int(config["paths"]["count"]),
         n_outer=int(section.get("outer", 64)),
         inner=int(section.get("inner", 2048)),
-        seed=int(config["paths"]["seed"]),
+        seed=int(config["paths"]["seed"]), backend=backend,
         tol_mean=None if tol_mean is None else float(tol_mean),
         tol_max=None if tol_max is None else float(tol_max))
     rows = [(j, float(r)) for j, r in enumerate(report.residuals)]

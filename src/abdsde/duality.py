@@ -88,18 +88,11 @@ class LinearDualityCoeffs:
 
     def profiles(self, grid: TimeGrid):
         """Deterministic (xi, eta) values on terminal nodes n_T..n_end."""
-        name, p = self.terminal.name, dict(self.terminal.params)
-        k_nodes = grid.n_end - grid.n_T + 1
-        t_rel = np.arange(k_nodes) * grid.h
-        eta = np.full(k_nodes, float(p.get("eta", 0.0)))
-        if name == "constant":
-            xi = np.full(k_nodes, float(p.get("value", 1.0)))
-        elif name == "affine":
-            xi = float(p.get("value", 1.0)) + float(p.get("slope", 0.0)) * t_rel
-        else:
-            raise ValidationError(
-                f"duality needs a deterministic terminal profile, got '{name}'")
-        return xi, eta
+        profile = self.terminal.profile(grid)
+        if profile is None:
+            raise ValidationError("duality needs a deterministic terminal profile, "
+                                  f"got '{self.terminal.name}'")
+        return profile
 
 
 @dataclass
@@ -109,10 +102,6 @@ class DelayedPath:
     grid: TimeGrid
     k0: int
     values: np.ndarray  # (P, n_T + 1)
-
-    @property
-    def n_paths(self) -> int:
-        return self.values.shape[0]
 
 
 def solve_delayed_dsde(coeffs: LinearDualityCoeffs, paths: PathEnsemble,
@@ -151,9 +140,9 @@ def solve_delayed_dsde(coeffs: LinearDualityCoeffs, paths: PathEnsemble,
     return DelayedPath(grid=grid, k0=k0, values=X)
 
 
-def _bracket(coeffs: LinearDualityCoeffs, X: DelayedPath, k0: int) -> np.ndarray:
+def _bracket(coeffs: LinearDualityCoeffs, X: DelayedPath) -> np.ndarray:
     """Per-path value of the duality functional of one forward solution."""
-    grid = X.grid
+    grid, k0 = X.grid, X.k0
     dd = grid.index_of(coeffs.delta)
     xi, eta = coeffs.profiles(grid)
     vals = X.values
@@ -189,7 +178,7 @@ def duality_rhs(coeffs: LinearDualityCoeffs, outer_dB: np.ndarray,
             dB=np.broadcast_to(outer_dB[j][None], (inner,) + outer_dB[j].shape).copy(),
             seed=None)
         X = solve_delayed_dsde(coeffs, inner_paths, k0)
-        vals = _bracket(coeffs, X, k0)
+        vals = _bracket(coeffs, X)
         est[j] = vals.mean()
         stderr[j] = vals.std(ddof=1) / np.sqrt(inner) if inner > 1 else 0.0
     return est, stderr
@@ -218,6 +207,10 @@ class DualityReport:
         return self.mean_residual <= self.tol_mean and self.max_residual <= self.tol_max
 
 
+# step-size multiples of the coarse grids that calibrate the tolerances
+_CALIBRATION_FACTORS = (2, 4)
+
+
 def _commensurate(value: float, h: float) -> bool:
     return abs(value / h - round(value / h)) <= 1e-9
 
@@ -236,14 +229,14 @@ def _mean_residual_once(coeffs, grid, P, n_outer, inner, seed, backend):
 def duality_check(coeffs: LinearDualityCoeffs, T: float, h: float,
                   P: int = 4096, n_outer: int = 64, inner: int = 2048,
                   seed: int = 11, backend: RegressionBackend | None = None,
-                  tol_mean: float | None = None, tol_max: float | None = None,
-                  calibration_factors: tuple = (2, 4)) -> DualityReport:
+                  tol_mean: float | None = None,
+                  tol_max: float | None = None) -> DualityReport:
     """Residuals between the backward solve and the dual representation.
 
     With tolerances unset they are self-calibrated: the step-size constant C
-    is estimated from the mean residual on coarser grids (residual/h along
-    `calibration_factors`), then tol_mean = 3 (mean inner stderr + C h) and
-    tol_max = 3 tol_mean.
+    is estimated from the mean residual on coarser grids (residual/h at the
+    steps h * _CALIBRATION_FACTORS), then tol_mean = 3 (mean inner stderr +
+    C h) and tol_max = 3 tol_mean.
     """
     backend = backend or RegressionBackend()
     grid = coeffs.grid_for(T, h)
@@ -252,7 +245,7 @@ def duality_check(coeffs: LinearDualityCoeffs, T: float, h: float,
 
     rate_c = 0.0
     if tol_mean is None:
-        for factor in calibration_factors:
+        for factor in _CALIBRATION_FACTORS:
             h_c = h * factor
             if not _commensurate(coeffs.delta, h_c) or not _commensurate(T, h_c) \
                     or not _commensurate(coeffs.t0, h_c):

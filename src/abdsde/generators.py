@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -32,7 +33,6 @@ Array = np.ndarray
 class AnticipationFunctional:
     """A declared map phi(y_ant, z_ant) -> R^width, fed to f/g via condexp."""
 
-    name: str
     width: int
     fn: Callable[[Array, Array], Array]
 
@@ -137,16 +137,12 @@ def _zeros_g(l: int):
     return g
 
 
-def _phi_identity_y(m: int) -> AnticipationFunctional:
-    return AnticipationFunctional(
-        name="anticipated_y", width=m,
-        fn=lambda ya, za: ya)
+_ANTICIPATED_Y = AnticipationFunctional(width=1, fn=lambda ya, za: ya)
 
 
 def _phi_identity_z(d: int) -> AnticipationFunctional:
     return AnticipationFunctional(
-        name="anticipated_z", width=d,
-        fn=lambda ya, za: za.reshape(za.shape[0], -1))
+        width=d, fn=lambda ya, za: za.reshape(za.shape[0], -1))
 
 
 def _scalar_drift_from_e(t, y, z, e):
@@ -161,141 +157,121 @@ def _growth_g(l: int):
     return g
 
 
-def builtin_generator(name: str, **params) -> GeneratorSpec:
-    """Construct a catalog generator.
+# Builders take (m, d, l, **params) and return (f, g, functionals, lip).
 
-    Catalog: zero, constant_rho(rho), linear_bsde(a, rho), anticipated_drift,
-    example41_f1, example41_f2, example41_g, example42_f1, example42_ftilde,
-    example42_f2, duality_linear(mu, mu_bar, sigma, sigma_bar, kappa, rho).
-    Dimension overrides m/d/l default to 1.
+def _linear(m, d, l, a, rho):
+    return (lambda t, y, z, e: a * y + rho,
+            _zeros_g(l), (), LipschitzData(c=a * a))
+
+
+def _drift_from_y_ant(fn, c, m, d, l):
+    """f = E[fn(Y_ant)], g = 0; c = (Lipschitz constant of fn)^2."""
+    phi = AnticipationFunctional(width=1, fn=lambda ya, za: fn(ya[:, 0])[:, None])
+    return _scalar_drift_from_e, _zeros_g(l), (phi,), LipschitzData(c=c)
+
+
+def _example41_f1_phi(ya, za):
+    x = ya[:, 0]
+    return (x + np.sin(2.0 * x) + _z_norm(za) + 2.0)[:, None]
+
+
+def _example41_f2_phi(ya, za):
+    x = ya[:, 0]
+    v = za[:, 0, 0] if za.shape[2] == 1 else _z_norm(za)
+    return (x + 2.0 * np.abs(np.cos(x)) + np.sin(v) - 2.0)[:, None]
+
+
+def _example41(phi_fn, m, d, l):
+    """f = E[phi(Y_ant, Z_ant)] with the growth diffusion g of Example 4.1."""
+    # |dphi| <= 3|dy| + |dz|  =>  |dphi|^2 <= 10 (|dy|^2 + |dz|^2)
+    return (_scalar_drift_from_e, _growth_g(l),
+            (AnticipationFunctional(width=1, fn=phi_fn),),
+            LipschitzData(c=10.0, alpha1=1.0 / 3.0))
+
+
+def _example41_g(m, d, l):
+    return (lambda t, y, z, e: np.zeros((y.shape[0], 1)),
+            _growth_g(l), (), LipschitzData(c=1.0, alpha1=1.0 / 3.0))
+
+
+def _duality_linear(m, d, l, mu, mu_bar, sigma, sigma_bar, kappa, rho):
+    if sigma.shape != (d,) or sigma_bar.shape != (d,):
+        raise ShapeMismatch(f"sigma/sigma_bar must have shape ({d},)")
+    if kappa.shape != (l,):
+        raise ShapeMismatch(f"kappa must have shape ({l},)")
+    kap2 = float(kappa @ kappa)
+
+    def f(t, y, z, e):
+        e_y = e[:, :1]
+        e_z = e[:, 1:1 + d]
+        out = ((mu + kap2) * y[:, 0]
+               + mu_bar * e_y[:, 0]
+               + z[:, 0, :] @ sigma
+               + e_z @ sigma_bar
+               + rho)
+        return out[:, None]
+
+    def g(t, y, z, e):
+        return y[:, :, None] * kappa[None, None, :]
+
+    c_f = (mu + kap2) ** 2 + float(sigma @ sigma) + mu_bar ** 2 \
+        + float(sigma_bar @ sigma_bar)
+    return (f, g, (_ANTICIPATED_Y, _phi_identity_z(d)),
+            LipschitzData(c=max(c_f, kap2)))
+
+
+# name -> (parameter defaults, scalar only (m = 1), builder).  A tuple
+# default marks a vector parameter; every other parameter is a float.
+CATALOG = {
+    "zero": ({}, False, partial(_linear, a=0.0, rho=0.0)),
+    "constant_rho": ({"rho": 1.0}, False, partial(_linear, a=0.0)),
+    "linear_bsde": ({"a": 1.0, "rho": 0.0}, False, _linear),
+    "anticipated_drift": ({}, True, partial(_drift_from_y_ant, lambda x: x, 1.0)),
+    "example41_f1": ({}, True, partial(_example41, _example41_f1_phi)),
+    "example41_f2": ({}, True, partial(_example41, _example41_f2_phi)),
+    "example41_g": ({}, True, _example41_g),
+    "example42_f1": ({}, True, partial(
+        _drift_from_y_ant, lambda x: x - np.sin(2.0 * x) + 2.0, 9.0)),
+    "example42_ftilde": ({}, True, partial(
+        _drift_from_y_ant, lambda x: x + np.cos(x), 4.0)),
+    "example42_f2": ({}, True, partial(
+        _drift_from_y_ant, lambda x: x + 2.0 * np.cos(x) - 1.0, 9.0)),
+    "duality_linear": ({"mu": 0.0, "mu_bar": 0.0, "sigma": (0.0,),
+                        "sigma_bar": (0.0,), "kappa": (0.0,), "rho": 0.0},
+                       True, _duality_linear),
+}
+
+
+def _param(value, default):
+    if isinstance(default, tuple):
+        return np.atleast_1d(np.asarray(value, dtype=float))
+    return float(value)
+
+
+def builtin_generator(name: str, **params) -> GeneratorSpec:
+    """Construct the catalog generator `name`; `CATALOG` is the catalog.
+
+    Parameters left out take the table's defaults; dimension overrides
+    m/d/l default to 1, and scalar-only builtins raise ShapeMismatch for
+    m != 1.
     """
     m = int(params.pop("m", 1))
     d = int(params.pop("d", 1))
     l = int(params.pop("l", 1))
-
-    def unknown_params(allowed):
-        extra = set(params) - set(allowed)
-        if extra:
-            raise UnknownName(f"unknown parameters {sorted(extra)} for '{name}'")
-
-    if name == "zero":
-        unknown_params(())
-        return GeneratorSpec(
-            name=name, m=m, d=d, l=l,
-            f=lambda t, y, z, e: np.zeros((y.shape[0], y.shape[1])),
-            g=_zeros_g(l), functionals=(),
-            lip=LipschitzData(c=0.0))
-
-    if name == "constant_rho":
-        unknown_params(("rho",))
-        rho = float(params.get("rho", 1.0))
-        return GeneratorSpec(
-            name=name, m=m, d=d, l=l,
-            f=lambda t, y, z, e: np.full((y.shape[0], y.shape[1]), rho),
-            g=_zeros_g(l), functionals=(),
-            lip=LipschitzData(c=0.0))
-
-    if name == "linear_bsde":
-        unknown_params(("a", "rho"))
-        a = float(params.get("a", 1.0))
-        rho = float(params.get("rho", 0.0))
-        return GeneratorSpec(
-            name=name, m=m, d=d, l=l,
-            f=lambda t, y, z, e: a * y + rho,
-            g=_zeros_g(l), functionals=(),
-            lip=LipschitzData(c=a * a))
-
-    if name == "anticipated_drift":
-        unknown_params(())
-        return GeneratorSpec(
-            name=name, m=1, d=d, l=l,
-            f=_scalar_drift_from_e,
-            g=_zeros_g(l), functionals=(_phi_identity_y(1),),
-            lip=LipschitzData(c=1.0))
-
-    if name in ("example41_f1", "example41_f2"):
-        unknown_params(())
-        if name == "example41_f1":
-            def phi_fn(ya, za):
-                x = ya[:, 0]
-                return (x + np.sin(2.0 * x) + _z_norm(za) + 2.0)[:, None]
-        else:
-            def phi_fn(ya, za):
-                x = ya[:, 0]
-                v = za[:, 0, 0] if za.shape[2] == 1 else _z_norm(za)
-                return (x + 2.0 * np.abs(np.cos(x)) + np.sin(v) - 2.0)[:, None]
-        phi = AnticipationFunctional(name=f"{name}_phi", width=1, fn=phi_fn)
-        # |dphi| <= 3|dy| + |dz|  =>  |dphi|^2 <= 10 (|dy|^2 + |dz|^2)
-        return GeneratorSpec(
-            name=name, m=1, d=d, l=l,
-            f=_scalar_drift_from_e,
-            g=_growth_g(l), functionals=(phi,),
-            lip=LipschitzData(c=10.0, alpha1=1.0 / 3.0))
-
-    if name == "example41_g":
-        unknown_params(())
-        return GeneratorSpec(
-            name=name, m=1, d=d, l=l,
-            f=lambda t, y, z, e: np.zeros((y.shape[0], 1)),
-            g=_growth_g(l), functionals=(),
-            lip=LipschitzData(c=1.0, alpha1=1.0 / 3.0))
-
-    if name in ("example42_f1", "example42_ftilde", "example42_f2"):
-        unknown_params(())
-        if name == "example42_f1":
-            fn = lambda x: x - np.sin(2.0 * x) + 2.0
-            c = 9.0
-        elif name == "example42_ftilde":
-            fn = lambda x: x + np.cos(x)
-            c = 4.0
-        else:
-            fn = lambda x: x + 2.0 * np.cos(x) - 1.0
-            c = 9.0
-        phi = AnticipationFunctional(
-            name=f"{name}_phi", width=1,
-            fn=lambda ya, za, _fn=fn: _fn(ya[:, 0])[:, None])
-        return GeneratorSpec(
-            name=name, m=1, d=d, l=l,
-            f=_scalar_drift_from_e,
-            g=_zeros_g(l), functionals=(phi,),
-            lip=LipschitzData(c=c))
-
-    if name == "duality_linear":
-        unknown_params(("mu", "mu_bar", "sigma", "sigma_bar", "kappa", "rho"))
-        mu = float(params.get("mu", 0.0))
-        mu_bar = float(params.get("mu_bar", 0.0))
-        sigma = np.atleast_1d(np.asarray(params.get("sigma", 0.0), dtype=float))
-        sigma_bar = np.atleast_1d(np.asarray(params.get("sigma_bar", 0.0), dtype=float))
-        kappa = np.atleast_1d(np.asarray(params.get("kappa", 0.0), dtype=float))
-        rho = float(params.get("rho", 0.0))
-        if sigma.shape != (d,) or sigma_bar.shape != (d,):
-            raise ShapeMismatch(f"sigma/sigma_bar must have shape ({d},)")
-        if kappa.shape != (l,):
-            raise ShapeMismatch(f"kappa must have shape ({l},)")
-        kap2 = float(kappa @ kappa)
-
-        functionals = (_phi_identity_y(1), _phi_identity_z(d))
-
-        def f(t, y, z, e):
-            e_y = e[:, :1]
-            e_z = e[:, 1:1 + d]
-            out = ((mu + kap2) * y[:, 0]
-                   + mu_bar * e_y[:, 0]
-                   + z[:, 0, :] @ sigma
-                   + e_z @ sigma_bar
-                   + rho)
-            return out[:, None]
-
-        def g(t, y, z, e):
-            return y[:, :, None] * kappa[None, None, :]
-
-        c_f = (mu + kap2) ** 2 + float(sigma @ sigma) + mu_bar ** 2 \
-            + float(sigma_bar @ sigma_bar)
-        return GeneratorSpec(
-            name=name, m=1, d=d, l=l, f=f, g=g, functionals=functionals,
-            lip=LipschitzData(c=max(c_f, kap2)))
-
-    raise UnknownName(f"no builtin generator named '{name}'")
+    if name not in CATALOG:
+        raise UnknownName(f"no builtin generator named '{name}'")
+    defaults, scalar, build = CATALOG[name]
+    extra = set(params) - set(defaults)
+    if extra:
+        raise UnknownName(f"unknown parameters {sorted(extra)} for '{name}'")
+    if scalar and m != 1:
+        raise ShapeMismatch(
+            f"builtin generator '{name}' is scalar (m = 1), got m = {m}")
+    f, g, functionals, lip = build(m, d, l, **{
+        key: _param(params.get(key, default), default)
+        for key, default in defaults.items()})
+    return GeneratorSpec(name=name, m=m, d=d, l=l, f=f, g=g,
+                         functionals=functionals, lip=lip)
 
 
 def with_lipschitz(spec: GeneratorSpec, **kwargs) -> GeneratorSpec:

@@ -49,6 +49,15 @@ class TerminalData:
         return self.eta[:, k - self.grid.n_T]
 
 
+# name -> parameter defaults; every builtin also takes eta (default 0).
+_PARAMS = {
+    "constant": {"value": 1.0},
+    "affine": {"value": 1.0, "slope": 0.0},
+    "scaled_wt": {"a": 1.0, "b": 0.0},
+    "scaled_b_tail": {"a": 1.0, "b": 0.0},
+}
+
+
 @dataclass(frozen=True)
 class TerminalSpec:
     """Declarative terminal-data recipe; `build` materializes it on paths.
@@ -63,46 +72,51 @@ class TerminalSpec:
     name: str
     params: dict
 
+    def _values(self) -> dict:
+        if self.name not in _PARAMS:
+            raise UnknownName(f"no builtin terminal data named '{self.name}'")
+        defaults = dict(_PARAMS[self.name], eta=0.0)
+        extra = set(self.params) - set(defaults)
+        if extra:
+            raise UnknownName(
+                f"unknown parameters {sorted(extra)} for terminal '{self.name}'")
+        return {key: float(self.params.get(key, default))
+                for key, default in defaults.items()}
+
+    def profile(self, grid: TimeGrid):
+        """Time-only (xi, eta) on nodes n_T..n_end, each of shape (K_nodes,);
+        None for the builtins that read the paths."""
+        p = self._values()
+        t_rel = np.arange(grid.n_end - grid.n_T + 1) * grid.h  # t - T on the window
+        if self.name == "constant":
+            xi = np.full(t_rel.shape, p["value"])
+        elif self.name == "affine":
+            xi = p["value"] + p["slope"] * t_rel
+        else:
+            return None
+        return xi, np.full(t_rel.shape, p["eta"])
+
     def build(self, grid: TimeGrid, paths: PathEnsemble, m: int = 1,
               d: int | None = None) -> TerminalData:
         if d is None:
             d = paths.d
         P = paths.n_paths
         k_nodes = grid.n_end - grid.n_T + 1
-        t_rel = (np.arange(k_nodes) * grid.h)  # t - T on the window
-        p = dict(self.params)
-        eta_val = float(p.pop("eta", 0.0))
-        eta = np.full((P, k_nodes, m, d), eta_val)
-
-        if self.name == "constant":
-            value = float(p.pop("value", 1.0))
-            xi = np.full((P, k_nodes, m), value)
-        elif self.name == "affine":
-            value = float(p.pop("value", 1.0))
-            slope = float(p.pop("slope", 0.0))
-            xi = np.broadcast_to(
-                (value + slope * t_rel)[None, :, None], (P, k_nodes, m)).copy()
+        p = self._values()
+        profile = self.profile(grid)
+        if profile is not None:
+            xi = np.broadcast_to(profile[0][None, :, None], (P, k_nodes, m)).copy()
+        elif m != 1:
+            raise ShapeMismatch(f"{self.name} terminal data is scalar (m=1)")
         elif self.name == "scaled_wt":
-            a = float(p.pop("a", 1.0))
-            b = float(p.pop("b", 0.0))
-            if m != 1:
-                raise ShapeMismatch("scaled_wt terminal data is scalar (m=1)")
             w_T = paths.w_at(grid.n_T).sum(axis=1)  # (P,)
-            xi = np.repeat((a * w_T + b)[:, None, None], k_nodes, axis=1)
-        elif self.name == "scaled_b_tail":
-            a = float(p.pop("a", 1.0))
-            b = float(p.pop("b", 0.0))
-            if m != 1:
-                raise ShapeMismatch("scaled_b_tail terminal data is scalar (m=1)")
+            xi = np.repeat((p["a"] * w_T + p["b"])[:, None, None], k_nodes, axis=1)
+        else:  # scaled_b_tail
             b_end = paths.b_at(grid.n_end)
             xi = np.empty((P, k_nodes, 1))
             for j, k in enumerate(range(grid.n_T, grid.n_end + 1)):
-                xi[:, j, 0] = a * (b_end - paths.b_at(k)).sum(axis=1) + b
-        else:
-            raise UnknownName(f"no builtin terminal data named '{self.name}'")
-        if p:
-            raise UnknownName(
-                f"unknown parameters {sorted(p)} for terminal '{self.name}'")
+                xi[:, j, 0] = p["a"] * (b_end - paths.b_at(k)).sum(axis=1) + p["b"]
+        eta = np.full((P, k_nodes, m, d), p["eta"])
         return TerminalData(grid=grid, xi=xi, eta=eta)
 
 

@@ -139,17 +139,19 @@ def oracle_solve(scenario, tree: TreeModel):
         kz = k + scenario.offsets.d_zeta[k]
         return gen.eval_functionals(Y[:, ka][:, None], Z[:, kz][:, None, None])
 
+    # node k's raw functionals read only nodes > k (offsets are >= 1), so
+    # they are final when computed and serve again as node k-1's g input
+    raw = raw_functionals(grid.n_T)
     for k in range(grid.n_T - 1, -1, -1):
         t_k = grid.time(k)
         t_next = grid.time(k + 1)
-        g_val = gen.g(t_next, Y[:, k + 1][:, None], Z[:, k + 1][:, None, None],
-                      raw_functionals(k + 1))
+        g_val = gen.g(t_next, Y[:, k + 1][:, None], Z[:, k + 1][:, None, None], raw)
         target = Y[:, k + 1] + np.asarray(g_val)[:, 0, 0] * dB[:, k]
         Z[:, k] = _tensor_condexp(target * dW[:, k], k, n) / h
         e_k = np.empty((A, gen.q_total))
-        raw_k = raw_functionals(k)
+        raw = raw_functionals(k)
         for j in range(gen.q_total):
-            e_k[:, j] = _tensor_condexp(raw_k[:, j], k, n)
+            e_k[:, j] = _tensor_condexp(raw[:, j], k, n)
         y_bar = _tensor_condexp(target, k, n)
         y_hat = y_bar
         for _ in range(scenario.implicit_iters):

@@ -120,7 +120,7 @@ def test_no_anticipation_pair_with_shared_diffusion():
 
 
 def _affine_anticipated(a, b):
-    phi = AnticipationFunctional(name="id", width=1, fn=lambda ya, za: ya)
+    phi = AnticipationFunctional(width=1, fn=lambda ya, za: ya)
     return GeneratorSpec(
         name=f"affine({a},{b})", m=1, d=1, l=1,
         f=lambda t, y, z, e: a * e + b,

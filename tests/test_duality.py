@@ -15,6 +15,13 @@ def test_coeffs_require_start_after_delay():
         LinearDualityCoeffs(delta=0.5, t0=0.25)
 
 
+def test_profiles_reject_path_reading_terminals():
+    coeffs = LinearDualityCoeffs(
+        terminal=TerminalSpec(name="scaled_wt", params={"a": 0.5, "b": 1.0}))
+    with pytest.raises(ValidationError):
+        coeffs.profiles(coeffs.grid_for(1.0, 0.25))
+
+
 def test_delayed_path_boundary_conditions_exact():
     coeffs = LinearDualityCoeffs(mu=0.3, mu_bar=0.2, sigma=(0.2,),
                                  kappa=(0.1,), delta=0.25, t0=0.5)

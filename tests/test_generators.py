@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from abdsde.errors import Infeasible, NonFinite, ShapeMismatch, UnknownName
 from abdsde.generators import (AnticipationFunctional, audit_lipschitz,
-                               builtin_generator, check_feasible, evaluate,
-                               GeneratorSpec, LipschitzData, with_lipschitz)
+                               builtin_generator, CATALOG, check_feasible,
+                               evaluate, GeneratorSpec, LipschitzData,
+                               with_lipschitz)
 
 P1 = lambda *vals: np.array([list(vals)], dtype=float)
 
@@ -61,6 +62,11 @@ def test_unknown_name_and_params():
         builtin_generator("zero", bogus=1)
 
 
+def test_bad_parameter_value_fails_when_the_spec_is_built():
+    with pytest.raises(ValueError):
+        builtin_generator("constant_rho", rho="not a number")
+
+
 def test_evaluate_shape_and_finite_checks():
     spec = builtin_generator("linear_bsde", a=1.0)
     with pytest.raises(ShapeMismatch):
@@ -108,6 +114,22 @@ BUILTINS = [
 ]
 
 
+def test_builtins_list_names_every_catalog_entry():
+    assert sorted(name for name, _ in BUILTINS) == sorted(CATALOG)
+
+
+@pytest.mark.parametrize("name,params", BUILTINS)
+def test_scalar_builtins_reject_m_two(name, params):
+    if name in ("zero", "constant_rho", "linear_bsde"):
+        spec = builtin_generator(name, m=2, **params)
+        f, g = evaluate(spec, 0.0, np.ones((3, 2)), np.ones((3, 2, 1)),
+                        np.zeros((3, 0)))
+        assert f.shape == (3, 2) and g.shape == (3, 2, 1)
+    else:
+        with pytest.raises(ShapeMismatch):
+            builtin_generator(name, m=2, **params)
+
+
 @pytest.mark.parametrize("name,params", BUILTINS)
 def test_audit_passes_for_builtins(name, params):
     spec = builtin_generator(name, **params)
@@ -151,7 +173,7 @@ def test_check_feasible_raises():
 
 def test_custom_spec_construction():
     # a hand-rolled anticipated spec: f = e + 1 with phi(y') = y'
-    phi = AnticipationFunctional(name="id", width=1, fn=lambda ya, za: ya)
+    phi = AnticipationFunctional(width=1, fn=lambda ya, za: ya)
     spec = GeneratorSpec(
         name="custom", m=1, d=1, l=1,
         f=lambda t, y, z, e: e + 1.0,

@@ -111,6 +111,7 @@ def test_error_status_two(tmp_path):
 
 DUALITY_READY = {
     "grid": {"T": 1.0, "K": 0.25, "h": 0.25},
+    "dims": {"m": 1, "d": 1, "l": 1},
     "delay": {"delta": 0.25},
     "generator": {"name": "duality_linear", "params": {"mu": 0.2}},
     "backend": {"kind": "regression"},
@@ -127,8 +128,9 @@ DUALITY_READY = {
     ("solve", "grid", {"h": -0.25}, {}),
     ("solve", "paths", {"count": 30}, {}),  # 6 features need 60 paths
     ("duality", "duality", {"inner": 0}, {}),
+    ("solve", "dims", {"m": 2}, {}),  # duality_linear is scalar
 ], ids=["count-0", "flag-paths-0", "degree-0", "ridge-negative", "h-negative",
-        "paths-below-10x-features", "inner-0"])
+        "paths-below-10x-features", "inner-0", "dims-m-2"])
 def test_out_of_range_input_exits_two(tmp_path, command, section, value,
                                       override):
     config = {key: dict(val) for key, val in DUALITY_READY.items()}
@@ -180,6 +182,30 @@ def test_duality_command_pass_and_fail(tmp_path):
     out2 = str(tmp_path / "d2.csv")
     assert run("duality", fail, out2) == 1
     assert "result = FAIL" in open(out2).read()
+
+
+def test_duality_command_fits_with_the_backend_section(tmp_path):
+    # the backward solve inside the duality check uses the file's basis, and
+    # the CSV header records it
+    bodies = {}
+    for degree in (2, 3):
+        path = _write(tmp_path, f"deg{degree}.yaml", f"""
+            grid: {{T: 1.0, K: 0.25, h: 0.125}}
+            delay: {{delta: 0.25}}
+            generator: {{name: duality_linear,
+                         params: {{mu: 0.1, sigma: [0.2], kappa: [0.2], rho: 0.2}}}}
+            backend: {{kind: regression, degree: {degree}}}
+            paths: {{count: 512, seed: 5}}
+            duality: {{mu: 0.1, sigma: [0.2], kappa: [0.2], rho: 0.2, t0: 0.25,
+                       outer: 4, inner: 32}}
+        """)
+        out = tmp_path / f"deg{degree}.csv"
+        assert run("duality", path, str(out)) in (0, 1)
+        text = out.read_text()
+        assert f"# backend.degree = {degree}" in text
+        bodies[degree] = [line for line in text.splitlines()
+                          if not line.startswith("#")]
+    assert bodies[2] != bodies[3]
 
 
 def test_oracle_check_command(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 
 from abdsde.delays import constant_delay, DelaySpec
 from abdsde.errors import TooLarge
-from abdsde.generators import builtin_generator
+from abdsde.generators import builtin_generator, GeneratorSpec
 from abdsde.grids import make_grid
 from abdsde.scenario import make_scenario
 from abdsde.solver import solve_backward_sweep
@@ -181,3 +181,23 @@ def test_solver_with_exact_backend_matches_oracle(name, params):
     exact = oracle_solve(scen, tree)
     assert np.abs(sweep.Y.values - exact.Y.values).max() <= 1e-10
     assert np.abs(sweep.Z.values - exact.Z.values).max() <= 1e-10
+
+
+def test_oracle_evaluates_each_nodes_functionals_once(monkeypatch):
+    # node k's raw functionals are reused as node k-1's g input
+    grid = make_grid(0.6, 0.4, 0.2)
+    tree = tree_for_grid(grid)
+    delay = DelaySpec(constant_delay(0.4), constant_delay(0.4), K=0.4)
+    scen = make_scenario(grid, builtin_generator("example41_f1"),
+                         TerminalSpec(name="scaled_wt", params={"a": 0.5, "b": 1.0}),
+                         delay=delay)
+    calls = []
+    method = GeneratorSpec.eval_functionals
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return method(self, *args, **kwargs)
+
+    monkeypatch.setattr(GeneratorSpec, "eval_functionals", counting)
+    oracle_solve(scen, tree)
+    assert len(calls) == grid.n_T + 1
