@@ -21,22 +21,23 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+from typing import NamedTuple
 
 import numpy as np
 import yaml
 
-from .condexp import RegressionBackend, RegressionBasis
+from .condexp import ExactTreeBackend, RegressionBackend, RegressionBasis
 from .delays import affine_delay, constant_delay, DelaySpec, segment_interval
 from .duality import duality_check, LinearDualityCoeffs
 from .errors import AbdsdeError, ParseError, ValidationError
 from .comparison import run_comparison
-from .generators import builtin_generator, with_lipschitz
-from .grids import make_grid
+from .generators import builtin_generator, catalog_params, with_lipschitz
+from .grids import make_grid, TimeGrid
 from .paths import sample_paths
-from .scenario import make_scenario
+from .scenario import make_scenario, Scenario
 from .solver import solve_backward_sweep
 from .terminal import TerminalSpec
-from .tree import oracle_solve, tree_for_grid
+from .tree import oracle_solve, tree_for_grid, TreeModel
 
 
 def _fmt(x) -> str:
@@ -161,12 +162,73 @@ def _build_backend(config: dict, grid):
     raise ValidationError(f"unknown backend kind '{kind}'")
 
 
-def _build_all(config: dict):
-    """Construct every runtime object, mapping domain errors to ValidationError.
+_COMPARE_KEYS = {"generator", "terminal", "epsilon"}
+_DUALITY_SETTINGS = {"t0", "outer", "inner", "tol_mean", "tol_max"}
 
-    Returns (grid, scenario, backend, tree); tree is None unless the
-    backend is exact.
+
+def _build_compare(config: dict, scenario: Scenario) -> Scenario | None:
+    """The second scenario of the `compare:` pair, on the first one's grid,
+    delay and implicit_iters; None without the section."""
+    section = config.get("compare")
+    if not section:
+        return None
+    unknown = set(section) - _COMPARE_KEYS
+    if unknown:
+        raise ValidationError(f"unknown compare keys {sorted(unknown)}")
+    generator = _build_generator(section.get("generator", config["generator"]),
+                                 config["dims"])
+    terminal = _build_terminal(section.get("terminal", config["terminal"]))
+    return make_scenario(scenario.grid, generator, terminal, delay=scenario.delay,
+                         implicit_iters=scenario.implicit_iters)
+
+
+def _build_duality(config: dict, scenario: Scenario) -> LinearDualityCoeffs | None:
+    """Duality coefficients from the `duality_linear` generator's parameters;
+    None without a `duality:` section.
+
+    The section holds t0, outer, inner and the tolerances; a coefficient key
+    still written there must equal the generator's value after defaults.
     """
+    section = config.get("duality")
+    if not section:
+        return None
+    generator = config["generator"]
+    if generator["name"] != "duality_linear":
+        raise ValidationError("a duality section needs the duality_linear "
+                              f"generator, got '{generator['name']}'")
+    coeffs = catalog_params("duality_linear", dict(generator.get("params") or {}))
+    unknown = set(section) - set(coeffs) - _DUALITY_SETTINGS
+    if unknown:
+        raise ValidationError(f"unknown duality keys {sorted(unknown)}")
+    stated = catalog_params("duality_linear",
+                            {key: section[key] for key in section if key in coeffs})
+    for key in set(section) & set(coeffs):
+        if not np.array_equal(stated[key], coeffs[key]):
+            raise ValidationError(
+                f"duality.{key} = {section[key]} differs from the generator's "
+                f"{key} = {coeffs[key]}; the generator's parameters are the "
+                "coefficients")
+    K = float(config["grid"]["K"])
+    return LinearDualityCoeffs(
+        mu=coeffs["mu"], mu_bar=coeffs["mu_bar"], sigma=tuple(coeffs["sigma"]),
+        sigma_bar=tuple(coeffs["sigma_bar"]), kappa=tuple(coeffs["kappa"]),
+        rho=coeffs["rho"], delta=K, t0=float(section.get("t0", K)),
+        terminal=scenario.terminal)
+
+
+class Built(NamedTuple):
+    """Every runtime object of one scenario file."""
+
+    grid: TimeGrid
+    scenario: Scenario
+    backend: RegressionBackend | ExactTreeBackend
+    tree: TreeModel | None     # None unless the backend is exact
+    compare: Scenario | None   # the second scenario of the compare pair
+    duality: LinearDualityCoeffs | None
+
+
+def _build_all(config: dict) -> Built:
+    """Construct every runtime object, mapping domain errors to ValidationError."""
     try:
         n_paths = int(config["paths"]["count"])
         if n_paths < 1:
@@ -186,6 +248,9 @@ def _build_all(config: dict):
         if tree is None:
             dims = config["dims"]
             backend.basis.check_paths(n_paths, int(dims["d"]) + int(dims["l"]))
+        return Built(grid, scenario, backend, tree,
+                     compare=_build_compare(config, scenario),
+                     duality=_build_duality(config, scenario))
     except (ParseError, ValidationError):
         raise
     except AbdsdeError as exc:
@@ -194,7 +259,6 @@ def _build_all(config: dict):
         raise ValidationError(f"malformed scenario: {exc!r}") from exc
     except ValueError as exc:
         raise ValidationError(f"invalid scenario value: {exc}") from exc
-    return grid, scenario, backend, tree
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +289,9 @@ def _paths(config, grid, tree):
 
 
 def _cmd_solve(config, built, out_path):
-    grid, scenario, backend, tree = built
-    paths = _paths(config, grid, tree)
-    sol = solve_backward_sweep(scenario, paths, backend)
+    grid = built.grid
+    paths = _paths(config, grid, built.tree)
+    sol = solve_backward_sweep(built.scenario, paths, built.backend)
     P = paths.n_paths
     y = sol.Y.values[:, :, 0]
     abs_z = np.einsum("pkmd,pkmd->pk", sol.Z.values, sol.Z.values)
@@ -243,18 +307,12 @@ def _cmd_solve(config, built, out_path):
 
 
 def _cmd_compare(config, built, out_path):
-    section = config.get("compare")
-    if not section:
+    if built.compare is None:
         raise ValidationError("compare command needs a 'compare' section")
-    grid, scenario1, backend, tree = built
-    gen2 = _build_generator(section.get("generator", config["generator"]),
-                            config["dims"])
-    term2 = _build_terminal(section.get("terminal", config["terminal"]))
-    scenario2 = make_scenario(grid, gen2, term2, delay=scenario1.delay,
-                              implicit_iters=scenario1.implicit_iters)
-    paths = _paths(config, grid, tree)
-    eps = section.get("epsilon")
-    report = run_comparison(scenario1, scenario2, paths, backend,
+    grid = built.grid
+    paths = _paths(config, grid, built.tree)
+    eps = config["compare"].get("epsilon")
+    report = run_comparison(built.scenario, built.compare, paths, built.backend,
                             epsilon=None if eps is None else float(eps))
     per_node = report.violation_fraction_per_node()
     rows = [(grid.time(k), report.mean_margin[k], report.min_margin[k],
@@ -269,32 +327,18 @@ def _cmd_compare(config, built, out_path):
 
 
 def _cmd_duality(config, built, out_path):
-    section = config.get("duality")
-    if not section:
+    if built.duality is None:
         raise ValidationError("duality command needs a 'duality' section")
+    section = config["duality"]
     g = config["grid"]
-    _, scenario, backend, _ = built
-    try:
-        coeffs = LinearDualityCoeffs(
-            mu=float(section.get("mu", 0.0)),
-            mu_bar=float(section.get("mu_bar", 0.0)),
-            sigma=tuple(np.atleast_1d(section.get("sigma", [0.0])).astype(float)),
-            sigma_bar=tuple(np.atleast_1d(section.get("sigma_bar", [0.0])).astype(float)),
-            kappa=tuple(np.atleast_1d(section.get("kappa", [0.0])).astype(float)),
-            rho=float(section.get("rho", 0.0)),
-            delta=float(g["K"]),
-            t0=float(section.get("t0", g["K"])),
-            terminal=scenario.terminal)
-    except AbdsdeError as exc:
-        raise ValidationError(f"{type(exc).__name__}: {exc}") from exc
     tol_mean = section.get("tol_mean")
     tol_max = section.get("tol_max")
     report = duality_check(
-        coeffs, T=float(g["T"]), h=float(g["h"]),
+        built.duality, T=float(g["T"]), h=float(g["h"]),
         P=int(config["paths"]["count"]),
         n_outer=int(section.get("outer", 64)),
         inner=int(section.get("inner", 2048)),
-        seed=int(config["paths"]["seed"]), backend=backend,
+        seed=int(config["paths"]["seed"]), backend=built.backend,
         tol_mean=None if tol_mean is None else float(tol_mean),
         tol_max=None if tol_max is None else float(tol_max))
     rows = [(j, float(r)) for j, r in enumerate(report.residuals)]
@@ -309,7 +353,7 @@ def _cmd_duality(config, built, out_path):
 
 
 def _cmd_oracle_check(config, built, out_path, tolerance: float = 1e-10):
-    grid, scenario, _, tree = built
+    grid, scenario, tree = built.grid, built.scenario, built.tree
     if tree is None:
         tree = tree_for_grid(grid)
     sol = solve_backward_sweep(scenario, tree.ensemble, tree.backend())
@@ -328,10 +372,9 @@ def _cmd_oracle_check(config, built, out_path, tolerance: float = 1e-10):
 
 
 def _cmd_segment(config, built, out_path):
-    grid, scenario, _, _ = built
-    if scenario.delay is None:
+    if built.scenario.delay is None:
         raise ValidationError("segment command needs a 'delay' section")
-    seg = segment_interval(scenario.delay, grid)
+    seg = segment_interval(built.scenario.delay, built.grid)
     rows = [(i, t) for i, t in enumerate(seg.points)]
     _write_csv(out_path, config, "i,t_i", rows, (f"N = {seg.N}",))
     return 0

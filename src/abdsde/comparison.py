@@ -8,64 +8,82 @@ statement about the continuous equations, so the Monte Carlo check is
 tolerance-qualified: eps* = 3x a run tolerance assembled from the
 regression-noise scale and an h-refinement delta, both measured on the run
 itself (nothing fixed a priori).
+
+The pair must share its grid, delay and `implicit_iters`, and is solved
+jointly: one scenario with m1 + m2 components (block-diagonal f and g, each
+functional reading its own components, the two terminal data side by side)
+goes through one backward sweep per grid, once on the paths and once on
+their coarsening, so each node's regression design serves both scenarios'
+targets (one basis per date, as in Gobet, Lemor & Warin 2005).  The
+components never mix, so each part is what a separate sweep would give, up
+to the summation order of the wider least-squares products.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import TerminalOrderViolated
-from .paths import PathEnsemble
+from .errors import TerminalOrderViolated, ValidationError
+from .generators import AnticipationFunctional, GeneratorSpec, LipschitzData
+from .paths import PathEnsemble, PathProcess
 from .scenario import Scenario
 from .solver import SolutionProcess, solve_backward_sweep
+from .terminal import TerminalData
 
 _ORDER_SLACK = 1e-12
 
 
 @dataclass
 class ComparisonReport:
+    """Margins of a solved pair, with each summary statistic reduced once."""
+
     times: np.ndarray
     margins: np.ndarray          # (P, n_nodes)
     epsilon: float
     run_tolerance: float
     sol1: SolutionProcess
     sol2: SolutionProcess
+    mean_margin: np.ndarray = field(init=False)   # (n_nodes,)
+    min_margin: np.ndarray = field(init=False)    # (n_nodes,)
+    _violations: float = field(init=False, repr=False)
+    _violations_per_node: np.ndarray = field(init=False, repr=False)
 
-    @property
-    def mean_margin(self) -> np.ndarray:
-        return self.margins.mean(axis=0)
-
-    @property
-    def min_margin(self) -> np.ndarray:
-        return self.margins.min(axis=0)
+    def __post_init__(self):
+        self.mean_margin = self.margins.mean(axis=0)
+        self.min_margin = self.margins.min(axis=0)
+        below = self.margins < -self.epsilon
+        self._violations = float(np.mean(below))
+        self._violations_per_node = below.mean(axis=0)
 
     def violation_fraction(self, eps: float | None = None) -> float:
-        eps = self.epsilon if eps is None else eps
+        if eps is None:
+            return self._violations
         return float(np.mean(self.margins < -eps))
 
     def violation_fraction_per_node(self, eps: float | None = None) -> np.ndarray:
-        eps = self.epsilon if eps is None else eps
+        if eps is None:
+            return self._violations_per_node
         return (self.margins < -eps).mean(axis=0)
 
     @property
     def passed(self) -> bool:
-        return self.violation_fraction() == 0.0
+        return self._violations == 0.0
 
 
 def _fit_noise_scale(sol: SolutionProcess, paths: PathEnsemble, backend) -> float:
     """Scale of the regression noise in the fitted Y values.
 
-    The recorded per-node residual RMS is the conditional spread of the
-    one-step target; the noise the fit injects into Y is that spread times
-    sqrt(n_features / n_paths).
+    The recorded per-node, per-component residual RMS is the conditional
+    spread of the one-step target; the noise the fit injects into Y is the
+    largest spread times sqrt(n_features / n_paths).
     """
     resid = sol.metadata.get("ybar_residual_rms", {})
     if not resid or not hasattr(backend, "basis"):
         return 0.0
     n_features = backend.basis.n_features(paths.d + paths.l)
-    return max(resid.values()) * np.sqrt(n_features / paths.n_paths)
+    return max(max(r) for r in resid.values()) * np.sqrt(n_features / paths.n_paths)
 
 
 def _can_coarsen(s1: Scenario, s2: Scenario, paths: PathEnsemble) -> bool:
@@ -81,34 +99,100 @@ def _coarse_scenario(scen: Scenario, coarse_grid) -> Scenario:
                          delay=scen.delay, implicit_iters=scen.implicit_iters)
 
 
+def _own_components(phi: AnticipationFunctional, part: slice) -> AnticipationFunctional:
+    return AnticipationFunctional(
+        width=phi.width, fn=lambda ya, za: phi(ya[:, part], za[:, part]))
+
+
+def _stack_generators(gen1: GeneratorSpec, gen2: GeneratorSpec) -> GeneratorSpec:
+    """Block-diagonal pair: components 0..m1-1 are gen1's, the rest gen2's."""
+    if (gen1.d, gen1.l) != (gen2.d, gen2.l):
+        raise ValidationError("a comparison pair must share the driver dimensions")
+    p1, p2 = slice(0, gen1.m), slice(gen1.m, gen1.m + gen2.m)
+    e1, e2 = slice(0, gen1.q_total), slice(gen1.q_total, None)
+
+    def f(t, y, z, e):
+        return np.concatenate([gen1.f(t, y[:, p1], z[:, p1], e[:, e1]),
+                               gen2.f(t, y[:, p2], z[:, p2], e[:, e2])], axis=1)
+
+    def g(t, y, z, e):
+        return np.concatenate([gen1.g(t, y[:, p1], z[:, p1], e[:, e1]),
+                               gen2.g(t, y[:, p2], z[:, p2], e[:, e2])], axis=1)
+
+    functionals = tuple(_own_components(phi, p1) for phi in gen1.functionals) \
+        + tuple(_own_components(phi, p2) for phi in gen2.functionals)
+    # |d(f1, f2)|^2 = |df1|^2 + |df2|^2: the larger constant bounds the pair
+    lip = LipschitzData(c=max(gen1.lip.c, gen2.lip.c),
+                        alpha1=max(gen1.lip.alpha1, gen2.lip.alpha1),
+                        alpha2=max(gen1.lip.alpha2, gen2.lip.alpha2))
+    return GeneratorSpec(name=f"{gen1.name}+{gen2.name}", m=gen1.m + gen2.m,
+                         d=gen1.d, l=gen1.l, f=f, g=g, functionals=functionals,
+                         lip=lip)
+
+
+def _joint_scenario(s1: Scenario, s2: Scenario, paths: PathEnsemble) -> Scenario:
+    """The pair as one scenario with m1 + m2 components, on s1's grid and delay.
+
+    Its terminal data stacks the pair's, whose order xi1 >= xi2 is checked.
+    """
+    term1 = s1.terminal_data(paths)
+    term2 = s2.terminal_data(paths)
+    gap = term1.xi - term2.xi
+    if np.any(gap < -_ORDER_SLACK):
+        raise TerminalOrderViolated(
+            f"terminal ordering xi1 >= xi2 fails (worst margin {float(gap.min()):.3g})")
+    return replace(
+        s1, generator=_stack_generators(s1.generator, s2.generator),
+        terminal=TerminalData(grid=term1.grid,
+                              xi=np.concatenate((term1.xi, term2.xi), axis=2),
+                              eta=np.concatenate((term1.eta, term2.eta), axis=2)))
+
+
+def _solve_pair(s1: Scenario, s2: Scenario, paths: PathEnsemble, backend):
+    """One backward sweep of the joint scenario, split back into two solutions."""
+    sol = solve_backward_sweep(_joint_scenario(s1, s2, paths), paths, backend)
+    P, h = paths.n_paths, paths.grid.h
+    parts = []
+    for part in (slice(0, s1.generator.m), slice(s1.generator.m, None)):
+        Y, Z = sol.Y.values[:, :, part], sol.Z.values[:, :, part]
+        meta = dict(sol.metadata,
+                    l2_Y=float(np.einsum("pkm,pkm->", Y, Y)) / P * h,
+                    l2_Z=float(np.einsum("pkmd,pkmd->", Z, Z)) / P * h,
+                    ybar_residual_rms={k: r[part] for k, r in
+                                       sol.metadata["ybar_residual_rms"].items()})
+        parts.append(SolutionProcess(Y=PathProcess(grid=sol.grid, values=Y),
+                                     Z=PathProcess(grid=sol.grid, values=Z),
+                                     metadata=meta))
+    return parts
+
+
 def run_comparison(scenario1: Scenario, scenario2: Scenario,
                    paths: PathEnsemble, backend,
                    epsilon: float | None = None,
                    calibrate: bool = True) -> ComparisonReport:
     """Solve both scenarios on the same paths and report ordering margins.
 
-    Terminal samples must satisfy xi1 >= xi2 pointwise (checked).  With
-    epsilon=None the threshold is self-calibrated to 3x the run tolerance;
-    calibrate=False skips the coarse-grid refinement solve in it.
+    The pair must share grid, delay and implicit_iters (ValidationError
+    otherwise); it is solved in one joint sweep per grid.  Terminal samples
+    must satisfy xi1 >= xi2 pointwise (checked, TerminalOrderViolated).  With epsilon=None the
+    threshold is self-calibrated to 3x the run tolerance; calibrate=False
+    skips the coarse-grid refinement sweep in it.
     """
-    term1 = scenario1.terminal_data(paths)
-    term2 = scenario2.terminal_data(paths)
-    if np.any(term1.xi - term2.xi < -_ORDER_SLACK):
-        worst = float((term1.xi - term2.xi).min())
-        raise TerminalOrderViolated(
-            f"terminal ordering xi1 >= xi2 fails (worst margin {worst:.3g})")
-
-    sol1 = solve_backward_sweep(scenario1, paths, backend)
-    sol2 = solve_backward_sweep(scenario2, paths, backend)
+    if (scenario1.grid, scenario1.delay, scenario1.implicit_iters) != \
+            (scenario2.grid, scenario2.delay, scenario2.implicit_iters):
+        raise ValidationError(
+            "a comparison pair must share its grid, delay and implicit_iters")
+    sol1, sol2 = _solve_pair(scenario1, scenario2, paths, backend)
     margins = (sol1.Y.values - sol2.Y.values).sum(axis=2)
 
     tol = _fit_noise_scale(sol1, paths, backend) \
         + _fit_noise_scale(sol2, paths, backend)
     if calibrate and _can_coarsen(scenario1, scenario2, paths):
         coarse = paths.coarsen(2)
-        for scen, sol in ((scenario1, sol1), (scenario2, sol2)):
-            coarse_sol = solve_backward_sweep(
-                _coarse_scenario(scen, coarse.grid), coarse, backend)
+        coarse_sols = _solve_pair(_coarse_scenario(scenario1, coarse.grid),
+                                  _coarse_scenario(scenario2, coarse.grid),
+                                  coarse, backend)
+        for sol, coarse_sol in zip((sol1, sol2), coarse_sols):
             tol += abs(float(sol.Y.values[:, 0].mean())
                        - float(coarse_sol.Y.values[:, 0].mean()))
     if epsilon is None:

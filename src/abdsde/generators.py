@@ -248,6 +248,19 @@ def _param(value, default):
     return float(value)
 
 
+def catalog_params(name: str, params: dict) -> dict:
+    """Every parameter of builtin `name`: `params` over the table's defaults,
+    converted as the builder receives them."""
+    if name not in CATALOG:
+        raise UnknownName(f"no builtin generator named '{name}'")
+    defaults = CATALOG[name][0]
+    extra = set(params) - set(defaults)
+    if extra:
+        raise UnknownName(f"unknown parameters {sorted(extra)} for '{name}'")
+    return {key: _param(params.get(key, default), default)
+            for key, default in defaults.items()}
+
+
 def builtin_generator(name: str, **params) -> GeneratorSpec:
     """Construct the catalog generator `name`; `CATALOG` is the catalog.
 
@@ -258,18 +271,11 @@ def builtin_generator(name: str, **params) -> GeneratorSpec:
     m = int(params.pop("m", 1))
     d = int(params.pop("d", 1))
     l = int(params.pop("l", 1))
-    if name not in CATALOG:
-        raise UnknownName(f"no builtin generator named '{name}'")
-    defaults, scalar, build = CATALOG[name]
-    extra = set(params) - set(defaults)
-    if extra:
-        raise UnknownName(f"unknown parameters {sorted(extra)} for '{name}'")
-    if scalar and m != 1:
+    values = catalog_params(name, params)
+    if CATALOG[name][1] and m != 1:
         raise ShapeMismatch(
             f"builtin generator '{name}' is scalar (m = 1), got m = {m}")
-    f, g, functionals, lip = build(m, d, l, **{
-        key: _param(params.get(key, default), default)
-        for key, default in defaults.items()})
+    f, g, functionals, lip = CATALOG[name][2](m, d, l, **values)
     return GeneratorSpec(name=name, m=m, d=d, l=l, f=f, g=g,
                          functionals=functionals, lip=lip)
 

@@ -139,11 +139,13 @@ def _alloc(scenario: Scenario, paths: PathEnsemble):
     grid = scenario.grid
     term = scenario.terminal_data(paths)
     P = paths.n_paths
-    Y = np.zeros((P, grid.n_nodes, gen.m))
-    Z = np.zeros((P, grid.n_nodes, gen.m, gen.d))
-    for k in range(grid.n_T, grid.n_end + 1):
-        Y[:, k] = term.xi_at(k)
-        Z[:, k] = term.eta_at(k)
+    # Component-major storage behind the (P, n_nodes, m[, d]) views: each
+    # component's block is contiguous, as a one-component solve's would be,
+    # so a stacked pair's components split into that layout.
+    Y = np.zeros((gen.m, P, grid.n_nodes)).transpose(1, 2, 0)
+    Z = np.zeros((gen.m, P, grid.n_nodes, gen.d)).transpose(1, 2, 0, 3)
+    Y[:, grid.n_T:] = term.xi
+    Z[:, grid.n_T:] = term.eta
     return Y, Z
 
 
@@ -189,39 +191,41 @@ def solve_backward_sweep(scenario: Scenario, paths: PathEnsemble, backend,
     resid = {}
 
     e_raw = _raw_functionals(scenario, ant_Y, ant_Z, grid.n_T)
+    # node k+1's values, carried as contiguous copies of Y[:, k+1], Z[:, k+1]
+    y_next, z_next = Y[:, grid.n_T].copy(), Z[:, grid.n_T].copy()
     for k in range(grid.n_T - 1, -1, -1):
         t_k = grid.time(k)
-        g_val = np.asarray(
-            gen.g(grid.time(k + 1), Y[:, k + 1], Z[:, k + 1], e_raw))
-        target = Y[:, k + 1] + np.einsum("pml,pl->pm", g_val, paths.dB[:, k])
+        g_val = np.asarray(gen.g(grid.time(k + 1), y_next, z_next, e_raw))
+        target = y_next + np.einsum("pml,pl->pm", g_val, paths.dB[:, k])
         # offsets are >= 1: node k's functionals read final values, and
         # serve node k-1 as its raw functionals at k
         e_raw = _raw_functionals(scenario, ant_Y, ant_Z, k)
         e_cols[:] = e_raw
         y_cols[:] = target
 
-        if np.all(np.ptp(y_cols, axis=0) == 0.0):
-            Z[:, k] = 0.0  # E[c dW_k | node-k field] = 0 for constant c
-            first = n_z
-        else:
-            for i in range(gen.m):
-                np.multiply(target[:, i, None], paths.dW[:, k],
-                            out=z_cols[:, i * gen.d:(i + 1) * gen.d])
-            first = 0
-        z_fit, e_k, y_bar = np.split(
-            condexp(backend, block[:, first:], k, paths),
-            [n_z - first, n_z + n_e - first], axis=1)
-        if first == 0:
-            Z[:, k] = z_fit.reshape(P, gen.m, gen.d) / h
+        constant = np.ptp(y_cols, axis=0) == 0.0
+        for i in range(gen.m):
+            z_i = z_cols[:, i * gen.d:(i + 1) * gen.d]
+            if constant[i]:
+                # E[c dW_k | node-k field] = 0 for constant c; condexp
+                # returns these zero columns bit for bit
+                z_i[:] = 0.0
+            else:
+                np.multiply(target[:, i, None], paths.dW[:, k], out=z_i)
+        z_fit, e_k, y_bar = np.split(condexp(backend, block, k, paths),
+                                     [n_z, n_z + n_e], axis=1)
+        z_k = z_fit.reshape(P, gen.m, gen.d) / h
 
-        resid[k] = float(np.sqrt(np.mean((target - y_bar) ** 2)))
+        resid[k] = tuple(float(np.sqrt(np.mean((target[:, i] - y_bar[:, i]) ** 2)))
+                         for i in range(gen.m))
         y_hat = y_bar
         for _ in range(scenario.implicit_iters):
-            y_hat = y_bar + h * np.asarray(gen.f(t_k, y_hat, Z[:, k], e_k))
-        Y[:, k] = y_hat
+            y_hat = y_bar + h * np.asarray(gen.f(t_k, y_hat, z_k, e_k))
 
-        if not (np.all(np.isfinite(Y[:, k])) and np.all(np.isfinite(Z[:, k]))):
+        if not (np.all(np.isfinite(y_hat)) and np.all(np.isfinite(z_k))):
             raise NonFinite(f"sweep produced non-finite values at node {k}")
+        Y[:, k] = y_next = y_hat
+        Z[:, k] = z_next = z_k
 
     if scenario.delay is None:
         segmentation = (grid.T, 0.0)

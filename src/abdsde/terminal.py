@@ -72,6 +72,9 @@ class TerminalSpec:
     name: str
     params: dict
 
+    def __post_init__(self):
+        self._values()  # unknown names and parameters fail here
+
     def _values(self) -> dict:
         if self.name not in _PARAMS:
             raise UnknownName(f"no builtin terminal data named '{self.name}'")

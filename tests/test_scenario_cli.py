@@ -160,6 +160,76 @@ def test_compare_command(tmp_path):
     assert all(m > 0 for m in margins)
 
 
+@pytest.mark.parametrize("compare", [
+    "{generator: {name: no_such_generator}}",
+    "{terminal: {name: constant, params: {value: 1.0, bogus: 2.0}}}",
+    "{generator: {name: example41_f2}, generatr: {name: zero}}",
+], ids=["unknown-generator", "unknown-terminal-parameter", "unknown-key"])
+def test_load_scenario_builds_the_compare_section(tmp_path, compare):
+    path = _write(tmp_path, "cmp.yaml", f"""
+        grid: {{T: 0.5, K: 0.5, h: 0.0625}}
+        delay: {{delta: 0.5}}
+        generator: {{name: example41_f1}}
+        terminal: {{name: constant, params: {{value: 1.5}}}}
+        paths: {{count: 256, seed: 21}}
+        compare: {compare}
+    """)
+    with pytest.raises(ValidationError):
+        load_scenario(path)
+    assert run("compare", path, str(tmp_path / "cmp.csv")) == 2
+
+
+def _duality_small(tmp_path, name, generator_params, section):
+    root = Path(__file__).resolve().parents[1] / "scenarios"
+    config = yaml.safe_load((root / "duality_small.yaml").read_text())
+    config["generator"]["params"].update(generator_params)
+    config["duality"] = section(config["duality"])
+    config["paths"]["count"] = 256
+    config["duality"].update(outer=4, inner=64)
+    path = tmp_path / f"{name}.yaml"
+    path.write_text(yaml.safe_dump(config))
+    return str(path)
+
+
+@pytest.mark.parametrize("generator_params,section", [
+    ({"mu": 0.9}, dict),  # the section still says mu: 0.1
+    ({}, lambda s: dict(s, sigma=[0.2])),
+    ({}, lambda s: dict(s, lambda_=1.0)),
+], ids=["generator-mu-differs", "section-sigma-differs", "unknown-key"])
+def test_duality_coefficients_disagreeing_with_the_generator_exit_two(
+        tmp_path, generator_params, section):
+    path = _duality_small(tmp_path, "bad", generator_params, section)
+    with pytest.raises(ValidationError):
+        load_scenario(path)
+    assert run("duality", path, str(tmp_path / "d.csv")) == 2
+
+
+def test_duality_section_needs_the_duality_linear_generator(tmp_path):
+    path = _write(tmp_path, "d.yaml", """
+        grid: {T: 1.0, K: 0.25, h: 0.25}
+        delay: {delta: 0.25}
+        generator: {name: anticipated_drift}
+        paths: {count: 256, seed: 11}
+        duality: {t0: 0.25, outer: 2, inner: 8}
+    """)
+    with pytest.raises(ValidationError, match="duality_linear"):
+        load_scenario(path)
+
+
+def test_duality_coefficients_come_from_the_generator(tmp_path):
+    # dropping the coefficient keys from the duality section changes nothing
+    bodies = []
+    for name, section in (("stated", dict),
+                          ("generator-only", lambda s: {key: s[key] for key in
+                                                        ("t0", "outer", "inner")})):
+        path = _duality_small(tmp_path, name, {}, section)
+        out = tmp_path / f"{name}.csv"
+        assert run("duality", path, str(out)) in (0, 1)
+        bodies.append([line for line in out.read_text().splitlines()
+                       if not line.startswith("#")])
+    assert bodies[0] == bodies[1]
+
+
 def test_duality_command_pass_and_fail(tmp_path):
     base = """
         grid: {{T: 1.0, K: 0.25, h: {h}}}

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from abdsde.delays import constant_delay, DelaySpec
+from abdsde.delays import affine_delay, constant_delay, DelaySpec
 from abdsde.errors import TooLarge
-from abdsde.generators import builtin_generator, GeneratorSpec
+from abdsde.generators import builtin_generator, CATALOG, GeneratorSpec
 from abdsde.grids import make_grid
 from abdsde.scenario import make_scenario
 from abdsde.solver import solve_backward_sweep
@@ -201,3 +202,51 @@ def test_oracle_evaluates_each_nodes_functionals_once(monkeypatch):
     monkeypatch.setattr(GeneratorSpec, "eval_functionals", counting)
     oracle_solve(scen, tree)
     assert len(calls) == grid.n_T + 1
+
+
+_TERMINAL_PARAMS = {"constant": ("value", "eta"), "affine": ("value", "slope", "eta"),
+                    "scaled_wt": ("a", "b", "eta"), "scaled_b_tail": ("a", "b", "eta")}
+_COEFFICIENT = st.floats(-0.5, 0.5, allow_nan=False)
+
+
+@st.composite
+def _catalog_scenarios(draw):
+    """A catalog generator with drawn parameters, a terminal kind, a delay
+    pair delta != zeta (each constant or affine) and implicit_iters, on a
+    grid of at most 6 steps (4096 atoms) with an anticipation window >= 2."""
+    h = 0.125
+    n_T = draw(st.integers(1, 4))
+    n_K = draw(st.integers(2, 6 - n_T))
+    grid = make_grid(n_T * h, n_K * h, h)
+
+    def delay_form():
+        j = draw(st.integers(1, n_K - 1))
+        if draw(st.booleans()):
+            return constant_delay(j * h)
+        return affine_delay(j * h, draw(st.floats(0.1, 0.9)) * (n_K - j) / n_T)
+
+    delta, zeta = delay_form(), delay_form()
+    assume(delta != zeta)
+    name = draw(st.sampled_from(sorted(CATALOG)))
+    params = {key: ([draw(_COEFFICIENT)] if isinstance(default, tuple)
+                    else draw(_COEFFICIENT))
+              for key, default in CATALOG[name][0].items()}
+    kind = draw(st.sampled_from(sorted(_TERMINAL_PARAMS)))
+    terminal = TerminalSpec(name=kind, params={
+        key: draw(_COEFFICIENT) for key in _TERMINAL_PARAMS[kind]})
+    return make_scenario(grid, builtin_generator(name, **params), terminal,
+                         delay=DelaySpec(delta, zeta, K=grid.K),
+                         implicit_iters=draw(st.sampled_from((1, 3))))
+
+
+@pytest.mark.filterwarnings("ignore:anticipation times are off-grid")
+@settings(max_examples=150, deadline=None)
+@given(scen=_catalog_scenarios())
+def test_solver_matches_oracle_across_the_catalog(scen):
+    # every generator x terminal kind x delay pair x implicit_iters; this
+    # also guards the per-component zero-Z shortcut for constant Y targets
+    tree = tree_for_grid(scen.grid)
+    sweep = solve_backward_sweep(scen, tree.ensemble, tree.backend())
+    exact = oracle_solve(scen, tree)
+    assert np.abs(sweep.Y.values - exact.Y.values).max() <= 1e-10
+    assert np.abs(sweep.Z.values - exact.Z.values).max() <= 1e-10
