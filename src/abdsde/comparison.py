@@ -174,9 +174,9 @@ def run_comparison(scenario1: Scenario, scenario2: Scenario,
 
     The pair must share grid, delay and implicit_iters (ValidationError
     otherwise); it is solved in one joint sweep per grid.  Terminal samples
-    must satisfy xi1 >= xi2 pointwise (checked, TerminalOrderViolated).  With epsilon=None the
-    threshold is self-calibrated to 3x the run tolerance; calibrate=False
-    skips the coarse-grid refinement sweep in it.
+    must satisfy xi1 >= xi2 pointwise (TerminalOrderViolated otherwise).
+    With epsilon=None the threshold is self-calibrated to 3x the run
+    tolerance; calibrate=False skips the coarse-grid sweep in it.
     """
     if (scenario1.grid, scenario1.delay, scenario1.implicit_iters) != \
             (scenario2.grid, scenario2.delay, scenario2.implicit_iters):

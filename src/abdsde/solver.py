@@ -22,8 +22,15 @@ frozen-anticipation map below.  The g integrand sits at the right
 endpoint, matching the backward-integral convention of `paths`.  Because
 increments of W after node k are independent of the node-k information
 field, E[c dW_k | .] = 0 for any path-constant c; the Z-step uses that
-identity directly when its base target is constant (its columns are left
-out of the block), which keeps deterministic scenarios exact.
+identity per component: a component whose Y target is constant gets zero
+Z-target columns, which condexp returns bit for bit, so deterministic
+scenarios stay exact, and so does each constant part of a stacked pair
+(`comparison.run_comparison` solves a pair as one scenario with m1 + m2
+components).  The per-node residual RMS of the Y-step is recorded per
+component for the same reason: each part of a stacked pair keeps its own.
+Y and Z are stored component by component, each component's
+(paths, nodes) block contiguous, behind the usual (P, n_nodes, m[, d])
+views.
 
 `solve_backward_sweep` is the one solve.  Given `frozen=`, it reads the
 anticipated arguments from that process instead of from the live sweep:
@@ -169,6 +176,8 @@ def solve_backward_sweep(scenario: Scenario, paths: PathEnsemble, backend,
     metadata["segmentation"] holds the points of `segment_interval`, or
     (T, 0.0) without a delay, or None when a delay shorter than one step
     leaves no segmentation on the grid (the offsets snap it to one step).
+    metadata["ybar_residual_rms"] maps each swept node to one residual RMS
+    per component.
     """
     gen = scenario.generator
     grid = scenario.grid
