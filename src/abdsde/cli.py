@@ -200,9 +200,12 @@ def _build_duality(config: dict, scenario: Scenario) -> LinearDualityCoeffs | No
     unknown = set(section) - set(coeffs) - _DUALITY_SETTINGS
     if unknown:
         raise ValidationError(f"unknown duality keys {sorted(unknown)}")
-    stated = catalog_params("duality_linear",
-                            {key: section[key] for key in section if key in coeffs})
-    for key in set(section) & set(coeffs):
+    for key in ("outer", "inner"):
+        if int(section.get(key, 1)) < 1:
+            raise ValidationError(f"duality.{key} must be >= 1")
+    written = {key: section[key] for key in section if key in coeffs}
+    stated = catalog_params("duality_linear", written)
+    for key in written:
         if not np.array_equal(stated[key], coeffs[key]):
             raise ValidationError(
                 f"duality.{key} = {section[key]} differs from the generator's "
@@ -233,10 +236,6 @@ def _build_all(config: dict) -> Built:
         n_paths = int(config["paths"]["count"])
         if n_paths < 1:
             raise ValidationError("paths.count must be >= 1")
-        duality = config.get("duality") or {}
-        for key in ("outer", "inner"):
-            if int(duality.get(key, 1)) < 1:
-                raise ValidationError(f"duality.{key} must be >= 1")
         g = config["grid"]
         grid = make_grid(float(g["T"]), float(g["K"]), float(g["h"]))
         delay = _build_delay(config, grid)

@@ -28,9 +28,9 @@ import numpy as np
 from .errors import TerminalOrderViolated, ValidationError
 from .generators import AnticipationFunctional, GeneratorSpec, LipschitzData
 from .paths import PathEnsemble, PathProcess
-from .scenario import Scenario
+from .scenario import make_scenario, Scenario
 from .solver import SolutionProcess, solve_backward_sweep
-from .terminal import TerminalData
+from .terminal import TerminalData, TerminalSpec
 
 _ORDER_SLACK = 1e-12
 
@@ -87,14 +87,12 @@ def _fit_noise_scale(sol: SolutionProcess, paths: PathEnsemble, backend) -> floa
 
 
 def _can_coarsen(s1: Scenario, s2: Scenario, paths: PathEnsemble) -> bool:
-    from .terminal import TerminalSpec
     return (isinstance(s1.terminal, TerminalSpec)
             and isinstance(s2.terminal, TerminalSpec)
             and paths.grid.n_steps % 2 == 0 and paths.grid.n_T % 2 == 0)
 
 
 def _coarse_scenario(scen: Scenario, coarse_grid) -> Scenario:
-    from .scenario import make_scenario
     return make_scenario(coarse_grid, scen.generator, scen.terminal,
                          delay=scen.delay, implicit_iters=scen.implicit_iters)
 
