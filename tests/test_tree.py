@@ -220,9 +220,9 @@ def _catalog_scenarios(draw):
     grid = make_grid(n_T * h, n_K * h, h)
 
     def delay_form():
-        j = draw(st.integers(1, n_K - 1))
         if draw(st.booleans()):
-            return constant_delay(j * h)
+            return constant_delay(draw(st.integers(1, n_K)) * h)
+        j = draw(st.integers(1, n_K - 1))
         return affine_delay(j * h, draw(st.floats(0.1, 0.9)) * (n_K - j) / n_T)
 
     delta, zeta = delay_form(), delay_form()
