@@ -10,8 +10,8 @@ from .condexp import condexp, ExactTreeBackend, RegressionBackend, RegressionBas
 from .delays import (affine_delay, constant_delay, DelayForm, DelaySpec,
                      GridOffsets, Segmentation, segment_interval,
                      to_grid_offsets, validate_delay)
-from .duality import (DelayedPath, duality_check, duality_rhs,
-                      LinearDualityCoeffs, measurability_check, solve_delayed_dsde)
+from .duality import (duality_check, duality_rhs, LinearDualityCoeffs,
+                      measurability_check, solve_delayed_dsde)
 from .generators import (AnticipationFunctional, audit_lipschitz,
                          builtin_generator, check_feasible, evaluate,
                          GeneratorSpec, LipschitzData, with_lipschitz)

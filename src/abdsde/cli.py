@@ -188,6 +188,7 @@ def _build_duality(config: dict, scenario: Scenario) -> LinearDualityCoeffs | No
 
     The section holds t0, outer, inner and the tolerances; a coefficient key
     still written there must equal the generator's value after defaults.
+    The scenario's delay must be the constant K in both delta and zeta.
     """
     section = config.get("duality")
     if not section:
@@ -212,6 +213,11 @@ def _build_duality(config: dict, scenario: Scenario) -> LinearDualityCoeffs | No
                 f"{key} = {coeffs[key]}; the generator's parameters are the "
                 "coefficients")
     K = float(config["grid"]["K"])
+    delay = scenario.delay  # set: duality_linear anticipates
+    if not delay.delta == delay.zeta == constant_delay(K):
+        raise ValidationError(
+            "a duality scenario's delay must be delta = zeta = the constant "
+            f"K = {K}, the delay of the dual forward equation")
     return LinearDualityCoeffs(
         mu=coeffs["mu"], mu_bar=coeffs["mu_bar"], sigma=tuple(coeffs["sigma"]),
         sigma_bar=tuple(coeffs["sigma_bar"]), kappa=tuple(coeffs["kappa"]),

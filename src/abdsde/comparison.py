@@ -39,7 +39,6 @@ _ORDER_SLACK = 1e-12
 class ComparisonReport:
     """Margins of a solved pair, with each summary statistic reduced once."""
 
-    times: np.ndarray
     margins: np.ndarray          # (P, n_nodes)
     epsilon: float
     run_tolerance: float
@@ -149,13 +148,10 @@ def _joint_scenario(s1: Scenario, s2: Scenario, paths: PathEnsemble) -> Scenario
 def _solve_pair(s1: Scenario, s2: Scenario, paths: PathEnsemble, backend):
     """One backward sweep of the joint scenario, split back into two solutions."""
     sol = solve_backward_sweep(_joint_scenario(s1, s2, paths), paths, backend)
-    P, h = paths.n_paths, paths.grid.h
     parts = []
     for part in (slice(0, s1.generator.m), slice(s1.generator.m, None)):
         Y, Z = sol.Y.values[:, :, part], sol.Z.values[:, :, part]
         meta = dict(sol.metadata,
-                    l2_Y=float(np.einsum("pkm,pkm->", Y, Y)) / P * h,
-                    l2_Z=float(np.einsum("pkmd,pkmd->", Z, Z)) / P * h,
                     ybar_residual_rms={k: r[part] for k, r in
                                        sol.metadata["ybar_residual_rms"].items()})
         parts.append(SolutionProcess(Y=PathProcess(grid=sol.grid, values=Y),
@@ -196,7 +192,7 @@ def run_comparison(scenario1: Scenario, scenario2: Scenario,
     if epsilon is None:
         epsilon = 3.0 * tol
 
-    return ComparisonReport(times=paths.grid.times, margins=margins,
+    return ComparisonReport(margins=margins,
                             epsilon=float(epsilon), run_tolerance=float(tol),
                             sol1=sol1, sol2=sol2)
 

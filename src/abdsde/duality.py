@@ -10,10 +10,13 @@ of B) of a functional of X:
         + E[ int_T^{T+delta} ( mu_bar X_{s-delta} xi_s
                              + sigma_bar X_{s-delta} eta_s ) ds | B-future ],
 
-for deterministic (xi, eta) profiles.  The harness evaluates the right-hand
-side by nested Monte Carlo (outer B-paths, fresh inner W-paths), solves the
-backward equation with the regression solver on the same B-drivers, and
-reports the per-outer-path residual.
+for deterministic (xi, eta) profiles.  The harness makes one pass per grid:
+it draws P paths, solves the backward equation on them with the regression
+solver, and evaluates the right-hand side by nested Monte Carlo on the first
+n_outer paths (each outer path's B-increments, copied into a fresh inner
+draw whose W-paths vary), reporting the per-outer-path residual.  The run's
+own grid gives the residuals; with tol_mean unset, the same pass on coarser
+grids calibrates the tolerances.
 
 Discretization: the forward kappa term sits against the backward integral,
 so it is evaluated at the right endpoint, which makes each forward step an
@@ -28,7 +31,7 @@ import numpy as np
 
 from .condexp import (RegressionBackend, RegressionBasis, _poly_features,
                       _ridge_fit)
-from .errors import NonFinite, ValidationError
+from .errors import NonCommensurate, NonFinite, ValidationError
 from .delays import constant_delay, DelaySpec
 from .generators import builtin_generator
 from .grids import TimeGrid, make_grid
@@ -95,20 +98,12 @@ class LinearDualityCoeffs:
         return profile
 
 
-@dataclass
-class DelayedPath:
-    """Forward solution values on nodes 0..n_T; zero before the start node."""
-
-    grid: TimeGrid
-    k0: int
-    values: np.ndarray  # (P, n_T + 1)
-
-
 def solve_delayed_dsde(coeffs: LinearDualityCoeffs, paths: PathEnsemble,
-                       k0: int) -> DelayedPath:
+                       k0: int) -> np.ndarray:
     """Forward Euler for the delayed equation, X_{t_{k0}} = 1, X = 0 before.
 
-    Per step, with dd = delta/h and right-endpoint kappa term:
+    Returns the values on nodes 0..n_T, shape (P, n_T + 1).  Per step, with
+    dd = delta/h and right-endpoint kappa term:
 
       X_{k+1} (1 - kappa dB_k) = X_k + (mu X_k + mu_bar X_{k-dd}) h
                                  + (sigma X_k + sigma_bar X_{k-dd}) dW_k.
@@ -137,22 +132,21 @@ def solve_delayed_dsde(coeffs: LinearDualityCoeffs, paths: PathEnsemble,
                        + np.einsum("pd,pd->p", diff_w, paths.dW[:, k])) / denom
         if not np.all(np.isfinite(X[:, k + 1])):
             raise NonFinite(f"delayed forward solve blew up at node {k}")
-    return DelayedPath(grid=grid, k0=k0, values=X)
+    return X
 
 
-def _bracket(coeffs: LinearDualityCoeffs, X: DelayedPath) -> np.ndarray:
+def _bracket(coeffs: LinearDualityCoeffs, values: np.ndarray, grid: TimeGrid,
+             k0: int) -> np.ndarray:
     """Per-path value of the duality functional of one forward solution."""
-    grid, k0 = X.grid, X.k0
     dd = grid.index_of(coeffs.delta)
     xi, eta = coeffs.profiles(grid)
-    vals = X.values
-    out = vals[:, grid.n_T] * xi[0]
+    out = values[:, grid.n_T] * xi[0]
     if coeffs.rho != 0.0:
-        out = out + coeffs.rho * np.trapezoid(vals[:, k0: grid.n_T + 1], dx=grid.h, axis=1)
+        out = out + coeffs.rho * np.trapezoid(values[:, k0: grid.n_T + 1], dx=grid.h, axis=1)
     if coeffs.mu_bar != 0.0 or np.any(np.asarray(coeffs.sigma_bar) != 0.0):
         # int_T^{T+delta} (mu_bar X_{s-delta} xi_s + sigma_bar X_{s-delta} eta_s) ds;
         # eta has equal coordinates, so sigma_bar . eta_s = sum(sigma_bar) * eta
-        x_del = vals[:, grid.n_T - dd: grid.n_T + 1]
+        x_del = values[:, grid.n_T - dd: grid.n_T + 1]
         weights = coeffs.mu_bar * xi + float(np.sum(coeffs.sigma_bar)) * eta
         out = out + np.trapezoid(x_del * weights[None, :], dx=grid.h, axis=1)
     return out
@@ -163,22 +157,20 @@ def duality_rhs(coeffs: LinearDualityCoeffs, outer_dB: np.ndarray,
     """Nested Monte Carlo estimate of the representation, per outer B-path.
 
     Returns (estimates, inner standard errors), each of shape (n_outer,).
-    Inner W-paths are fresh per outer path; the outer B-increments are
-    broadcast to every inner path, which realizes conditioning on the
-    B-future.
+    Each outer path j gets a fresh inner draw keyed by (seed, j); its
+    B-increments are then overwritten in place by outer path j's, so every
+    inner path shares that B-future and only W varies, which realizes
+    conditioning on the B-future.
     """
     n_outer = outer_dB.shape[0]
     est = np.empty(n_outer)
     stderr = np.empty(n_outer)
     for j in range(n_outer):
-        fresh = sample_paths(grid, d=coeffs.d, l=coeffs.l, P=inner,
-                             seed=(seed, j) if np.isscalar(seed) else tuple(seed) + (j,))
-        inner_paths = PathEnsemble(
-            grid=grid, dW=fresh.dW,
-            dB=np.broadcast_to(outer_dB[j][None], (inner,) + outer_dB[j].shape).copy(),
-            seed=None)
-        X = solve_delayed_dsde(coeffs, inner_paths, k0)
-        vals = _bracket(coeffs, X)
+        inner_paths = sample_paths(
+            grid, d=coeffs.d, l=coeffs.l, P=inner,
+            seed=(seed, j) if np.isscalar(seed) else tuple(seed) + (j,))
+        inner_paths.dB[:] = outer_dB[j]
+        vals = _bracket(coeffs, solve_delayed_dsde(coeffs, inner_paths, k0), grid, k0)
         est[j] = vals.mean()
         stderr[j] = vals.std(ddof=1) / np.sqrt(inner) if inner > 1 else 0.0
     return est, stderr
@@ -211,21 +203,6 @@ class DualityReport:
 _CALIBRATION_FACTORS = (2, 4)
 
 
-def _commensurate(value: float, h: float) -> bool:
-    return abs(value / h - round(value / h)) <= 1e-9
-
-
-def _mean_residual_once(coeffs, grid, P, n_outer, inner, seed, backend):
-    paths = sample_paths(grid, coeffs.d, coeffs.l, P, seed)
-    scenario = coeffs.scenario(grid)
-    sol = solve_backward_sweep(scenario, paths, backend)
-    k0 = grid.index_of(coeffs.t0)
-    rhs, stderr = duality_rhs(coeffs, paths.dB[:n_outer], grid, k0,
-                              inner, (seed, 104729))
-    resid = np.abs(sol.Y.values[:n_outer, k0, 0] - rhs)
-    return resid, stderr, sol, rhs
-
-
 def duality_check(coeffs: LinearDualityCoeffs, T: float, h: float,
                   P: int = 4096, n_outer: int = 64, inner: int = 2048,
                   seed: int = 11, backend: RegressionBackend | None = None,
@@ -233,33 +210,42 @@ def duality_check(coeffs: LinearDualityCoeffs, T: float, h: float,
                   tol_max: float | None = None) -> DualityReport:
     """Residuals between the backward solve and the dual representation.
 
-    With tolerances unset they are self-calibrated: the step-size constant C
-    is estimated from the mean residual on coarser grids (residual/h at the
-    steps h * _CALIBRATION_FACTORS), then tol_mean = 3 (mean inner stderr +
-    C h) and tol_max = 3 tol_mean.
+    Each grid draws P paths, solves the backward equation on them and
+    compares Y at t0 on the first n_outer paths with duality_rhs on their
+    B-increments.  With tol_mean unset it is self-calibrated: the step-size
+    constant C is the largest mean residual / h over the coarse grids with
+    steps h * _CALIBRATION_FACTORS (max(inner // 2, 64) inner paths and
+    seed + factor; a grid that T, delta or t0 does not fit is skipped), and
+    tol_mean = 3 (mean inner stderr + C h).  tol_max defaults to 3 tol_mean.
     """
     backend = backend or RegressionBackend()
-    grid = coeffs.grid_for(T, h)
-    resid, stderr, sol, rhs = _mean_residual_once(
-        coeffs, grid, P, n_outer, inner, seed, backend)
-
-    rate_c = 0.0
+    grids = [(1, inner, seed)]
     if tol_mean is None:
-        for factor in _CALIBRATION_FACTORS:
-            h_c = h * factor
-            if not _commensurate(coeffs.delta, h_c) or not _commensurate(T, h_c) \
-                    or not _commensurate(coeffs.t0, h_c):
-                continue
-            coarse_grid = coeffs.grid_for(T, h_c)
-            r_c, _, _, _ = _mean_residual_once(
-                coeffs, coarse_grid, P, n_outer, max(inner // 2, 64),
-                seed + factor, backend)
-            rate_c = max(rate_c, float(r_c.mean()) / h_c)
+        grids += [(factor, max(inner // 2, 64), seed + factor)
+                  for factor in _CALIBRATION_FACTORS]
+    rate_c = 0.0
+    for factor, n_inner, grid_seed in grids:
+        try:
+            grid = coeffs.grid_for(T, h * factor)
+            k0 = grid.index_of(coeffs.t0)
+        except NonCommensurate:
+            if factor == 1:
+                raise
+            continue
+        paths = sample_paths(grid, coeffs.d, coeffs.l, P, grid_seed)
+        sol = solve_backward_sweep(coeffs.scenario(grid), paths, backend)
+        rhs, stderr = duality_rhs(coeffs, paths.dB[:n_outer], grid, k0,
+                                  n_inner, (grid_seed, 104729))
+        resid = np.abs(sol.Y.values[:n_outer, k0, 0] - rhs)
+        if factor == 1:
+            fine = (resid, stderr, sol, rhs)
+        else:
+            rate_c = max(rate_c, float(resid.mean()) / grid.h)
+    resid, stderr, sol, rhs = fine
+    if tol_mean is None:
         tol_mean = 3.0 * (float(stderr.mean()) + rate_c * h)
-        tol_max = 3.0 * tol_mean if tol_max is None else tol_max
-    elif tol_max is None:
+    if tol_max is None:
         tol_max = 3.0 * tol_mean
-
     return DualityReport(residuals=resid, inner_stderr=stderr,
                          tol_mean=float(tol_mean), tol_max=float(tol_max),
                          rate_constant=rate_c, solution=sol, rhs=rhs)

@@ -39,7 +39,6 @@ class PathEnsemble:
     grid: TimeGrid
     dW: np.ndarray
     dB: np.ndarray
-    seed: SeedLike | None = None
     _w_cum: np.ndarray | None = field(default=None, repr=False, compare=False)
     _b_cum: np.ndarray | None = field(default=None, repr=False, compare=False)
 
@@ -80,11 +79,9 @@ class PathEnsemble:
             self._b_cum = cum
         return self._b_cum[:, k]
 
-    def b_tail(self, k: int, k_to: int | None = None) -> np.ndarray:
-        """B_{t_{k_to}} - B_{t_k} (default k_to = n_T), shape (P, l)."""
-        if k_to is None:
-            k_to = self.grid.n_T
-        return self.b_at(k_to) - self.b_at(k)
+    def b_tail(self, k: int) -> np.ndarray:
+        """B_{t_{n_T}} - B_{t_k}, shape (P, l)."""
+        return self.b_at(self.grid.n_T) - self.b_at(k)
 
     def coarsen(self, factor: int) -> "PathEnsemble":
         """Merge groups of `factor` steps, keeping the same Brownian paths.
@@ -101,7 +98,7 @@ class PathEnsemble:
         shape = (self.n_paths, n // factor, factor)
         dW = self.dW.reshape(shape + (self.d,)).sum(axis=2)
         dB = self.dB.reshape(shape + (self.l,)).sum(axis=2)
-        return PathEnsemble(grid=grid, dW=dW, dB=dB, seed=self.seed)
+        return PathEnsemble(grid=grid, dW=dW, dB=dB)
 
 
 def sample_paths(grid: TimeGrid, d: int, l: int, P: int, seed: SeedLike) -> PathEnsemble:
@@ -119,7 +116,7 @@ def sample_paths(grid: TimeGrid, d: int, l: int, P: int, seed: SeedLike) -> Path
     draws = rng.standard_normal((P, grid.n_steps, d + l))
     draws *= np.sqrt(grid.h)
     return PathEnsemble(grid=grid, dW=draws[:, :, :d].copy(),
-                        dB=draws[:, :, d:].copy(), seed=seed)
+                        dB=draws[:, :, d:].copy())
 
 
 @dataclass

@@ -246,9 +246,6 @@ def solve_backward_sweep(scenario: Scenario, paths: PathEnsemble, backend,
     meta = {
         "backend": getattr(backend, "describe", lambda: str(backend))(),
         "implicit_iters": scenario.implicit_iters,
-        # full reductions: no (P, n_nodes) temporaries
-        "l2_Y": float(np.einsum("pkm,pkm->", Y, Y)) / P * h,
-        "l2_Z": float(np.einsum("pkmd,pkmd->", Z, Z)) / P * h,
         "ybar_residual_rms": resid,
         "segmentation": segmentation,
     }

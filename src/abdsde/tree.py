@@ -83,7 +83,7 @@ def build_tree(n: int, h: float, n_T: int | None = None) -> TreeModel:
     root_h = np.sqrt(h)
     dW = ((2.0 * w_bits - 1.0) * root_h)[:, :, None]
     dB = ((2.0 * b_bits - 1.0) * root_h)[:, :, None]
-    ensemble = PathEnsemble(grid=grid, dW=dW, dB=dB, seed=None)
+    ensemble = PathEnsemble(grid=grid, dW=dW, dB=dB)
     return TreeModel(grid=grid, ensemble=ensemble)
 
 

@@ -110,9 +110,6 @@ def test_joint_sweep_matches_separate_sweeps(backend_kind, tolerance):
         resid = joint.metadata["ybar_residual_rms"]
         for k, rms in alone.metadata["ybar_residual_rms"].items():
             assert np.abs(np.subtract(resid[k], rms)).max() <= tolerance
-        for key in ("l2_Y", "l2_Z"):
-            assert joint.metadata[key] == pytest.approx(alone.metadata[key],
-                                                        rel=1e-12, abs=0.0)
 
 
 def test_joint_sweep_makes_one_condexp_call_per_node_per_ensemble(monkeypatch):
@@ -170,7 +167,7 @@ def test_constant_component_gets_exactly_zero_z():
 def test_violation_fraction_nonincreasing(eps):
     rng = np.random.default_rng(0)
     margins = rng.normal(scale=0.5, size=(64, 5))
-    report = ComparisonReport(times=np.arange(5.0), margins=margins,
+    report = ComparisonReport(margins=margins,
                               epsilon=0.0, run_tolerance=0.0,
                               sol1=None, sol2=None)
     values = [report.violation_fraction(e) for e in sorted(eps)]

@@ -29,8 +29,8 @@ def test_delayed_path_boundary_conditions_exact():
     paths = sample_paths(grid, 1, 1, 256, seed=1)
     k0 = grid.index_of(0.5)
     X = solve_delayed_dsde(coeffs, paths, k0)
-    assert np.all(X.values[:, :k0] == 0.0)
-    assert np.all(X.values[:, k0] == 1.0)
+    assert np.all(X[:, :k0] == 0.0)
+    assert np.all(X[:, k0] == 1.0)
 
 
 def test_delayed_deterministic_exponential_first_order():
@@ -40,7 +40,7 @@ def test_delayed_deterministic_exponential_first_order():
         grid = coeffs.grid_for(1.0, h)
         paths = sample_paths(grid, 1, 1, 8, seed=2)
         X = solve_delayed_dsde(coeffs, paths, grid.index_of(0.25))
-        got = X.values[0, grid.n_T]
+        got = X[0, grid.n_T]
         errs.append(abs(got - np.exp(0.8 * 0.75)))
     assert errs[-1] < 0.02
     ratios = [b / a for a, b in zip(errs, errs[1:])]
@@ -52,7 +52,7 @@ def test_delayed_stochastic_exponential_is_mean_one():
     grid = coeffs.grid_for(1.0, 1 / 16)
     paths = sample_paths(grid, 1, 1, 10**5, seed=3)
     X = solve_delayed_dsde(coeffs, paths, grid.index_of(0.25))
-    terminal = X.values[:, grid.n_T]
+    terminal = X[:, grid.n_T]
     stderr = terminal.std(ddof=1) / np.sqrt(len(terminal))
     assert abs(terminal.mean() - 1.0) < 5 * stderr
 

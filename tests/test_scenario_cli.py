@@ -216,6 +216,23 @@ def test_duality_section_needs_the_duality_linear_generator(tmp_path):
         load_scenario(path)
 
 
+@pytest.mark.parametrize("delay", [
+    {"delta": 0.125},
+    {"delta": 0.25, "zeta": 0.125},
+    {"delta": {"a": 0.125, "b": 0.1}},
+], ids=["delta-below-K", "zeta-below-K", "affine-delta"])
+def test_duality_delay_other_than_the_constant_k_exits_two(tmp_path, delay):
+    # the dual forward equation is built with delay K, so any other delay
+    # section would be ignored by the duality residuals
+    path = _duality_small(tmp_path, "delay", {}, dict)
+    config = yaml.safe_load(Path(path).read_text())
+    config["delay"] = delay
+    Path(path).write_text(yaml.safe_dump(config))
+    with pytest.raises(ValidationError, match="delay"):
+        load_scenario(path)
+    assert run("duality", path, str(tmp_path / "d.csv")) == 2
+
+
 def test_duality_coefficients_come_from_the_generator(tmp_path):
     # dropping the coefficient keys from the duality section changes nothing
     bodies = []
