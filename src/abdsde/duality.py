@@ -13,10 +13,13 @@ of B) of a functional of X:
 for deterministic (xi, eta) profiles.  The harness makes one pass per grid:
 it draws P paths, solves the backward equation on them with the regression
 solver, and evaluates the right-hand side by nested Monte Carlo on the first
-n_outer paths (each outer path's B-increments, copied into a fresh inner
-draw whose W-paths vary), reporting the per-outer-path residual.  The run's
-own grid gives the residuals; with tol_mean unset, the same pass on coarser
-grids calibrates the tolerances.
+n_outer paths (each outer path's B-increments shared by a fresh inner draw
+whose W-paths vary), reporting the per-outer-path residual.  The outer paths
+run on one worker thread per CPU the process may use; each draws its inner
+paths in row blocks of the same Philox stream, so the residuals are the
+same bits whatever the worker count.  The run's own grid gives the
+residuals; with tol_mean unset, the same pass on coarser grids calibrates
+the tolerances.
 
 Discretization: the forward kappa term sits against the backward integral,
 so it is evaluated at the right endpoint, which makes each forward step an
@@ -25,6 +28,8 @@ implicit (scalar) solve; time integrals use the trapezoid rule on the grid.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +40,7 @@ from .errors import NonCommensurate, NonFinite, ValidationError
 from .delays import constant_delay, DelaySpec
 from .generators import builtin_generator
 from .grids import TimeGrid, make_grid
-from .paths import PathEnsemble, sample_paths
+from .paths import increment_blocks, PathEnsemble, sample_paths
 from .scenario import make_scenario, Scenario
 from .solver import solve_backward_sweep, SolutionProcess
 from .terminal import TerminalSpec
@@ -108,7 +113,16 @@ def solve_delayed_dsde(coeffs: LinearDualityCoeffs, paths: PathEnsemble,
       X_{k+1} (1 - kappa dB_k) = X_k + (mu X_k + mu_bar X_{k-dd}) h
                                  + (sigma X_k + sigma_bar X_{k-dd}) dW_k.
     """
-    grid = paths.grid
+    return _forward(coeffs, paths.dW, paths.dB, paths.grid, k0)
+
+
+def _forward(coeffs: LinearDualityCoeffs, dW: np.ndarray, dB: np.ndarray,
+             grid: TimeGrid, k0: int) -> np.ndarray:
+    """The Euler steps of solve_delayed_dsde on dW of shape (P, n_steps, d).
+
+    dB is (P, n_steps, l), or (n_steps, l) when every path shares one
+    B-path, which makes 1 - kappa dB_k one number per step.
+    """
     dd = grid.index_of(coeffs.delta)
     if k0 < dd:
         raise ValidationError(f"start node {k0} is before the delay window {dd}")
@@ -116,8 +130,7 @@ def solve_delayed_dsde(coeffs: LinearDualityCoeffs, paths: PathEnsemble,
     sigma_bar = np.asarray(coeffs.sigma_bar)
     kappa = np.asarray(coeffs.kappa)
     h = grid.h
-    P = paths.n_paths
-    X = np.zeros((P, grid.n_T + 1))
+    X = np.zeros((dW.shape[0], grid.n_T + 1))
     X[:, k0] = 1.0
     for k in range(k0, grid.n_T):
         x = X[:, k]
@@ -125,11 +138,11 @@ def solve_delayed_dsde(coeffs: LinearDualityCoeffs, paths: PathEnsemble,
         drift = (coeffs.mu * x + coeffs.mu_bar * x_del) * h
         diff_w = (x[:, None] * sigma[None, :]
                   + x_del[:, None] * sigma_bar[None, :])
-        denom = 1.0 - paths.dB[:, k] @ kappa
+        denom = 1.0 - dB[..., k, :] @ kappa
         if np.any(np.abs(denom) < 1e-8):
             raise NonFinite(f"implicit kappa step degenerate at node {k}")
         X[:, k + 1] = (x + drift
-                       + np.einsum("pd,pd->p", diff_w, paths.dW[:, k])) / denom
+                       + np.einsum("pd,pd->p", diff_w, dW[:, k])) / denom
         if not np.all(np.isfinite(X[:, k + 1])):
             raise NonFinite(f"delayed forward solve blew up at node {k}")
     return X
@@ -157,23 +170,29 @@ def duality_rhs(coeffs: LinearDualityCoeffs, outer_dB: np.ndarray,
     """Nested Monte Carlo estimate of the representation, per outer B-path.
 
     Returns (estimates, inner standard errors), each of shape (n_outer,).
-    Each outer path j gets a fresh inner draw keyed by (seed, j); its
-    B-increments are then overwritten in place by outer path j's, so every
-    inner path shares that B-future and only W varies, which realizes
-    conditioning on the B-future.
+    Outer path j gets inner paths whose W-increments are a fresh draw keyed
+    by (seed, j) and whose B-increments are all outer path j's, so only W
+    varies, which realizes conditioning on the B-future.  The outer paths
+    run on a thread pool, one worker per CPU this process may use; each
+    worker draws and solves its inner paths in blocks through one buffer,
+    and the results do not depend on the worker count or the block size.
     """
     n_outer = outer_dB.shape[0]
-    est = np.empty(n_outer)
-    stderr = np.empty(n_outer)
-    for j in range(n_outer):
-        inner_paths = sample_paths(
-            grid, d=coeffs.d, l=coeffs.l, P=inner,
-            seed=(seed, j) if np.isscalar(seed) else tuple(seed) + (j,))
-        inner_paths.dB[:] = outer_dB[j]
-        vals = _bracket(coeffs, solve_delayed_dsde(coeffs, inner_paths, k0), grid, k0)
-        est[j] = vals.mean()
-        stderr[j] = vals.std(ddof=1) / np.sqrt(inner) if inner > 1 else 0.0
-    return est, stderr
+    workers = min(len(os.sched_getaffinity(0)), n_outer)
+
+    def moments(j):
+        # no name that a tracer may wrap is called here: the workers run
+        # concurrently, and wrappers of module globals need not be thread-safe
+        vals = np.empty(inner)
+        key = (seed, j) if np.isscalar(seed) else tuple(seed) + (j,)
+        for start, block in increment_blocks(grid, coeffs.d, coeffs.l, inner, key):
+            X = _forward(coeffs, block[:, :, :coeffs.d], outer_dB[j], grid, k0)
+            vals[start:start + len(block)] = _bracket(coeffs, X, grid, k0)
+        return vals.mean(), (vals.std(ddof=1) / np.sqrt(inner) if inner > 1 else 0.0)
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        est, stderr = zip(*pool.map(moments, range(n_outer)))
+    return np.array(est), np.array(stderr)
 
 
 @dataclass
@@ -217,13 +236,18 @@ def duality_check(coeffs: LinearDualityCoeffs, T: float, h: float,
     steps h * _CALIBRATION_FACTORS (max(inner // 2, 64) inner paths and
     seed + factor; a grid that T, delta or t0 does not fit is skipped), and
     tol_mean = 3 (mean inner stderr + C h).  tol_max defaults to 3 tol_mean.
+    When no coarse grid fits, C is unknown: a run that passes with C = 0
+    passes for every C >= 0 and is reported, any other raises
+    ValidationError naming the grids tried.
     """
     backend = backend or RegressionBackend()
+    calibrate = tol_mean is None
     grids = [(1, inner, seed)]
-    if tol_mean is None:
+    if calibrate:
         grids += [(factor, max(inner // 2, 64), seed + factor)
                   for factor in _CALIBRATION_FACTORS]
     rate_c = 0.0
+    unfit = []  # steps of the coarse grids that T, delta or t0 does not fit
     for factor, n_inner, grid_seed in grids:
         try:
             grid = coeffs.grid_for(T, h * factor)
@@ -231,6 +255,7 @@ def duality_check(coeffs: LinearDualityCoeffs, T: float, h: float,
         except NonCommensurate:
             if factor == 1:
                 raise
+            unfit.append(h * factor)
             continue
         paths = sample_paths(grid, coeffs.d, coeffs.l, P, grid_seed)
         sol = solve_backward_sweep(coeffs.scenario(grid), paths, backend)
@@ -242,13 +267,20 @@ def duality_check(coeffs: LinearDualityCoeffs, T: float, h: float,
         else:
             rate_c = max(rate_c, float(resid.mean()) / grid.h)
     resid, stderr, sol, rhs = fine
-    if tol_mean is None:
+    if calibrate:
         tol_mean = 3.0 * (float(stderr.mean()) + rate_c * h)
     if tol_max is None:
         tol_max = 3.0 * tol_mean
-    return DualityReport(residuals=resid, inner_stderr=stderr,
-                         tol_mean=float(tol_mean), tol_max=float(tol_max),
-                         rate_constant=rate_c, solution=sol, rhs=rhs)
+    report = DualityReport(residuals=resid, inner_stderr=stderr,
+                           tol_mean=float(tol_mean), tol_max=float(tol_max),
+                           rate_constant=rate_c, solution=sol, rhs=rhs)
+    if calibrate and len(unfit) == len(_CALIBRATION_FACTORS) and not report.passed:
+        tried = ", ".join(f"{step:g}" for step in unfit)
+        raise ValidationError(
+            f"no calibration grid fits T = {T:g}, delta = {coeffs.delta:g} and "
+            f"t0 = {coeffs.t0:g} (tried h = {tried}), and without the "
+            f"step-size term the residuals exceed tol_mean; set tol_mean")
+    return report
 
 
 # ---------------------------------------------------------------------------

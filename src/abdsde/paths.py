@@ -101,6 +101,38 @@ class PathEnsemble:
         return PathEnsemble(grid=grid, dW=dW, dB=dB)
 
 
+#: Rows per block of a draw.  A block is drawn into one reused buffer, so a
+#: draw holds its output plus one block instead of a second full copy.
+_DRAW_ROWS = 4096
+
+
+def increment_blocks(grid: TimeGrid, d: int, l: int, P: int, seed: SeedLike):
+    """Iterator of (start, block) over P paths of N(0, h) increments on the
+    grid, _DRAW_ROWS paths at a time.
+
+    A block has shape (rows, n_steps, d + l), W in the first d columns and B
+    in the rest; it is a view of one buffer that the next block overwrites.
+    The Philox stream keyed by seed is drawn in path order, so path i's
+    increments do not depend on P or on the block size.
+    """
+    if P < 1:
+        raise ValueError(f"need at least one path, got P={P}")
+    if d < 1 or l < 1:
+        raise ValueError(f"driver dimensions must be >= 1, got d={d}, l={l}")
+    rng = np.random.Generator(np.random.Philox(seed=np.random.SeedSequence(seed)))
+    buf = np.empty((min(P, _DRAW_ROWS), grid.n_steps, d + l))
+    scale = np.sqrt(grid.h)
+
+    def blocks():  # a generator of its own, so the checks above run at the call
+        for start in range(0, P, len(buf)):
+            block = buf[:min(len(buf), P - start)]
+            rng.standard_normal(out=block)
+            block *= scale
+            yield start, block
+
+    return blocks()
+
+
 def sample_paths(grid: TimeGrid, d: int, l: int, P: int, seed: SeedLike) -> PathEnsemble:
     """Draw P independent paths of (W, B) increments on the grid.
 
@@ -108,15 +140,13 @@ def sample_paths(grid: TimeGrid, d: int, l: int, P: int, seed: SeedLike) -> Path
     deterministic in (seed, P, grid, d, l), and path i's increments do not
     depend on P.
     """
-    if P < 1:
-        raise ValueError(f"need at least one path, got P={P}")
-    if d < 1 or l < 1:
-        raise ValueError(f"driver dimensions must be >= 1, got d={d}, l={l}")
-    rng = np.random.Generator(np.random.Philox(seed=np.random.SeedSequence(seed)))
-    draws = rng.standard_normal((P, grid.n_steps, d + l))
-    draws *= np.sqrt(grid.h)
-    return PathEnsemble(grid=grid, dW=draws[:, :, :d].copy(),
-                        dB=draws[:, :, d:].copy())
+    blocks = increment_blocks(grid, d, l, P, seed)  # checks P, d and l
+    dW = np.empty((P, grid.n_steps, d))
+    dB = np.empty((P, grid.n_steps, l))
+    for start, block in blocks:
+        dW[start:start + len(block)] = block[:, :, :d]
+        dB[start:start + len(block)] = block[:, :, d:]
+    return PathEnsemble(grid=grid, dW=dW, dB=dB)
 
 
 @dataclass

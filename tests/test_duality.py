@@ -1,10 +1,16 @@
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+import abdsde.paths
 from abdsde.condexp import RegressionBackend
-from abdsde.duality import (duality_check, duality_rhs, LinearDualityCoeffs,
-                            measurability_check, solve_delayed_dsde)
-from abdsde.errors import ValidationError
+from abdsde.duality import (_bracket, duality_check, duality_rhs,
+                            LinearDualityCoeffs, measurability_check,
+                            solve_delayed_dsde)
+from abdsde.errors import NonFinite, ValidationError
 from abdsde.paths import sample_paths
 from abdsde.solver import solve_backward_sweep
 from abdsde.terminal import TerminalSpec
@@ -210,3 +216,74 @@ def test_duality_rhs_is_b_measurable_in_the_limit():
     est_a, se_a = duality_rhs(coeffs, outer.dB, grid, k0, inner=2048, seed=(3,))
     est_b, se_b = duality_rhs(coeffs, outer.dB, grid, k0, inner=2048, seed=(4,))
     assert np.all(np.abs(est_a - est_b) < 5 * (se_a + se_b))
+
+
+def test_calibration_without_a_fitting_grid_raises_unless_it_passes():
+    # t0 = 0.375 with delta = 0.25 fits no grid coarser than h = 0.125, so
+    # C is unknown; the residuals exceed tol_mean without it
+    coeffs = LinearDualityCoeffs(mu=0.2, mu_bar=0.1, delta=0.25, t0=0.375)
+    with pytest.raises(ValidationError, match="tried h = 0.25, 0.5"):
+        duality_check(coeffs, T=1.0, h=0.125, P=256, n_outer=4, inner=8, seed=5)
+    coeffs = LinearDualityCoeffs(mu=0.2, mu_bar=0.1, delta=0.25, t0=0.25)
+    report = duality_check(coeffs, T=1.0, h=0.125, P=256, n_outer=4, inner=8,
+                           seed=5)
+    assert report.rate_constant > 0.0 and report.passed
+
+
+def _serial_rhs(coeffs, outer_dB, grid, k0, inner, seed):
+    # one full (inner, n_steps, d + l) draw per outer path, its B half
+    # overwritten by the outer path's
+    est, stderr = [], []
+    for j, dB in enumerate(outer_dB):
+        paths = sample_paths(grid, coeffs.d, coeffs.l, inner, seed + (j,))
+        paths.dB[:] = dB
+        vals = _bracket(coeffs, solve_delayed_dsde(coeffs, paths, k0), grid, k0)
+        est.append(vals.mean())
+        stderr.append(vals.std(ddof=1) / np.sqrt(inner))
+    return np.array(est), np.array(stderr)
+
+
+@pytest.mark.parametrize("d,l", [(1, 1), (2, 1), (2, 2)])
+def test_duality_rhs_bits_do_not_depend_on_the_work_split(monkeypatch, d, l):
+    coeffs = LinearDualityCoeffs(mu=0.1, mu_bar=0.05, sigma=(0.1,) * d,
+                                 sigma_bar=(0.07,) * d, kappa=(0.1, 0.13)[:l],
+                                 rho=0.2, delta=0.25, t0=0.25)
+    grid = coeffs.grid_for(1.0, 1 / 16)
+    k0 = grid.index_of(0.25)
+    outer = sample_paths(grid, d, l, 5, seed=3).dB
+    runs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # more thread switches than cores: 3 workers
+    try:
+        for workers, rows in ((1, 4096), (2, 1000), (3, 1000)):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid, n=workers: set(range(n)))
+            monkeypatch.setattr(abdsde.paths, "_DRAW_ROWS", rows)
+            runs.append(duality_rhs(coeffs, outer, grid, k0, 2500, (9,)))
+    finally:
+        sys.setswitchinterval(interval)
+    for est, stderr in runs[1:]:
+        assert np.array_equal(est, runs[0][0])
+        assert np.array_equal(stderr, runs[0][1])
+    if l == 1:
+        # with l > 1, OpenBLAS's (P, l) @ (l,) product in the serial route
+        # need not give equal rows equal bits
+        est, stderr = _serial_rhs(coeffs, outer, grid, k0, 2500, (9,))
+        assert np.array_equal(est, runs[0][0])
+        assert np.array_equal(stderr, runs[0][1])
+
+
+def test_a_worker_failure_surfaces_as_non_finite():
+    # kappa = 1 / dB of outer path 0 at node 4: 1 - kappa dB_4 vanishes there
+    # in the inner forward solve, while the backward solve stays finite
+    grid = LinearDualityCoeffs().grid_for(1.0, 1 / 8)
+    dB = sample_paths(grid, 1, 1, 256, seed=5).dB
+    coeffs = LinearDualityCoeffs(mu=0.1, kappa=(1.0 / dB[0, 4, 0],),
+                                 delta=0.25, t0=0.25)
+    threads = threading.active_count()
+    with pytest.raises(NonFinite, match="degenerate at node 4"):
+        duality_rhs(coeffs, dB[:4], grid, grid.index_of(0.25), 8, (1,))
+    with pytest.raises(NonFinite, match="degenerate at node 4"):
+        duality_check(coeffs, T=1.0, h=1 / 8, P=256, n_outer=4, inner=8,
+                      seed=5, tol_mean=1.0)
+    assert threading.active_count() == threads

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import abdsde.paths
 from abdsde.errors import ShapeMismatch
 from abdsde.grids import make_grid
 from abdsde.paths import backward_integral, forward_integral, PathProcess, sample_paths
@@ -22,6 +23,21 @@ def test_path_streams_independent_of_path_count():
     small = sample_paths(GRID, 1, 2, 100, seed=3)
     assert np.array_equal(big.dW[:100], small.dW)
     assert np.array_equal(big.dB[:100], small.dB)
+
+
+@pytest.mark.parametrize("rows", [4096, 37])
+def test_blocked_draw_equals_one_shot_draw(monkeypatch, rows):
+    # P = 5000 is not a multiple of the block rows
+    monkeypatch.setattr(abdsde.paths, "_DRAW_ROWS", rows)
+    d, l, P, seed = 2, 1, 5000, (4, 2)
+    rng = np.random.Generator(np.random.Philox(seed=np.random.SeedSequence(seed)))
+    draws = rng.standard_normal((P, GRID.n_steps, d + l)) * np.sqrt(GRID.h)
+    paths = sample_paths(GRID, d, l, P, seed)
+    assert np.array_equal(paths.dW, draws[:, :, :d])
+    assert np.array_equal(paths.dB, draws[:, :, d:])
+    small = sample_paths(GRID, d, l, 41, seed)
+    assert np.array_equal(small.dW, paths.dW[:41])
+    assert np.array_equal(small.dB, paths.dB[:41])
 
 
 def test_increment_moments_within_five_standard_errors():

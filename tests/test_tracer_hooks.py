@@ -35,3 +35,20 @@ def test_tracer_installs_and_uninstalls(tracer_module):
     finally:
         tracer.uninstall()
     assert all(vars(duality)[name] is value for name, value in before.items())
+
+
+def test_traced_duality_run_keeps_its_output_and_span_stack(tracer_module, tmp_path):
+    # duality_rhs runs its outer paths on worker threads; the tracer keeps one
+    # span stack, so a hooked name called from a worker would corrupt it
+    scenario = str(Path(__file__).resolve().parent / "data" / "duality_small.yaml")
+    cli = sys.modules["abdsde.cli"]
+    assert cli.run("duality", scenario, str(tmp_path / "plain.csv")) == 0
+    tracer = tracer_module.Tracer()
+    try:
+        tracer.install()
+        assert cli.run("duality", scenario, str(tmp_path / "traced.csv")) == 0
+    finally:
+        tracer.uninstall()
+    assert (tmp_path / "traced.csv").read_text() == (tmp_path / "plain.csv").read_text()
+    assert all(span.self_s >= 0.0 for span in tracer.spans)
+    assert sum(span.name == "paths.sample_paths" for span in tracer.spans) == 3
