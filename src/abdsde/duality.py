@@ -29,7 +29,6 @@ implicit (scalar) solve; time integrals use the trapezoid rule on the grid.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -177,6 +176,10 @@ def duality_rhs(coeffs: LinearDualityCoeffs, outer_dB: np.ndarray,
     worker draws and solves its inner paths in blocks through one buffer,
     and the results do not depend on the worker count or the block size.
     """
+    # imported here: the other commands need no pool, and every process pays
+    # for a module-level import at start-up
+    from concurrent.futures import ThreadPoolExecutor
+
     n_outer = outer_dB.shape[0]
     workers = min(len(os.sched_getaffinity(0)), n_outer)
 
