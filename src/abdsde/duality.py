@@ -173,8 +173,8 @@ def duality_rhs(coeffs: LinearDualityCoeffs, outer_dB: np.ndarray,
     by (seed, j) and whose B-increments are all outer path j's, so only W
     varies, which realizes conditioning on the B-future.  The outer paths
     run on a thread pool, one worker per CPU this process may use; each
-    worker draws and solves its inner paths in blocks through one buffer,
-    and the results do not depend on the worker count or the block size.
+    worker draws and solves an outer path's inner paths in row blocks, and
+    the results do not depend on the worker count or the block size.
     """
     # imported here: the other commands need no pool, and every process pays
     # for a module-level import at start-up
@@ -243,6 +243,9 @@ def duality_check(coeffs: LinearDualityCoeffs, T: float, h: float,
     passes for every C >= 0 and is reported, any other raises
     ValidationError naming the grids tried.
     """
+    if n_outer < 1 or inner < 1:
+        raise ValidationError(
+            f"need n_outer >= 1 and inner >= 1, got {n_outer} and {inner}")
     backend = backend or RegressionBackend()
     calibrate = tol_mean is None
     grids = [(1, inner, seed)]

@@ -218,6 +218,14 @@ def test_duality_rhs_is_b_measurable_in_the_limit():
     assert np.all(np.abs(est_a - est_b) < 5 * (se_a + se_b))
 
 
+@pytest.mark.parametrize("n_outer,inner", [(0, 8), (4, 0)])
+def test_duality_check_needs_outer_and_inner_paths(n_outer, inner):
+    coeffs = LinearDualityCoeffs(mu=0.2, delta=0.25, t0=0.25)
+    with pytest.raises(ValidationError, match="n_outer >= 1 and inner >= 1"):
+        duality_check(coeffs, T=1.0, h=0.125, P=256, n_outer=n_outer,
+                      inner=inner, seed=5)
+
+
 def test_calibration_without_a_fitting_grid_raises_unless_it_passes():
     # t0 = 0.375 with delta = 0.25 fits no grid coarser than h = 0.125, so
     # C is unknown; the residuals exceed tol_mean without it
