@@ -299,14 +299,14 @@ def _cmd_solve(config, built, out_path):
     sol = solve_backward_sweep(built.scenario, paths, built.backend)
     P = paths.n_paths
     y = sol.Y.values[:, :, 0]
-    abs_z = np.einsum("pkmd,pkmd->pk", sol.Z.values, sol.Z.values)
-    np.sqrt(abs_z, out=abs_z)
     rows = []
     for k in range(grid.n_nodes):
+        z_k = sol.Z.values[:, k]
+        abs_z = np.sqrt(np.einsum("pmd,pmd->p", z_k, z_k))  # one node at a time
         rows.append((grid.time(k), y[:, k].mean(),
                      y[:, k].std(ddof=1) / np.sqrt(P) if P > 1 else 0.0,
-                     abs_z[:, k].mean(),
-                     abs_z[:, k].std(ddof=1) / np.sqrt(P) if P > 1 else 0.0))
+                     abs_z.mean(),
+                     abs_z.std(ddof=1) / np.sqrt(P) if P > 1 else 0.0))
     _write_csv(out_path, config, "t,mean_Y,stderr_Y,mean_absZ,stderr_absZ", rows)
     return 0
 

@@ -160,6 +160,17 @@ def _solve_pair(s1: Scenario, s2: Scenario, paths: PathEnsemble, backend):
     return parts
 
 
+def _refinement_deltas(s1: Scenario, s2: Scenario, paths: PathEnsemble, backend,
+                       sols) -> list:
+    """|mean Y_0 - mean Y_0 of the coarsened paths' solve| for each part."""
+    coarse = paths.coarsen(2)
+    coarse_sols = _solve_pair(_coarse_scenario(s1, coarse.grid),
+                              _coarse_scenario(s2, coarse.grid), coarse, backend)
+    return [abs(float(sol.Y.values[:, 0].mean())
+                - float(coarse_sol.Y.values[:, 0].mean()))
+            for sol, coarse_sol in zip(sols, coarse_sols)]
+
+
 def run_comparison(scenario1: Scenario, scenario2: Scenario,
                    paths: PathEnsemble, backend,
                    epsilon: float | None = None,
@@ -177,20 +188,18 @@ def run_comparison(scenario1: Scenario, scenario2: Scenario,
         raise ValidationError(
             "a comparison pair must share its grid, delay and implicit_iters")
     sol1, sol2 = _solve_pair(scenario1, scenario2, paths, backend)
-    margins = (sol1.Y.values - sol2.Y.values).sum(axis=2)
-
     tol = _fit_noise_scale(sol1, paths, backend) \
         + _fit_noise_scale(sol2, paths, backend)
     if calibrate and _can_coarsen(scenario1, scenario2, paths):
-        coarse = paths.coarsen(2)
-        coarse_sols = _solve_pair(_coarse_scenario(scenario1, coarse.grid),
-                                  _coarse_scenario(scenario2, coarse.grid),
-                                  coarse, backend)
-        for sol, coarse_sol in zip((sol1, sol2), coarse_sols):
-            tol += abs(float(sol.Y.values[:, 0].mean())
-                       - float(coarse_sol.Y.values[:, 0].mean()))
+        for delta in _refinement_deltas(scenario1, scenario2, paths, backend,
+                                        (sol1, sol2)):
+            tol += delta
     if epsilon is None:
         epsilon = 3.0 * tol
+    # formed once the coarse sweep is done, so that sweep does not hold them;
+    # row-major, as the reductions in ComparisonReport expect: an axis-0
+    # mean over node-major margins would add the paths in another order
+    margins = np.subtract(sol1.Y.values, sol2.Y.values, order="C").sum(axis=2)
 
     return ComparisonReport(margins=margins,
                             epsilon=float(epsilon), run_tolerance=float(tol),

@@ -6,6 +6,15 @@ from a counter-based Philox stream keyed by the master seed; path i's
 increments occupy a fixed counter block, so regenerating with a different
 path count P leaves paths 0..min(P)-1 bit-identical.
 
+Storage is (nodes, paths) contiguous per component: the increments of one
+step, and the values of a process at one node, are one contiguous
+(P, ...) slab behind the usual (P, n_steps | n_nodes, ...) views, because
+the backward sweep reads and writes one node at a time.  For the same
+reason W_{t_k} and B_{t_k} are not cached for the whole horizon: they are
+the forward sums of the increments, kept at checkpoints every `_SEGMENT`
+nodes and replayed forward one segment at a time (checkpointing as in
+Griewank 1992), which gives the bits of `np.cumsum` in any call order.
+
 Discretization conventions, used consistently everywhere in the package:
 
 * forward integral of Z against dW: left-endpoint sum  sum_k Z_k dW_k
@@ -18,6 +27,7 @@ discrete quadratic variation sum_k (dB_k)^2.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
@@ -29,18 +39,87 @@ from .grids import TimeGrid
 SeedLike = Union[int, Sequence[int]]
 
 
+#: Nodes per checkpoint segment of the W and B forward sums, about the
+#: square root of the 97 nodes of the benchmark grids: a descending sweep
+#: then holds about 2 sqrt(n_nodes) slabs instead of n_nodes, and adds about
+#: two cumsums' worth of slabs.
+_SEGMENT = 10
+
+
+class _ForwardSums:
+    """S_k = inc_0 + ... + inc_{k-1} (S_0 = 0) of node-major increments.
+
+    Every S_k is added in cumsum's order, S_{k+1} = S_k + inc_k, so it has
+    the bits of np.cumsum whatever the order of the calls.  One forward
+    pass keeps S at the checkpoint nodes (every _SEGMENT nodes, plus
+    `anchor`); any other node is read from the segment replayed forward
+    from the checkpoint before it, and only the last replayed segment is
+    kept.  The slabs handed out are read-only, and a replay allocates a new
+    segment, so a slab a caller still holds keeps its values.
+    """
+
+    def __init__(self, inc: np.ndarray, anchor: int):
+        self._inc = inc  # (n_steps, P, c)
+        self.n_nodes = inc.shape[0] + 1
+        self._marks = sorted(set(range(0, self.n_nodes, _SEGMENT)) | {anchor})
+        self._saved = {}
+        running = np.zeros(inc.shape[1:])
+        for k in range(self._marks[-1] + 1):
+            if k:
+                self._step(k - 1, running, running)
+            if k in self._marks:
+                self._saved[k] = _read_only(running.copy())
+        self._start = self._segment = None
+
+    def _step(self, k: int, prev: np.ndarray, out: np.ndarray) -> None:
+        """S_{k+1} into out, from prev = S_k."""
+        if k == 0:
+            np.copyto(out, self._inc[0])  # cumsum starts at inc_0 itself
+        else:
+            np.add(prev, self._inc[k], out=out)
+
+    def at(self, k: int) -> np.ndarray:
+        if not 0 <= k < self.n_nodes:
+            raise IndexError(f"node {k} is outside 0..{self.n_nodes - 1}")
+        if k in self._saved:
+            return self._saved[k]
+        i = bisect_right(self._marks, k)
+        start = self._marks[i - 1]
+        if start != self._start:
+            stop = self._marks[i] if i < len(self._marks) else self.n_nodes
+            segment = np.empty((stop - start - 1,) + self._inc.shape[1:])
+            prev = self._saved[start]
+            for j in range(len(segment)):
+                self._step(start + j, prev, segment[j])
+                prev = segment[j]
+            self._start, self._segment = start, _read_only(segment)
+        return self._segment[k - start - 1]
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass
 class PathEnsemble:
     """Increments of the two drivers for P paths on a grid.
 
-    dW has shape (P, n_steps, d) and dB has shape (P, n_steps, l).
+    dW has shape (P, n_steps, d) and dB has shape (P, n_steps, l).  The
+    ensembles this module and `tree.build_tree` make store them node-major,
+    so dW[:, k] and dB[:, k] are contiguous (P, d) and (P, l) slabs.
+    W_{t_k} and B_{t_k} are forward sums of the increments, kept at
+    checkpoints and replayed a segment at a time, never a whole
+    (P, n_nodes) array; the increments must not change once they are read.
     """
 
     grid: TimeGrid
     dW: np.ndarray
     dB: np.ndarray
-    _w_cum: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _b_cum: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _w: _ForwardSums | None = field(default=None, init=False, repr=False,
+                                    compare=False)
+    _b: _ForwardSums | None = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     def __post_init__(self):
         n = self.grid.n_steps
@@ -64,20 +143,16 @@ class PathEnsemble:
         return self.dB.shape[2]
 
     def w_at(self, k: int) -> np.ndarray:
-        """W_{t_k} = sum of the first k W-increments, shape (P, d)."""
-        if self._w_cum is None:
-            cum = np.zeros((self.n_paths, self.grid.n_nodes, self.d))
-            np.cumsum(self.dW, axis=1, out=cum[:, 1:])
-            self._w_cum = cum
-        return self._w_cum[:, k]
+        """W_{t_k} = sum of the first k W-increments, shape (P, d), read-only."""
+        if self._w is None:  # W_{t_{n_T}} is what scaled_wt terminal data read
+            self._w = _ForwardSums(self.dW.transpose(1, 0, 2), self.grid.n_T)
+        return self._w.at(k)
 
     def b_at(self, k: int) -> np.ndarray:
-        """B_{t_k}, shape (P, l)."""
-        if self._b_cum is None:
-            cum = np.zeros((self.n_paths, self.grid.n_nodes, self.l))
-            np.cumsum(self.dB, axis=1, out=cum[:, 1:])
-            self._b_cum = cum
-        return self._b_cum[:, k]
+        """B_{t_k}, shape (P, l), read-only."""
+        if self._b is None:  # B_{t_{n_T}} anchors every node's B tail
+            self._b = _ForwardSums(self.dB.transpose(1, 0, 2), self.grid.n_T)
+        return self._b.at(k)
 
     def b_tail(self, k: int) -> np.ndarray:
         """B_{t_{n_T}} - B_{t_k}, shape (P, l)."""
@@ -86,7 +161,8 @@ class PathEnsemble:
     def coarsen(self, factor: int) -> "PathEnsemble":
         """Merge groups of `factor` steps, keeping the same Brownian paths.
 
-        Useful for h-refinement studies coupled on the same noise.
+        Useful for h-refinement studies coupled on the same noise.  Each
+        merged increment is the sum of its steps in time order.
         """
         n = self.grid.n_steps
         if factor < 1 or n % factor:
@@ -95,10 +171,13 @@ class PathEnsemble:
             raise ValueError("coarsening would move T off the grid")
         grid = TimeGrid(h=self.grid.h * factor, n_T=self.grid.n_T // factor,
                         n_end=self.grid.n_end // factor)
-        shape = (self.n_paths, n // factor, factor)
-        dW = self.dW.reshape(shape + (self.d,)).sum(axis=2)
-        dB = self.dB.reshape(shape + (self.l,)).sum(axis=2)
-        return PathEnsemble(grid=grid, dW=dW, dB=dB)
+
+        def merged(inc):  # node-major in, node-major out
+            steps = inc.transpose(1, 0, 2)
+            steps = steps.reshape((n // factor, factor) + steps.shape[1:])
+            return steps.sum(axis=1).transpose(1, 0, 2)
+
+        return PathEnsemble(grid=grid, dW=merged(self.dW), dB=merged(self.dB))
 
 
 #: Rows per block of a draw.  A block is drawn into one reused buffer, so a
@@ -141,8 +220,8 @@ def sample_paths(grid: TimeGrid, d: int, l: int, P: int, seed: SeedLike) -> Path
     depend on P.
     """
     blocks = increment_blocks(grid, d, l, P, seed)  # checks P, d and l
-    dW = np.empty((P, grid.n_steps, d))
-    dB = np.empty((P, grid.n_steps, l))
+    dW = np.empty((grid.n_steps, P, d)).transpose(1, 0, 2)  # node-major
+    dB = np.empty((grid.n_steps, P, l)).transpose(1, 0, 2)
     for start, block in blocks:
         dW[start:start + len(block)] = block[:, :, :d]
         dB[start:start + len(block)] = block[:, :, d:]

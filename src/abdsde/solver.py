@@ -28,9 +28,12 @@ scenarios stay exact, and so does each constant part of a stacked pair
 (`comparison.run_comparison` solves a pair as one scenario with m1 + m2
 components).  The per-node residual RMS of the Y-step is recorded per
 component for the same reason: each part of a stacked pair keeps its own.
-Y and Z are stored component by component, each component's
-(paths, nodes) block contiguous, behind the usual (P, n_nodes, m[, d])
-views.
+Y and Z are stored as (nodes, paths) contiguous per component behind the
+usual (P, n_nodes, m[, d]) views, like the increments in `paths`: each
+node's store, each anticipated read and each dW_k, dB_k read touches one
+contiguous slab per component.  The node-k state (W_{t_k}, B_{t_{n_T}} -
+B_{t_k}) comes from the ensemble's checkpointed forward sums, so a solve
+holds no whole-horizon copy of W or B.
 
 `solve_backward_sweep` is the one solve.  Given `frozen=`, it reads the
 anticipated arguments from that process instead of from the live sweep:
@@ -146,11 +149,12 @@ def _alloc(scenario: Scenario, paths: PathEnsemble):
     grid = scenario.grid
     term = scenario.terminal_data(paths)
     P = paths.n_paths
-    # Component-major storage behind the (P, n_nodes, m[, d]) views: each
-    # component's block is contiguous, as a one-component solve's would be,
-    # so a stacked pair's components split into that layout.
-    Y = np.zeros((gen.m, P, grid.n_nodes)).transpose(1, 2, 0)
-    Z = np.zeros((gen.m, P, grid.n_nodes, gen.d)).transpose(1, 2, 0, 3)
+    # (component, node, path) storage behind the (P, n_nodes, m[, d])
+    # views: the sweep stores and reads one contiguous (P[, d]) slab per
+    # component and node, and a stacked pair's components split into the
+    # layout of a one-component solve.
+    Y = np.zeros((gen.m, grid.n_nodes, P)).transpose(2, 1, 0)
+    Z = np.zeros((gen.m, grid.n_nodes, P, gen.d)).transpose(2, 1, 0, 3)
     Y[:, grid.n_T:] = term.xi
     Z[:, grid.n_T:] = term.eta
     return Y, Z

@@ -22,7 +22,8 @@ class TerminalData:
     """Per-path (xi, eta) values on nodes n_T..n_end.
 
     xi has shape (P, K_nodes, m), eta has shape (P, K_nodes, m, d) with
-    K_nodes = n_end - n_T + 1.
+    K_nodes = n_end - n_T + 1.  `TerminalSpec.build` returns read-only
+    arrays, broadcast over every axis they do not vary along.
     """
 
     grid: TimeGrid
@@ -107,19 +108,21 @@ class TerminalSpec:
         k_nodes = grid.n_end - grid.n_T + 1
         p = self._values()
         profile = self.profile(grid)
+        # what does not vary along an axis is a read-only broadcast over it
         if profile is not None:
-            xi = np.broadcast_to(profile[0][None, :, None], (P, k_nodes, m)).copy()
+            xi = np.broadcast_to(profile[0][None, :, None], (P, k_nodes, m))
         elif m != 1:
             raise ShapeMismatch(f"{self.name} terminal data is scalar (m=1)")
         elif self.name == "scaled_wt":
             w_T = paths.w_at(grid.n_T).sum(axis=1)  # (P,)
-            xi = np.repeat((p["a"] * w_T + p["b"])[:, None, None], k_nodes, axis=1)
+            xi = np.broadcast_to((p["a"] * w_T + p["b"])[:, None, None], (P, k_nodes, 1))
         else:  # scaled_b_tail
             b_end = paths.b_at(grid.n_end)
             xi = np.empty((P, k_nodes, 1))
             for j, k in enumerate(range(grid.n_T, grid.n_end + 1)):
                 xi[:, j, 0] = p["a"] * (b_end - paths.b_at(k)).sum(axis=1) + p["b"]
-        eta = np.full((P, k_nodes, m, d), p["eta"])
+            xi.flags.writeable = False
+        eta = np.broadcast_to(p["eta"], (P, k_nodes, m, d))
         return TerminalData(grid=grid, xi=xi, eta=eta)
 
 

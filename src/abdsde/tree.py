@@ -78,11 +78,12 @@ def build_tree(n: int, h: float, n_T: int | None = None) -> TreeModel:
         raise TooLarge(f"{n}-step tree has {4**n} atoms; the cap is n={MAX_STEPS}")
     grid = TimeGrid(h=h, n_T=n if n_T is None else n_T, n_end=n)
     atoms = np.arange(4 ** n)
-    w_bits = (atoms[:, None] >> np.arange(n)[None, :]) & 1
-    b_bits = (atoms[:, None] >> (n + np.arange(n))[None, :]) & 1
+    # (step, atom) bits, so the increments are node-major like a draw's
+    w_bits = (atoms[None, :] >> np.arange(n)[:, None]) & 1
+    b_bits = (atoms[None, :] >> (n + np.arange(n))[:, None]) & 1
     root_h = np.sqrt(h)
-    dW = ((2.0 * w_bits - 1.0) * root_h)[:, :, None]
-    dB = ((2.0 * b_bits - 1.0) * root_h)[:, :, None]
+    dW = ((2.0 * w_bits - 1.0) * root_h)[:, :, None].transpose(1, 0, 2)
+    dB = ((2.0 * b_bits - 1.0) * root_h)[:, :, None].transpose(1, 0, 2)
     ensemble = PathEnsemble(grid=grid, dW=dW, dB=dB)
     return TreeModel(grid=grid, ensemble=ensemble)
 

@@ -4,7 +4,9 @@ import pytest
 import abdsde.paths
 from abdsde.errors import ShapeMismatch
 from abdsde.grids import make_grid
-from abdsde.paths import backward_integral, forward_integral, PathProcess, sample_paths
+from abdsde.paths import (_DRAW_ROWS, _ForwardSums, backward_integral,
+                          forward_integral, PathEnsemble, PathProcess, sample_paths)
+from abdsde.tree import build_tree
 
 
 GRID = make_grid(1.0, 0.0, 0.125)
@@ -140,3 +142,99 @@ def test_coarsen_preserves_brownian_path():
     assert np.allclose(coarse.b_at(2), paths.b_at(4), atol=1e-14)
     with pytest.raises(ValueError):
         paths.coarsen(5)
+
+
+# ---------------------------------------------------------------------------
+# checkpointed W and B state
+# ---------------------------------------------------------------------------
+
+# 23 nodes, n_T = 16: neither is a multiple of the checkpoint spacing
+STATE_GRID = make_grid(1.0, 0.375, 0.0625)
+STATE_P = _DRAW_ROWS + 4  # not a multiple of the draw's block rows
+
+
+def _cumsum_nodes(inc):
+    """(P, n_steps + 1, c) forward sums by np.cumsum, node 0 at zero."""
+    P, n, c = inc.shape
+    cum = np.zeros((P, n + 1, c))
+    np.cumsum(inc, axis=1, out=cum[:, 1:])
+    return cum
+
+
+def _same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+_ENSEMBLES = {
+    "draw": lambda: sample_paths(STATE_GRID, 2, 1, STATE_P, seed=(9, 1)),
+    "coarsened": lambda: sample_paths(STATE_GRID, 2, 1, STATE_P, seed=(9, 1)).coarsen(2),
+    "tree": lambda: build_tree(7, 0.1, n_T=5).ensemble,
+}
+
+
+def _orders(n_nodes):
+    return {"ascending": list(range(n_nodes)),
+            "descending": list(range(n_nodes - 1, -1, -1)),
+            "shuffled": list(np.random.default_rng(4).permutation(n_nodes))}
+
+
+@pytest.mark.parametrize("segment", [None, 3])
+@pytest.mark.parametrize("kind", sorted(_ENSEMBLES))
+def test_state_has_the_cumsum_bits_in_any_call_order(monkeypatch, kind, segment):
+    if segment is not None:  # the tree's 8 nodes fit in one default segment
+        monkeypatch.setattr(abdsde.paths, "_SEGMENT", segment)
+    reference = _ENSEMBLES[kind]()
+    cum_w, cum_b = _cumsum_nodes(reference.dW), _cumsum_nodes(reference.dB)
+    n_T = reference.grid.n_T
+    for order in _orders(reference.grid.n_nodes).values():
+        paths = _ENSEMBLES[kind]()
+        held = []
+        for k in order:
+            w, b, tail = paths.w_at(k), paths.b_at(k), paths.b_tail(k)
+            assert _same_bits(w, cum_w[:, k]) and _same_bits(b, cum_b[:, k])
+            assert _same_bits(tail, cum_b[:, n_T] - cum_b[:, k])
+            held.append((k, w, b))
+        # a replay never overwrites a slab handed out before it
+        assert all(_same_bits(w, cum_w[:, k]) and _same_bits(b, cum_b[:, k])
+                   for k, w, b in held)
+
+
+def test_state_is_read_only_and_rejects_nodes_off_the_grid():
+    paths = _ENSEMBLES["draw"]()
+    with pytest.raises(ValueError):
+        paths.w_at(3)[:] = 0.0
+    with pytest.raises(ValueError):
+        paths.b_at(STATE_GRID.n_T)[:] = 0.0
+    with pytest.raises(IndexError):
+        paths.w_at(STATE_GRID.n_nodes)
+
+
+def _arrays(obj, seen=None):
+    """Every ndarray reachable from obj's attributes and containers."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from _arrays(value, seen)
+    elif isinstance(obj, (list, tuple)):
+        for value in obj:
+            yield from _arrays(value, seen)
+    elif isinstance(obj, (PathEnsemble, _ForwardSums)):
+        yield from _arrays(vars(obj), seen)
+
+
+def test_no_whole_horizon_state_after_a_descending_pass():
+    paths = _ENSEMBLES["draw"]()
+    for k in range(STATE_GRID.n_nodes - 1, -1, -1):
+        paths.w_at(k), paths.b_tail(k)
+    whole = STATE_P * STATE_GRID.n_nodes
+    held = [a for a in _arrays(paths)
+            if not (np.may_share_memory(a, paths.dW) or np.may_share_memory(a, paths.dB))]
+    assert held, "the state should hold its checkpoints"
+    assert all(a.size < whole for a in held)
+    # checkpoints plus one replayed segment: less than one cumsum of W and of B
+    assert sum(a.size for a in held) < whole * (paths.d + paths.l)

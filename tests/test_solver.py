@@ -1,8 +1,11 @@
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from abdsde import cli
 from abdsde.condexp import RegressionBackend
 from abdsde.delays import affine_delay, constant_delay, DelaySpec, segment_interval
 from abdsde.errors import Infeasible, NoConvergence, NonFinite
@@ -447,3 +450,63 @@ def test_discrete_one_step_identity_on_tree():
                                Z[:, k][:, None, None], e_k))[:, 0]
         resid = _tensor_condexp(target - Y[:, k], k, tree.n) + h * f_k
         assert np.abs(resid).max() <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# storage: what a solve holds
+# ---------------------------------------------------------------------------
+
+REFERENCE = str(Path(__file__).resolve().parents[1] / "bench" / "reference" / "solve.yaml")
+
+#: Bound on a solve's tracemalloc peak over the bytes of dW, dB, Y and Z.  A
+#: whole-horizon cache of W and B, or a (P, n_nodes) |Z| array in the CSV
+#: step, pushes the ratio above it (about 1.77 with both, 1.18 without).
+PEAK_OVER_HELD = 1.4
+
+
+def test_solve_peak_memory_stays_near_increments_and_solution(tmp_path):
+    P = 20000
+    config = cli._read_config(REFERENCE)
+    config["paths"]["count"] = P
+    built = cli._build_all(config)
+    grid, gen = built.grid, built.scenario.generator
+    held = 8 * P * (grid.n_steps * (gen.d + gen.l) + grid.n_nodes * gen.m * (1 + gen.d))
+    tracemalloc.start()
+    try:
+        assert cli.run("solve", REFERENCE, str(tmp_path / "solve.csv"), n_paths=P) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < PEAK_OVER_HELD * held, peak / held
+
+
+def test_per_node_slabs_are_contiguous():
+    config = cli._read_config(REFERENCE)
+    built = cli._build_all(config)
+    paths = cli._paths(config, built.grid, None)
+    sol = solve_backward_sweep(built.scenario, paths, built.backend)
+    for k in (0, built.grid.n_T - 1, built.grid.n_end):
+        for i in range(built.scenario.generator.m):
+            assert sol.Y.values[:, k, i].flags.c_contiguous
+            assert sol.Z.values[:, k, i].flags.c_contiguous
+        if k < built.grid.n_steps:
+            assert paths.dW[:, k].flags.c_contiguous
+            assert paths.dB[:, k].flags.c_contiguous
+
+
+@pytest.mark.parametrize("name", ["constant", "affine", "scaled_wt", "scaled_b_tail"])
+def test_built_terminal_data_is_read_only_and_solves_as_a_copy(name):
+    grid = make_grid(0.5, 0.25, 0.0625)
+    delay = DelaySpec(constant_delay(0.25), constant_delay(0.25), K=0.25)
+    gen = builtin_generator("example41_f1")
+    paths = sample_paths(grid, 1, 1, 2000, seed=6)
+    term = TerminalSpec(name=name, params={"eta": 0.1}).build(grid, paths)
+    for values in (term.xi, term.eta):
+        assert not values.flags.writeable
+        with pytest.raises(ValueError):
+            values[0] = 0.0
+    copied = TerminalData(grid=grid, xi=term.xi.copy(), eta=term.eta.copy())
+    sols = [solve_backward_sweep(make_scenario(grid, gen, t, delay=delay), paths,
+                                 RegressionBackend()) for t in (term, copied)]
+    assert np.array_equal(sols[0].Y.values, sols[1].Y.values)
+    assert np.array_equal(sols[0].Z.values, sols[1].Z.values)

@@ -52,3 +52,20 @@ def test_traced_duality_run_keeps_its_output_and_span_stack(tracer_module, tmp_p
     assert (tmp_path / "traced.csv").read_text() == (tmp_path / "plain.csv").read_text()
     assert all(span.self_s >= 0.0 for span in tracer.spans)
     assert sum(span.name == "paths.sample_paths" for span in tracer.spans) == 3
+
+
+def test_traced_solve_keeps_its_output_and_builds_one_design_per_node(tracer_module, tmp_path):
+    # the node-k state reaches the fit through the hooked features(paths, k)
+    scenario = str(BENCH / "reference" / "solve.yaml")
+    cli = sys.modules["abdsde.cli"]
+    assert cli.run("solve", scenario, str(tmp_path / "plain.csv")) == 0
+    tracer = tracer_module.Tracer()
+    try:
+        tracer.install()
+        assert cli.run("solve", scenario, str(tmp_path / "traced.csv")) == 0
+    finally:
+        tracer.uninstall()
+    assert (tmp_path / "traced.csv").read_text() == (tmp_path / "plain.csv").read_text()
+    n_T = cli._build_all(cli._read_config(scenario)).grid.n_T
+    assert sum(span.name == "condexp.features" for span in tracer.spans) == n_T
+    assert all(span.self_s >= 0.0 for span in tracer.spans)
