@@ -17,7 +17,7 @@ from .generators import (AnticipationFunctional, audit_lipschitz,
                          GeneratorSpec, LipschitzData, with_lipschitz)
 from .grids import make_grid, TimeGrid
 from .paths import (backward_integral, forward_integral, PathEnsemble,
-                    PathProcess, sample_paths)
+                    sample_paths)
 from .scenario import make_scenario, Scenario
 from .solver import (constant_initial, ContractionParams, contraction_params,
                      default_initial, picard_iterate, SolutionProcess,

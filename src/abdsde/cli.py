@@ -188,7 +188,8 @@ def _build_duality(config: dict, scenario: Scenario) -> LinearDualityCoeffs | No
 
     The section holds t0, outer, inner and the tolerances; a coefficient key
     still written there must equal the generator's value after defaults.
-    The scenario's delay must be the constant K in both delta and zeta.
+    The scenario's delay must be the constant K in both delta and zeta, and
+    its implicit_iters 1, the scheme of the duality harness's solves.
     """
     section = config.get("duality")
     if not section:
@@ -218,6 +219,10 @@ def _build_duality(config: dict, scenario: Scenario) -> LinearDualityCoeffs | No
         raise ValidationError(
             "a duality scenario's delay must be delta = zeta = the constant "
             f"K = {K}, the delay of the dual forward equation")
+    if scenario.implicit_iters != 1:
+        raise ValidationError(
+            "a duality scenario's solver.implicit_iters must be 1, the scheme "
+            f"the duality harness solves with, got {scenario.implicit_iters}")
     return LinearDualityCoeffs(
         mu=coeffs["mu"], mu_bar=coeffs["mu_bar"], sigma=tuple(coeffs["sigma"]),
         sigma_bar=tuple(coeffs["sigma_bar"]), kappa=tuple(coeffs["kappa"]),
@@ -285,6 +290,10 @@ def _write_csv(path: str, config: dict, header: str, rows, extra_comments=()):
 # commands
 # ---------------------------------------------------------------------------
 
+#: Largest |solver - oracle| difference in Y or Z that oracle-check passes.
+ORACLE_TOLERANCE = 1e-10
+
+
 def _paths(config, grid, tree):
     """The tree's atoms for the exact backend, else the configured draw."""
     if tree is not None:
@@ -298,10 +307,10 @@ def _cmd_solve(config, built, out_path):
     paths = _paths(config, grid, built.tree)
     sol = solve_backward_sweep(built.scenario, paths, built.backend)
     P = paths.n_paths
-    y = sol.Y.values[:, :, 0]
+    y = sol.Y[:, :, 0]
     rows = []
     for k in range(grid.n_nodes):
-        z_k = sol.Z.values[:, k]
+        z_k = sol.Z[:, k]
         abs_z = np.sqrt(np.einsum("pmd,pmd->p", z_k, z_k))  # one node at a time
         rows.append((grid.time(k), y[:, k].mean(),
                      y[:, k].std(ddof=1) / np.sqrt(P) if P > 1 else 0.0,
@@ -357,20 +366,20 @@ def _cmd_duality(config, built, out_path):
     return 0 if report.passed else 1
 
 
-def _cmd_oracle_check(config, built, out_path, tolerance: float = 1e-10):
+def _cmd_oracle_check(config, built, out_path):
     grid, scenario, tree = built.grid, built.scenario, built.tree
     if tree is None:
         tree = tree_for_grid(grid)
     sol = solve_backward_sweep(scenario, tree.ensemble, tree.backend())
     exact = oracle_solve(scenario, tree)
-    d_y = np.abs(sol.Y.values - exact.Y.values).max(axis=(0, 2))
-    d_z = np.abs(sol.Z.values - exact.Z.values).max(axis=(0, 2, 3))
+    d_y = np.abs(sol.Y - exact.Y).max(axis=(0, 2))
+    d_z = np.abs(sol.Z - exact.Z).max(axis=(0, 2, 3))
     rows = [(grid.time(k), float(d_y[k]), float(d_z[k]))
             for k in range(grid.n_nodes)]
     worst = max(float(d_y.max()), float(d_z.max()))
-    passed = worst <= tolerance
+    passed = worst <= ORACLE_TOLERANCE
     comments = (f"max_abs_difference = {_fmt(worst)}",
-                f"tolerance = {_fmt(tolerance)}",
+                f"tolerance = {_fmt(ORACLE_TOLERANCE)}",
                 f"result = {'PASS' if passed else 'FAIL'}")
     _write_csv(out_path, config, "t,max_abs_dY,max_abs_dZ", rows, comments)
     return 0 if passed else 1

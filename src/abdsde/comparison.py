@@ -7,7 +7,8 @@ points with Y1 < Y2 - eps.  The ordering conclusion is an almost-sure
 statement about the continuous equations, so the Monte Carlo check is
 tolerance-qualified: eps* = 3x a run tolerance assembled from the
 regression-noise scale and an h-refinement delta, both measured on the run
-itself (nothing fixed a priori).
+itself (nothing fixed a priori); exact conditional expectations have
+neither, so on a tree eps* is 0.
 
 The pair must share its grid, delay and `implicit_iters`, and is solved
 jointly: one scenario with m1 + m2 components (block-diagonal f and g, each
@@ -25,9 +26,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .condexp import RegressionBackend
 from .errors import TerminalOrderViolated, ValidationError
 from .generators import AnticipationFunctional, GeneratorSpec, LipschitzData
-from .paths import PathEnsemble, PathProcess
+from .paths import PathEnsemble
 from .scenario import make_scenario, Scenario
 from .solver import SolutionProcess, solve_backward_sweep
 from .terminal import TerminalData, TerminalSpec
@@ -76,17 +78,20 @@ def _fit_noise_scale(sol: SolutionProcess, paths: PathEnsemble, backend) -> floa
 
     The recorded per-node, per-component residual RMS is the conditional
     spread of the one-step target; the noise the fit injects into Y is the
-    largest spread times sqrt(n_features / n_paths).
+    largest spread times sqrt(n_features / n_paths).  Exact conditional
+    expectations inject none.
     """
-    resid = sol.metadata.get("ybar_residual_rms", {})
-    if not resid or not hasattr(backend, "basis"):
+    if not isinstance(backend, RegressionBackend):
         return 0.0
+    resid = sol.metadata["ybar_residual_rms"]
     n_features = backend.basis.n_features(paths.d + paths.l)
     return max(max(r) for r in resid.values()) * np.sqrt(n_features / paths.n_paths)
 
 
-def _can_coarsen(s1: Scenario, s2: Scenario, paths: PathEnsemble) -> bool:
-    return (isinstance(s1.terminal, TerminalSpec)
+def _can_coarsen(s1: Scenario, s2: Scenario, paths: PathEnsemble, backend) -> bool:
+    # the exact backend conditions only on its own tree, never on a coarsening
+    return (isinstance(backend, RegressionBackend)
+            and isinstance(s1.terminal, TerminalSpec)
             and isinstance(s2.terminal, TerminalSpec)
             and paths.grid.n_steps % 2 == 0 and paths.grid.n_T % 2 == 0)
 
@@ -150,13 +155,11 @@ def _solve_pair(s1: Scenario, s2: Scenario, paths: PathEnsemble, backend):
     sol = solve_backward_sweep(_joint_scenario(s1, s2, paths), paths, backend)
     parts = []
     for part in (slice(0, s1.generator.m), slice(s1.generator.m, None)):
-        Y, Z = sol.Y.values[:, :, part], sol.Z.values[:, :, part]
         meta = dict(sol.metadata,
                     ybar_residual_rms={k: r[part] for k, r in
                                        sol.metadata["ybar_residual_rms"].items()})
-        parts.append(SolutionProcess(Y=PathProcess(grid=sol.grid, values=Y),
-                                     Z=PathProcess(grid=sol.grid, values=Z),
-                                     metadata=meta))
+        parts.append(SolutionProcess(grid=sol.grid, Y=sol.Y[:, :, part],
+                                     Z=sol.Z[:, :, part], metadata=meta))
     return parts
 
 
@@ -166,22 +169,20 @@ def _refinement_deltas(s1: Scenario, s2: Scenario, paths: PathEnsemble, backend,
     coarse = paths.coarsen(2)
     coarse_sols = _solve_pair(_coarse_scenario(s1, coarse.grid),
                               _coarse_scenario(s2, coarse.grid), coarse, backend)
-    return [abs(float(sol.Y.values[:, 0].mean())
-                - float(coarse_sol.Y.values[:, 0].mean()))
+    return [abs(float(sol.Y[:, 0].mean()) - float(coarse_sol.Y[:, 0].mean()))
             for sol, coarse_sol in zip(sols, coarse_sols)]
 
 
 def run_comparison(scenario1: Scenario, scenario2: Scenario,
                    paths: PathEnsemble, backend,
-                   epsilon: float | None = None,
-                   calibrate: bool = True) -> ComparisonReport:
+                   epsilon: float | None = None) -> ComparisonReport:
     """Solve both scenarios on the same paths and report ordering margins.
 
     The pair must share grid, delay and implicit_iters (ValidationError
     otherwise); it is solved in one joint sweep per grid.  Terminal samples
     must satisfy xi1 >= xi2 pointwise (TerminalOrderViolated otherwise).
     With epsilon=None the threshold is self-calibrated to 3x the run
-    tolerance; calibrate=False skips the coarse-grid sweep in it.
+    tolerance, which is 0 on the exact backend.
     """
     if (scenario1.grid, scenario1.delay, scenario1.implicit_iters) != \
             (scenario2.grid, scenario2.delay, scenario2.implicit_iters):
@@ -190,7 +191,7 @@ def run_comparison(scenario1: Scenario, scenario2: Scenario,
     sol1, sol2 = _solve_pair(scenario1, scenario2, paths, backend)
     tol = _fit_noise_scale(sol1, paths, backend) \
         + _fit_noise_scale(sol2, paths, backend)
-    if calibrate and _can_coarsen(scenario1, scenario2, paths):
+    if _can_coarsen(scenario1, scenario2, paths, backend):
         for delta in _refinement_deltas(scenario1, scenario2, paths, backend,
                                         (sol1, sol2)):
             tol += delta
@@ -199,7 +200,7 @@ def run_comparison(scenario1: Scenario, scenario2: Scenario,
     # formed once the coarse sweep is done, so that sweep does not hold them;
     # row-major, as the reductions in ComparisonReport expect: an axis-0
     # mean over node-major margins would add the paths in another order
-    margins = np.subtract(sol1.Y.values, sol2.Y.values, order="C").sum(axis=2)
+    margins = np.subtract(sol1.Y, sol2.Y, order="C").sum(axis=2)
 
     return ComparisonReport(margins=margins,
                             epsilon=float(epsilon), run_tolerance=float(tol),

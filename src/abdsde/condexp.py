@@ -150,9 +150,6 @@ class RegressionBackend:
         fitted, _ = _ridge_fit(X, flat, self.basis.ridge)
         return fitted.reshape(targets.shape)
 
-    def describe(self) -> str:
-        return f"regression(markov-poly, degree={self.basis.degree}, ridge={self.basis.ridge})"
-
 
 class ExactTreeBackend:
     """Exact enumeration backend bound to one tree's atom ensemble."""
@@ -176,9 +173,6 @@ class ExactTreeBackend:
             sums = np.bincount(ids, weights=flat[:, j], minlength=n_groups)
             out[:, j] = (sums / counts)[ids]
         return out.reshape(targets.shape)
-
-    def describe(self) -> str:
-        return f"exact(tree, steps={self.tree.n})"
 
 
 def condexp(backend, targets: np.ndarray, k: int, paths: PathEnsemble) -> np.ndarray:

@@ -50,17 +50,16 @@ def affine_delay(a: float, b: float) -> DelayForm:
 
 @dataclass(frozen=True)
 class DelaySpec:
-    """The pair (delta, zeta) with horizon constant K and bound M.
-
-    `validated` is set by :func:`validate_delay`; solver entry points require
-    a validated spec.
-    """
+    """The pair (delta, zeta) with horizon constant K."""
 
     delta: DelayForm
     zeta: DelayForm
     K: float
-    M: float = 1.0
-    validated: bool = False
+
+    @property
+    def M(self) -> float:
+        """Substitution bound of the pair: the larger of the two forms'."""
+        return max(self.delta.substitution_bound(), self.zeta.substitution_bound())
 
 
 def _check_form(form: DelayForm, grid: TimeGrid, name: str) -> None:
@@ -94,19 +93,14 @@ def _quadrature_check(form: DelayForm, grid: TimeGrid, M: float) -> None:
 
 
 def validate_delay(spec: DelaySpec, grid: TimeGrid) -> DelaySpec:
-    """Check positivity and the horizon bound on grid nodes; certify M.
-
-    Returns a copy of the spec with `validated=True` and M set to the
-    analytic bound for the represented forms (checked by quadrature).
-    """
+    """Check positivity and the horizon bound on grid nodes, and the analytic
+    bound M by quadrature; returns the spec."""
     if abs(spec.K - grid.K) > 1e-12 * max(1.0, grid.K):
         raise A1Violation(f"spec K={spec.K} disagrees with grid K={grid.K}")
     for form, name in ((spec.delta, "delta"), (spec.zeta, "zeta")):
         _check_form(form, grid, name)
-    M = max(spec.delta.substitution_bound(), spec.zeta.substitution_bound())
-    for form in (spec.delta, spec.zeta):
-        _quadrature_check(form, grid, M)
-    return DelaySpec(delta=spec.delta, zeta=spec.zeta, K=spec.K, M=M, validated=True)
+        _quadrature_check(form, grid, spec.M)
+    return spec
 
 
 @dataclass(frozen=True)
@@ -127,9 +121,9 @@ class GridOffsets:
 
 
 def to_grid_offsets(spec: DelaySpec, grid: TimeGrid) -> GridOffsets:
-    """Round anticipated times to grid indices for nodes 0..n_T."""
-    if not spec.validated:
-        spec = validate_delay(spec, grid)
+    """Validate the spec and round anticipated times to grid indices for
+    nodes 0..n_T."""
+    validate_delay(spec, grid)
     ks = np.arange(grid.n_T + 1)
     t = ks * grid.h
     offsets = []
@@ -161,10 +155,9 @@ def segment_interval(spec: DelaySpec, grid: TimeGrid) -> Segmentation:
     t_i is the smallest grid node t such that for every grid node s in
     [t, T], both s + delta(s) and s + zeta(s) reach at least t_{i-1}.  The
     scan stops at t_i = 0; for maps bounded below by h this takes at most
-    n_T rounds.
+    n_T rounds.  The spec is validated first.
     """
-    if not spec.validated:
-        spec = validate_delay(spec, grid)
+    validate_delay(spec, grid)
     t_nodes = grid.times[: grid.n_T + 1]
     reach = np.minimum(t_nodes + spec.delta(t_nodes), t_nodes + spec.zeta(t_nodes))
     # suffix_min[k] = min over grid s >= t_k of min(s+delta, s+zeta)

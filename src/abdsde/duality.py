@@ -267,7 +267,7 @@ def duality_check(coeffs: LinearDualityCoeffs, T: float, h: float,
         sol = solve_backward_sweep(coeffs.scenario(grid), paths, backend)
         rhs, stderr = duality_rhs(coeffs, paths.dB[:n_outer], grid, k0,
                                   n_inner, (grid_seed, 104729))
-        resid = np.abs(sol.Y.values[:n_outer, k0, 0] - rhs)
+        resid = np.abs(sol.Y[:n_outer, k0, 0] - rhs)
         if factor == 1:
             fine = (resid, stderr, sol, rhs)
         else:
@@ -328,14 +328,14 @@ def measurability_check(sol: SolutionProcess, paths: PathEnsemble, k0: int,
     the scale of that noise.
     """
     grid = sol.grid
-    z = sol.Z.values[:, k0: grid.n_T]
+    z = sol.Z[:, k0: grid.n_T]
     z_norm = float(np.sqrt(np.mean(np.sum(z ** 2, axis=(2, 3)).sum(axis=1) * grid.h)))
     if tol_z is None:
         n_features = RegressionBasis(degree=2).n_features(paths.d + paths.l)
         tol_z = np.sqrt(n_features / (grid.h * paths.n_paths)) \
-            * max(1.0, float(np.abs(sol.Y.values).max()))
+            * max(1.0, float(np.abs(sol.Y).max()))
     r2 = [
-        _r2_on_b_features(sol.Y.values[:, k, 0], paths, k)
+        _r2_on_b_features(sol.Y[:, k, 0], paths, k)
         for k in range(k0, grid.n_T)
     ]
     return MeasurabilityReport(z_norm=z_norm,

@@ -228,59 +228,32 @@ def sample_paths(grid: TimeGrid, d: int, l: int, P: int, seed: SeedLike) -> Path
     return PathEnsemble(grid=grid, dW=dW, dB=dB)
 
 
-@dataclass
-class PathProcess:
-    """Grid-indexed values of a process, shape (P, n_nodes, *dims).
-
-    dims is (m,) for Y-like processes and (m, d) for Z-like processes.
-    """
-
-    grid: TimeGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.values.shape[1] != self.grid.n_nodes:
-            raise ShapeMismatch(
-                f"process needs {self.grid.n_nodes} nodes, got {self.values.shape}"
-            )
-
-    @property
-    def n_paths(self) -> int:
-        return self.values.shape[0]
-
-
-def _values(Z) -> np.ndarray:
-    return Z.values if isinstance(Z, PathProcess) else np.asarray(Z)
-
-
 def forward_integral(Z, paths: PathEnsemble, k_from: int, k_to: int) -> np.ndarray:
     """Left-endpoint discretization of the forward integral of Z against dW.
 
-    Z has per-node values in R^{m x d}; returns per-path values in R^m:
+    Z holds per-node values in R^{m x d}, shape (P, n_nodes, m, d); returns per-path values in R^m:
     sum_{k=k_from}^{k_to-1} Z_k dW_k.
     """
-    vals = _values(Z)
     if not (0 <= k_from <= k_to <= paths.grid.n_end):
         raise ValueError(f"bad node range [{k_from}, {k_to}]")
-    if vals.ndim != 4 or vals.shape[3] != paths.d:
+    if Z.ndim != 4 or Z.shape[3] != paths.d:
         raise ShapeMismatch(
-            f"integrand must have shape (P, nodes, m, {paths.d}), got {vals.shape}"
+            f"integrand must have shape (P, nodes, m, {paths.d}), got {Z.shape}"
         )
-    return np.einsum("pkmd,pkd->pm", vals[:, k_from:k_to], paths.dW[:, k_from:k_to])
+    return np.einsum("pkmd,pkd->pm", Z[:, k_from:k_to], paths.dW[:, k_from:k_to])
 
 
 def backward_integral(G, paths: PathEnsemble, k_from: int, k_to: int) -> np.ndarray:
     """Right-endpoint discretization of the backward integral of G against dB.
 
-    G has per-node values in R^{m x l}; returns per-path values in R^m:
+    G holds per-node values in R^{m x l}, shape (P, n_nodes, m, l); returns per-path values in R^m:
     sum_{k=k_from}^{k_to-1} G_{k+1} dB_k.
     """
-    vals = _values(G)
     if not (0 <= k_from <= k_to <= paths.grid.n_end):
         raise ValueError(f"bad node range [{k_from}, {k_to}]")
-    if vals.ndim != 4 or vals.shape[3] != paths.l:
+    if G.ndim != 4 or G.shape[3] != paths.l:
         raise ShapeMismatch(
-            f"integrand must have shape (P, nodes, m, {paths.l}), got {vals.shape}"
+            f"integrand must have shape (P, nodes, m, {paths.l}), got {G.shape}"
         )
     return np.einsum("pkml,pkl->pm",
-                     vals[:, k_from + 1:k_to + 1], paths.dB[:, k_from:k_to])
+                     G[:, k_from + 1:k_to + 1], paths.dB[:, k_from:k_to])

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .delays import DelaySpec, GridOffsets, to_grid_offsets, validate_delay
+from .delays import DelaySpec, GridOffsets, to_grid_offsets
 from .errors import NonFinite, ValidationError
 from .generators import GeneratorSpec, check_feasible
 from .grids import TimeGrid
@@ -50,21 +50,18 @@ def make_scenario(grid: TimeGrid, generator: GeneratorSpec,
                   delay: DelaySpec | None = None,
                   implicit_iters: int = 1) -> Scenario:
     offsets = None
-    M = 1.0
     if generator.anticipates and delay is None:
         raise ValidationError(
             f"generator '{generator.name}' anticipates but no delay "
             "spec was provided")
     if delay is not None:
-        delay = validate_delay(delay, grid)
-        offsets = to_grid_offsets(delay, grid)
-        M = delay.M
+        offsets = to_grid_offsets(delay, grid)  # validates the delay
         if offsets.max_snap_error > 1e-12:
             warnings.warn(
                 f"anticipation times are off-grid; snapping to nearest "
                 f"nodes with error up to {offsets.max_snap_error:.3g}",
                 stacklevel=2)
-    check_feasible(generator.lip, M)
+    check_feasible(generator.lip, 1.0 if delay is None else delay.M)
 
     # f(., 0, 0, 0) must be finite on grid nodes (square-integrability proxy)
     y0 = np.zeros((1, generator.m))

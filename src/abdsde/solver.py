@@ -57,7 +57,8 @@ from .delays import segment_interval
 from .errors import (Infeasible, NoConvergence, NonFinite, NonTermination,
                      ShapeMismatch)
 from .generators import check_feasible, LipschitzData
-from .paths import PathEnsemble, PathProcess
+from .grids import TimeGrid
+from .paths import PathEnsemble
 from .scenario import Scenario
 
 #: gamma would degenerate to 0 when c = 0; any positive value keeps the
@@ -67,19 +68,25 @@ GAMMA_FLOOR = 1e-6
 
 @dataclass
 class SolutionProcess:
-    """Grid-indexed (Y, Z) on [0, T+K] with run metadata."""
+    """Grid-indexed (Y, Z) on [0, T+K] with run metadata.
 
-    Y: PathProcess
-    Z: PathProcess
+    Y has shape (P, n_nodes, m) and Z has shape (P, n_nodes, m, d).
+    """
+
+    grid: TimeGrid
+    Y: np.ndarray
+    Z: np.ndarray
     metadata: dict = field(default_factory=dict)
 
-    @property
-    def grid(self):
-        return self.Y.grid
+    def __post_init__(self):
+        for name, values in (("Y", self.Y), ("Z", self.Z)):
+            if values.shape[1] != self.grid.n_nodes:
+                raise ShapeMismatch(f"{name} needs {self.grid.n_nodes} nodes, "
+                                    f"got shape {values.shape}")
 
     @property
     def n_paths(self) -> int:
-        return self.Y.n_paths
+        return self.Y.shape[0]
 
 
 @dataclass(frozen=True)
@@ -126,17 +133,15 @@ def weighted_norm(sol: SolutionProcess, params: ContractionParams) -> float:
     t = grid.times
     t_max = float(t[-1])
     w = np.exp(params.beta * (t - t_max))  # shifted to avoid overflow in the sum
-    y2 = np.sum(sol.Y.values ** 2, axis=2)
-    z2 = np.sum(sol.Z.values ** 2, axis=(2, 3))
+    y2 = np.sum(sol.Y ** 2, axis=2)
+    z2 = np.sum(sol.Z ** 2, axis=(2, 3))
     per_path = ((params.gamma * y2 + z2) * w[None, :]).sum(axis=1) * grid.h
     return math.exp(0.5 * params.beta * t_max) * math.sqrt(float(per_path.mean()))
 
 
 def weighted_distance(a: SolutionProcess, b: SolutionProcess,
                       params: ContractionParams) -> float:
-    diff = SolutionProcess(
-        Y=PathProcess(grid=a.grid, values=a.Y.values - b.Y.values),
-        Z=PathProcess(grid=a.grid, values=a.Z.values - b.Z.values))
+    diff = SolutionProcess(grid=a.grid, Y=a.Y - b.Y, Z=a.Z - b.Z)
     return weighted_norm(diff, params)
 
 
@@ -194,7 +199,7 @@ def solve_backward_sweep(scenario: Scenario, paths: PathEnsemble, backend,
             raise ShapeMismatch("frozen process lives on a different grid")
         if frozen.n_paths != paths.n_paths:
             raise ShapeMismatch("frozen process holds a different path count")
-        ant_Y, ant_Z = frozen.Y.values, frozen.Z.values
+        ant_Y, ant_Z = frozen.Y, frozen.Z
     P = paths.n_paths
     n_z, n_e = gen.m * gen.d, gen.q_total
     # All of node k's targets, [Z target | raw functionals | Y target], in
@@ -247,14 +252,9 @@ def solve_backward_sweep(scenario: Scenario, paths: PathEnsemble, backend,
             segmentation = segment_interval(scenario.delay, grid).points
         except NonTermination:
             segmentation = None
-    meta = {
-        "backend": getattr(backend, "describe", lambda: str(backend))(),
-        "implicit_iters": scenario.implicit_iters,
-        "ybar_residual_rms": resid,
-        "segmentation": segmentation,
-    }
-    return SolutionProcess(Y=PathProcess(grid=grid, values=Y),
-                           Z=PathProcess(grid=grid, values=Z), metadata=meta)
+    return SolutionProcess(grid=grid, Y=Y, Z=Z,
+                           metadata={"ybar_residual_rms": resid,
+                                     "segmentation": segmentation})
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +265,7 @@ def default_initial(scenario: Scenario, paths: PathEnsemble) -> SolutionProcess:
     """(y0, z0) = (xi_T extended constantly backward, 0), terminal part kept."""
     Y, Z = _alloc(scenario, paths)
     Y[:, : scenario.grid.n_T] = Y[:, scenario.grid.n_T][:, None, :]
-    return SolutionProcess(Y=PathProcess(grid=scenario.grid, values=Y),
-                           Z=PathProcess(grid=scenario.grid, values=Z),
-                           metadata={"initial": "terminal-extension"})
+    return SolutionProcess(grid=scenario.grid, Y=Y, Z=Z)
 
 
 def constant_initial(scenario: Scenario, paths: PathEnsemble,
@@ -275,9 +273,7 @@ def constant_initial(scenario: Scenario, paths: PathEnsemble,
     """(y0, z0) = (constant, 0) on [0, T), terminal part kept."""
     Y, Z = _alloc(scenario, paths)
     Y[:, : scenario.grid.n_T] = value
-    return SolutionProcess(Y=PathProcess(grid=scenario.grid, values=Y),
-                           Z=PathProcess(grid=scenario.grid, values=Z),
-                           metadata={"initial": f"constant({value})"})
+    return SolutionProcess(grid=scenario.grid, Y=Y, Z=Z)
 
 
 def picard_iterate(scenario: Scenario, paths: PathEnsemble, backend,
@@ -303,8 +299,6 @@ def picard_iterate(scenario: Scenario, paths: PathEnsemble, backend,
         log.append(dist)
         current = nxt
         if dist < tol:
-            current.metadata["picard_distances"] = tuple(log)
-            current.metadata["iterations"] = len(log)
             return current, log
     raise NoConvergence(
         f"distance {log[-1]:.3g} >= tol {tol:.3g} after {max_iter} iterations")

@@ -26,7 +26,7 @@ import numpy as np
 from .condexp import ExactTreeBackend
 from .errors import ShapeMismatch, TooLarge
 from .grids import TimeGrid
-from .paths import PathEnsemble, PathProcess
+from .paths import PathEnsemble
 
 MAX_STEPS = 8
 
@@ -160,7 +160,4 @@ def oracle_solve(scenario, tree: TreeModel):
             y_hat = y_bar + h * np.asarray(f_val)[:, 0]
         Y[:, k] = y_hat
 
-    return SolutionProcess(
-        Y=PathProcess(grid=grid, values=Y[:, :, None]),
-        Z=PathProcess(grid=grid, values=Z[:, :, None, None]),
-        metadata={"backend": f"oracle(tree, steps={n})"})
+    return SolutionProcess(grid=grid, Y=Y[:, :, None], Z=Z[:, :, None, None])

@@ -64,8 +64,8 @@ def test_criterion1_oracle_equivalence():
         sweep = solve_backward_sweep(scen, tree.ensemble, tree.backend())
         exact = oracle_solve(scen, tree)
         worst = max(worst,
-                    float(np.abs(sweep.Y.values - exact.Y.values).max()),
-                    float(np.abs(sweep.Z.values - exact.Z.values).max()))
+                    float(np.abs(sweep.Y - exact.Y).max()),
+                    float(np.abs(sweep.Z - exact.Z).max()))
     elapsed = time.time() - start
     ok = worst <= 1e-10 and elapsed < 10.0
     assert _report("1 oracle equivalence", ok,
@@ -112,7 +112,7 @@ def _linear_y0(h: float, P: int = 10**5) -> float:
                          constant_terminal(1.0))
     paths = sample_paths(grid, 1, 1, P, seed=7)
     sol = solve_backward_sweep(scen, paths, RegressionBackend())
-    return float(sol.Y.values[:, 0, 0].mean())
+    return float(sol.Y[:, 0, 0].mean())
 
 
 def test_criterion3_closed_form_tolerance():
@@ -146,7 +146,7 @@ def test_criterion4_anticipated_deterministic_value():
     scen = make_scenario(grid, gen, constant_terminal(1.0), delay=delay)
     paths = sample_paths(grid, 1, 1, 4096, seed=7)
     sol = solve_backward_sweep(scen, paths, RegressionBackend())
-    err = abs(float(sol.Y.values[:, 0, 0].mean()) - 2.125)
+    err = abs(float(sol.Y[:, 0, 0].mean()) - 2.125)
     elapsed = time.time() - start
     ok = err <= 0.02 and elapsed < 60.0
     assert _report("4 anticipated deterministic", ok,
@@ -184,7 +184,7 @@ def test_criterion5_segmentation():
     segd = default_initial(scen, tree.ensemble)
     for _ in range(segment_interval(scen.delay, grid_c).N):
         segd = solve_backward_sweep(scen, tree.ensemble, tree.backend(), frozen=segd)
-    equiv = float(np.abs(glob.Y.values - segd.Y.values).max())
+    equiv = float(np.abs(glob.Y - segd.Y).max())
     elapsed = time.time() - start
     ok = const_ok and affine_ok and equiv <= 1e-12 and elapsed < 5.0
     assert _report("5 segmentation", ok,
@@ -211,7 +211,7 @@ def test_criterion6_comparison():
     tree = tree_for_grid(grid_t)
     s1, s2 = _example41_pair(grid_t)
     tree_report = run_comparison(s1, s2, tree.ensemble, tree.backend(),
-                                 epsilon=0.0, calibrate=False)
+                                 epsilon=0.0)
     tree_ok = tree_report.margins.min() >= -1e-10
 
     grid_m = make_grid(0.5, 0.5, 1.0 / 32)
@@ -270,7 +270,7 @@ def test_criterion8_measurability():
                                    delta=0.2, t0=0.2)
     sol_t = solve_backward_sweep(coeffs_t.scenario(grid_t), tree.ensemble,
                                  tree.backend())
-    z_tree = float(np.abs(sol_t.Z.values[:, : grid_t.n_T]).max())
+    z_tree = float(np.abs(sol_t.Z[:, : grid_t.n_T]).max())
     tree_ok = z_tree == 0.0
 
     # Monte Carlo: the Z norm shrinks along a 3-level (h, P) ladder and the

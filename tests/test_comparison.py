@@ -25,7 +25,7 @@ def test_identical_scenarios_zero_margins():
                          constant_terminal(1.0))
     paths = sample_paths(grid, 1, 1, 512, seed=11)
     report = run_comparison(scen, scen, paths, RegressionBackend(),
-                            epsilon=0.0, calibrate=False)
+                            epsilon=0.0)
     assert np.all(report.margins == 0.0)
     assert report.violation_fraction(0.0) == 0.0
 
@@ -41,7 +41,7 @@ def test_linear_pair_margin_matches_closed_form():
                            constant_terminal(1.0))
         paths = sample_paths(grid, 1, 1, 128, seed=12)
         report = run_comparison(s1, s2, paths, RegressionBackend(),
-                                epsilon=0.0, calibrate=False)
+                                epsilon=0.0)
         errs.append(abs(report.mean_margin[0] - (math.e - 1.0)))
     assert errs[-1] <= 0.03
     assert all(a > b for a, b in zip(errs, errs[1:]))
@@ -75,9 +75,20 @@ def test_example41_pair_tree_margins_nonnegative():
     tree = tree_for_grid(grid)
     s1, s2 = _example41_pair(grid, 0.4)
     report = run_comparison(s1, s2, tree.ensemble, tree.backend(),
-                            epsilon=0.0, calibrate=False)
+                            epsilon=0.0)
     assert report.margins.min() >= -1e-10
     assert report.violation_fraction(0.0) == 0.0
+
+
+def test_exact_backend_run_tolerance_is_zero():
+    # an even grid that would coarsen: the exact backend has no regression
+    # noise and no coarser tree to refine against, so eps* is 0
+    grid = make_grid(0.8, 0.4, 0.2)
+    tree = tree_for_grid(grid)
+    s1, s2 = _example41_pair(grid, 0.4)
+    report = run_comparison(s1, s2, tree.ensemble, tree.backend())
+    assert report.run_tolerance == 0.0 and report.epsilon == 0.0
+    assert report.passed
 
 
 def test_example41_pair_monte_carlo_violations_vanish():
@@ -102,11 +113,11 @@ def test_joint_sweep_matches_separate_sweeps(backend_kind, tolerance):
         grid = make_grid(0.5, 0.5, 1 / 32)
         paths, backend = sample_paths(grid, 1, 1, 4096, seed=21), RegressionBackend()
     s1, s2 = _example41_pair(grid, grid.K)
-    report = run_comparison(s1, s2, paths, backend, calibrate=False)
+    report = run_comparison(s1, s2, paths, backend)
     for joint, scen in ((report.sol1, s1), (report.sol2, s2)):
         alone = solve_backward_sweep(scen, paths, backend)
-        assert np.abs(joint.Y.values - alone.Y.values).max() <= tolerance
-        assert np.abs(joint.Z.values - alone.Z.values).max() <= tolerance
+        assert np.abs(joint.Y - alone.Y).max() <= tolerance
+        assert np.abs(joint.Z - alone.Z).max() <= tolerance
         resid = joint.metadata["ybar_residual_rms"]
         for k, rms in alone.metadata["ybar_residual_rms"].items():
             assert np.abs(np.subtract(resid[k], rms)).max() <= tolerance
@@ -144,8 +155,7 @@ def test_pair_must_share_delay_and_implicit_iters():
                              implicit_iters=3)
     for other in (shorter, iterated):
         with pytest.raises(ValidationError):
-            run_comparison(s1, other, tree.ensemble, tree.backend(),
-                           calibrate=False)
+            run_comparison(s1, other, tree.ensemble, tree.backend())
 
 
 def test_constant_component_gets_exactly_zero_z():
@@ -156,10 +166,10 @@ def test_constant_component_gets_exactly_zero_z():
     s2 = make_scenario(grid, builtin_generator("linear_bsde", a=0.5, rho=0.0),
                        TerminalSpec(name="scaled_wt", params={"a": 0.5, "b": 1.0}))
     paths = sample_paths(grid, 1, 1, 4096, seed=5)
-    report = run_comparison(s1, s2, paths, RegressionBackend(), calibrate=False)
-    assert np.all(report.sol1.Z.values == 0.0)
-    assert np.all(report.sol1.Y.values == 5.0)
-    assert np.all(report.sol2.Z.values[:, 0] != 0.0)
+    report = run_comparison(s1, s2, paths, RegressionBackend())
+    assert np.all(report.sol1.Z == 0.0)
+    assert np.all(report.sol1.Y == 5.0)
+    assert np.all(report.sol2.Z[:, 0] != 0.0)
 
 
 @settings(max_examples=50, deadline=None)

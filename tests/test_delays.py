@@ -15,7 +15,7 @@ def _spec(delta, zeta=None, K=0.0):
 def test_validate_constant_delay():
     grid = make_grid(1.0, 0.4, 0.05)
     spec = validate_delay(_spec(constant_delay(0.4), K=0.4), grid)
-    assert spec.validated and spec.M == 1.0
+    assert spec.M == 1.0
 
 
 def test_validate_affine_delay_substitution_bound():
@@ -34,6 +34,22 @@ def test_horizon_violation():
     grid = make_grid(1.0, 0.3, 0.05)
     with pytest.raises(A1Violation):
         validate_delay(_spec(constant_delay(0.4), K=0.3), grid)
+
+
+def test_offsets_check_the_spec_against_their_own_grid():
+    # a spec that fits a long horizon is checked again on a shorter one
+    spec = validate_delay(_spec(constant_delay(0.4), K=0.4), make_grid(1.0, 0.4, 0.05))
+    with pytest.raises(A1Violation):
+        to_grid_offsets(spec, make_grid(1.0, 0.3, 0.05))
+    with pytest.raises(A1Violation):
+        segment_interval(spec, make_grid(1.0, 0.3, 0.05))
+
+
+def test_substitution_bound_comes_from_the_forms():
+    # u = 0.5 s + 1 stretches the integral by 2, unvalidated or not
+    assert _spec(affine_delay(1.0, -0.5)).M == 2.0
+    assert _spec(constant_delay(0.4), affine_delay(1.0, -0.5)).M == 2.0
+    assert _spec(constant_delay(0.4)).M == 1.0
 
 
 def test_non_positive_delay():
@@ -161,6 +177,6 @@ def test_segmentation_matches_brute_force_scan(delta):
 def test_segmentation_subgrid_delay_guard():
     grid = make_grid(1.0, 0.125, 0.125)
     spec = DelaySpec(delta=constant_delay(0.01), zeta=constant_delay(0.01),
-                     K=0.125, M=1.0, validated=True)
+                     K=0.125)
     with pytest.raises(NonTermination):
         segment_interval(spec, grid)

@@ -105,7 +105,7 @@ def test_both_duality_sides_converge_to_the_ode_reference():
         rep = duality_check(coeffs, T=1.0, h=h, P=128, n_outer=4, inner=4,
                             seed=5, tol_mean=1.0)
         k0 = rep.solution.grid.index_of(0.25)
-        errs_solver.append(abs(float(rep.solution.Y.values[0, k0, 0]) - reference))
+        errs_solver.append(abs(float(rep.solution.Y[0, k0, 0]) - reference))
         errs_rhs.append(abs(float(rep.rhs[0]) - reference))
         assert errs_solver[-1] <= 2 * h * 0.05
         assert errs_rhs[-1] <= 2 * h * 0.05
@@ -201,7 +201,7 @@ def test_tree_duality_exact_for_scalar_drift_families():
         k0 = grid.index_of(0.25)
         outer = tree.ensemble.dB[:5]
         rhs, _ = duality_rhs(coeffs, outer, grid, k0, inner=2, seed=(8,))
-        resid = np.abs(sol.Y.values[:5, k0, 0] - rhs)
+        resid = np.abs(sol.Y[:5, k0, 0] - rhs)
         assert resid.max() <= 1e-9
 
 

@@ -5,7 +5,7 @@ import abdsde.paths
 from abdsde.errors import ShapeMismatch
 from abdsde.grids import make_grid
 from abdsde.paths import (_DRAW_ROWS, _ForwardSums, backward_integral,
-                          forward_integral, PathEnsemble, PathProcess, sample_paths)
+                          forward_integral, PathEnsemble, sample_paths)
 from abdsde.tree import build_tree
 
 
@@ -59,27 +59,23 @@ def test_drivers_uncorrelated():
     assert abs(corr) < 5 / np.sqrt(paths.dW.size)
 
 
-def _wrap(vals):
-    return PathProcess(grid=GRID, values=vals)
-
-
 def test_forward_integral_zero_and_constant():
     paths = sample_paths(GRID, 1, 1, 200, seed=1)
     P, n = 200, GRID.n_nodes
     zero = np.zeros((P, n, 1, 1))
-    assert np.all(forward_integral(_wrap(zero), paths, 0, GRID.n_end) == 0.0)
+    assert np.all(forward_integral(zero, paths, 0, GRID.n_end) == 0.0)
     const = np.full((P, n, 1, 1), 1.7)
     w_total = paths.w_at(GRID.n_end) - paths.w_at(2)
-    got = forward_integral(_wrap(const), paths, 2, GRID.n_end)
+    got = forward_integral(const, paths, 2, GRID.n_end)
     assert np.allclose(got, 1.7 * w_total, atol=1e-12)
 
 
 def test_backward_integral_constant_matches_forward():
     paths = sample_paths(GRID, 1, 1, 200, seed=2)
     const = np.full((200, GRID.n_nodes, 1, 1), -0.3)
-    f = forward_integral(_wrap(const), paths, 1, 7)
+    f = forward_integral(const, paths, 1, 7)
     # with the same constant integrand both rules telescope identically
-    b = backward_integral(_wrap(const), paths, 1, 7)
+    b = backward_integral(const, paths, 1, 7)
     b_direct = -0.3 * (paths.b_at(7) - paths.b_at(1))
     assert np.allclose(b, b_direct, atol=1e-12)
     f_direct = -0.3 * (paths.w_at(7) - paths.w_at(1))

@@ -160,6 +160,25 @@ def test_compare_command(tmp_path):
     assert all(m > 0 for m in margins)
 
 
+def test_compare_command_on_the_exact_backend(tmp_path):
+    # six even steps would coarsen, but the exact backend conditions only on
+    # its own tree: the run tolerance is 0 and the ordering holds exactly
+    scenario = _write(tmp_path, "cmp.yaml", """
+        grid: {T: 0.8, K: 0.4, h: 0.2}
+        delay: {delta: 0.4}
+        generator: {name: example41_f1}
+        terminal: {name: scaled_wt, params: {a: 0.5, b: 1.5}}
+        backend: {kind: exact}
+        compare:
+          generator: {name: example41_f2}
+          terminal: {name: scaled_wt, params: {a: 0.5, b: 1.0}}
+    """)
+    out = tmp_path / "cmp.csv"
+    assert run("compare", scenario, str(out)) == 0
+    text = out.read_text()
+    assert "# run_tolerance = 0\n" in text and "# result = PASS\n" in text
+
+
 @pytest.mark.parametrize("compare", [
     "{generator: {name: no_such_generator}}",
     "{terminal: {name: constant, params: {value: 1.0, bogus: 2.0}}}",
@@ -229,6 +248,18 @@ def test_duality_delay_other_than_the_constant_k_exits_two(tmp_path, delay):
     config["delay"] = delay
     Path(path).write_text(yaml.safe_dump(config))
     with pytest.raises(ValidationError, match="delay"):
+        load_scenario(path)
+    assert run("duality", path, str(tmp_path / "d.csv")) == 2
+
+
+def test_duality_implicit_iters_other_than_one_exits_two(tmp_path):
+    # the duality harness solves with one implicit pass, so any other
+    # solver section would be ignored by the duality residuals
+    path = _duality_small(tmp_path, "iters", {}, dict)
+    config = yaml.safe_load(Path(path).read_text())
+    config["solver"] = {"implicit_iters": 3}
+    Path(path).write_text(yaml.safe_dump(config))
+    with pytest.raises(ValidationError, match="implicit_iters"):
         load_scenario(path)
     assert run("duality", path, str(tmp_path / "d.csv")) == 2
 

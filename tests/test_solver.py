@@ -8,10 +8,10 @@ import pytest
 from abdsde import cli
 from abdsde.condexp import RegressionBackend
 from abdsde.delays import affine_delay, constant_delay, DelaySpec, segment_interval
-from abdsde.errors import Infeasible, NoConvergence, NonFinite
+from abdsde.errors import Infeasible, NoConvergence, NonFinite, ShapeMismatch
 from abdsde.generators import builtin_generator, GeneratorSpec, LipschitzData
 from abdsde.grids import make_grid
-from abdsde.paths import PathProcess, sample_paths
+from abdsde.paths import sample_paths
 from abdsde.scenario import make_scenario
 from abdsde.solver import (constant_initial, contraction_params,
                            default_initial, picard_iterate, SolutionProcess,
@@ -59,8 +59,15 @@ def test_contraction_params_degenerate_c():
 # ---------------------------------------------------------------------------
 
 def _process(grid, y, z):
-    return SolutionProcess(Y=PathProcess(grid=grid, values=y),
-                           Z=PathProcess(grid=grid, values=z))
+    return SolutionProcess(grid=grid, Y=y, Z=z)
+
+
+def test_solution_process_checks_the_node_count():
+    grid = make_grid(1.0, 0.5, 0.25)  # 7 nodes
+    with pytest.raises(ShapeMismatch):
+        _process(grid, np.zeros((8, 6, 1)), np.zeros((8, 7, 1, 1)))
+    with pytest.raises(ShapeMismatch):
+        _process(grid, np.zeros((8, 7, 1)), np.zeros((8, 8, 1, 1)))
 
 
 def test_weighted_norm_zero_process():
@@ -109,8 +116,8 @@ def test_zero_generator_exact():
     scen = make_scenario(grid, builtin_generator("zero"), constant_terminal(2.0))
     paths = sample_paths(grid, 1, 1, 256, seed=1)
     sol = solve_backward_sweep(scen, paths, RegressionBackend())
-    assert np.all(sol.Y.values == 2.0)
-    assert np.all(sol.Z.values == 0.0)
+    assert np.all(sol.Y == 2.0)
+    assert np.all(sol.Z == 0.0)
 
 
 def test_terminal_part_pinned_bitwise():
@@ -122,8 +129,8 @@ def test_terminal_part_pinned_bitwise():
     term = scen.terminal_data(paths)
     sol = solve_backward_sweep(scen, paths, RegressionBackend())
     for k in range(grid.n_T, grid.n_end + 1):
-        assert np.array_equal(sol.Y.values[:, k], term.xi_at(k))
-        assert np.array_equal(sol.Z.values[:, k], term.eta_at(k))
+        assert np.array_equal(sol.Y[:, k], term.xi_at(k))
+        assert np.array_equal(sol.Z[:, k], term.eta_at(k))
 
 
 def test_linear_closed_form_first_order_convergence():
@@ -135,7 +142,7 @@ def test_linear_closed_form_first_order_convergence():
                              constant_terminal(1.0))
         paths = sample_paths(grid, 1, 1, 128, seed=3)
         sol = solve_backward_sweep(scen, paths, RegressionBackend())
-        errs[h] = abs(sol.Y.values[0, 0, 0] - (2 * math.e - 1))
+        errs[h] = abs(sol.Y[0, 0, 0] - (2 * math.e - 1))
         assert errs[h] == pytest.approx(math.e * h, rel=0.1)
     assert errs[1 / 32] / errs[1 / 16] == pytest.approx(0.5, abs=0.05)
 
@@ -148,7 +155,7 @@ def test_anticipated_deterministic_closed_form():
     scen = make_scenario(grid, gen, constant_terminal(1.0), delay=delay)
     paths = sample_paths(grid, 1, 1, 128, seed=4)
     sol = solve_backward_sweep(scen, paths, RegressionBackend())
-    y = sol.Y.values[0, :, 0]
+    y = sol.Y[0, :, 0]
     t = grid.times
     upper = t >= 0.5
     assert np.allclose(y[upper & (t <= 1.0)], (2.0 - t)[upper & (t <= 1.0)],
@@ -171,7 +178,7 @@ def test_affine_delay_deterministic_closed_form():
                                  constant_terminal(1.0), delay=delay)
         paths = sample_paths(grid, 1, 1, 128, seed=2)
         sol = solve_backward_sweep(scen, paths, RegressionBackend())
-        errs.append(abs(float(sol.Y.values[0, 0, 0]) - 25.0 / 12.0))
+        errs.append(abs(float(sol.Y[0, 0, 0]) - 25.0 / 12.0))
         assert errs[-1] <= h
     assert errs[1] < errs[0]
 
@@ -186,9 +193,9 @@ def test_two_dimensional_w_martingale_representation():
                         eta=np.zeros((20000, 1, 1, 2)))
     scen = make_scenario(grid, builtin_generator("zero", d=2), term)
     sol = solve_backward_sweep(scen, paths, RegressionBackend())
-    z_mean = sol.Z.values[:, 8, 0, :].mean(axis=0)
+    z_mean = sol.Z[:, 8, 0, :].mean(axis=0)
     assert np.allclose(z_mean, 0.5, atol=0.02)
-    assert abs(sol.Y.values[:, 0, 0].mean()) < 0.05
+    assert abs(sol.Y[:, 0, 0].mean()) < 0.05
 
 
 def test_nonfinite_generator_detected():
@@ -227,7 +234,7 @@ def test_implicit_iters_flips_error_sign():
         make_scenario(grid, gen, constant_terminal(1.0), implicit_iters=8),
         paths, RegressionBackend())
     exact = 2 * math.e - 1
-    assert explicit.Y.values[0, 0, 0] < exact < refined.Y.values[0, 0, 0]
+    assert explicit.Y[0, 0, 0] < exact < refined.Y[0, 0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +255,8 @@ def test_sweep_is_fixed_point_of_map():
     scen, tree = _example41_tree_setup()
     sweep = solve_backward_sweep(scen, tree.ensemble, tree.backend())
     mapped = solve_backward_sweep(scen, tree.ensemble, tree.backend(), frozen=sweep)
-    assert np.abs(mapped.Y.values - sweep.Y.values).max() <= 1e-10
-    assert np.abs(mapped.Z.values - sweep.Z.values).max() <= 1e-10
+    assert np.abs(mapped.Y - sweep.Y).max() <= 1e-10
+    assert np.abs(mapped.Z - sweep.Z).max() <= 1e-10
 
 
 def test_map_ignores_frozen_input_for_zero_generator():
@@ -261,8 +268,8 @@ def test_map_ignores_frozen_input_for_zero_generator():
                              frozen=constant_initial(scen, tree.ensemble, 0.0))
     b = solve_backward_sweep(scen, tree.ensemble, tree.backend(),
                              frozen=constant_initial(scen, tree.ensemble, 10.0))
-    assert np.array_equal(a.Y.values, b.Y.values)
-    assert np.array_equal(a.Z.values, b.Z.values)
+    assert np.array_equal(a.Y, b.Y)
+    assert np.array_equal(a.Z, b.Z)
 
 
 def test_map_contracts_random_inputs():
@@ -273,10 +280,10 @@ def test_map_contracts_random_inputs():
         u = default_initial(scen, tree.ensemble)
         v = default_initial(scen, tree.ensemble)
         n_T = scen.grid.n_T
-        u.Y.values[:, :n_T] += rng.normal(size=u.Y.values[:, :n_T].shape)
-        v.Y.values[:, :n_T] += rng.normal(size=v.Y.values[:, :n_T].shape)
-        u.Z.values[:, :n_T] += rng.normal(size=u.Z.values[:, :n_T].shape)
-        v.Z.values[:, :n_T] += rng.normal(size=v.Z.values[:, :n_T].shape)
+        u.Y[:, :n_T] += rng.normal(size=u.Y[:, :n_T].shape)
+        v.Y[:, :n_T] += rng.normal(size=v.Y[:, :n_T].shape)
+        u.Z[:, :n_T] += rng.normal(size=u.Z[:, :n_T].shape)
+        v.Z[:, :n_T] += rng.normal(size=v.Z[:, :n_T].shape)
         iu = solve_backward_sweep(scen, tree.ensemble, tree.backend(), frozen=u)
         iv = solve_backward_sweep(scen, tree.ensemble, tree.backend(), frozen=v)
         num = weighted_distance(iu, iv, params)
@@ -290,7 +297,7 @@ def test_picard_zero_generator_one_iteration():
     scen = make_scenario(grid, builtin_generator("zero"), constant_terminal(1.5))
     sol, log = picard_iterate(scen, tree.ensemble, tree.backend(), tol=1e-9)
     assert len(log) == 1 and log[0] == 0.0
-    assert np.all(sol.Y.values == 1.5)
+    assert np.all(sol.Y == 1.5)
 
 
 def test_picard_ratios_bounded_by_contraction_factor():
@@ -318,7 +325,7 @@ def test_picard_matches_single_sweep():
     scen, tree = _example41_tree_setup()
     sweep = solve_backward_sweep(scen, tree.ensemble, tree.backend())
     sol, _ = picard_iterate(scen, tree.ensemble, tree.backend(), tol=1e-9)
-    assert np.abs(sol.Y.values - sweep.Y.values).max() <= 1e-10
+    assert np.abs(sol.Y - sweep.Y).max() <= 1e-10
 
 
 def test_picard_on_regression_backend_converges():
@@ -329,7 +336,7 @@ def test_picard_on_regression_backend_converges():
     paths = sample_paths(grid, 1, 1, 512, seed=6)
     sol, log = picard_iterate(scen, paths, RegressionBackend(), tol=1e-9)
     sweep = solve_backward_sweep(scen, paths, RegressionBackend())
-    assert np.abs(sol.Y.values - sweep.Y.values).max() <= 1e-12
+    assert np.abs(sol.Y - sweep.Y).max() <= 1e-12
 
 
 def test_one_condexp_call_per_node_and_functionals_once_per_node(monkeypatch):
@@ -382,16 +389,16 @@ def test_segmented_equals_global_zero_generator():
     paths = sample_paths(grid, 1, 1, 512, seed=8)
     a = solve_backward_sweep(scen, paths, RegressionBackend())
     b = _piecewise(scen, paths, RegressionBackend())
-    assert np.array_equal(a.Y.values, b.Y.values)
-    assert np.array_equal(a.Z.values, b.Z.values)
+    assert np.array_equal(a.Y, b.Y)
+    assert np.array_equal(a.Z, b.Z)
 
 
 def test_segmented_equals_global_on_tree():
     scen, tree = _example41_tree_setup()
     a = solve_backward_sweep(scen, tree.ensemble, tree.backend())
     b = _piecewise(scen, tree.ensemble, tree.backend())
-    assert np.abs(a.Y.values - b.Y.values).max() <= 1e-12
-    assert np.abs(a.Z.values - b.Z.values).max() <= 1e-12
+    assert np.abs(a.Y - b.Y).max() <= 1e-12
+    assert np.abs(a.Z - b.Z).max() <= 1e-12
     assert b.metadata["segmentation"] == (0.75, 0.5, 0.25, 0.0)
 
 
@@ -404,7 +411,7 @@ def test_segmented_single_segment_when_delay_covers_horizon():
     b = _piecewise(scen, paths, RegressionBackend())
     assert b.metadata["segmentation"] == (0.5, 0.0)
     a = solve_backward_sweep(scen, paths, RegressionBackend())
-    assert np.array_equal(a.Y.values, b.Y.values)
+    assert np.array_equal(a.Y, b.Y)
 
 
 def test_sub_step_delay_still_solves_without_segmentation():
@@ -417,7 +424,7 @@ def test_sub_step_delay_still_solves_without_segmentation():
     sol = solve_backward_sweep(scen, sample_paths(grid, 1, 1, 256, seed=1),
                                RegressionBackend())
     assert sol.metadata["segmentation"] is None
-    assert np.all(np.isfinite(sol.Y.values))
+    assert np.all(np.isfinite(sol.Y))
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +436,8 @@ def test_discrete_one_step_identity_on_tree():
     scen, tree = _example41_tree_setup()
     sol = solve_backward_sweep(scen, tree.ensemble, tree.backend())
     gen, grid = scen.generator, scen.grid
-    Y = sol.Y.values[:, :, 0]
-    Z = sol.Z.values[:, :, 0, 0]
+    Y = sol.Y[:, :, 0]
+    Z = sol.Z[:, :, 0, 0]
     h = grid.h
     for k in range(grid.n_T):
         off = scen.offsets
@@ -487,8 +494,8 @@ def test_per_node_slabs_are_contiguous():
     sol = solve_backward_sweep(built.scenario, paths, built.backend)
     for k in (0, built.grid.n_T - 1, built.grid.n_end):
         for i in range(built.scenario.generator.m):
-            assert sol.Y.values[:, k, i].flags.c_contiguous
-            assert sol.Z.values[:, k, i].flags.c_contiguous
+            assert sol.Y[:, k, i].flags.c_contiguous
+            assert sol.Z[:, k, i].flags.c_contiguous
         if k < built.grid.n_steps:
             assert paths.dW[:, k].flags.c_contiguous
             assert paths.dB[:, k].flags.c_contiguous
@@ -508,5 +515,5 @@ def test_built_terminal_data_is_read_only_and_solves_as_a_copy(name):
     copied = TerminalData(grid=grid, xi=term.xi.copy(), eta=term.eta.copy())
     sols = [solve_backward_sweep(make_scenario(grid, gen, t, delay=delay), paths,
                                  RegressionBackend()) for t in (term, copied)]
-    assert np.array_equal(sols[0].Y.values, sols[1].Y.values)
-    assert np.array_equal(sols[0].Z.values, sols[1].Z.values)
+    assert np.array_equal(sols[0].Y, sols[1].Y)
+    assert np.array_equal(sols[0].Z, sols[1].Z)

@@ -60,8 +60,8 @@ def test_oracle_martingale_representation_of_last_increment():
     xi = tree.ensemble.dW[:, 0, 0] / np.sqrt(h)
     scen = make_scenario(tree.grid, gen, _scalar_terminal(tree, xi))
     sol = oracle_solve(scen, tree)
-    assert sol.Y.values[:, 0, 0] == pytest.approx(0.0, abs=1e-14)
-    assert sol.Z.values[:, 0, 0, 0] == pytest.approx(1 / np.sqrt(h), abs=1e-12)
+    assert sol.Y[:, 0, 0] == pytest.approx(0.0, abs=1e-14)
+    assert sol.Z[:, 0, 0, 0] == pytest.approx(1 / np.sqrt(h), abs=1e-12)
 
 
 def test_oracle_constant_terminal():
@@ -70,8 +70,8 @@ def test_oracle_constant_terminal():
     scen = make_scenario(tree.grid, gen,
                          TerminalSpec(name="constant", params={"value": 2.5}))
     sol = oracle_solve(scen, tree)
-    assert np.all(sol.Y.values == 2.5)
-    assert np.all(sol.Z.values == 0.0)
+    assert np.all(sol.Y == 2.5)
+    assert np.all(sol.Z == 0.0)
 
 
 def test_oracle_b_only_terminal_is_w_free_with_zero_z():
@@ -85,10 +85,10 @@ def test_oracle_b_only_terminal_is_w_free_with_zero_z():
     term = TerminalSpec(name="scaled_b_tail", params={"a": 0.7, "b": 1.0})
     scen = make_scenario(grid, gen, term, delay=delay)
     sol = oracle_solve(scen, tree)
-    assert np.abs(sol.Z.values[:, : grid.n_T]).max() <= 1e-13
+    assert np.abs(sol.Z[:, : grid.n_T]).max() <= 1e-13
     for k in range(grid.n_T):
         ids = tree.f_atom_ids(k)
-        y = sol.Y.values[:, k, 0]
+        y = sol.Y[:, k, 0]
         for gid in np.unique(ids):
             assert np.ptp(y[ids == gid]) <= 1e-15
 
@@ -103,8 +103,8 @@ def test_oracle_measurability_audit():
     sol = oracle_solve(scen, tree)
     for k in range(grid.n_T):
         ids = tree.f_atom_ids(k)
-        y = sol.Y.values[:, k, 0]
-        z = sol.Z.values[:, k, 0, 0]
+        y = sol.Y[:, k, 0]
+        z = sol.Z[:, k, 0, 0]
         for gid in np.unique(ids):
             assert np.ptp(y[ids == gid]) <= 1e-14
             assert np.ptp(z[ids == gid]) <= 1e-14
@@ -119,8 +119,8 @@ def test_oracle_telescoping_identity():
     term = TerminalSpec(name="scaled_wt", params={"a": 0.5, "b": 1.0})
     scen = make_scenario(grid, gen, term, delay=delay)
     sol = oracle_solve(scen, tree)
-    Y = sol.Y.values[:, :, 0]
-    Z = sol.Z.values[:, :, 0, 0]
+    Y = sol.Y[:, :, 0]
+    Z = sol.Z[:, :, 0, 0]
     h = grid.h
     total = Y[:, grid.n_T].copy()
     for k in range(grid.n_T):
@@ -154,13 +154,13 @@ def test_monte_carlo_pipeline_consistent_with_tree_enumeration():
     scen = make_scenario(grid, builtin_generator("example41_f1"), term,
                          delay=delay)
     y0_tree = solve_backward_sweep(
-        scen, tree.ensemble, tree.backend()).Y.values[:, 0, 0].mean()
+        scen, tree.ensemble, tree.backend()).Y[:, 0, 0].mean()
 
     from abdsde.condexp import RegressionBackend
     from abdsde.paths import sample_paths
     paths = sample_paths(grid, 1, 1, 20000, seed=33)
     y0_mc = solve_backward_sweep(
-        scen, paths, RegressionBackend()).Y.values[:, 0, 0].mean()
+        scen, paths, RegressionBackend()).Y[:, 0, 0].mean()
     assert abs(y0_tree - y0_mc) <= 0.05
 
 
@@ -180,8 +180,8 @@ def test_solver_with_exact_backend_matches_oracle(name, params):
                          delay=delay if gen.anticipates else None)
     sweep = solve_backward_sweep(scen, tree.ensemble, tree.backend())
     exact = oracle_solve(scen, tree)
-    assert np.abs(sweep.Y.values - exact.Y.values).max() <= 1e-10
-    assert np.abs(sweep.Z.values - exact.Z.values).max() <= 1e-10
+    assert np.abs(sweep.Y - exact.Y).max() <= 1e-10
+    assert np.abs(sweep.Z - exact.Z).max() <= 1e-10
 
 
 def test_oracle_evaluates_each_nodes_functionals_once(monkeypatch):
@@ -248,5 +248,5 @@ def test_solver_matches_oracle_across_the_catalog(scen):
     tree = tree_for_grid(scen.grid)
     sweep = solve_backward_sweep(scen, tree.ensemble, tree.backend())
     exact = oracle_solve(scen, tree)
-    assert np.abs(sweep.Y.values - exact.Y.values).max() <= 1e-10
-    assert np.abs(sweep.Z.values - exact.Z.values).max() <= 1e-10
+    assert np.abs(sweep.Y - exact.Y).max() <= 1e-10
+    assert np.abs(sweep.Z - exact.Z).max() <= 1e-10
