@@ -231,8 +231,8 @@ def sample_paths(grid: TimeGrid, d: int, l: int, P: int, seed: SeedLike) -> Path
 def forward_integral(Z, paths: PathEnsemble, k_from: int, k_to: int) -> np.ndarray:
     """Left-endpoint discretization of the forward integral of Z against dW.
 
-    Z holds per-node values in R^{m x d}, shape (P, n_nodes, m, d); returns per-path values in R^m:
-    sum_{k=k_from}^{k_to-1} Z_k dW_k.
+    Z has per-node values in R^{m x d}, shape (P, n_nodes, m, d); returns
+    per-path values in R^m: sum_{k=k_from}^{k_to-1} Z_k dW_k.
     """
     if not (0 <= k_from <= k_to <= paths.grid.n_end):
         raise ValueError(f"bad node range [{k_from}, {k_to}]")
@@ -246,8 +246,8 @@ def forward_integral(Z, paths: PathEnsemble, k_from: int, k_to: int) -> np.ndarr
 def backward_integral(G, paths: PathEnsemble, k_from: int, k_to: int) -> np.ndarray:
     """Right-endpoint discretization of the backward integral of G against dB.
 
-    G holds per-node values in R^{m x l}, shape (P, n_nodes, m, l); returns per-path values in R^m:
-    sum_{k=k_from}^{k_to-1} G_{k+1} dB_k.
+    G has per-node values in R^{m x l}, shape (P, n_nodes, m, l); returns
+    per-path values in R^m: sum_{k=k_from}^{k_to-1} G_{k+1} dB_k.
     """
     if not (0 <= k_from <= k_to <= paths.grid.n_end):
         raise ValueError(f"bad node range [{k_from}, {k_to}]")
