@@ -305,17 +305,20 @@ def _paths(config, grid, tree):
 def _cmd_solve(config, built, out_path):
     grid = built.grid
     paths = _paths(config, grid, built.tree)
-    sol = solve_backward_sweep(built.scenario, paths, built.backend)
     P = paths.n_paths
-    y = sol.Y[:, :, 0]
-    rows = []
-    for k in range(grid.n_nodes):
-        z_k = sol.Z[:, k]
-        abs_z = np.sqrt(np.einsum("pmd,pmd->p", z_k, z_k))  # one node at a time
-        rows.append((grid.time(k), y[:, k].mean(),
-                     y[:, k].std(ddof=1) / np.sqrt(P) if P > 1 else 0.0,
-                     abs_z.mean(),
-                     abs_z.std(ddof=1) / np.sqrt(P) if P > 1 else 0.0))
+    rows = [None] * grid.n_nodes
+
+    def reduce_node(k, y_k, z_k):
+        # each node is reduced as the sweep stores it, so the solve keeps
+        # only the anticipation window of (Y, Z)
+        y = y_k[:, 0]
+        abs_z = np.sqrt(np.einsum("pmd,pmd->p", z_k, z_k))
+        rows[k] = (grid.time(k), y.mean(),
+                   y.std(ddof=1) / np.sqrt(P) if P > 1 else 0.0,
+                   abs_z.mean(),
+                   abs_z.std(ddof=1) / np.sqrt(P) if P > 1 else 0.0)
+
+    solve_backward_sweep(built.scenario, paths, built.backend, on_node=reduce_node)
     _write_csv(out_path, config, "t,mean_Y,stderr_Y,mean_absZ,stderr_absZ", rows)
     return 0
 

@@ -32,7 +32,7 @@ from .generators import AnticipationFunctional, GeneratorSpec, LipschitzData
 from .paths import PathEnsemble
 from .scenario import make_scenario, Scenario
 from .solver import SolutionProcess, solve_backward_sweep
-from .terminal import TerminalData, TerminalSpec
+from .terminal import broadcast_base, TerminalData, TerminalSpec
 
 _ORDER_SLACK = 1e-12
 
@@ -132,6 +132,17 @@ def _stack_generators(gen1: GeneratorSpec, gen2: GeneratorSpec) -> GeneratorSpec
                          lip=lip)
 
 
+def _side_by_side(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a and b joined along the component axis 2, stored only along the axes
+    either of them is stored along and broadcast over the rest."""
+    base_a, base_b = broadcast_base(a), broadcast_base(b)
+    shape = [max(n_a, n_b) for n_a, n_b in zip(base_a.shape, base_b.shape)]
+    parts = [np.broadcast_to(base, shape[:2] + [full.shape[2]] + shape[3:])
+             for base, full in ((base_a, a), (base_b, b))]
+    return np.broadcast_to(np.concatenate(parts, axis=2),
+                           a.shape[:2] + (a.shape[2] + b.shape[2],) + a.shape[3:])
+
+
 def _joint_scenario(s1: Scenario, s2: Scenario, paths: PathEnsemble) -> Scenario:
     """The pair as one scenario with m1 + m2 components, on s1's grid and delay.
 
@@ -139,15 +150,14 @@ def _joint_scenario(s1: Scenario, s2: Scenario, paths: PathEnsemble) -> Scenario
     """
     term1 = s1.terminal_data(paths)
     term2 = s2.terminal_data(paths)
-    gap = term1.xi - term2.xi
+    gap = broadcast_base(term1.xi) - broadcast_base(term2.xi)
     if np.any(gap < -_ORDER_SLACK):
         raise TerminalOrderViolated(
             f"terminal ordering xi1 >= xi2 fails (worst margin {float(gap.min()):.3g})")
     return replace(
         s1, generator=_stack_generators(s1.generator, s2.generator),
-        terminal=TerminalData(grid=term1.grid,
-                              xi=np.concatenate((term1.xi, term2.xi), axis=2),
-                              eta=np.concatenate((term1.eta, term2.eta), axis=2)))
+        terminal=TerminalData(grid=term1.grid, xi=_side_by_side(term1.xi, term2.xi),
+                              eta=_side_by_side(term1.eta, term2.eta)))
 
 
 def _solve_pair(s1: Scenario, s2: Scenario, paths: PathEnsemble, backend):
@@ -167,10 +177,16 @@ def _refinement_deltas(s1: Scenario, s2: Scenario, paths: PathEnsemble, backend,
                        sols) -> list:
     """|mean Y_0 - mean Y_0 of the coarsened paths' solve| for each part."""
     coarse = paths.coarsen(2)
-    coarse_sols = _solve_pair(_coarse_scenario(s1, coarse.grid),
-                              _coarse_scenario(s2, coarse.grid), coarse, backend)
-    return [abs(float(sol.Y[:, 0].mean()) - float(coarse_sol.Y[:, 0].mean()))
-            for sol, coarse_sol in zip(sols, coarse_sols)]
+    joint = _joint_scenario(_coarse_scenario(s1, coarse.grid),
+                            _coarse_scenario(s2, coarse.grid), coarse)
+    m1, coarse_y0 = s1.generator.m, []
+
+    def take_y0(k, y_k, z_k):  # the coarse sweep keeps only its anticipation window
+        if k == 0:
+            coarse_y0.extend((float(y_k[:, :m1].mean()), float(y_k[:, m1:].mean())))
+
+    solve_backward_sweep(joint, coarse, backend, on_node=take_y0)
+    return [abs(float(sol.Y[:, 0].mean()) - y0) for sol, y0 in zip(sols, coarse_y0)]
 
 
 def run_comparison(scenario1: Scenario, scenario2: Scenario,

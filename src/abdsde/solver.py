@@ -35,6 +35,13 @@ contiguous slab per component.  The node-k state (W_{t_k}, B_{t_{n_T}} -
 B_{t_k}) comes from the ensemble's checkpointed forward sums, so a solve
 holds no whole-horizon copy of W or B.
 
+The node axis is a ring of L slots, node k in slot k % L.  A caller that
+keeps the solution gets L = n_nodes.  A caller that reduces node by node
+passes `on_node` instead: node k reads (Y, Z) only at k + 1 .. k + the
+largest offset, so L = 1 + that offset (1 without anticipation) holds every
+value the sweep still reads, and each node is handed over right after it
+is stored, terminal nodes first, from n_end down to 0.
+
 `solve_backward_sweep` is the one solve.  Given `frozen=`, it reads the
 anticipated arguments from that process instead of from the live sweep:
 this is the frozen-anticipation map, whose iteration (`picard_iterate`) is
@@ -149,19 +156,34 @@ def weighted_distance(a: SolutionProcess, b: SolutionProcess,
 # the sweep
 # ---------------------------------------------------------------------------
 
-def _alloc(scenario: Scenario, paths: PathEnsemble):
+def _window(scenario: Scenario) -> int:
+    """Node slots a sweep must keep: node k reads k + 1 .. k + the largest offset."""
+    if not scenario.generator.anticipates:
+        return 1
+    off = scenario.offsets
+    return 1 + int(max(off.d_delta.max(), off.d_zeta.max()))
+
+
+def _ring(scenario: Scenario, paths: PathEnsemble, n_slots: int, on_node=None):
+    """(Y, Z) storage of n_slots node slots, node k in slot k % n_slots, with
+    the terminal nodes filled from n_end down to n_T, each passed to
+    `on_node` once stored."""
     gen = scenario.generator
     grid = scenario.grid
     term = scenario.terminal_data(paths)
     P = paths.n_paths
-    # (component, node, path) storage behind the (P, n_nodes, m[, d])
+    # (component, slot, path) storage behind the (P, n_slots, m[, d])
     # views: the sweep stores and reads one contiguous (P[, d]) slab per
     # component and node, and a stacked pair's components split into the
     # layout of a one-component solve.
-    Y = np.zeros((gen.m, grid.n_nodes, P)).transpose(2, 1, 0)
-    Z = np.zeros((gen.m, grid.n_nodes, P, gen.d)).transpose(2, 1, 0, 3)
-    Y[:, grid.n_T:] = term.xi
-    Z[:, grid.n_T:] = term.eta
+    Y = np.zeros((gen.m, n_slots, P)).transpose(2, 1, 0)
+    Z = np.zeros((gen.m, n_slots, P, gen.d)).transpose(2, 1, 0, 3)
+    for k in range(grid.n_end, grid.n_T - 1, -1):
+        slot = k % n_slots
+        Y[:, slot] = term.xi_at(k)
+        Z[:, slot] = term.eta_at(k)
+        if on_node is not None:
+            on_node(k, Y[:, slot], Z[:, slot])
     return Y, Z
 
 
@@ -170,12 +192,20 @@ def _raw_functionals(scenario: Scenario, Y: np.ndarray, Z: np.ndarray, k: int):
     if not gen.anticipates:
         return np.zeros((Y.shape[0], 0))
     off = scenario.offsets
-    return gen.eval_functionals(Y[:, k + off.d_delta[k]], Z[:, k + off.d_zeta[k]])
+    n_slots = Y.shape[1]
+    return gen.eval_functionals(Y[:, (k + off.d_delta[k]) % n_slots],
+                                Z[:, (k + off.d_zeta[k]) % n_slots])
 
 
 def solve_backward_sweep(scenario: Scenario, paths: PathEnsemble, backend,
-                         frozen: SolutionProcess | None = None) -> SolutionProcess:
+                         frozen: SolutionProcess | None = None,
+                         on_node=None) -> SolutionProcess | dict:
     """Solve the anticipated equation in one backward sweep.
+
+    Returns the SolutionProcess, or, given `on_node`, only its metadata:
+    then the sweep keeps just the anticipation window of (Y, Z) and calls
+    `on_node(k, Y_k, Z_k)` once per node, from n_end down to 0, with the
+    (P, m) and (P, m, d) values of node k as views valid during the call.
 
     Anticipated arguments are read from the live sweep, or from `frozen`
     when given (the frozen-anticipation map).  The frozen process must live
@@ -191,15 +221,14 @@ def solve_backward_sweep(scenario: Scenario, paths: PathEnsemble, backend,
     gen = scenario.generator
     grid = scenario.grid
     h = grid.h
-    Y, Z = _alloc(scenario, paths)
-    if frozen is None:
-        ant_Y, ant_Z = Y, Z
-    else:
+    if frozen is not None:
         if frozen.grid.n_nodes != grid.n_nodes:
             raise ShapeMismatch("frozen process lives on a different grid")
         if frozen.n_paths != paths.n_paths:
             raise ShapeMismatch("frozen process holds a different path count")
-        ant_Y, ant_Z = frozen.Y, frozen.Z
+    n_slots = grid.n_nodes if on_node is None else _window(scenario)
+    Y, Z = _ring(scenario, paths, n_slots, on_node)
+    ant_Y, ant_Z = (Y, Z) if frozen is None else (frozen.Y, frozen.Z)
     P = paths.n_paths
     n_z, n_e = gen.m * gen.d, gen.q_total
     # All of node k's targets, [Z target | raw functionals | Y target], in
@@ -209,8 +238,9 @@ def solve_backward_sweep(scenario: Scenario, paths: PathEnsemble, backend,
     resid = {}
 
     e_raw = _raw_functionals(scenario, ant_Y, ant_Z, grid.n_T)
-    # node k+1's values, carried as contiguous copies of Y[:, k+1], Z[:, k+1]
-    y_next, z_next = Y[:, grid.n_T].copy(), Z[:, grid.n_T].copy()
+    # node k+1's values, carried as contiguous copies of its slots
+    y_next = Y[:, grid.n_T % n_slots].copy()
+    z_next = Z[:, grid.n_T % n_slots].copy()
     for k in range(grid.n_T - 1, -1, -1):
         t_k = grid.time(k)
         g_val = np.asarray(gen.g(grid.time(k + 1), y_next, z_next, e_raw))
@@ -242,8 +272,11 @@ def solve_backward_sweep(scenario: Scenario, paths: PathEnsemble, backend,
 
         if not (np.all(np.isfinite(y_hat)) and np.all(np.isfinite(z_k))):
             raise NonFinite(f"sweep produced non-finite values at node {k}")
-        Y[:, k] = y_next = y_hat
-        Z[:, k] = z_next = z_k
+        slot = k % n_slots
+        Y[:, slot] = y_next = y_hat
+        Z[:, slot] = z_next = z_k
+        if on_node is not None:
+            on_node(k, Y[:, slot], Z[:, slot])
 
     if scenario.delay is None:
         segmentation = (grid.T, 0.0)
@@ -252,9 +285,10 @@ def solve_backward_sweep(scenario: Scenario, paths: PathEnsemble, backend,
             segmentation = segment_interval(scenario.delay, grid).points
         except NonTermination:
             segmentation = None
-    return SolutionProcess(grid=grid, Y=Y, Z=Z,
-                           metadata={"ybar_residual_rms": resid,
-                                     "segmentation": segmentation})
+    metadata = {"ybar_residual_rms": resid, "segmentation": segmentation}
+    if on_node is not None:
+        return metadata
+    return SolutionProcess(grid=grid, Y=Y, Z=Z, metadata=metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +297,7 @@ def solve_backward_sweep(scenario: Scenario, paths: PathEnsemble, backend,
 
 def default_initial(scenario: Scenario, paths: PathEnsemble) -> SolutionProcess:
     """(y0, z0) = (xi_T extended constantly backward, 0), terminal part kept."""
-    Y, Z = _alloc(scenario, paths)
+    Y, Z = _ring(scenario, paths, scenario.grid.n_nodes)
     Y[:, : scenario.grid.n_T] = Y[:, scenario.grid.n_T][:, None, :]
     return SolutionProcess(grid=scenario.grid, Y=Y, Z=Z)
 
@@ -271,7 +305,7 @@ def default_initial(scenario: Scenario, paths: PathEnsemble) -> SolutionProcess:
 def constant_initial(scenario: Scenario, paths: PathEnsemble,
                      value: float) -> SolutionProcess:
     """(y0, z0) = (constant, 0) on [0, T), terminal part kept."""
-    Y, Z = _alloc(scenario, paths)
+    Y, Z = _ring(scenario, paths, scenario.grid.n_nodes)
     Y[:, : scenario.grid.n_T] = value
     return SolutionProcess(grid=scenario.grid, Y=Y, Z=Z)
 

@@ -17,6 +17,13 @@ from .grids import TimeGrid
 from .paths import PathEnsemble
 
 
+def broadcast_base(values: np.ndarray) -> np.ndarray:
+    """The part of `values` that is stored: every zero-stride axis cut to
+    length 1, so `np.broadcast_to(broadcast_base(v), v.shape)` is `v` again."""
+    return values[tuple(slice(0, 1) if stride == 0 else slice(None)
+                        for stride in values.strides)]
+
+
 @dataclass
 class TerminalData:
     """Per-path (xi, eta) values on nodes n_T..n_end.
@@ -36,7 +43,8 @@ class TerminalData:
             raise ShapeMismatch(f"xi must be (P, {k_nodes}, m), got {self.xi.shape}")
         if self.eta.ndim != 4 or self.eta.shape[1] != k_nodes:
             raise ShapeMismatch(f"eta must be (P, {k_nodes}, m, d), got {self.eta.shape}")
-        if not (np.all(np.isfinite(self.xi)) and np.all(np.isfinite(self.eta))):
+        if not (np.all(np.isfinite(broadcast_base(self.xi)))
+                and np.all(np.isfinite(broadcast_base(self.eta)))):
             raise NonFinite("terminal data contains non-finite values")
 
     @property

@@ -1,11 +1,13 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from abdsde.comparison import check_monotone_chain, ComparisonReport, run_comparison
+from abdsde.comparison import (_joint_scenario, check_monotone_chain, ComparisonReport,
+                               run_comparison)
 from abdsde.condexp import RegressionBackend
 from abdsde.delays import constant_delay, DelaySpec
 from abdsde.errors import TerminalOrderViolated, ValidationError
@@ -15,7 +17,7 @@ from abdsde.grids import make_grid
 from abdsde.paths import sample_paths
 from abdsde.scenario import make_scenario
 from abdsde.solver import solve_backward_sweep
-from abdsde.terminal import constant_terminal, TerminalSpec
+from abdsde.terminal import broadcast_base, constant_terminal, TerminalSpec
 from abdsde.tree import tree_for_grid
 
 
@@ -144,6 +146,32 @@ def test_joint_sweep_makes_one_condexp_call_per_node_per_ensemble(monkeypatch):
     paths = sample_paths(grid, 1, 1, 1024, seed=21)
     run_comparison(s1, s2, paths, RegressionBackend())  # calibrates on the coarse grid
     assert counts == {"condexp": grid.n_T + grid.n_T // 2, "sweeps": 2}
+
+
+def test_joint_terminal_data_holds_no_window_sized_buffer():
+    # the pair's xi and eta are stored only along the axes a part varies
+    # along (paths for scaled_wt, nothing for eta) and broadcast over the rest
+    grid = make_grid(0.5, 0.5, 1 / 32)
+    s1, s2 = _example41_pair(grid, 0.5)
+    paths = sample_paths(grid, 1, 1, 4096, seed=21)
+    m, k_nodes = 2, grid.n_end - grid.n_T + 1
+    window_bytes = 8 * paths.n_paths * k_nodes * m
+    s1.terminal_data(paths)  # builds the ensemble's own forward-sum state
+    tracemalloc.start()
+    try:
+        term = _joint_scenario(s1, s2, paths).terminal
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < window_bytes / 2, peak
+    assert term.xi.shape == (paths.n_paths, k_nodes, m)
+    assert term.eta.shape == (paths.n_paths, k_nodes, m, 1)
+    assert broadcast_base(term.xi).shape == (paths.n_paths, 1, m)
+    assert broadcast_base(term.eta).shape == (1, 1, m, 1)
+    for part, scen in enumerate((s1, s2)):
+        alone = scen.terminal_data(paths)
+        assert np.array_equal(term.xi[:, :, part], alone.xi[:, :, 0])
+        assert np.array_equal(term.eta[:, :, part], alone.eta[:, :, 0])
 
 
 def test_pair_must_share_delay_and_implicit_iters():

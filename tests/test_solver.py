@@ -460,6 +460,74 @@ def test_discrete_one_step_identity_on_tree():
 
 
 # ---------------------------------------------------------------------------
+# the per-node consumer
+# ---------------------------------------------------------------------------
+
+def _consumer_case(name):
+    """(scenario, paths, backend) of one case of the consumer test."""
+    if name == "tree":
+        scen, tree = _example41_tree_setup()
+        return scen, tree.ensemble, tree.backend()
+    backend = RegressionBackend()
+    if name == "linear_m2_d2":
+        grid = make_grid(0.5, 0.25, 0.0625)
+        paths = sample_paths(grid, 2, 2, 2000, seed=8)
+        w_T = paths.w_at(grid.n_T)
+        k_nodes = grid.n_end - grid.n_T + 1
+        xi = np.broadcast_to(np.stack([w_T[:, 0] + 1.0, w_T[:, 0] * w_T[:, 1]],
+                                      axis=1)[:, None], (2000, k_nodes, 2))
+        term = TerminalData(grid=grid, xi=xi, eta=np.full((2000, k_nodes, 2, 2), 0.1))
+        gen = builtin_generator("linear_bsde", m=2, d=2, l=2, a=0.5, rho=0.25)
+        return make_scenario(grid, gen, term), paths, backend
+    if name == "pair":
+        from abdsde.comparison import _joint_scenario
+        grid = make_grid(0.5, 0.25, 0.0625)
+        delay = DelaySpec(constant_delay(0.25), constant_delay(0.25), K=0.25)
+        paths = sample_paths(grid, 1, 1, 2000, seed=9)
+        s1, s2 = (make_scenario(grid, builtin_generator(gen),
+                                TerminalSpec(name="scaled_wt", params={"a": 0.5, "b": b}),
+                                delay=delay)
+                  for gen, b in (("example41_f1", 1.5), ("example41_f2", 1.0)))
+        return _joint_scenario(s1, s2, paths), paths, backend
+    grid, delay, gen = {
+        "constant_K": (make_grid(0.5, 0.25, 0.0625),
+                       DelaySpec(constant_delay(0.25), constant_delay(0.25), K=0.25),
+                       "example41_f1"),
+        # largest offset 5 < n_K = 8
+        "affine_below_K": (make_grid(0.25, 0.5, 0.0625),
+                           DelaySpec(affine_delay(0.0625, 1.0), constant_delay(0.125),
+                                     K=0.5),
+                           "example41_f1"),
+        "no_delay": (make_grid(0.5, 0.25, 0.0625), None, "linear_bsde"),
+        "no_delay_K0": (make_grid(0.5, 0.0, 0.0625), None, "linear_bsde"),
+    }[name]
+    paths = sample_paths(grid, 1, 1, 2000, seed=7)
+    term = TerminalSpec(name="scaled_wt", params={"a": 0.5, "b": 1.5})
+    return make_scenario(grid, builtin_generator(gen), term, delay=delay), paths, backend
+
+
+@pytest.mark.parametrize("name", ["constant_K", "affine_below_K", "no_delay",
+                                  "no_delay_K0", "linear_m2_d2", "pair", "tree"])
+def test_consumer_sees_each_node_once_as_the_full_sweep_stores_it(name):
+    scen, paths, backend = _consumer_case(name)
+    grid = scen.grid
+    full = solve_backward_sweep(scen, paths, backend)
+    seen = []
+
+    def on_node(k, y_k, z_k):
+        assert y_k.shape == (paths.n_paths, scen.generator.m)
+        assert z_k.shape == (paths.n_paths, scen.generator.m, scen.generator.d)
+        seen.append((k, y_k.copy(), z_k.copy()))
+
+    metadata = solve_backward_sweep(scen, paths, backend, on_node=on_node)
+    assert [k for k, _, _ in seen] == list(range(grid.n_end, -1, -1))
+    for k, y_k, z_k in seen:
+        assert np.array_equal(y_k, full.Y[:, k])
+        assert np.array_equal(z_k, full.Z[:, k])
+    assert metadata == full.metadata
+
+
+# ---------------------------------------------------------------------------
 # storage: what a solve holds
 # ---------------------------------------------------------------------------
 
@@ -478,6 +546,25 @@ def test_solve_peak_memory_stays_near_increments_and_solution(tmp_path):
     built = cli._build_all(config)
     grid, gen = built.grid, built.scenario.generator
     held = 8 * P * (grid.n_steps * (gen.d + gen.l) + grid.n_nodes * gen.m * (1 + gen.d))
+    tracemalloc.start()
+    try:
+        assert cli.run("solve", REFERENCE, str(tmp_path / "solve.csv"), n_paths=P) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < PEAK_OVER_HELD * held, peak / held
+
+
+def test_solve_peak_memory_stays_near_increments_and_window(tmp_path):
+    # the CSV step reduces each node as the sweep stores it, so the solve
+    # holds only the L = 1 + largest offset slots of (Y, Z) that node k reads
+    P = 20000
+    config = cli._read_config(REFERENCE)
+    config["paths"]["count"] = P
+    built = cli._build_all(config)
+    grid, gen, off = built.grid, built.scenario.generator, built.scenario.offsets
+    n_slots = 1 + int(max(off.d_delta.max(), off.d_zeta.max()))
+    held = 8 * P * (grid.n_steps * (gen.d + gen.l) + n_slots * gen.m * (1 + gen.d))
     tracemalloc.start()
     try:
         assert cli.run("solve", REFERENCE, str(tmp_path / "solve.csv"), n_paths=P) == 0
