@@ -17,7 +17,8 @@ goes through one backward sweep per grid, once on the paths and once on
 their coarsening, so each node's regression design serves both scenarios'
 targets (one basis per date, as in Gobet, Lemor & Warin 2005).  The
 components never mix, so each part is what a separate sweep would give, up
-to the summation order of the wider least-squares products.
+to the summation order of the wider least-squares products.  Both sweeps
+reduce node by node, so the report holds the margins and no solution.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .errors import TerminalOrderViolated, ValidationError
 from .generators import AnticipationFunctional, GeneratorSpec, LipschitzData
 from .paths import PathEnsemble
 from .scenario import make_scenario, Scenario
-from .solver import SolutionProcess, solve_backward_sweep
+from .solver import solve_backward_sweep
 from .terminal import broadcast_base, TerminalData, TerminalSpec
 
 _ORDER_SLACK = 1e-12
@@ -44,8 +45,6 @@ class ComparisonReport:
     margins: np.ndarray          # (P, n_nodes)
     epsilon: float
     run_tolerance: float
-    sol1: SolutionProcess
-    sol2: SolutionProcess
     mean_margin: np.ndarray = field(init=False)   # (n_nodes,)
     min_margin: np.ndarray = field(init=False)    # (n_nodes,)
     _violations: float = field(init=False, repr=False)
@@ -73,17 +72,16 @@ class ComparisonReport:
         return self._violations == 0.0
 
 
-def _fit_noise_scale(sol: SolutionProcess, paths: PathEnsemble, backend) -> float:
+def _fit_noise_scale(resid: dict, paths: PathEnsemble, backend) -> float:
     """Scale of the regression noise in the fitted Y values.
 
-    The recorded per-node, per-component residual RMS is the conditional
+    The per-node, per-component residual RMS `resid` is the conditional
     spread of the one-step target; the noise the fit injects into Y is the
     largest spread times sqrt(n_features / n_paths).  Exact conditional
     expectations inject none.
     """
     if not isinstance(backend, RegressionBackend):
         return 0.0
-    resid = sol.metadata["ybar_residual_rms"]
     n_features = backend.basis.n_features(paths.d + paths.l)
     return max(max(r) for r in resid.values()) * np.sqrt(n_features / paths.n_paths)
 
@@ -160,33 +158,24 @@ def _joint_scenario(s1: Scenario, s2: Scenario, paths: PathEnsemble) -> Scenario
                               eta=_side_by_side(term1.eta, term2.eta)))
 
 
-def _solve_pair(s1: Scenario, s2: Scenario, paths: PathEnsemble, backend):
-    """One backward sweep of the joint scenario, split back into two solutions."""
-    sol = solve_backward_sweep(_joint_scenario(s1, s2, paths), paths, backend)
-    parts = []
-    for part in (slice(0, s1.generator.m), slice(s1.generator.m, None)):
-        meta = dict(sol.metadata,
-                    ybar_residual_rms={k: r[part] for k, r in
-                                       sol.metadata["ybar_residual_rms"].items()})
-        parts.append(SolutionProcess(grid=sol.grid, Y=sol.Y[:, :, part],
-                                     Z=sol.Z[:, :, part], metadata=meta))
-    return parts
+def _sweep_pair(s1: Scenario, s2: Scenario, paths: PathEnsemble, backend,
+                margins: np.ndarray | None = None) -> tuple:
+    """Each part's mean Y_0 and per-node residual RMS from one joint sweep,
+    reduced node by node; given the row-major (P, n_nodes) `margins`, also
+    fills node k with Y1_k - Y2_k summed over components."""
+    parts = (slice(0, s1.generator.m), slice(s1.generator.m, None))
+    y0 = []
 
-
-def _refinement_deltas(s1: Scenario, s2: Scenario, paths: PathEnsemble, backend,
-                       sols) -> list:
-    """|mean Y_0 - mean Y_0 of the coarsened paths' solve| for each part."""
-    coarse = paths.coarsen(2)
-    joint = _joint_scenario(_coarse_scenario(s1, coarse.grid),
-                            _coarse_scenario(s2, coarse.grid), coarse)
-    m1, coarse_y0 = s1.generator.m, []
-
-    def take_y0(k, y_k, z_k):  # the coarse sweep keeps only its anticipation window
+    def reduce(k, y_k, z_k):
+        if margins is not None:  # row-major: each path's components add in a row
+            margins[:, k] = np.subtract(y_k[:, parts[0]], y_k[:, parts[1]],
+                                        order="C").sum(axis=1)
         if k == 0:
-            coarse_y0.extend((float(y_k[:, :m1].mean()), float(y_k[:, m1:].mean())))
+            y0.extend(float(y_k[:, part].mean()) for part in parts)
 
-    solve_backward_sweep(joint, coarse, backend, on_node=take_y0)
-    return [abs(float(sol.Y[:, 0].mean()) - y0) for sol, y0 in zip(sols, coarse_y0)]
+    resid = solve_backward_sweep(_joint_scenario(s1, s2, paths), paths, backend,
+                                 on_node=reduce)["ybar_residual_rms"]
+    return y0, [{k: r[part] for k, r in resid.items()} for part in parts]
 
 
 def run_comparison(scenario1: Scenario, scenario2: Scenario,
@@ -204,23 +193,20 @@ def run_comparison(scenario1: Scenario, scenario2: Scenario,
             (scenario2.grid, scenario2.delay, scenario2.implicit_iters):
         raise ValidationError(
             "a comparison pair must share its grid, delay and implicit_iters")
-    sol1, sol2 = _solve_pair(scenario1, scenario2, paths, backend)
-    tol = _fit_noise_scale(sol1, paths, backend) \
-        + _fit_noise_scale(sol2, paths, backend)
+    margins = np.empty((paths.n_paths, scenario1.grid.n_nodes))
+    y0, resid = _sweep_pair(scenario1, scenario2, paths, backend, margins)
+    tol = sum(_fit_noise_scale(r, paths, backend) for r in resid)
     if _can_coarsen(scenario1, scenario2, paths, backend):
-        for delta in _refinement_deltas(scenario1, scenario2, paths, backend,
-                                        (sol1, sol2)):
-            tol += delta
+        coarse = paths.coarsen(2)
+        coarse_y0, _ = _sweep_pair(_coarse_scenario(scenario1, coarse.grid),
+                                   _coarse_scenario(scenario2, coarse.grid),
+                                   coarse, backend)
+        for fine_mean, coarse_mean in zip(y0, coarse_y0):
+            tol += abs(fine_mean - coarse_mean)
     if epsilon is None:
         epsilon = 3.0 * tol
-    # formed once the coarse sweep is done, so that sweep does not hold them;
-    # row-major, as the reductions in ComparisonReport expect: an axis-0
-    # mean over node-major margins would add the paths in another order
-    margins = np.subtract(sol1.Y, sol2.Y, order="C").sum(axis=2)
-
-    return ComparisonReport(margins=margins,
-                            epsilon=float(epsilon), run_tolerance=float(tol),
-                            sol1=sol1, sol2=sol2)
+    return ComparisonReport(margins=margins, epsilon=float(epsilon),
+                            run_tolerance=float(tol))
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,15 @@
 """Anticipation maps, their validation, grid offsets and interval segmentation.
 
 A scenario anticipates through two maps delta, zeta: [0, T] -> (0, inf),
-restricted here to constant and affine forms a + b*t (a > 0, b >= 0).  For
-these forms the integral-substitution constant M is analytic: a change of
-variables u = (1+b)s + a gives
+restricted here to constant and affine forms a + b*t with b > -1, so that
+t + delay(t) increases.  For these forms the integral-substitution constant
+M is analytic: a change of variables u = (1+b)s + a gives
 
     int_t^T g(s + delay(s)) ds = 1/(1+b) * int g(u) du  <=  M * int_t^{T+K} g,
 
-so M = max(1, 1/(1+b)) = 1 always certifies the bound.  The validator also
-spot-checks the inequality by quadrature for a few sample integrands.
+so M = max(1, 1/(1+b)) certifies the bound; it exceeds 1 only for b < 0.
+The validator also spot-checks the inequality by quadrature for a few
+sample integrands.
 
 The segmentation {t_i} partitions [0, T] so that on each piece every
 anticipated time lands at or beyond the piece's right endpoint, which is
@@ -27,10 +28,14 @@ from .grids import TimeGrid
 
 @dataclass(frozen=True)
 class DelayForm:
-    """Constant or affine anticipation map t -> a + b*t."""
+    """Constant or affine anticipation map t -> a + b*t, with b > -1."""
 
     a: float
     b: float = 0.0
+
+    def __post_init__(self):
+        if not self.b > -1.0:
+            raise A1Violation(f"delay slope b = {self.b} must exceed -1")
 
     def __call__(self, t):
         return self.a + self.b * np.asarray(t)

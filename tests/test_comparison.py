@@ -1,13 +1,15 @@
 import math
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from abdsde.comparison import (_joint_scenario, check_monotone_chain, ComparisonReport,
-                               run_comparison)
+from abdsde import cli
+from abdsde.comparison import (_coarse_scenario, _joint_scenario, check_monotone_chain,
+                               ComparisonReport, run_comparison)
 from abdsde.condexp import RegressionBackend
 from abdsde.delays import constant_delay, DelaySpec
 from abdsde.errors import TerminalOrderViolated, ValidationError
@@ -16,7 +18,7 @@ from abdsde.generators import (AnticipationFunctional, builtin_generator,
 from abdsde.grids import make_grid
 from abdsde.paths import sample_paths
 from abdsde.scenario import make_scenario
-from abdsde.solver import solve_backward_sweep
+from abdsde.solver import _window, solve_backward_sweep
 from abdsde.terminal import broadcast_base, constant_terminal, TerminalSpec
 from abdsde.tree import tree_for_grid
 
@@ -115,14 +117,19 @@ def test_joint_sweep_matches_separate_sweeps(backend_kind, tolerance):
         grid = make_grid(0.5, 0.5, 1 / 32)
         paths, backend = sample_paths(grid, 1, 1, 4096, seed=21), RegressionBackend()
     s1, s2 = _example41_pair(grid, grid.K)
+    joint = solve_backward_sweep(_joint_scenario(s1, s2, paths), paths, backend)
+    joint_resid = joint.metadata["ybar_residual_rms"]
+    alone = [solve_backward_sweep(scen, paths, backend) for scen in (s1, s2)]
+    for part, sol in enumerate(alone):
+        assert np.abs(joint.Y[:, :, part] - sol.Y[:, :, 0]).max() <= tolerance
+        assert np.abs(joint.Z[:, :, part] - sol.Z[:, :, 0]).max() <= tolerance
+        for k, rms in sol.metadata["ybar_residual_rms"].items():
+            assert abs(joint_resid[k][part] - rms[0]) <= tolerance
     report = run_comparison(s1, s2, paths, backend)
-    for joint, scen in ((report.sol1, s1), (report.sol2, s2)):
-        alone = solve_backward_sweep(scen, paths, backend)
-        assert np.abs(joint.Y - alone.Y).max() <= tolerance
-        assert np.abs(joint.Z - alone.Z).max() <= tolerance
-        resid = joint.metadata["ybar_residual_rms"]
-        for k, rms in alone.metadata["ybar_residual_rms"].items():
-            assert np.abs(np.subtract(resid[k], rms)).max() <= tolerance
+    separate = alone[0].Y[:, :, 0] - alone[1].Y[:, :, 0]
+    assert np.abs(report.margins - separate).max() <= 2 * tolerance
+    # reduced node by node, the margins keep the bits of the whole solution's
+    assert np.array_equal(report.margins, joint.Y[:, :, 0] - joint.Y[:, :, 1])
 
 
 def test_joint_sweep_makes_one_condexp_call_per_node_per_ensemble(monkeypatch):
@@ -174,6 +181,40 @@ def test_joint_terminal_data_holds_no_window_sized_buffer():
         assert np.array_equal(term.eta[:, :, part], alone.eta[:, :, 0])
 
 
+EXAMPLE41_COMPARE = str(Path(__file__).resolve().parents[1] / "scenarios"
+                        / "example41_compare.yaml")
+
+#: Bound on the comparison's tracemalloc peak over the bytes it must hold.
+#: A whole solution of either grid is 97 or 49 node slots against 33 or 17.
+PEAK_OVER_HELD = 1.4
+
+
+def test_comparison_peak_memory_stays_near_margins_and_windows():
+    # both sweeps reduce node by node: the call holds the (P, n_nodes)
+    # margins, each grid's ring of (Y, Z) and the coarse increments
+    P = 20000
+    config = cli._read_config(EXAMPLE41_COMPARE)
+    config["grid"] = {"T": 1.0, "K": 0.5, "h": 1 / 64}  # the compare_refine shape
+    config["paths"]["count"] = P
+    built = cli._build_all(config)
+    grid, gen = built.grid, built.scenario.generator
+    coarse_grid = make_grid(grid.T, grid.K, 2 * grid.h)
+    m = gen.m + built.compare.generator.m
+    slots = _window(built.scenario) + _window(_coarse_scenario(built.scenario,
+                                                               coarse_grid))
+    held = 8 * P * (grid.n_nodes + slots * m * (1 + gen.d)
+                    + coarse_grid.n_steps * (gen.d + gen.l))
+    paths = cli._paths(config, grid, None)
+    tracemalloc.start()
+    try:
+        report = run_comparison(built.scenario, built.compare, paths, built.backend)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.margins.shape == (P, grid.n_nodes)
+    assert peak < PEAK_OVER_HELD * held, peak / held
+
+
 def test_pair_must_share_delay_and_implicit_iters():
     grid = make_grid(0.6, 0.4, 0.2)
     tree = tree_for_grid(grid)
@@ -194,10 +235,11 @@ def test_constant_component_gets_exactly_zero_z():
     s2 = make_scenario(grid, builtin_generator("linear_bsde", a=0.5, rho=0.0),
                        TerminalSpec(name="scaled_wt", params={"a": 0.5, "b": 1.0}))
     paths = sample_paths(grid, 1, 1, 4096, seed=5)
-    report = run_comparison(s1, s2, paths, RegressionBackend())
-    assert np.all(report.sol1.Z == 0.0)
-    assert np.all(report.sol1.Y == 5.0)
-    assert np.all(report.sol2.Z[:, 0] != 0.0)
+    joint = solve_backward_sweep(_joint_scenario(s1, s2, paths), paths,
+                                 RegressionBackend())
+    assert np.all(joint.Z[:, :, 0] == 0.0)
+    assert np.all(joint.Y[:, :, 0] == 5.0)
+    assert np.all(joint.Z[:, 0, 1] != 0.0)
 
 
 @settings(max_examples=50, deadline=None)
@@ -205,9 +247,7 @@ def test_constant_component_gets_exactly_zero_z():
 def test_violation_fraction_nonincreasing(eps):
     rng = np.random.default_rng(0)
     margins = rng.normal(scale=0.5, size=(64, 5))
-    report = ComparisonReport(margins=margins,
-                              epsilon=0.0, run_tolerance=0.0,
-                              sol1=None, sol2=None)
+    report = ComparisonReport(margins=margins, epsilon=0.0, run_tolerance=0.0)
     values = [report.violation_fraction(e) for e in sorted(eps)]
     assert all(a >= b for a, b in zip(values, values[1:]))
     assert report.violation_fraction(np.inf) == 0.0

@@ -50,6 +50,9 @@ def test_substitution_bound_comes_from_the_forms():
     assert _spec(affine_delay(1.0, -0.5)).M == 2.0
     assert _spec(constant_delay(0.4), affine_delay(1.0, -0.5)).M == 2.0
     assert _spec(constant_delay(0.4)).M == 1.0
+    for b in (-1.0, -1.5):  # t + delay(t) must increase
+        with pytest.raises(A1Violation):
+            affine_delay(1.0, b)
 
 
 def test_non_positive_delay():

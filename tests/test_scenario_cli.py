@@ -109,6 +109,21 @@ def test_error_status_two(tmp_path):
     assert run("solve", bad, str(tmp_path / "x.csv")) == 2
 
 
+@pytest.mark.parametrize("a,b", [(0.75, -1.0), (0.8, -1.5)])
+def test_delay_slope_at_or_below_minus_one_exits_two(tmp_path, capsys, a, b):
+    # t + a + b t must increase: M = 1/(1+b) is infinite at b = -1, and
+    # below it max(1, 1/(1+b)) = 1 would understate 1/|1+b|
+    scenario = _write(tmp_path, "slope.yaml", f"""
+        grid: {{T: 0.5, K: 0.5, h: 0.125}}
+        delay: {{delta: {{a: {a}, b: {b}}}}}
+        generator: {{name: example41_f1}}
+        terminal: {{name: constant, params: {{value: 1.0}}}}
+        paths: {{count: 256, seed: 3}}
+    """)
+    assert run("solve", scenario, str(tmp_path / "x.csv")) == 2
+    assert "A1Violation" in capsys.readouterr().err
+
+
 DUALITY_READY = {
     "grid": {"T": 1.0, "K": 0.25, "h": 0.25},
     "dims": {"m": 1, "d": 1, "l": 1},
