@@ -186,8 +186,9 @@ def _build_duality(config: dict, scenario: Scenario) -> LinearDualityCoeffs | No
     """Duality coefficients from the `duality_linear` generator's parameters;
     None without a `duality:` section.
 
-    The section holds t0, outer, inner and the tolerances; a coefficient key
-    still written there must equal the generator's value after defaults.
+    The section holds t0 (at most T), outer, inner and the tolerances; a
+    coefficient key still written there must equal the generator's value
+    after defaults.
     The scenario's delay must be the constant K in both delta and zeta, and
     its implicit_iters 1, the scheme of the duality harness's solves.
     """
@@ -213,7 +214,10 @@ def _build_duality(config: dict, scenario: Scenario) -> LinearDualityCoeffs | No
                 f"duality.{key} = {section[key]} differs from the generator's "
                 f"{key} = {coeffs[key]}; the generator's parameters are the "
                 "coefficients")
-    K = float(config["grid"]["K"])
+    T, K = float(config["grid"]["T"]), float(config["grid"]["K"])
+    t0 = float(section.get("t0", K))
+    if t0 > T:
+        raise ValidationError(f"duality.t0 = {t0:g} is beyond the horizon T = {T:g}")
     delay = scenario.delay  # set: duality_linear anticipates
     if not delay.delta == delay.zeta == constant_delay(K):
         raise ValidationError(
@@ -226,7 +230,7 @@ def _build_duality(config: dict, scenario: Scenario) -> LinearDualityCoeffs | No
     return LinearDualityCoeffs(
         mu=coeffs["mu"], mu_bar=coeffs["mu_bar"], sigma=tuple(coeffs["sigma"]),
         sigma_bar=tuple(coeffs["sigma_bar"]), kappa=tuple(coeffs["kappa"]),
-        rho=coeffs["rho"], delta=K, t0=float(section.get("t0", K)),
+        rho=coeffs["rho"], delta=K, t0=t0,
         terminal=scenario.terminal)
 
 

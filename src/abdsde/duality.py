@@ -18,8 +18,12 @@ B-increments shared by a fresh inner draw whose W-paths vary), reporting
 the per-outer-path residual.  The outer paths run on one worker thread per
 CPU the process may use; each draws its inner paths in row blocks of the
 same Philox stream, so the residuals are the same bits whatever the worker
-count.  The run's own grid gives the residuals; with tol_mean unset, the
-same pass on coarser grids calibrates the tolerances.
+count.  The inner forward solve is node-major: a block's X_k is one
+contiguous row, each step writes it through scratch vectors allocated once
+per solve, the denominators 1 - kappa dB_k are formed and checked once per
+outer path, and one finiteness pass checks each solve.  The run's own grid
+gives the residuals; with tol_mean unset, the same pass on coarser grids
+calibrates the tolerances.
 
 Discretization: the forward kappa term sits against the backward integral,
 so it is evaluated at the right endpoint, which makes each forward step an
@@ -106,59 +110,111 @@ def solve_delayed_dsde(coeffs: LinearDualityCoeffs, paths: PathEnsemble,
                        k0: int) -> np.ndarray:
     """Forward Euler for the delayed equation, X_{t_{k0}} = 1, X = 0 before.
 
-    Returns the values on nodes 0..n_T, shape (P, n_T + 1).  Per step, with
-    dd = delta/h and right-endpoint kappa term:
+    Returns the values on nodes 0..n_T, shape (P, n_T + 1) (a transposed
+    view of the node-major solve).  Per step, with dd = delta/h and
+    right-endpoint kappa term:
 
       X_{k+1} (1 - kappa dB_k) = X_k + (mu X_k + mu_bar X_{k-dd}) h
                                  + (sigma X_k + sigma_bar X_{k-dd}) dW_k.
     """
-    return _forward(coeffs, paths.dW, paths.dB, paths.grid, k0)
+    grid = paths.grid
+    denom = _denominators(coeffs, paths.dB.transpose(1, 0, 2), grid, k0)
+    return _forward(coeffs, paths.dW, denom, grid, k0).T
 
 
-def _forward(coeffs: LinearDualityCoeffs, dW: np.ndarray, dB: np.ndarray,
+def _denominators(coeffs: LinearDualityCoeffs, dB: np.ndarray, grid: TimeGrid,
+                  k0: int) -> np.ndarray:
+    """1 - kappa dB_k on the forward steps k0 <= k < n_T, row k - k0.
+
+    dB is node-major: (n_steps, l) for one B-path that every inner path
+    shares, or (n_steps, P, l).  The sum over l runs left to right in both,
+    so a path's denominators have the same bits whichever shape carries it.
+    Raises NonFinite naming the first node where one nearly vanishes.
+    """
+    dB = dB[k0:grid.n_T]
+    dot = dB[..., 0] * coeffs.kappa[0]
+    for i in range(1, coeffs.l):
+        dot = dot + dB[..., i] * coeffs.kappa[i]
+    denom = 1.0 - dot
+    degenerate = np.argwhere(np.abs(denom) < 1e-8)  # in node order
+    if len(degenerate):
+        raise NonFinite("implicit kappa step degenerate at node "
+                        f"{k0 + int(degenerate[0, 0])}")
+    return denom
+
+
+def _forward(coeffs: LinearDualityCoeffs, dW: np.ndarray, denom: np.ndarray,
              grid: TimeGrid, k0: int) -> np.ndarray:
-    """The Euler steps of solve_delayed_dsde on dW of shape (P, n_steps, d).
+    """The Euler steps of solve_delayed_dsde on dW of shape (P, n_steps, d),
+    node-major: returns X of shape (n_T + 1, P), node k in the row X[k].
 
-    dB is (P, n_steps, l), or (n_steps, l) when every path shares one
-    B-path, which makes 1 - kappa dB_k one number per step.
+    denom is _denominators' result: a number per step when every path
+    shares one B-path, else a (P,) row per step.  Each step writes through
+    (P,) scratch vectors allocated once per solve, in the order
+    (x + drift + noise) / denom, and one isfinite pass over the solved rows
+    checks the whole solve.
     """
     dd = grid.index_of(coeffs.delta)
-    if k0 < dd:
-        raise ValidationError(f"start node {k0} is before the delay window {dd}")
+    if not dd <= k0 <= grid.n_T:
+        raise ValidationError(f"start node {k0} is outside the delay window "
+                              f"{dd} to the horizon node {grid.n_T}")
+    P = dW.shape[0]
+    mu, mu_bar, h = coeffs.mu, coeffs.mu_bar, grid.h
     sigma = np.asarray(coeffs.sigma)
     sigma_bar = np.asarray(coeffs.sigma_bar)
-    kappa = np.asarray(coeffs.kappa)
-    h = grid.h
-    X = np.zeros((dW.shape[0], grid.n_T + 1))
-    X[:, k0] = 1.0
-    for k in range(k0, grid.n_T):
-        x = X[:, k]
-        x_del = X[:, k - dd]
-        drift = (coeffs.mu * x + coeffs.mu_bar * x_del) * h
-        diff_w = (x[:, None] * sigma[None, :]
-                  + x_del[:, None] * sigma_bar[None, :])
-        denom = 1.0 - dB[..., k, :] @ kappa
-        if np.any(np.abs(denom) < 1e-8):
-            raise NonFinite(f"implicit kappa step degenerate at node {k}")
-        X[:, k + 1] = (x + drift
-                       + np.einsum("pd,pd->p", diff_w, dW[:, k])) / denom
-        if not np.all(np.isfinite(X[:, k + 1])):
-            raise NonFinite(f"delayed forward solve blew up at node {k}")
+    X = np.empty((grid.n_T + 1, P))
+    X[:k0] = 0.0
+    X[k0] = 1.0
+    drift, noise, term = np.empty(P), np.empty(P), np.empty(P)
+    if coeffs.d > 1:
+        diff_w, diff_del = np.empty((P, coeffs.d)), np.empty((P, coeffs.d))
+    # a blow-up runs on as inf and nan to the check after the loop
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(k0, grid.n_T):
+            x, x_del, x_next = X[k], X[k - dd], X[k + 1]
+            np.multiply(x, mu, out=drift)
+            np.multiply(x_del, mu_bar, out=term)
+            np.add(drift, term, out=drift)
+            np.multiply(drift, h, out=drift)
+            if coeffs.d == 1:
+                np.multiply(x, sigma[0], out=noise)
+                np.multiply(x_del, sigma_bar[0], out=term)
+                np.add(noise, term, out=noise)
+                np.multiply(noise, dW[:, k, 0], out=noise)
+            else:
+                np.multiply(x[:, None], sigma, out=diff_w)
+                np.multiply(x_del[:, None], sigma_bar, out=diff_del)
+                np.add(diff_w, diff_del, out=diff_w)
+                np.einsum("pd,pd->p", diff_w, dW[:, k], out=noise)
+            np.add(x, drift, out=x_next)
+            np.add(x_next, noise, out=x_next)
+            np.divide(x_next, denom[k - k0], out=x_next)
+    finite = np.isfinite(X[k0 + 1:])
+    if not finite.all():
+        raise NonFinite("delayed forward solve blew up at node "
+                        f"{k0 + int(np.argwhere(~finite)[0, 0])}")
     return X
 
 
 def _bracket(coeffs: LinearDualityCoeffs, values: np.ndarray, grid: TimeGrid,
              k0: int) -> np.ndarray:
-    """Per-path value of the duality functional of one forward solution."""
+    """Per-path value of the duality functional of one forward solution,
+    given node-major: values[k] holds X_k on nodes 0..n_T.
+
+    np.trapezoid sums a C-contiguous (rows, nodes) array along each row
+    pairwise, so both integrals read such a copy; a transposed view would
+    sum in another order and change the bits.
+    """
     dd = grid.index_of(coeffs.delta)
     xi, eta = coeffs.profiles(grid)
-    out = values[:, grid.n_T] * xi[0]
+    out = values[grid.n_T] * xi[0]
     if coeffs.rho != 0.0:
-        out = out + coeffs.rho * np.trapezoid(values[:, k0: grid.n_T + 1], dx=grid.h, axis=1)
+        rows = np.ascontiguousarray(values[k0:].T)
+        out = out + coeffs.rho * np.trapezoid(rows, dx=grid.h, axis=1)
     if coeffs.mu_bar != 0.0 or np.any(np.asarray(coeffs.sigma_bar) != 0.0):
         # int_T^{T+delta} (mu_bar X_{s-delta} xi_s + sigma_bar X_{s-delta} eta_s) ds;
         # eta has equal coordinates, so sigma_bar . eta_s = sum(sigma_bar) * eta
-        x_del = values[:, grid.n_T - dd: grid.n_T + 1]
+        x_del = np.ascontiguousarray(values[grid.n_T - dd:].T)
         weights = coeffs.mu_bar * xi + float(np.sum(coeffs.sigma_bar)) * eta
         out = out + np.trapezoid(x_del * weights[None, :], dx=grid.h, axis=1)
     return out
@@ -187,9 +243,10 @@ def duality_rhs(coeffs: LinearDualityCoeffs, outer_dB: np.ndarray,
         # no name that a tracer may wrap is called here: the workers run
         # concurrently, and wrappers of module globals need not be thread-safe
         vals = np.empty(inner)
+        denom = _denominators(coeffs, outer_dB[j], grid, k0)
         key = (seed, j) if np.isscalar(seed) else tuple(seed) + (j,)
         for start, block in increment_blocks(grid, coeffs.d, coeffs.l, inner, key):
-            X = _forward(coeffs, block[:, :, :coeffs.d], outer_dB[j], grid, k0)
+            X = _forward(coeffs, block[:, :, :coeffs.d], denom, grid, k0)
             vals[start:start + len(block)] = _bracket(coeffs, X, grid, k0)
         return vals.mean(), (vals.std(ddof=1) / np.sqrt(inner) if inner > 1 else 0.0)
 
@@ -245,6 +302,8 @@ def duality_check(coeffs: LinearDualityCoeffs, T: float, h: float,
     if n_outer < 1 or inner < 1:
         raise ValidationError(
             f"need n_outer >= 1 and inner >= 1, got {n_outer} and {inner}")
+    if coeffs.t0 > T:
+        raise ValidationError(f"t0 = {coeffs.t0:g} is beyond the horizon T = {T:g}")
     backend = backend or RegressionBackend()
     calibrate = tol_mean is None
     grids = [(1, inner, seed)]

@@ -5,6 +5,7 @@ import threading
 import numpy as np
 import pytest
 
+import abdsde.duality
 import abdsde.paths
 from abdsde.condexp import RegressionBackend
 from abdsde.duality import (_bracket, duality_check, duality_rhs,
@@ -244,7 +245,7 @@ def _serial_rhs(coeffs, outer_dB, grid, k0, inner, seed):
     for j, dB in enumerate(outer_dB):
         paths = sample_paths(grid, coeffs.d, coeffs.l, inner, seed + (j,))
         paths.dB[:] = dB
-        vals = _bracket(coeffs, solve_delayed_dsde(coeffs, paths, k0), grid, k0)
+        vals = _bracket(coeffs, solve_delayed_dsde(coeffs, paths, k0).T, grid, k0)
         est.append(vals.mean())
         stderr.append(vals.std(ddof=1) / np.sqrt(inner))
     return np.array(est), np.array(stderr)
@@ -272,12 +273,110 @@ def test_duality_rhs_bits_do_not_depend_on_the_work_split(monkeypatch, d, l):
     for est, stderr in runs[1:]:
         assert np.array_equal(est, runs[0][0])
         assert np.array_equal(stderr, runs[0][1])
-    if l == 1:
-        # with l > 1, OpenBLAS's (P, l) @ (l,) product in the serial route
-        # need not give equal rows equal bits
-        est, stderr = _serial_rhs(coeffs, outer, grid, k0, 2500, (9,))
-        assert np.array_equal(est, runs[0][0])
-        assert np.array_equal(stderr, runs[0][1])
+    est, stderr = _serial_rhs(coeffs, outer, grid, k0, 2500, (9,))
+    assert np.array_equal(est, runs[0][0])
+    assert np.array_equal(stderr, runs[0][1])
+
+
+def _row_major_forward(coeffs, paths, k0):
+    # the Euler steps written path-major with a temporary per term, the
+    # reference for the bits of the node-major kernel; 1 - kappa dB_k sums
+    # over l left to right
+    grid = paths.grid
+    dd = grid.index_of(coeffs.delta)
+    sigma = np.asarray(coeffs.sigma)
+    sigma_bar = np.asarray(coeffs.sigma_bar)
+    X = np.zeros((paths.n_paths, grid.n_T + 1))
+    X[:, k0] = 1.0
+    for k in range(k0, grid.n_T):
+        x = X[:, k]
+        x_del = X[:, k - dd]
+        drift = (coeffs.mu * x + coeffs.mu_bar * x_del) * grid.h
+        diff_w = (x[:, None] * sigma[None, :]
+                  + x_del[:, None] * sigma_bar[None, :])
+        dot = paths.dB[:, k, 0] * coeffs.kappa[0]
+        for i in range(1, coeffs.l):
+            dot = dot + paths.dB[:, k, i] * coeffs.kappa[i]
+        X[:, k + 1] = (x + drift + np.einsum("pd,pd->p", diff_w, paths.dW[:, k])) \
+            / (1.0 - dot)
+    return X
+
+
+def _row_major_bracket(coeffs, X, grid, k0):
+    # both integrals of the functional (rho, mu_bar and sigma_bar nonzero)
+    # on path-major values
+    dd = grid.index_of(coeffs.delta)
+    xi, eta = coeffs.profiles(grid)
+    out = X[:, grid.n_T] * xi[0]
+    out = out + coeffs.rho * np.trapezoid(X[:, k0: grid.n_T + 1], dx=grid.h, axis=1)
+    weights = coeffs.mu_bar * xi + float(np.sum(coeffs.sigma_bar)) * eta
+    x_del = X[:, grid.n_T - dd: grid.n_T + 1]
+    return out + np.trapezoid(x_del * weights[None, :], dx=grid.h, axis=1)
+
+
+@pytest.mark.parametrize("d,l", [(1, 1), (2, 1), (2, 2)])
+def test_forward_kernel_keeps_the_bits_of_the_row_major_steps(d, l):
+    # t0 = 0.5 > delta, so the delayed terms act from node k0 + dd on; both
+    # integrals span at least 8 steps, where np.trapezoid's sum is pairwise
+    coeffs = LinearDualityCoeffs(
+        mu=0.1, mu_bar=0.05, sigma=(0.1, 0.12)[:d], sigma_bar=(0.07, 0.04)[:d],
+        kappa=(0.1, 0.13)[:l], rho=0.2, delta=0.25, t0=0.5,
+        terminal=TerminalSpec(name="affine",
+                              params={"value": 1.0, "slope": 0.4, "eta": 0.3}))
+    grid = coeffs.grid_for(1.0, 1 / 32)
+    k0 = grid.index_of(0.5)
+    paths = sample_paths(grid, d, l, 300, seed=21)
+    X = solve_delayed_dsde(coeffs, paths, k0)
+    reference = _row_major_forward(coeffs, paths, k0)
+    assert X.shape == reference.shape
+    assert np.array_equal(X, reference)
+    assert np.array_equal(_bracket(coeffs, X.T, grid, k0),
+                          _row_major_bracket(coeffs, reference, grid, k0))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_blow_up_names_the_first_non_finite_node():
+    # sigma = 1e103 overflows every path within a few steps, not all at the
+    # same node; the reference gives each path's first step that is not finite
+    coeffs = LinearDualityCoeffs(sigma=(1e103,), delta=0.25, t0=0.25)
+    grid = coeffs.grid_for(1.0, 1 / 8)
+    k0 = grid.index_of(0.25)
+    paths = sample_paths(grid, 1, 1, 64, seed=5)
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(_row_major_forward(coeffs, paths, k0)[:, k0 + 1:])
+    nodes = k0 + np.argmin(finite, axis=1)
+    assert not finite[:, -1].any() and len(set(nodes)) > 1
+    with pytest.raises(NonFinite, match=f"blew up at node {nodes.min()}$"):
+        solve_delayed_dsde(coeffs, paths, k0)
+    # mu = 1e300: X_{k0+1} = 1 + mu h is finite on every inner path and
+    # mu X_{k0+1} overflows, so the step at node k0 + 1 blows up
+    coeffs = LinearDualityCoeffs(mu=1e300, delta=0.25, t0=0.25)
+    threads = threading.active_count()
+    with pytest.raises(NonFinite, match=f"blew up at node {k0 + 1}$"):
+        duality_rhs(coeffs, paths.dB[:4], grid, k0, 8, (1,))
+    assert threading.active_count() == threads
+
+
+def test_duality_check_rejects_t0_beyond_the_horizon_before_drawing(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("drew paths")
+
+    coeffs = LinearDualityCoeffs(mu=0.2, mu_bar=0.1, delta=0.25, t0=1.25)
+    with monkeypatch.context() as patch:
+        patch.setattr(abdsde.duality, "sample_paths", no_draw)
+        with pytest.raises(ValidationError, match="t0 = 1.25 is beyond the horizon"):
+            duality_check(coeffs, T=1.0, h=0.125, P=256, n_outer=4, inner=8,
+                          seed=5)
+    # the forward kernel rejects a start node past the horizon node too
+    grid = coeffs.grid_for(1.0, 0.125)
+    paths = sample_paths(grid, 1, 1, 8, seed=5)
+    with pytest.raises(ValidationError, match="start node 9 is outside"):
+        solve_delayed_dsde(coeffs, paths, grid.n_T + 1)
+    # t0 = T starts the forward solve on its last node: no step, one check
+    coeffs = LinearDualityCoeffs(mu=0.2, mu_bar=0.1, delta=0.25, t0=1.0)
+    report = duality_check(coeffs, T=1.0, h=0.125, P=256, n_outer=4, inner=8,
+                           seed=5)
+    assert report.passed
 
 
 def test_a_worker_failure_surfaces_as_non_finite():

@@ -279,6 +279,18 @@ def test_duality_implicit_iters_other_than_one_exits_two(tmp_path):
     assert run("duality", path, str(tmp_path / "d.csv")) == 2
 
 
+def test_duality_t0_beyond_the_horizon_exits_two(tmp_path, capsys):
+    # past T the forward solve would start beyond its last node; t0 = T
+    # starts it on that node
+    path = _duality_small(tmp_path, "beyond", {}, lambda s: dict(s, t0=1.25))
+    with pytest.raises(ValidationError, match="beyond the horizon"):
+        load_scenario(path)
+    assert run("duality", path, str(tmp_path / "beyond.csv")) == 2
+    assert "duality.t0 = 1.25 is beyond the horizon T = 1" in capsys.readouterr().err
+    path = _duality_small(tmp_path, "at", {}, lambda s: dict(s, t0=1.0))
+    assert run("duality", path, str(tmp_path / "at.csv")) == 0
+
+
 def test_duality_coefficients_come_from_the_generator(tmp_path):
     # dropping the coefficient keys from the duality section changes nothing
     bodies = []
