@@ -29,7 +29,7 @@ import yaml
 from .condexp import ExactTreeBackend, RegressionBackend, RegressionBasis
 from .delays import affine_delay, constant_delay, DelaySpec, segment_interval
 from .duality import duality_check, LinearDualityCoeffs
-from .errors import AbdsdeError, ParseError, ValidationError
+from .errors import AbdsdeError, NonCommensurate, ParseError, ValidationError
 from .comparison import run_comparison
 from .generators import builtin_generator, catalog_params, with_lipschitz
 from .grids import make_grid, TimeGrid
@@ -186,9 +186,9 @@ def _build_duality(config: dict, scenario: Scenario) -> LinearDualityCoeffs | No
     """Duality coefficients from the `duality_linear` generator's parameters;
     None without a `duality:` section.
 
-    The section holds t0 (at most T), outer, inner and the tolerances; a
-    coefficient key still written there must equal the generator's value
-    after defaults.
+    The section holds t0 (a grid node at most T), outer, inner and the
+    tolerances; a coefficient key still written there must equal the
+    generator's value after defaults.
     The scenario's delay must be the constant K in both delta and zeta, and
     its implicit_iters 1, the scheme of the duality harness's solves.
     """
@@ -218,6 +218,11 @@ def _build_duality(config: dict, scenario: Scenario) -> LinearDualityCoeffs | No
     t0 = float(section.get("t0", K))
     if t0 > T:
         raise ValidationError(f"duality.t0 = {t0:g} is beyond the horizon T = {T:g}")
+    try:
+        scenario.grid.index_of(t0)
+    except NonCommensurate:
+        raise ValidationError(f"duality.t0 = {t0:g} is not a node of the grid "
+                              f"with step h = {scenario.grid.h:g}") from None
     delay = scenario.delay  # set: duality_linear anticipates
     if not delay.delta == delay.zeta == constant_delay(K):
         raise ValidationError(

@@ -15,15 +15,17 @@ it draws P paths, solves the backward equation on them with the regression
 solver, keeping only Y at t0 on the first n_outer paths, and evaluates the
 right-hand side by nested Monte Carlo on those paths (each outer path's
 B-increments shared by a fresh inner draw whose W-paths vary), reporting
-the per-outer-path residual.  The outer paths run on one worker thread per
-CPU the process may use; each draws its inner paths in row blocks of the
-same Philox stream, so the residuals are the same bits whatever the worker
-count.  The inner forward solve is node-major: a block's X_k is one
-contiguous row, each step writes it through scratch vectors allocated once
-per solve, the denominators 1 - kappa dB_k are formed and checked once per
-outer path, and one finiteness pass checks each solve.  The run's own grid
-gives the residuals; with tol_mean unset, the same pass on coarser grids
-calibrates the tolerances.
+the per-outer-path residual.  An inner path draws only what its forward
+solve reads, W on the steps from t0 to T: X is 0 before t0, the solve
+stops at T, and the outer path supplies B.  The outer paths run on one
+worker thread per CPU the process may use; each draws its inner paths in
+row blocks of the same Philox stream, so the residuals are the same bits
+whatever the worker count.  The inner forward solve is node-major: a
+block's X_k is one contiguous row, each step writes it through scratch
+vectors allocated once per solve, the denominators 1 - kappa dB_k are
+formed and checked once per outer path, and one finiteness pass checks
+each solve.  The run's own grid gives the residuals; with tol_mean unset,
+the same pass on coarser grids calibrates the tolerances.
 
 Discretization: the forward kappa term sits against the backward integral,
 so it is evaluated at the right endpoint, which makes each forward step an
@@ -119,7 +121,7 @@ def solve_delayed_dsde(coeffs: LinearDualityCoeffs, paths: PathEnsemble,
     """
     grid = paths.grid
     denom = _denominators(coeffs, paths.dB.transpose(1, 0, 2), grid, k0)
-    return _forward(coeffs, paths.dW, denom, grid, k0).T
+    return _forward(coeffs, paths.dW[:, k0:grid.n_T], denom, grid, k0).T
 
 
 def _denominators(coeffs: LinearDualityCoeffs, dB: np.ndarray, grid: TimeGrid,
@@ -145,14 +147,16 @@ def _denominators(coeffs: LinearDualityCoeffs, dB: np.ndarray, grid: TimeGrid,
 
 def _forward(coeffs: LinearDualityCoeffs, dW: np.ndarray, denom: np.ndarray,
              grid: TimeGrid, k0: int) -> np.ndarray:
-    """The Euler steps of solve_delayed_dsde on dW of shape (P, n_steps, d),
-    node-major: returns X of shape (n_T + 1, P), node k in the row X[k].
+    """The Euler steps of solve_delayed_dsde, node-major: returns X of shape
+    (n_T + 1, P), node k in the row X[k].
 
-    denom is _denominators' result: a number per step when every path
-    shares one B-path, else a (P,) row per step.  Each step writes through
-    (P,) scratch vectors allocated once per solve, in the order
-    (x + drift + noise) / denom, and one isfinite pass over the solved rows
-    checks the whole solve.
+    dW holds only the W-increments the steps read, shape (P, n_T - k0, d):
+    dW[:, j] is step k0 + j, since X is 0 before t0 and stops at T.  denom
+    is _denominators' result, indexed the same way: a number per step when
+    every path shares one B-path, else a (P,) row per step.  Each step
+    writes through (P,) scratch vectors allocated once per solve, in the
+    order (x + drift + noise) / denom, and one isfinite pass over the solved
+    rows checks the whole solve.
     """
     dd = grid.index_of(coeffs.delta)
     if not dd <= k0 <= grid.n_T:
@@ -180,12 +184,12 @@ def _forward(coeffs: LinearDualityCoeffs, dW: np.ndarray, denom: np.ndarray,
                 np.multiply(x, sigma[0], out=noise)
                 np.multiply(x_del, sigma_bar[0], out=term)
                 np.add(noise, term, out=noise)
-                np.multiply(noise, dW[:, k, 0], out=noise)
+                np.multiply(noise, dW[:, k - k0, 0], out=noise)
             else:
                 np.multiply(x[:, None], sigma, out=diff_w)
                 np.multiply(x_del[:, None], sigma_bar, out=diff_del)
                 np.add(diff_w, diff_del, out=diff_w)
-                np.einsum("pd,pd->p", diff_w, dW[:, k], out=noise)
+                np.einsum("pd,pd->p", diff_w, dW[:, k - k0], out=noise)
             np.add(x, drift, out=x_next)
             np.add(x_next, noise, out=x_next)
             np.divide(x_next, denom[k - k0], out=x_next)
@@ -225,12 +229,14 @@ def duality_rhs(coeffs: LinearDualityCoeffs, outer_dB: np.ndarray,
     """Nested Monte Carlo estimate of the representation, per outer B-path.
 
     Returns (estimates, inner standard errors), each of shape (n_outer,).
-    Outer path j gets inner paths whose W-increments are a fresh draw keyed
-    by (seed, j) and whose B-increments are all outer path j's, so only W
-    varies, which realizes conditioning on the B-future.  The outer paths
-    run on a thread pool, one worker per CPU this process may use; each
-    worker draws and solves an outer path's inner paths in row blocks, and
-    the results do not depend on the worker count or the block size.
+    Outer path j gets inner paths whose B-increments are all outer path j's
+    and whose W-increments are a fresh draw keyed by (seed, j), so only W
+    varies, which realizes conditioning on the B-future.  An inner path
+    draws only what the forward solve reads: W on the steps k0..n_T - 1, an
+    (n_T - k0, d) array.  The outer paths run on a thread pool, one worker
+    per CPU this process may use; each worker draws and solves an outer
+    path's inner paths in row blocks, and the results do not depend on the
+    worker count or the block size.
     """
     # imported here: the other commands need no pool, and every process pays
     # for a module-level import at start-up
@@ -245,8 +251,9 @@ def duality_rhs(coeffs: LinearDualityCoeffs, outer_dB: np.ndarray,
         vals = np.empty(inner)
         denom = _denominators(coeffs, outer_dB[j], grid, k0)
         key = (seed, j) if np.isscalar(seed) else tuple(seed) + (j,)
-        for start, block in increment_blocks(grid, coeffs.d, coeffs.l, inner, key):
-            X = _forward(coeffs, block[:, :, :coeffs.d], denom, grid, k0)
+        shape = (grid.n_T - k0, coeffs.d)
+        for start, block in increment_blocks(inner, shape, grid.h, key):
+            X = _forward(coeffs, block, denom, grid, k0)
             vals[start:start + len(block)] = _bracket(coeffs, X, grid, k0)
         return vals.mean(), (vals.std(ddof=1) / np.sqrt(inner) if inner > 1 else 0.0)
 

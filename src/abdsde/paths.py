@@ -185,24 +185,21 @@ class PathEnsemble:
 _DRAW_ROWS = 4096
 
 
-def increment_blocks(grid: TimeGrid, d: int, l: int, P: int, seed: SeedLike):
-    """Iterator of (start, block) over P paths of N(0, h) increments on the
-    grid, _DRAW_ROWS paths at a time.
+def increment_blocks(P: int, shape: tuple, h: float, seed: SeedLike):
+    """Iterator of (start, block) over P paths of N(0, h) increments, each
+    path an array of the given shape, _DRAW_ROWS paths at a time.
 
-    A block has shape (rows, n_steps, d + l), W in the first d columns and B
-    in the rest; it is a view of one buffer that the next block overwrites.
-    The Philox stream keyed by seed is drawn in path order, so path i's
-    increments do not depend on P or on the block size.
+    A block has shape (rows,) + shape; it is a view of one buffer that the
+    next block overwrites.  The Philox stream keyed by seed is drawn in path
+    order, so path i's increments do not depend on P or on the block size.
     """
     if P < 1:
         raise ValueError(f"need at least one path, got P={P}")
-    if d < 1 or l < 1:
-        raise ValueError(f"driver dimensions must be >= 1, got d={d}, l={l}")
     rng = np.random.Generator(np.random.Philox(seed=np.random.SeedSequence(seed)))
-    buf = np.empty((min(P, _DRAW_ROWS), grid.n_steps, d + l))
-    scale = np.sqrt(grid.h)
+    buf = np.empty((min(P, _DRAW_ROWS), *shape))
+    scale = np.sqrt(h)
 
-    def blocks():  # a generator of its own, so the checks above run at the call
+    def blocks():  # a generator of its own, so the check above runs at the call
         for start in range(0, P, len(buf)):
             block = buf[:min(len(buf), P - start)]
             rng.standard_normal(out=block)
@@ -215,11 +212,14 @@ def increment_blocks(grid: TimeGrid, d: int, l: int, P: int, seed: SeedLike):
 def sample_paths(grid: TimeGrid, d: int, l: int, P: int, seed: SeedLike) -> PathEnsemble:
     """Draw P independent paths of (W, B) increments on the grid.
 
-    Increments are N(0, h) per coordinate, W independent of B.  The draw is
-    deterministic in (seed, P, grid, d, l), and path i's increments do not
-    depend on P.
+    Increments are N(0, h) per coordinate, W independent of B.  Path i is
+    one (n_steps, d + l) draw, W in the first d columns and B in the rest.
+    The draw is deterministic in (seed, P, grid, d, l), and path i's
+    increments do not depend on P.
     """
-    blocks = increment_blocks(grid, d, l, P, seed)  # checks P, d and l
+    if d < 1 or l < 1:
+        raise ValueError(f"driver dimensions must be >= 1, got d={d}, l={l}")
+    blocks = increment_blocks(P, (grid.n_steps, d + l), grid.h, seed)  # checks P
     dW = np.empty((grid.n_steps, P, d)).transpose(1, 0, 2)  # node-major
     dB = np.empty((grid.n_steps, P, l)).transpose(1, 0, 2)
     for start, block in blocks:

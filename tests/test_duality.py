@@ -8,11 +8,11 @@ import pytest
 import abdsde.duality
 import abdsde.paths
 from abdsde.condexp import RegressionBackend
-from abdsde.duality import (_bracket, duality_check, duality_rhs,
-                            LinearDualityCoeffs, measurability_check,
-                            solve_delayed_dsde)
+from abdsde.duality import (_bracket, _denominators, _forward, duality_check,
+                            duality_rhs, LinearDualityCoeffs,
+                            measurability_check, solve_delayed_dsde)
 from abdsde.errors import NonFinite, ValidationError
-from abdsde.paths import sample_paths
+from abdsde.paths import PathEnsemble, sample_paths
 from abdsde.solver import solve_backward_sweep
 from abdsde.terminal import TerminalSpec
 
@@ -239,12 +239,18 @@ def test_calibration_without_a_fitting_grid_raises_unless_it_passes():
 
 
 def _serial_rhs(coeffs, outer_dB, grid, k0, inner, seed):
-    # one full (inner, n_steps, d + l) draw per outer path, its B half
-    # overwritten by the outer path's
+    # per outer path, one direct Philox draw of the W-increments on the
+    # forward steps k0..n_T - 1, in an ensemble whose B-paths are all the
+    # outer path's; W on the other steps is NaN, so a read of it would raise
     est, stderr = [], []
     for j, dB in enumerate(outer_dB):
-        paths = sample_paths(grid, coeffs.d, coeffs.l, inner, seed + (j,))
-        paths.dB[:] = dB
+        key = np.random.SeedSequence(seed + (j,))
+        rng = np.random.Generator(np.random.Philox(seed=key))
+        dW = np.full((inner, grid.n_steps, coeffs.d), np.nan)
+        dW[:, k0:grid.n_T] = rng.standard_normal(
+            (inner, grid.n_T - k0, coeffs.d)) * np.sqrt(grid.h)
+        paths = PathEnsemble(grid=grid, dW=dW,
+                             dB=np.repeat(dB[None], inner, axis=0))
         vals = _bracket(coeffs, solve_delayed_dsde(coeffs, paths, k0).T, grid, k0)
         est.append(vals.mean())
         stderr.append(vals.std(ddof=1) / np.sqrt(inner))
@@ -276,6 +282,55 @@ def test_duality_rhs_bits_do_not_depend_on_the_work_split(monkeypatch, d, l):
     est, stderr = _serial_rhs(coeffs, outer, grid, k0, 2500, (9,))
     assert np.array_equal(est, runs[0][0])
     assert np.array_equal(stderr, runs[0][1])
+
+
+@pytest.mark.parametrize("d,l", [(1, 1), (2, 2)])
+def test_duality_rhs_is_unbiased_for_the_noise_free_forward_solve(d, l):
+    # each Euler step is linear in X and its noise term has zero mean given
+    # B, so E[X_k | B] is the solve with dW = 0, and _bracket is linear:
+    # every estimate lies within 4 inner stderrs of the bracket of that solve
+    coeffs = LinearDualityCoeffs(
+        mu=0.1, mu_bar=0.05, sigma=(0.3, 0.2)[:d], sigma_bar=(0.15, 0.1)[:d],
+        kappa=(0.1, 0.13)[:l], rho=0.2, delta=0.25, t0=0.25)
+    grid = coeffs.grid_for(1.0, 1 / 16)
+    k0 = grid.index_of(0.25)
+    outer = sample_paths(grid, d, l, 4, seed=17).dB
+    est, stderr = duality_rhs(coeffs, outer, grid, k0, 4096, (23,))
+    no_noise = np.zeros((1, grid.n_T - k0, d))
+    for j, dB in enumerate(outer):
+        denom = _denominators(coeffs, dB, grid, k0)
+        mean = _bracket(coeffs, _forward(coeffs, no_noise, denom, grid, k0),
+                        grid, k0)[0]
+        assert stderr[j] > 0.0
+        assert abs(est[j] - mean) <= 4.0 * stderr[j], (j, est[j], mean, stderr[j])
+
+
+def test_duality_rhs_draws_only_w_on_the_forward_steps(monkeypatch):
+    # an inner path reads W on steps k0..n_T - 1 and the outer path's B, so
+    # one call draws n_outer * inner * (n_T - k0) * d normals and no more
+    shapes = []
+    draw = abdsde.paths.increment_blocks
+
+    def recording(P, shape, h, seed):
+        for start, block in draw(P, shape, h, seed):
+            shapes.append(block.shape)
+            yield start, block
+
+    # sample_paths looks the name up in abdsde.paths: a return to a full
+    # (n_steps, d + l) draw through it is recorded too
+    monkeypatch.setattr(abdsde.paths, "increment_blocks", recording)
+    monkeypatch.setattr(abdsde.duality, "increment_blocks", recording)
+    d, l, n_outer, inner = 2, 2, 3, 5000  # inner is not a multiple of the rows
+    coeffs = LinearDualityCoeffs(mu=0.1, sigma=(0.1, 0.2), sigma_bar=(0.0, 0.0),
+                                 kappa=(0.1, 0.13), delta=0.25, t0=0.5)
+    grid = coeffs.grid_for(1.0, 1 / 16)
+    k0 = grid.index_of(0.5)
+    outer = sample_paths(grid, d, l, n_outer, seed=3).dB
+    shapes.clear()
+    duality_rhs(coeffs, outer, grid, k0, inner, (9,))
+    assert {shape[1:] for shape in shapes} == {(grid.n_T - k0, d)}
+    assert sum(np.prod(shape) for shape in shapes) \
+        == n_outer * inner * (grid.n_T - k0) * d
 
 
 def _row_major_forward(coeffs, paths, k0):

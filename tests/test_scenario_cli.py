@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 import textwrap
@@ -291,6 +292,18 @@ def test_duality_t0_beyond_the_horizon_exits_two(tmp_path, capsys):
     assert run("duality", path, str(tmp_path / "at.csv")) == 0
 
 
+def test_duality_t0_off_the_grid_exits_two(tmp_path, capsys):
+    # h = 1/32: t0 = 0.3 lies between nodes 9 and 10, so the forward solve
+    # has no start node; it is rejected at load, not in a worker at run time
+    path = _duality_small(tmp_path, "off", {}, lambda s: dict(s, t0=0.3))
+    with pytest.raises(ValidationError, match="not a node of the grid"):
+        load_scenario(path)
+    assert run("duality", path, str(tmp_path / "off.csv")) == 2
+    assert "duality.t0 = 0.3 is not a node of the grid with step h = 0.03125" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "off.csv").exists()
+
+
 def test_duality_coefficients_come_from_the_generator(tmp_path):
     # dropping the coefficient keys from the duality section changes nothing
     bodies = []
@@ -419,10 +432,13 @@ def test_shipped_scenarios_load():
 def test_console_entry_point(tmp_path):
     scenario = _write(tmp_path, "s.yaml", MINIMAL)
     out = str(tmp_path / "cli.csv")
+    # pytest's pythonpath setting reaches only its own process, not the child
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "abdsde.cli", "solve", scenario, "--out", out,
          "--paths", "128"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stderr
     assert open(out).read().startswith("# scenario_hash")
 
