@@ -165,14 +165,14 @@ class ExactTreeBackend:
     def condexp(self, targets: np.ndarray, k: int, paths: PathEnsemble) -> np.ndarray:
         self._check(paths)
         ids = self.tree.f_atom_ids(k)
-        n_groups = ids.max() + 1
+        n_groups = 1 << self.tree.n  # 2^n information atoms of 2^n atoms each
         flat = targets.reshape(targets.shape[0], -1)
-        counts = np.bincount(ids, minlength=n_groups).astype(float)
-        out = np.empty_like(flat)
-        for j in range(flat.shape[1]):
-            sums = np.bincount(ids, weights=flat[:, j], minlength=n_groups)
-            out[:, j] = (sums / counts)[ids]
-        return out.reshape(targets.shape)
+        cols = flat.shape[1]
+        # one bincount: column j's group g is bin j * n_groups + g, in atom order
+        bins = (ids + n_groups * np.arange(cols)[:, None]).ravel()
+        sums = np.bincount(bins, weights=flat.T.ravel(), minlength=n_groups * cols)
+        means = (sums / n_groups).reshape(cols, n_groups).T
+        return np.take(means, ids, axis=0).reshape(targets.shape)
 
 
 def condexp(backend, targets: np.ndarray, k: int, paths: PathEnsemble) -> np.ndarray:

@@ -53,6 +53,10 @@ class TooLarge(AbdsdeError):
     """A requested exact tree exceeds the enumeration budget."""
 
 
+class NotMeasurable(AbdsdeError):
+    """Terminal data vary on increments their node's information field does not see."""
+
+
 class NoConvergence(AbdsdeError):
     """Fixed-point iteration hit its iteration cap above tolerance."""
 

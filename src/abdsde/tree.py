@@ -1,5 +1,5 @@
 """Exact finite probability space with two-point increments, and the
-brute-force backward recursion on it.
+exact backward recursion on it.
 
 Each of the n steps draws (dW, dB) uniformly from {+sqrt(h), -sqrt(h)}^2,
 giving 4^n equally likely atoms.  Increment moments match the Brownian ones
@@ -11,20 +11,22 @@ atoms lie in the same information atom at node k iff they agree on W bits
 before k and on B bits at or after k, so conditional expectations are plain
 block averages.
 
-`oracle_solve` re-implements the backward sweep with those exact averages,
-computed by an independent tensor-reshape route rather than the group-by
-used by `condexp.ExactTreeBackend`; agreement of the two routes is the
-package's core consistency check.
+`oracle_solve` re-implements the backward sweep with those exact averages
+on the atom tensor, the atom index as (2,)*2n bits, rather than by the
+group-by of `condexp.ExactTreeBackend`; agreement of the two routes is the
+package's core consistency check.  A node-k quantity keeps length-1 axes
+for the bits node k does not see, so it holds 2^n values, not 4^n.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .condexp import ExactTreeBackend
-from .errors import ShapeMismatch, TooLarge
+from .errors import NotMeasurable, ShapeMismatch, TooLarge
 from .grids import TimeGrid
 from .paths import PathEnsemble
 
@@ -77,13 +79,12 @@ def build_tree(n: int, h: float, n_T: int | None = None) -> TreeModel:
     if n > MAX_STEPS:
         raise TooLarge(f"{n}-step tree has {4**n} atoms; the cap is n={MAX_STEPS}")
     grid = TimeGrid(h=h, n_T=n if n_T is None else n_T, n_end=n)
-    atoms = np.arange(4 ** n)
-    # (step, atom) bits, so the increments are node-major like a draw's
-    w_bits = (atoms[None, :] >> np.arange(n)[:, None]) & 1
-    b_bits = (atoms[None, :] >> (n + np.arange(n))[:, None]) & 1
     root_h = np.sqrt(h)
-    dW = ((2.0 * w_bits - 1.0) * root_h)[:, :, None].transpose(1, 0, 2)
-    dB = ((2.0 * b_bits - 1.0) * root_h)[:, :, None].transpose(1, 0, 2)
+    steps = np.empty((2 * n, 4 ** n, 1))  # node-major: W's steps, then B's
+    for j in range(2 * n):  # bit j of the atom index signs row j
+        steps[j].reshape(-1, 2, 1 << j)[:] = [[-root_h], [root_h]]
+    dW = steps[:n].transpose(1, 0, 2)
+    dB = steps[n:].transpose(1, 0, 2)
     ensemble = PathEnsemble(grid=grid, dW=dW, dB=dB)
     return TreeModel(grid=grid, ensemble=ensemble)
 
@@ -92,25 +93,36 @@ def tree_for_grid(grid: TimeGrid) -> TreeModel:
     return build_tree(grid.n_steps, grid.h, n_T=grid.n_T)
 
 
-def _tensor_condexp(values: np.ndarray, k: int, n: int) -> np.ndarray:
-    """Exact conditional expectation at node k, by axis averaging.
+def _node_mean(tensor: np.ndarray, k: int, n: int) -> np.ndarray:
+    """Exact conditional expectation at node k of an atom tensor, whose
+    first 2n axes (length 2 or 1) are the B bits, most significant first,
+    then the W bits: node k does not see the axes n-k .. 2n-k-1."""
+    return tensor.mean(axis=tuple(range(n - k, 2 * n - k)), keepdims=True)
 
-    values is flat (4^n,); reshaped to (2,)*2n with the first n axes the B
-    bits (most significant first) and the last n the W bits, the unknown
-    coordinates at node k occupy the contiguous axes n-k .. 2n-k-1.
-    """
+
+def _tensor_condexp(values: np.ndarray, k: int, n: int) -> np.ndarray:
+    """`_node_mean` of flat per-atom values (4^n,), on every atom again."""
     tensor = values.reshape((2,) * (2 * n))
-    axes = tuple(range(n - k, 2 * n - k))
-    mean = tensor.mean(axis=axes, keepdims=True)
-    return np.broadcast_to(mean, tensor.shape).reshape(-1)
+    return np.broadcast_to(_node_mean(tensor, k, n), tensor.shape).reshape(-1)
+
+
+def _rows(n: int, *tensors: np.ndarray):
+    """Atom tensors broadcast together on their first 2n axes and flattened
+    to rows, other axes kept; returns (the broadcast shape, the row arrays)."""
+    lead = np.broadcast_shapes(*(t.shape[:2 * n] for t in tensors))
+    size = math.prod(lead)
+    return lead, [np.broadcast_to(t, lead + t.shape[2 * n:])
+                  .reshape((size,) + t.shape[2 * n:]) for t in tensors]
 
 
 def oracle_solve(scenario, tree: TreeModel):
     """Exact backward recursion on the tree (scalar scenarios only).
 
-    Mirrors the scheme of `solver.solve_backward_sweep` step for step, but
-    evaluates every conditional expectation by exact enumeration through
-    the tensor route above.  Returns a SolutionProcess on the atom ensemble.
+    Mirrors the scheme of `solver.solve_backward_sweep` step for step, with
+    each conditional expectation a mean over atom tensor axes.  f runs on
+    at most 2^n rows, g and phi on the bits their nodes see together (below
+    4^n).  The SolutionProcess on all atoms, node-major like the solver's,
+    is expanded at the return.  Terminal data must be node-measurable.
     """
     from .solver import SolutionProcess  # local import to avoid a cycle
 
@@ -121,43 +133,53 @@ def oracle_solve(scenario, tree: TreeModel):
     if grid.n_end != tree.n or abs(grid.h - tree.grid.h) > 1e-15:
         raise ShapeMismatch("scenario grid and tree disagree")
     n = tree.n
-    A = tree.n_atoms
     h = grid.h
-    dW = tree.ensemble.dW[:, :, 0]
-    dB = tree.ensemble.dB[:, :, 0]
+    signs = np.array([-np.sqrt(h), np.sqrt(h)])  # bit 0, bit 1
 
     term = scenario.terminal_data(tree.ensemble)
-    Y = np.zeros((A, grid.n_nodes))
-    Z = np.zeros((A, grid.n_nodes))
+    Y = [None] * grid.n_nodes  # node-k tensors
+    Z = [None] * grid.n_nodes
     for k in range(grid.n_T, grid.n_end + 1):
-        Y[:, k] = term.xi_at(k)[:, 0]
-        Z[:, k] = term.eta_at(k)[:, 0, 0]
+        for nodes, values in ((Y, term.xi_at(k)[:, 0]), (Z, term.eta_at(k)[:, 0, 0])):
+            # the node-k mean, which must not move a value beyond rounding
+            tensor = values.reshape((2,) * (2 * n))
+            nodes[k] = _node_mean(tensor, k, n)
+            if not np.allclose(tensor, nodes[k], rtol=1e-12, atol=1e-12):
+                raise NotMeasurable(f"terminal data at node {k} vary on "
+                                    f"increments the node-{k} field does not see")
 
-    def raw_functionals(k):
+    def raw_functionals(k):  # phi values, last axis the q_total columns
         if not gen.anticipates:
-            return np.zeros((A, 0))
+            return np.zeros((1,) * (2 * n) + (0,))
         ka = k + scenario.offsets.d_delta[k]
         kz = k + scenario.offsets.d_zeta[k]
-        return gen.eval_functionals(Y[:, ka][:, None], Z[:, kz][:, None, None])
+        lead, (y, z) = _rows(n, Y[ka], Z[kz])
+        return gen.eval_functionals(y[:, None], z[:, None, None]).reshape(lead + (-1,))
 
     # node k's raw functionals read only nodes > k (offsets are >= 1), so
     # they are final when computed and serve again as node k-1's g input
     raw = raw_functionals(grid.n_T)
     for k in range(grid.n_T - 1, -1, -1):
-        t_k = grid.time(k)
-        t_next = grid.time(k + 1)
-        g_val = gen.g(t_next, Y[:, k + 1][:, None], Z[:, k + 1][:, None, None], raw)
-        target = Y[:, k + 1] + np.asarray(g_val)[:, 0, 0] * dB[:, k]
-        Z[:, k] = _tensor_condexp(target * dW[:, k], k, n) / h
-        e_k = np.empty((A, gen.q_total))
+        lead, (y, z, e) = _rows(n, Y[k + 1], Z[k + 1], raw)
+        g_val = np.reshape(gen.g(grid.time(k + 1), y[:, None], z[:, None, None], e), lead)
+        # dB_k signs the axis n + k from the last, dW_k the axis k from it
+        target = Y[k + 1] + g_val * signs.reshape((2,) + (1,) * (n + k))
+        Z[k] = _node_mean(target * signs.reshape((2,) + (1,) * k), k, n) / h
         raw = raw_functionals(k)
-        for j in range(gen.q_total):
-            e_k[:, j] = _tensor_condexp(raw[:, j], k, n)
-        y_bar = _tensor_condexp(target, k, n)
+        e_k = _node_mean(raw, k, n)
+        y_bar = _node_mean(target, k, n)
         y_hat = y_bar
         for _ in range(scenario.implicit_iters):
-            f_val = gen.f(t_k, y_hat[:, None], Z[:, k][:, None, None], e_k)
-            y_hat = y_bar + h * np.asarray(f_val)[:, 0]
-        Y[:, k] = y_hat
+            lead, (y, z, e) = _rows(n, y_hat, Z[k], e_k)
+            f_val = gen.f(grid.time(k), y[:, None], z[:, None, None], e)
+            y_hat = y_bar + h * np.reshape(f_val, lead)
+        Y[k] = y_hat
 
-    return SolutionProcess(grid=grid, Y=Y[:, :, None], Z=Z[:, :, None, None])
+    def on_atoms(nodes):  # node-major rows, seen as (4^n, n_nodes)
+        out = np.empty((grid.n_nodes, tree.n_atoms))
+        for k, values in enumerate(nodes):
+            out[k].reshape((2,) * (2 * n))[...] = values
+        return out.T
+
+    return SolutionProcess(grid=grid, Y=on_atoms(Y)[:, :, None],
+                           Z=on_atoms(Z)[:, :, None, None])

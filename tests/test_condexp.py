@@ -117,6 +117,19 @@ def test_exact_backend_outputs_constant_on_atoms():
             assert np.ptp(out[ids == gid]) == 0.0
 
 
+def test_exact_backend_block_matches_its_columns_bitwise():
+    # one group-by over the block sums each bin in atom order, as one
+    # group-by per column would
+    tree = build_tree(3, 0.25)
+    block = np.random.default_rng(1).normal(size=(tree.n_atoms, 3))
+    backend = tree.backend()
+    for k in range(4):
+        whole = backend.condexp(block, k, tree.ensemble)
+        for j in range(3):
+            column = backend.condexp(block[:, j:j + 1], k, tree.ensemble)
+            assert np.array_equal(whole[:, j:j + 1], column)
+
+
 def test_exact_backend_tower_property_for_future_measurable_targets():
     # the conditioning fields are not nested in general, but for targets
     # built from W and the B-increments at/after k' the tower identity

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from abdsde.delays import affine_delay, constant_delay, DelaySpec
-from abdsde.errors import TooLarge
+from abdsde.errors import NotMeasurable, TooLarge
 from abdsde.generators import builtin_generator, CATALOG, GeneratorSpec
 from abdsde.grids import make_grid
 from abdsde.scenario import make_scenario
@@ -27,6 +29,18 @@ def test_increment_moments_exact():
     assert np.all((dW * dB).mean(axis=0) == 0.0)
     # probabilities are uniform dyadic rationals summing to one exactly
     assert tree.n_atoms * tree.atom_probability == 1.0
+
+
+def test_atom_index_bits_sign_the_increments():
+    # bit j of the atom index signs W's step j, bit n + j signs B's
+    n = 3
+    tree = build_tree(n, 0.25)
+    atoms = np.arange(tree.n_atoms)
+    for j in range(n):
+        assert np.array_equal(tree.ensemble.dW[:, j, 0] > 0, (atoms >> j) & 1 == 1)
+        assert np.array_equal(tree.ensemble.dB[:, j, 0] > 0, (atoms >> (n + j)) & 1 == 1)
+    assert np.all(np.abs(tree.ensemble.dW) == 0.5)
+    assert np.all(np.abs(tree.ensemble.dB) == 0.5)
 
 
 def test_partition_block_counts():
@@ -250,3 +264,102 @@ def test_solver_matches_oracle_across_the_catalog(scen):
     exact = oracle_solve(scen, tree)
     assert np.abs(sweep.Y - exact.Y).max() <= 1e-10
     assert np.abs(sweep.Z - exact.Z).max() <= 1e-10
+
+
+def _full_atom_oracle(scenario, tree):
+    """The backward recursion with every node quantity held on all 4^n
+    atoms, each conditional expectation a `_tensor_condexp`: the reference
+    the node-tensor `oracle_solve` must reproduce.  Returns (Y, Z) as
+    (A, n_nodes) arrays."""
+    gen = scenario.generator
+    grid = scenario.grid
+    n, A, h = tree.n, tree.n_atoms, grid.h
+    dW = tree.ensemble.dW[:, :, 0]
+    dB = tree.ensemble.dB[:, :, 0]
+    term = scenario.terminal_data(tree.ensemble)
+    Y = np.zeros((A, grid.n_nodes))
+    Z = np.zeros((A, grid.n_nodes))
+    for k in range(grid.n_T, grid.n_end + 1):
+        Y[:, k] = term.xi_at(k)[:, 0]
+        Z[:, k] = term.eta_at(k)[:, 0, 0]
+
+    def raw_functionals(k):
+        if not gen.anticipates:
+            return np.zeros((A, 0))
+        ka = k + scenario.offsets.d_delta[k]
+        kz = k + scenario.offsets.d_zeta[k]
+        return gen.eval_functionals(Y[:, ka][:, None], Z[:, kz][:, None, None])
+
+    raw = raw_functionals(grid.n_T)
+    for k in range(grid.n_T - 1, -1, -1):
+        g_val = gen.g(grid.time(k + 1), Y[:, k + 1][:, None],
+                      Z[:, k + 1][:, None, None], raw)
+        target = Y[:, k + 1] + np.asarray(g_val)[:, 0, 0] * dB[:, k]
+        Z[:, k] = _tensor_condexp(target * dW[:, k], k, n) / h
+        raw = raw_functionals(k)
+        e_k = np.empty((A, gen.q_total))
+        for j in range(gen.q_total):
+            e_k[:, j] = _tensor_condexp(raw[:, j], k, n)
+        y_bar = _tensor_condexp(target, k, n)
+        y_hat = y_bar
+        for _ in range(scenario.implicit_iters):
+            f_val = gen.f(grid.time(k), y_hat[:, None], Z[:, k][:, None, None], e_k)
+            y_hat = y_bar + h * np.asarray(f_val)[:, 0]
+        Y[:, k] = y_hat
+    return Y, Z
+
+
+@pytest.mark.filterwarnings("ignore:anticipation times are off-grid")
+@settings(max_examples=100, deadline=None)
+@given(scen=_catalog_scenarios())
+def test_oracle_matches_the_full_atom_recursion_across_the_catalog(scen):
+    tree = tree_for_grid(scen.grid)
+    exact = oracle_solve(scen, tree)
+    Y, Z = _full_atom_oracle(scen, tree)
+    assert np.abs(exact.Y[:, :, 0] - Y).max() <= 1e-12
+    assert np.abs(exact.Z[:, :, 0, 0] - Z).max() <= 1e-12
+
+
+def test_oracle_never_evaluates_the_generator_on_every_atom(monkeypatch):
+    # f reads node-k values only (2^n rows at most); g and phi read later
+    # nodes too, but never all 4^n atoms
+    grid = make_grid(0.375, 0.375, 0.125)
+    tree = tree_for_grid(grid)
+    n = tree.n
+    delay = DelaySpec(constant_delay(0.375), constant_delay(0.25), K=0.375)
+    gen = builtin_generator("example41_f1")
+    rows = {"f": [], "g": [], "phi": []}
+
+    def spy(name, fn):
+        def wrapped(t, y, z, e):
+            rows[name].append(y.shape[0])
+            return fn(t, y, z, e)
+        return wrapped
+
+    gen = replace(gen, f=spy("f", gen.f), g=spy("g", gen.g))
+    method = GeneratorSpec.eval_functionals
+
+    def counting(self, y_ant, z_ant):
+        rows["phi"].append(y_ant.shape[0])
+        return method(self, y_ant, z_ant)
+
+    monkeypatch.setattr(GeneratorSpec, "eval_functionals", counting)
+    scen = make_scenario(grid, gen, TerminalSpec(name="scaled_b_tail",
+                                                 params={"a": 0.5, "b": 1.0}),
+                         delay=delay, implicit_iters=3)
+    rows["f"].clear()  # make_scenario's own check of f
+    oracle_solve(scen, tree)
+    assert len(rows["f"]) == 3 * grid.n_T and len(rows["phi"]) == grid.n_T + 1
+    assert max(rows["f"]) <= 2 ** n
+    assert max(rows["g"] + rows["phi"]) < tree.n_atoms
+
+
+def test_oracle_rejects_terminal_data_the_node_does_not_see():
+    # xi = dW_{n-1} on every window node: nodes n_T .. n-1 do not see W's
+    # last step, so the oracle raises instead of averaging it away
+    grid = make_grid(0.4, 0.2, 0.2)
+    tree = tree_for_grid(grid)
+    xi = tree.ensemble.dW[:, tree.n - 1, 0]
+    scen = make_scenario(grid, builtin_generator("zero"), _scalar_terminal(tree, xi))
+    with pytest.raises(NotMeasurable, match="node 2"):
+        oracle_solve(scen, tree)
