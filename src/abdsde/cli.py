@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -162,8 +163,8 @@ def _build_backend(config: dict, grid):
     raise ValidationError(f"unknown backend kind '{kind}'")
 
 
-_COMPARE_KEYS = {"generator", "terminal", "epsilon"}
-_DUALITY_SETTINGS = {"t0", "outer", "inner", "tol_mean", "tol_max"}
+_COMPARE_KEYS = {"generator", "terminal"}
+_DUALITY_SETTINGS = {"t0", "outer", "inner", "tol_mean"}
 
 
 def _build_compare(config: dict, scenario: Scenario) -> Scenario | None:
@@ -186,8 +187,8 @@ def _build_duality(config: dict, scenario: Scenario) -> LinearDualityCoeffs | No
     """Duality coefficients from the `duality_linear` generator's parameters;
     None without a `duality:` section.
 
-    The section holds t0 (a grid node at most T), outer, inner and the
-    tolerances; a coefficient key still written there must equal the
+    The section holds t0 (a grid node at most T), outer, inner and
+    tol_mean; a coefficient key still written there must equal the
     generator's value after defaults.
     The scenario's delay must be the constant K in both delta and zeta, and
     its implicit_iters 1, the scheme of the duality harness's solves.
@@ -337,9 +338,7 @@ def _cmd_compare(config, built, out_path):
         raise ValidationError("compare command needs a 'compare' section")
     grid = built.grid
     paths = _paths(config, grid, built.tree)
-    eps = config["compare"].get("epsilon")
-    report = run_comparison(built.scenario, built.compare, paths, built.backend,
-                            epsilon=None if eps is None else float(eps))
+    report = run_comparison(built.scenario, built.compare, paths, built.backend)
     per_node = report.violation_fraction_per_node()
     rows = [(grid.time(k), report.mean_margin[k], report.min_margin[k],
              per_node[k]) for k in range(grid.n_nodes)]
@@ -358,15 +357,13 @@ def _cmd_duality(config, built, out_path):
     section = config["duality"]
     g = config["grid"]
     tol_mean = section.get("tol_mean")
-    tol_max = section.get("tol_max")
     report = duality_check(
         built.duality, T=float(g["T"]), h=float(g["h"]),
         P=int(config["paths"]["count"]),
         n_outer=int(section.get("outer", 64)),
         inner=int(section.get("inner", 2048)),
         seed=int(config["paths"]["seed"]), backend=built.backend,
-        tol_mean=None if tol_mean is None else float(tol_mean),
-        tol_max=None if tol_max is None else float(tol_max))
+        tol_mean=None if tol_mean is None else float(tol_mean))
     rows = [(j, float(r)) for j, r in enumerate(report.residuals)]
     rows.append(("summary", report.mean_residual))
     comments = (f"mean_residual = {_fmt(report.mean_residual)}",
@@ -382,6 +379,8 @@ def _cmd_oracle_check(config, built, out_path):
     grid, scenario, tree = built.grid, built.scenario, built.tree
     if tree is None:
         tree = tree_for_grid(grid)
+    # both routes read the same terminal data, built once on the atoms
+    scenario = replace(scenario, terminal=scenario.terminal_data(tree.ensemble))
     sol = solve_backward_sweep(scenario, tree.ensemble, tree.backend())
     exact = oracle_solve(scenario, tree)
     d_y = np.abs(sol.Y - exact.Y).max(axis=(0, 2))

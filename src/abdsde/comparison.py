@@ -62,10 +62,9 @@ class ComparisonReport:
             return self._violations
         return float(np.mean(self.margins < -eps))
 
-    def violation_fraction_per_node(self, eps: float | None = None) -> np.ndarray:
-        if eps is None:
-            return self._violations_per_node
-        return (self.margins < -eps).mean(axis=0)
+    def violation_fraction_per_node(self) -> np.ndarray:
+        """Per-node share of paths with Y1 < Y2 - epsilon."""
+        return self._violations_per_node
 
     @property
     def passed(self) -> bool:

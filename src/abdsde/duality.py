@@ -155,8 +155,9 @@ def _forward(coeffs: LinearDualityCoeffs, dW: np.ndarray, denom: np.ndarray,
     is _denominators' result, indexed the same way: a number per step when
     every path shares one B-path, else a (P,) row per step.  Each step
     writes through (P,) scratch vectors allocated once per solve, in the
-    order (x + drift + noise) / denom, and one isfinite pass over the solved
-    rows checks the whole solve.
+    order (x + drift + noise) / denom with the d noise columns summed left
+    to right, and one isfinite pass over the solved rows checks the whole
+    solve.
     """
     dd = grid.index_of(coeffs.delta)
     if not dd <= k0 <= grid.n_T:
@@ -169,9 +170,7 @@ def _forward(coeffs: LinearDualityCoeffs, dW: np.ndarray, denom: np.ndarray,
     X = np.empty((grid.n_T + 1, P))
     X[:k0] = 0.0
     X[k0] = 1.0
-    drift, noise, term = np.empty(P), np.empty(P), np.empty(P)
-    if coeffs.d > 1:
-        diff_w, diff_del = np.empty((P, coeffs.d)), np.empty((P, coeffs.d))
+    drift, noise, column, term = (np.empty(P) for _ in range(4))
     # a blow-up runs on as inf and nan to the check after the loop
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(k0, grid.n_T):
@@ -180,16 +179,14 @@ def _forward(coeffs: LinearDualityCoeffs, dW: np.ndarray, denom: np.ndarray,
             np.multiply(x_del, mu_bar, out=term)
             np.add(drift, term, out=drift)
             np.multiply(drift, h, out=drift)
-            if coeffs.d == 1:
-                np.multiply(x, sigma[0], out=noise)
-                np.multiply(x_del, sigma_bar[0], out=term)
-                np.add(noise, term, out=noise)
-                np.multiply(noise, dW[:, k - k0, 0], out=noise)
-            else:
-                np.multiply(x[:, None], sigma, out=diff_w)
-                np.multiply(x_del[:, None], sigma_bar, out=diff_del)
-                np.add(diff_w, diff_del, out=diff_w)
-                np.einsum("pd,pd->p", diff_w, dW[:, k - k0], out=noise)
+            for i in range(coeffs.d):  # noise columns summed left to right
+                acc = noise if i == 0 else column
+                np.multiply(x, sigma[i], out=acc)
+                np.multiply(x_del, sigma_bar[i], out=term)
+                np.add(acc, term, out=acc)
+                np.multiply(acc, dW[:, k - k0, i], out=acc)
+                if i:
+                    np.add(noise, column, out=noise)
             np.add(x, drift, out=x_next)
             np.add(x_next, noise, out=x_next)
             np.divide(x_next, denom[k - k0], out=x_next)
@@ -291,8 +288,7 @@ _CALIBRATION_FACTORS = (2, 4)
 def duality_check(coeffs: LinearDualityCoeffs, T: float, h: float,
                   P: int = 4096, n_outer: int = 64, inner: int = 2048,
                   seed: int = 11, backend: RegressionBackend | None = None,
-                  tol_mean: float | None = None,
-                  tol_max: float | None = None) -> DualityReport:
+                  tol_mean: float | None = None) -> DualityReport:
     """Residuals between the backward solve and the dual representation.
 
     Each grid draws P paths, solves the backward equation on them and
@@ -301,7 +297,7 @@ def duality_check(coeffs: LinearDualityCoeffs, T: float, h: float,
     constant C is the largest mean residual / h over the coarse grids with
     steps h * _CALIBRATION_FACTORS (max(inner // 2, 64) inner paths and
     seed + factor; a grid that T, delta or t0 does not fit is skipped), and
-    tol_mean = 3 (mean inner stderr + C h).  tol_max defaults to 3 tol_mean.
+    tol_mean = 3 (mean inner stderr + C h).  tol_max is 3 tol_mean.
     When no coarse grid fits, C is unknown: a run that passes with C = 0
     passes for every C >= 0 and is reported, any other raises
     ValidationError naming the grids tried.
@@ -347,10 +343,8 @@ def duality_check(coeffs: LinearDualityCoeffs, T: float, h: float,
     resid, stderr, y_t0, rhs = fine
     if calibrate:
         tol_mean = 3.0 * (float(stderr.mean()) + rate_c * h)
-    if tol_max is None:
-        tol_max = 3.0 * tol_mean
     report = DualityReport(residuals=resid, tol_mean=float(tol_mean),
-                           tol_max=float(tol_max), rate_constant=rate_c,
+                           tol_max=3.0 * float(tol_mean), rate_constant=rate_c,
                            y_t0=y_t0, rhs=rhs)
     if calibrate and len(unfit) == len(_CALIBRATION_FACTORS) and not report.passed:
         tried = ", ".join(f"{step:g}" for step in unfit)
@@ -389,27 +383,25 @@ def _r2_on_b_features(Y_k: np.ndarray, paths: PathEnsemble, k: int,
     return 1.0 - ss_res / ss_tot
 
 
-def measurability_check(sol: SolutionProcess, paths: PathEnsemble, k0: int,
-                        tol_z: float | None = None,
-                        tol_meas: float = 1e-3) -> MeasurabilityReport:
+def measurability_check(sol: SolutionProcess, paths: PathEnsemble,
+                        k0: int) -> MeasurabilityReport:
     """Grid norm of Z on [t0, T] and worst R^2 of Y on B-features alone.
 
     For a solution of the linear duality scenario both should vanish: Z is
     regression noise shrinking with (h, P) refinement, and Y should be
-    explained by the B-future.  tol_z defaults to sqrt(n_features/(h P)),
-    the scale of that noise.
+    explained by the B-future.  tol_z is sqrt(n_features/(h P)), the scale
+    of that noise, times max(1, max |Y|); 1 - R^2 may reach 1e-3.
     """
     grid = sol.grid
     z = sol.Z[:, k0: grid.n_T]
     z_norm = float(np.sqrt(np.mean(np.sum(z ** 2, axis=(2, 3)).sum(axis=1) * grid.h)))
-    if tol_z is None:
-        n_features = RegressionBasis(degree=2).n_features(paths.d + paths.l)
-        tol_z = np.sqrt(n_features / (grid.h * paths.n_paths)) \
-            * max(1.0, float(np.abs(sol.Y).max()))
+    n_features = RegressionBasis(degree=2).n_features(paths.d + paths.l)
+    tol_z = np.sqrt(n_features / (grid.h * paths.n_paths)) \
+        * max(1.0, float(np.abs(sol.Y).max()))
     r2 = [
         _r2_on_b_features(sol.Y[:, k, 0], paths, k)
         for k in range(k0, grid.n_T)
     ]
     return MeasurabilityReport(z_norm=z_norm,
                                min_r2=float(min(r2)) if r2 else 1.0,
-                               tol_z=float(tol_z), tol_meas=tol_meas)
+                               tol_z=float(tol_z), tol_meas=1e-3)

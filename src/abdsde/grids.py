@@ -56,10 +56,7 @@ class TimeGrid:
 
     def index_of(self, t: float) -> int:
         """Nearest-node index of a time that must lie on the grid."""
-        k = int(round(t / self.h))
-        if abs(t - k * self.h) > _COMMENSURATE_RTOL * max(1.0, abs(t)):
-            raise NonCommensurate(f"time {t} is not on a grid with step {self.h}")
-        return k
+        return _as_steps(t, self.h, "time")
 
 
 def _as_steps(value: float, h: float, name: str) -> int:

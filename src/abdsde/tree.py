@@ -21,7 +21,7 @@ for the bits node k does not see, so it holds 2^n values, not 4^n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +39,6 @@ class TreeModel:
 
     grid: TimeGrid
     ensemble: PathEnsemble
-    _atom_ids: dict = field(default_factory=dict, repr=False)
 
     @property
     def n(self) -> int:
@@ -55,14 +54,12 @@ class TreeModel:
 
     def f_atom_ids(self, k: int) -> np.ndarray:
         """Information-atom id per atom at node k (W bits < k, B bits >= k)."""
-        if k not in self._atom_ids:
-            n = self.n
-            atoms = np.arange(self.n_atoms)
-            w_index = atoms & ((1 << n) - 1)
-            b_index = atoms >> n
-            mask = (1 << k) - 1
-            self._atom_ids[k] = (w_index & mask) | ((b_index >> k) << k)
-        return self._atom_ids[k]
+        n = self.n
+        atoms = np.arange(self.n_atoms)
+        w_index = atoms & ((1 << n) - 1)
+        b_index = atoms >> n
+        mask = (1 << k) - 1
+        return (w_index & mask) | ((b_index >> k) << k)
 
     def backend(self) -> ExactTreeBackend:
         return ExactTreeBackend(self)
@@ -77,7 +74,8 @@ def build_tree(n: int, h: float, n_T: int | None = None) -> TreeModel:
     if n < 1:
         raise ValueError(f"need at least one step, got n={n}")
     if n > MAX_STEPS:
-        raise TooLarge(f"{n}-step tree has {4**n} atoms; the cap is n={MAX_STEPS}")
+        raise TooLarge(f"a {n}-step tree is beyond the cap of {MAX_STEPS} steps "
+                       f"(4^{MAX_STEPS} atoms)")
     grid = TimeGrid(h=h, n_T=n if n_T is None else n_T, n_end=n)
     root_h = np.sqrt(h)
     steps = np.empty((2 * n, 4 ** n, 1))  # node-major: W's steps, then B's
@@ -98,12 +96,6 @@ def _node_mean(tensor: np.ndarray, k: int, n: int) -> np.ndarray:
     first 2n axes (length 2 or 1) are the B bits, most significant first,
     then the W bits: node k does not see the axes n-k .. 2n-k-1."""
     return tensor.mean(axis=tuple(range(n - k, 2 * n - k)), keepdims=True)
-
-
-def _tensor_condexp(values: np.ndarray, k: int, n: int) -> np.ndarray:
-    """`_node_mean` of flat per-atom values (4^n,), on every atom again."""
-    tensor = values.reshape((2,) * (2 * n))
-    return np.broadcast_to(_node_mean(tensor, k, n), tensor.shape).reshape(-1)
 
 
 def _rows(n: int, *tensors: np.ndarray):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from abdsde.delays import (affine_delay, constant_delay, DelaySpec,
                            segment_interval, to_grid_offsets, validate_delay)
@@ -183,3 +183,27 @@ def test_segmentation_subgrid_delay_guard():
                      K=0.125)
     with pytest.raises(NonTermination):
         segment_interval(spec, grid)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([0.01, 0.05, 0.1, 0.25]), st.integers(1, 64),
+       st.integers(1, 32), st.floats(-1.0, 2.0, exclude_min=True),
+       st.floats(0.0, 1.0, exclude_min=True))
+def test_substitution_bound_holds_by_quadrature(h, n_T, n_K, b, share):
+    # M = max(1, 1/(1+b)) is derived, not checked at run time: trapezoid sums
+    # of three nonnegative g confirm int_0^T g(s + delay(s)) ds <= M int_0^{T+K} g
+    # on every form the validator accepts (a between its two bounds)
+    grid = make_grid(n_T * h, n_K * h, h)
+    low, high = max(0.0, -b * grid.T), grid.K - b * grid.T
+    form = affine_delay(low + share * (high - low), b)
+    try:
+        validate_delay(_spec(form, K=grid.K), grid)
+    except (A1Violation, NonPositiveDelay):
+        assume(False)
+    M = form.substitution_bound()
+    fine = np.linspace(0.0, grid.T, 513)
+    full = np.linspace(0.0, grid.T + grid.K, 513)
+    for g in (lambda u: np.ones_like(u), lambda u: u, lambda u: u ** 2):
+        lhs = np.trapezoid(g(fine + form(fine)), fine)
+        rhs = M * np.trapezoid(g(full), full)
+        assert lhs <= rhs + 1e-9 * max(1.0, rhs)

@@ -156,6 +156,19 @@ def test_out_of_range_input_exits_two(tmp_path, command, section, value,
     assert run(command, str(path), str(tmp_path / "x.csv"), **override) == 2
 
 
+@pytest.mark.parametrize("section,key", [("compare", "epsilon"), ("duality", "tol_max")])
+def test_removed_tolerance_keys_exit_two(tmp_path, capsys, section, key):
+    # the comparison's epsilon and the duality's tol_max follow from the run
+    config = {name: dict(val) for name, val in DUALITY_READY.items()}
+    config.setdefault(section, {})[key] = 0.1
+    path = tmp_path / "removed.yaml"
+    path.write_text(yaml.safe_dump(config))
+    with pytest.raises(ValidationError, match=f"unknown {section} keys.*'{key}'"):
+        load_scenario(str(path))
+    assert run(section, str(path), str(tmp_path / "x.csv")) == 2
+    assert f"ValidationError: unknown {section} keys ['{key}']" in capsys.readouterr().err
+
+
 def test_compare_command(tmp_path):
     scenario = _write(tmp_path, "cmp.yaml", """
         grid: {T: 0.5, K: 0.5, h: 0.0625}
@@ -398,6 +411,38 @@ def test_oracle_check_builds_the_tree_once(tmp_path, monkeypatch):
     """)
     assert run("oracle-check", scenario, str(tmp_path / "orc.csv")) == 0
     assert len(calls) == 1
+
+
+def test_oracle_check_builds_the_terminal_data_once(tmp_path, monkeypatch):
+    # the solver and the oracle read one TerminalData built on the atoms
+    from abdsde.terminal import TerminalSpec
+    calls = []
+    build = TerminalSpec.build
+
+    def counting_build(self, *args, **kwargs):
+        calls.append(self.name)
+        return build(self, *args, **kwargs)
+
+    monkeypatch.setattr(TerminalSpec, "build", counting_build)
+    scenario = _write(tmp_path, "orc.yaml", """
+        grid: {T: 0.4, K: 0.2, h: 0.2}
+        delay: {delta: 0.2}
+        generator: {name: example41_f1}
+        terminal: {name: scaled_b_tail, params: {a: 0.5, b: 1.0}}
+        backend: {kind: exact}
+    """)
+    assert run("oracle-check", scenario, str(tmp_path / "orc.csv")) == 0
+    assert calls == ["scaled_b_tail"]
+
+
+def test_oracle_check_beyond_the_step_cap_names_the_cap(capsys, tmp_path):
+    # 96 steps: the message names the step count and the cap, not 4^96
+    scenario = Path(__file__).resolve().parents[1] / "scenarios" / \
+        "anticipated_deterministic.yaml"
+    assert run("oracle-check", str(scenario), str(tmp_path / "orc.csv")) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: TooLarge: ") and len(err) < 100
+    assert "96-step" in err and "cap of 8 steps" in err
 
 
 def test_segment_command(tmp_path):

@@ -432,7 +432,7 @@ def test_sub_step_delay_still_solves_without_segmentation():
 # ---------------------------------------------------------------------------
 
 def test_discrete_one_step_identity_on_tree():
-    from abdsde.tree import _tensor_condexp
+    from tree_helpers import _tensor_condexp
     scen, tree = _example41_tree_setup()
     sol = solve_backward_sweep(scen, tree.ensemble, tree.backend())
     gen, grid = scen.generator, scen.grid

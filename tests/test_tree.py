@@ -11,7 +11,8 @@ from abdsde.grids import make_grid
 from abdsde.scenario import make_scenario
 from abdsde.solver import solve_backward_sweep
 from abdsde.terminal import TerminalData, TerminalSpec
-from abdsde.tree import build_tree, oracle_solve, tree_for_grid, _tensor_condexp
+from abdsde.tree import build_tree, oracle_solve, tree_for_grid
+from tree_helpers import _tensor_condexp
 
 
 def test_one_step_tree():
