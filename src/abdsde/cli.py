@@ -131,7 +131,7 @@ def _build_delay(config: dict, grid):
         return None
     delta = _delay_form(section["delta"])
     zeta = _delay_form(section.get("zeta", section["delta"]))
-    return DelaySpec(delta=delta, zeta=zeta, K=grid.K)
+    return DelaySpec(delta=delta, zeta=zeta)
 
 
 def _build_generator(section: dict, dims: dict):

@@ -57,10 +57,9 @@ class ComparisonReport:
         self._violations = float(np.mean(below))
         self._violations_per_node = below.mean(axis=0)
 
-    def violation_fraction(self, eps: float | None = None) -> float:
-        if eps is None:
-            return self._violations
-        return float(np.mean(self.margins < -eps))
+    def violation_fraction(self) -> float:
+        """Share of (path, node) points with Y1 < Y2 - epsilon."""
+        return self._violations
 
     def violation_fraction_per_node(self) -> np.ndarray:
         """Per-node share of paths with Y1 < Y2 - epsilon."""
@@ -196,7 +195,7 @@ def run_comparison(scenario1: Scenario, scenario2: Scenario,
     y0, resid = _sweep_pair(scenario1, scenario2, paths, backend, margins)
     tol = sum(_fit_noise_scale(r, paths, backend) for r in resid)
     if _can_coarsen(scenario1, scenario2, paths, backend):
-        coarse = paths.coarsen(2)
+        coarse = paths.coarsen()
         coarse_y0, _ = _sweep_pair(_coarse_scenario(scenario1, coarse.grid),
                                    _coarse_scenario(scenario2, coarse.grid),
                                    coarse, backend)

@@ -8,10 +8,12 @@ M is analytic: a change of variables u = (1+b)s + a gives
     int_t^T g(s + delay(s)) ds = 1/(1+b) * int g(u) du  <=  M * int_t^{T+K} g,
 
 so M = max(1, 1/(1+b)) certifies the bound; it exceeds 1 only for b < 0.
+K is the grid's, so a spec is just the pair of maps.
 
-The segmentation {t_i} partitions [0, T] so that on each piece every
-anticipated time lands at or beyond the piece's right endpoint, which is
-what lets the solver (and the comparison argument) proceed piece by piece.
+The segmentation {t_i} of (delta, zeta, grid) partitions [0, T] so that on
+each piece every anticipated time lands at or beyond the piece's right
+endpoint, which is what lets the solver (and the comparison argument)
+proceed piece by piece.  `segment_interval` computes it on request.
 """
 
 from __future__ import annotations
@@ -53,11 +55,10 @@ def affine_delay(a: float, b: float) -> DelayForm:
 
 @dataclass(frozen=True)
 class DelaySpec:
-    """The pair (delta, zeta) with horizon constant K."""
+    """The pair (delta, zeta); the horizon K is the grid's."""
 
     delta: DelayForm
     zeta: DelayForm
-    K: float
 
     @property
     def M(self) -> float:
@@ -82,10 +83,8 @@ def _check_form(form: DelayForm, grid: TimeGrid, name: str) -> None:
 
 
 def validate_delay(spec: DelaySpec, grid: TimeGrid) -> DelaySpec:
-    """Check K and, on grid nodes, positivity and the horizon bound of both
-    forms; returns the spec."""
-    if abs(spec.K - grid.K) > 1e-12 * max(1.0, grid.K):
-        raise A1Violation(f"spec K={spec.K} disagrees with grid K={grid.K}")
+    """Check, on grid nodes, positivity and the horizon bound t + delay(t)
+    <= T + K of both forms; returns the spec."""
     for form, name in ((spec.delta, "delta"), (spec.zeta, "zeta")):
         _check_form(form, grid, name)
     return spec

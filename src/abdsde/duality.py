@@ -93,7 +93,7 @@ class LinearDualityCoeffs:
 
     def scenario(self, grid: TimeGrid) -> Scenario:
         delay = DelaySpec(delta=constant_delay(self.delta),
-                          zeta=constant_delay(self.delta), K=grid.K)
+                          zeta=constant_delay(self.delta))
         return make_scenario(grid, self.generator(), self.terminal, delay=delay)
 
     def grid_for(self, T: float, h: float) -> TimeGrid:
@@ -222,12 +222,12 @@ def _bracket(coeffs: LinearDualityCoeffs, values: np.ndarray, grid: TimeGrid,
 
 
 def duality_rhs(coeffs: LinearDualityCoeffs, outer_dB: np.ndarray,
-                grid: TimeGrid, k0: int, inner: int, seed) -> tuple:
+                grid: TimeGrid, k0: int, inner: int, seed: tuple) -> tuple:
     """Nested Monte Carlo estimate of the representation, per outer B-path.
 
     Returns (estimates, inner standard errors), each of shape (n_outer,).
     Outer path j gets inner paths whose B-increments are all outer path j's
-    and whose W-increments are a fresh draw keyed by (seed, j), so only W
+    and whose W-increments are a fresh draw keyed by seed + (j,), so only W
     varies, which realizes conditioning on the B-future.  An inner path
     draws only what the forward solve reads: W on the steps k0..n_T - 1, an
     (n_T - k0, d) array.  The outer paths run on a thread pool, one worker
@@ -247,9 +247,8 @@ def duality_rhs(coeffs: LinearDualityCoeffs, outer_dB: np.ndarray,
         # concurrently, and wrappers of module globals need not be thread-safe
         vals = np.empty(inner)
         denom = _denominators(coeffs, outer_dB[j], grid, k0)
-        key = (seed, j) if np.isscalar(seed) else tuple(seed) + (j,)
         shape = (grid.n_T - k0, coeffs.d)
-        for start, block in increment_blocks(inner, shape, grid.h, key):
+        for start, block in increment_blocks(inner, shape, grid.h, seed + (j,)):
             X = _forward(coeffs, block, denom, grid, k0)
             vals[start:start + len(block)] = _bracket(coeffs, X, grid, k0)
         return vals.mean(), (vals.std(ddof=1) / np.sqrt(inner) if inner > 1 else 0.0)

@@ -158,23 +158,23 @@ class PathEnsemble:
         """B_{t_{n_T}} - B_{t_k}, shape (P, l)."""
         return self.b_at(self.grid.n_T) - self.b_at(k)
 
-    def coarsen(self, factor: int) -> "PathEnsemble":
-        """Merge groups of `factor` steps, keeping the same Brownian paths.
+    def coarsen(self) -> "PathEnsemble":
+        """Merge pairs of steps, keeping the same Brownian paths.
 
         Useful for h-refinement studies coupled on the same noise.  Each
-        merged increment is the sum of its steps in time order.
+        merged increment is the sum of its two steps in time order.
         """
         n = self.grid.n_steps
-        if factor < 1 or n % factor:
-            raise ValueError(f"factor {factor} does not divide {n} steps")
-        if self.grid.n_T % factor:
+        if n % 2:
+            raise ValueError(f"{n} steps do not pair up")
+        if self.grid.n_T % 2:
             raise ValueError("coarsening would move T off the grid")
-        grid = TimeGrid(h=self.grid.h * factor, n_T=self.grid.n_T // factor,
-                        n_end=self.grid.n_end // factor)
+        grid = TimeGrid(h=self.grid.h * 2, n_T=self.grid.n_T // 2,
+                        n_end=self.grid.n_end // 2)
 
         def merged(inc):  # node-major in, node-major out
             steps = inc.transpose(1, 0, 2)
-            steps = steps.reshape((n // factor, factor) + steps.shape[1:])
+            steps = steps.reshape((n // 2, 2) + steps.shape[1:])
             return steps.sum(axis=1).transpose(1, 0, 2)
 
         return PathEnsemble(grid=grid, dW=merged(self.dW), dB=merged(self.dB))

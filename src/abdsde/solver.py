@@ -48,8 +48,8 @@ this is the frozen-anticipation map, whose iteration (`picard_iterate`) is
 the constructive route to the solution and contracts in the exponentially
 weighted norm with the factor bounded by `contraction_params`.  Starting
 from `default_initial`, N applications of the map build the solution piece
-by piece over the N segments of the interval segmentation, which every
-solve records in `metadata["segmentation"]`.
+by piece over the N segments of the interval segmentation
+(`delays.segment_interval`).
 """
 
 from __future__ import annotations
@@ -60,9 +60,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .condexp import condexp
-from .delays import segment_interval
-from .errors import (Infeasible, NoConvergence, NonFinite, NonTermination,
-                     ShapeMismatch)
+from .errors import Infeasible, NoConvergence, NonFinite, ShapeMismatch
 from .generators import check_feasible, LipschitzData
 from .grids import TimeGrid
 from .paths import PathEnsemble
@@ -212,9 +210,6 @@ def solve_backward_sweep(scenario: Scenario, paths: PathEnsemble, backend,
     on the scenario grid and paths with the terminal part equal to
     (xi, eta); the output again has that terminal part.
 
-    metadata["segmentation"] holds the points of `segment_interval`, or
-    (T, 0.0) without a delay, or None when a delay shorter than one step
-    leaves no segmentation on the grid (the offsets snap it to one step).
     metadata["ybar_residual_rms"] maps each swept node to one residual RMS
     per component.
     """
@@ -278,14 +273,7 @@ def solve_backward_sweep(scenario: Scenario, paths: PathEnsemble, backend,
         if on_node is not None:
             on_node(k, Y[:, slot], Z[:, slot])
 
-    if scenario.delay is None:
-        segmentation = (grid.T, 0.0)
-    else:
-        try:
-            segmentation = segment_interval(scenario.delay, grid).points
-        except NonTermination:
-            segmentation = None
-    metadata = {"ybar_residual_rms": resid, "segmentation": segmentation}
+    metadata = {"ybar_residual_rms": resid}
     if on_node is not None:
         return metadata
     return SolutionProcess(grid=grid, Y=Y, Z=Z, metadata=metadata)

@@ -108,10 +108,8 @@ class TerminalSpec:
             return None
         return xi, np.full(t_rel.shape, p["eta"])
 
-    def build(self, grid: TimeGrid, paths: PathEnsemble, m: int = 1,
-              d: int | None = None) -> TerminalData:
-        if d is None:
-            d = paths.d
+    def build(self, grid: TimeGrid, paths: PathEnsemble, m: int,
+              d: int) -> TerminalData:
         P = paths.n_paths
         k_nodes = grid.n_end - grid.n_T + 1
         p = self._values()

@@ -29,6 +29,7 @@ from .condexp import ExactTreeBackend
 from .errors import NotMeasurable, ShapeMismatch, TooLarge
 from .grids import TimeGrid
 from .paths import PathEnsemble
+from .solver import SolutionProcess
 
 MAX_STEPS = 8
 
@@ -116,8 +117,6 @@ def oracle_solve(scenario, tree: TreeModel):
     4^n).  The SolutionProcess on all atoms, node-major like the solver's,
     is expanded at the return.  Terminal data must be node-measurable.
     """
-    from .solver import SolutionProcess  # local import to avoid a cycle
-
     gen = scenario.generator
     grid = scenario.grid
     if (gen.m, gen.d, gen.l) != (1, 1, 1):

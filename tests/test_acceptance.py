@@ -47,7 +47,7 @@ def test_criterion1_oracle_equivalence():
     start = time.time()
     grid = make_grid(0.6, 0.4, 0.2)  # 5 steps, 1024 atoms
     tree = tree_for_grid(grid)
-    delay = DelaySpec(constant_delay(0.4), constant_delay(0.4), K=0.4)
+    delay = DelaySpec(constant_delay(0.4), constant_delay(0.4))
     term = TerminalSpec(name="scaled_wt", params={"a": 0.5, "b": 1.0})
     cases = [
         ("zero", {}),
@@ -81,7 +81,7 @@ def test_criterion2_contraction():
     gen = builtin_generator("example41_f1")
     audit = audit_lipschitz(gen, samples=2000, seed=11)
     assert audit.passed and abs(audit.observed_alpha1 - 1.0 / 3.0) < 1e-9
-    delay = DelaySpec(constant_delay(0.25), constant_delay(0.25), K=0.25)
+    delay = DelaySpec(constant_delay(0.25), constant_delay(0.25))
     scen = make_scenario(grid, gen,
                          TerminalSpec(name="scaled_wt", params={"a": 0.5, "b": 1.0}),
                          delay=delay)
@@ -142,7 +142,7 @@ def test_criterion4_anticipated_deterministic_value():
     start = time.time()
     grid = make_grid(1.0, 0.5, 1.0 / 64)
     gen = builtin_generator("anticipated_drift")
-    delay = DelaySpec(constant_delay(0.5), constant_delay(0.5), K=0.5)
+    delay = DelaySpec(constant_delay(0.5), constant_delay(0.5))
     scen = make_scenario(grid, gen, constant_terminal(1.0), delay=delay)
     paths = sample_paths(grid, 1, 1, 4096, seed=7)
     sol = solve_backward_sweep(scen, paths, RegressionBackend())
@@ -159,14 +159,14 @@ def test_criterion5_segmentation():
     start = time.time()
     grid_a = make_grid(1.0, 0.4, 0.05)
     spec_a = validate_delay(
-        DelaySpec(constant_delay(0.4), constant_delay(0.4), K=0.4), grid_a)
+        DelaySpec(constant_delay(0.4), constant_delay(0.4)), grid_a)
     seg_a = segment_interval(spec_a, grid_a)
     const_ok = (seg_a.N == 3
                 and np.allclose(seg_a.points, (1.0, 0.6, 0.2, 0.0), atol=1e-12))
 
     grid_b = make_grid(1.0, 1.0, 1.0 / 64)
     spec_b = validate_delay(
-        DelaySpec(affine_delay(0.5, 0.5), affine_delay(0.5, 0.5), K=1.0), grid_b)
+        DelaySpec(affine_delay(0.5, 0.5), affine_delay(0.5, 0.5)), grid_b)
     seg_b = segment_interval(spec_b, grid_b)
     affine_ok = (seg_b.N == 2
                  and abs(seg_b.points[1] - 1.0 / 3.0) <= grid_b.h
@@ -174,7 +174,7 @@ def test_criterion5_segmentation():
 
     grid_c = make_grid(0.75, 0.25, 0.25)
     tree = tree_for_grid(grid_c)
-    delay_c = DelaySpec(constant_delay(0.25), constant_delay(0.25), K=0.25)
+    delay_c = DelaySpec(constant_delay(0.25), constant_delay(0.25))
     scen = make_scenario(grid_c, builtin_generator("example41_f1"),
                          TerminalSpec(name="scaled_wt", params={"a": 0.5, "b": 1.0}),
                          delay=delay_c)
@@ -195,7 +195,7 @@ def test_criterion5_segmentation():
 # -------------------------------------------------------------------- 6 ---
 
 def _example41_pair(grid):
-    delay = DelaySpec(constant_delay(grid.K), constant_delay(grid.K), K=grid.K)
+    delay = DelaySpec(constant_delay(grid.K), constant_delay(grid.K))
     s1 = make_scenario(grid, builtin_generator("example41_f1"),
                        TerminalSpec(name="scaled_wt", params={"a": 0.5, "b": 1.5}),
                        delay=delay)

@@ -31,7 +31,7 @@ def test_identical_scenarios_zero_margins():
     report = run_comparison(scen, scen, paths, RegressionBackend(),
                             epsilon=0.0)
     assert np.all(report.margins == 0.0)
-    assert report.violation_fraction(0.0) == 0.0
+    assert report.violation_fraction() == 0.0
 
 
 def test_linear_pair_margin_matches_closed_form():
@@ -61,8 +61,7 @@ def test_terminal_order_violated():
 
 
 def _example41_pair(grid, delay_value, shift=0.5):
-    delay = DelaySpec(constant_delay(delay_value), constant_delay(delay_value),
-                      K=grid.K)
+    delay = DelaySpec(constant_delay(delay_value), constant_delay(delay_value))
     base = {"a": 0.5, "b": 1.0}
     s1 = make_scenario(grid, builtin_generator("example41_f1"),
                        TerminalSpec(name="scaled_wt",
@@ -81,7 +80,7 @@ def test_example41_pair_tree_margins_nonnegative():
     report = run_comparison(s1, s2, tree.ensemble, tree.backend(),
                             epsilon=0.0)
     assert report.margins.min() >= -1e-10
-    assert report.violation_fraction(0.0) == 0.0
+    assert report.violation_fraction() == 0.0
 
 
 def test_exact_backend_run_tolerance_is_zero():
@@ -247,10 +246,12 @@ def test_constant_component_gets_exactly_zero_z():
 def test_violation_fraction_nonincreasing(eps):
     rng = np.random.default_rng(0)
     margins = rng.normal(scale=0.5, size=(64, 5))
-    report = ComparisonReport(margins=margins, epsilon=0.0, run_tolerance=0.0)
-    values = [report.violation_fraction(e) for e in sorted(eps)]
+    values = [ComparisonReport(margins=margins, epsilon=e,
+                               run_tolerance=0.0).violation_fraction()
+              for e in sorted(eps)]
     assert all(a >= b for a, b in zip(values, values[1:]))
-    assert report.violation_fraction(np.inf) == 0.0
+    assert ComparisonReport(margins=margins, epsilon=np.inf,
+                            run_tolerance=0.0).violation_fraction() == 0.0
 
 
 def test_no_anticipation_pair_with_shared_diffusion():

@@ -8,20 +8,20 @@ from abdsde.errors import A1Violation, NonPositiveDelay, NonTermination
 from abdsde.grids import make_grid
 
 
-def _spec(delta, zeta=None, K=0.0):
-    return DelaySpec(delta=delta, zeta=zeta or delta, K=K)
+def _spec(delta, zeta=None):
+    return DelaySpec(delta=delta, zeta=zeta or delta)
 
 
 def test_validate_constant_delay():
     grid = make_grid(1.0, 0.4, 0.05)
-    spec = validate_delay(_spec(constant_delay(0.4), K=0.4), grid)
+    spec = validate_delay(_spec(constant_delay(0.4)), grid)
     assert spec.M == 1.0
 
 
 def test_validate_affine_delay_substitution_bound():
     # u = 1.5 s + 0.5 compresses the integral by 2/3, so M = 1 certifies it
     grid = make_grid(1.0, 1.0, 0.25)
-    spec = validate_delay(_spec(affine_delay(0.5, 0.5), K=1.0), grid)
+    spec = validate_delay(_spec(affine_delay(0.5, 0.5)), grid)
     assert spec.M == 1.0
     fine = np.linspace(0.0, 1.0, 2001)
     for g in (lambda u: u, lambda u: u ** 2):
@@ -33,12 +33,14 @@ def test_validate_affine_delay_substitution_bound():
 def test_horizon_violation():
     grid = make_grid(1.0, 0.3, 0.05)
     with pytest.raises(A1Violation):
-        validate_delay(_spec(constant_delay(0.4), K=0.3), grid)
+        validate_delay(_spec(constant_delay(0.4)), grid)
 
 
 def test_offsets_check_the_spec_against_their_own_grid():
-    # a spec that fits a long horizon is checked again on a shorter one
-    spec = validate_delay(_spec(constant_delay(0.4), K=0.4), make_grid(1.0, 0.4, 0.05))
+    # the spec carries no K: it fits any grid whose K it respects, and is
+    # checked again on a shorter horizon
+    spec = validate_delay(_spec(constant_delay(0.4)), make_grid(1.0, 0.4, 0.05))
+    assert to_grid_offsets(spec, make_grid(1.0, 0.5, 0.05)).max_snap_error < 1e-12
     with pytest.raises(A1Violation):
         to_grid_offsets(spec, make_grid(1.0, 0.3, 0.05))
     with pytest.raises(A1Violation):
@@ -58,12 +60,12 @@ def test_substitution_bound_comes_from_the_forms():
 def test_non_positive_delay():
     grid = make_grid(1.0, 0.5, 0.25)
     with pytest.raises(NonPositiveDelay):
-        validate_delay(_spec(affine_delay(0.0, 0.5), K=0.5), grid)
+        validate_delay(_spec(affine_delay(0.0, 0.5)), grid)
 
 
 def test_offsets_constant_delay():
     grid = make_grid(1.0, 0.5, 0.25)
-    spec = validate_delay(_spec(constant_delay(0.5), K=0.5), grid)
+    spec = validate_delay(_spec(constant_delay(0.5)), grid)
     off = to_grid_offsets(spec, grid)
     assert np.all(off.d_delta == 2) and np.all(off.d_zeta == 2)
     assert off.max_snap_error == 0.0
@@ -71,7 +73,7 @@ def test_offsets_constant_delay():
 
 def test_offsets_snapping():
     grid = make_grid(1.0, 0.5, 0.25)
-    spec = validate_delay(_spec(constant_delay(0.3), K=0.5), grid)
+    spec = validate_delay(_spec(constant_delay(0.3)), grid)
     off = to_grid_offsets(spec, grid)
     assert np.all(off.d_delta == 1)
     assert np.allclose(off.snap_error, 0.05)
@@ -79,7 +81,7 @@ def test_offsets_snapping():
 
 def test_offsets_affine():
     grid = make_grid(1.0, 1.0, 0.25)
-    spec = validate_delay(_spec(affine_delay(0.5, 0.5), K=1.0), grid)
+    spec = validate_delay(_spec(affine_delay(0.5, 0.5)), grid)
     off = to_grid_offsets(spec, grid)
     k = grid.index_of(0.5)
     # t + delay(t) = 1.25 at t = 0.5, three steps ahead
@@ -89,7 +91,7 @@ def test_offsets_affine():
 
 def test_segmentation_constant_example():
     grid = make_grid(1.0, 0.4, 0.05)
-    spec = validate_delay(_spec(constant_delay(0.4), K=0.4), grid)
+    spec = validate_delay(_spec(constant_delay(0.4)), grid)
     seg = segment_interval(spec, grid)
     assert seg.N == 3
     assert np.allclose(seg.points, (1.0, 0.6, 0.2, 0.0))
@@ -97,7 +99,7 @@ def test_segmentation_constant_example():
 
 def test_segmentation_affine_example():
     grid = make_grid(1.0, 1.0, 1.0 / 64)
-    spec = validate_delay(_spec(affine_delay(0.5, 0.5), K=1.0), grid)
+    spec = validate_delay(_spec(affine_delay(0.5, 0.5)), grid)
     seg = segment_interval(spec, grid)
     # 1.5 s + 0.5 >= 1 exactly from s = 1/3; the grid scan lands within h
     assert seg.N == 2
@@ -107,7 +109,7 @@ def test_segmentation_affine_example():
 
 def test_segmentation_whole_interval():
     grid = make_grid(1.0, 1.0, 0.25)
-    spec = validate_delay(_spec(constant_delay(1.0), K=1.0), grid)
+    spec = validate_delay(_spec(constant_delay(1.0)), grid)
     seg = segment_interval(spec, grid)
     assert seg.N == 1 and seg.points == (1.0, 0.0)
 
@@ -119,7 +121,7 @@ def test_segmentation_constant_closed_form(steps):
     h = 0.125
     grid = make_grid(2.0, steps * h, h)
     delta0 = steps * h
-    spec = validate_delay(_spec(constant_delay(delta0), K=delta0), grid)
+    spec = validate_delay(_spec(constant_delay(delta0)), grid)
     seg = segment_interval(spec, grid)
     expected = []
     t = 2.0
@@ -133,7 +135,7 @@ def test_segmentation_constant_closed_form(steps):
 
 def test_segmentation_defining_property_on_grid():
     grid = make_grid(1.0, 1.0, 1.0 / 32)
-    spec = validate_delay(_spec(affine_delay(0.25, 0.75), K=1.0), grid)
+    spec = validate_delay(_spec(affine_delay(0.25, 0.75)), grid)
     seg = segment_interval(spec, grid)
     pts = seg.points
     for i in range(1, len(pts)):
@@ -171,7 +173,7 @@ def _brute_force_segmentation(delta_fn, zeta_fn, grid):
                                    affine_delay(0.5, 0.5), affine_delay(0.25, 0.75)])
 def test_segmentation_matches_brute_force_scan(delta):
     grid = make_grid(1.0, 1.0, 1.0 / 32)
-    spec = validate_delay(_spec(delta, K=1.0), grid)
+    spec = validate_delay(_spec(delta), grid)
     seg = segment_interval(spec, grid)
     brute = _brute_force_segmentation(spec.delta, spec.zeta, grid)
     assert np.allclose(seg.points, brute, atol=1e-12)
@@ -179,8 +181,7 @@ def test_segmentation_matches_brute_force_scan(delta):
 
 def test_segmentation_subgrid_delay_guard():
     grid = make_grid(1.0, 0.125, 0.125)
-    spec = DelaySpec(delta=constant_delay(0.01), zeta=constant_delay(0.01),
-                     K=0.125)
+    spec = DelaySpec(delta=constant_delay(0.01), zeta=constant_delay(0.01))
     with pytest.raises(NonTermination):
         segment_interval(spec, grid)
 
@@ -197,7 +198,7 @@ def test_substitution_bound_holds_by_quadrature(h, n_T, n_K, b, share):
     low, high = max(0.0, -b * grid.T), grid.K - b * grid.T
     form = affine_delay(low + share * (high - low), b)
     try:
-        validate_delay(_spec(form, K=grid.K), grid)
+        validate_delay(_spec(form), grid)
     except (A1Violation, NonPositiveDelay):
         assume(False)
     M = form.substitution_bound()

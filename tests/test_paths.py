@@ -132,12 +132,14 @@ def test_integral_shape_mismatch():
 
 def test_coarsen_preserves_brownian_path():
     paths = sample_paths(make_grid(1.0, 0.5, 0.125), 1, 1, 64, seed=5)
-    coarse = paths.coarsen(2)
+    coarse = paths.coarsen()
     assert coarse.grid.h == 0.25 and coarse.grid.n_T == 4
     assert np.allclose(coarse.dW.sum(axis=1), paths.dW.sum(axis=1), atol=1e-14)
     assert np.allclose(coarse.b_at(2), paths.b_at(4), atol=1e-14)
-    with pytest.raises(ValueError):
-        paths.coarsen(5)
+    # three steps do not pair up; four do, but T would fall between nodes
+    for grid in (make_grid(0.75, 0.0, 0.25), make_grid(0.75, 0.25, 0.25)):
+        with pytest.raises(ValueError):
+            sample_paths(grid, 1, 1, 4, seed=5).coarsen()
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +165,7 @@ def _same_bits(a, b):
 
 _ENSEMBLES = {
     "draw": lambda: sample_paths(STATE_GRID, 2, 1, STATE_P, seed=(9, 1)),
-    "coarsened": lambda: sample_paths(STATE_GRID, 2, 1, STATE_P, seed=(9, 1)).coarsen(2),
+    "coarsened": lambda: sample_paths(STATE_GRID, 2, 1, STATE_P, seed=(9, 1)).coarsen(),
     "tree": lambda: build_tree(7, 0.1, n_T=5).ensemble,
 }
 

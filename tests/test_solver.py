@@ -5,10 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from abdsde import cli
+from abdsde import cli, delays
 from abdsde.condexp import RegressionBackend
 from abdsde.delays import affine_delay, constant_delay, DelaySpec, segment_interval
-from abdsde.errors import Infeasible, NoConvergence, NonFinite, ShapeMismatch
+from abdsde.errors import (Infeasible, NoConvergence, NonFinite, NonTermination,
+                           ShapeMismatch)
 from abdsde.generators import builtin_generator, GeneratorSpec, LipschitzData
 from abdsde.grids import make_grid
 from abdsde.paths import sample_paths
@@ -123,7 +124,7 @@ def test_zero_generator_exact():
 def test_terminal_part_pinned_bitwise():
     grid = make_grid(0.5, 0.5, 0.25)
     gen = builtin_generator("anticipated_drift")
-    delay = DelaySpec(constant_delay(0.5), constant_delay(0.5), K=0.5)
+    delay = DelaySpec(constant_delay(0.5), constant_delay(0.5))
     scen = make_scenario(grid, gen, constant_terminal(1.0, eta=0.25), delay=delay)
     paths = sample_paths(grid, 1, 1, 128, seed=2)
     term = scen.terminal_data(paths)
@@ -151,7 +152,7 @@ def test_anticipated_deterministic_closed_form():
     # piecewise solution: 2 - t on [1/2, 1], 2.125 - 1.5 t + t^2/2 on [0, 1/2]
     grid = make_grid(1.0, 0.5, 1 / 64)
     gen = builtin_generator("anticipated_drift")
-    delay = DelaySpec(constant_delay(0.5), constant_delay(0.5), K=0.5)
+    delay = DelaySpec(constant_delay(0.5), constant_delay(0.5))
     scen = make_scenario(grid, gen, constant_terminal(1.0), delay=delay)
     paths = sample_paths(grid, 1, 1, 128, seed=4)
     sol = solve_backward_sweep(scen, paths, RegressionBackend())
@@ -172,7 +173,7 @@ def test_affine_delay_deterministic_closed_form():
     errs = []
     for h in (1 / 32, 1 / 64):
         grid = make_grid(1.0, 1.0, h)
-        delay = DelaySpec(affine_delay(0.5, 0.5), affine_delay(0.5, 0.5), K=1.0)
+        delay = DelaySpec(affine_delay(0.5, 0.5), affine_delay(0.5, 0.5))
         with pytest.warns(UserWarning, match="snapping"):
             scen = make_scenario(grid, builtin_generator("anticipated_drift"),
                                  constant_terminal(1.0), delay=delay)
@@ -215,7 +216,7 @@ def test_nonfinite_generator_detected():
 def test_picard_no_convergence_error():
     grid = make_grid(0.75, 0.25, 0.25)
     gen = builtin_generator("example41_f1")
-    delay = DelaySpec(constant_delay(0.25), constant_delay(0.25), K=0.25)
+    delay = DelaySpec(constant_delay(0.25), constant_delay(0.25))
     scen = make_scenario(grid, gen, constant_terminal(1.0), delay=delay)
     paths = sample_paths(grid, 1, 1, 256, seed=5)
     with pytest.raises(NoConvergence):
@@ -245,7 +246,7 @@ def _example41_tree_setup():
     grid = make_grid(0.75, 0.25, 0.25)
     tree = tree_for_grid(grid)
     gen = builtin_generator("example41_f1")
-    delay = DelaySpec(constant_delay(0.25), constant_delay(0.25), K=0.25)
+    delay = DelaySpec(constant_delay(0.25), constant_delay(0.25))
     term = TerminalSpec(name="scaled_wt", params={"a": 0.5, "b": 1.0})
     scen = make_scenario(grid, gen, term, delay=delay)
     return scen, tree
@@ -331,7 +332,7 @@ def test_picard_matches_single_sweep():
 def test_picard_on_regression_backend_converges():
     grid = make_grid(0.5, 0.5, 0.25)
     gen = builtin_generator("example41_f1")
-    delay = DelaySpec(constant_delay(0.5), constant_delay(0.5), K=0.5)
+    delay = DelaySpec(constant_delay(0.5), constant_delay(0.5))
     scen = make_scenario(grid, gen, constant_terminal(1.0), delay=delay)
     paths = sample_paths(grid, 1, 1, 512, seed=6)
     sol, log = picard_iterate(scen, paths, RegressionBackend(), tol=1e-9)
@@ -357,7 +358,7 @@ def test_one_condexp_call_per_node_and_functionals_once_per_node(monkeypatch):
     monkeypatch.setattr(RegressionBackend, "condexp", counting_condexp)
     monkeypatch.setattr(GeneratorSpec, "eval_functionals", counting_functionals)
     grid = make_grid(0.5, 0.25, 0.0625)
-    delay = DelaySpec(constant_delay(0.25), constant_delay(0.25), K=0.25)
+    delay = DelaySpec(constant_delay(0.25), constant_delay(0.25))
     scen = make_scenario(grid, builtin_generator("example41_f1"),
                          TerminalSpec(name="scaled_wt", params={"a": 0.5, "b": 1.5}),
                          delay=delay)
@@ -382,7 +383,7 @@ def _piecewise(scen, paths, backend):
 
 def test_segmented_equals_global_zero_generator():
     grid = make_grid(1.0, 0.5, 0.25)
-    delay = DelaySpec(constant_delay(0.5), constant_delay(0.5), K=0.5)
+    delay = DelaySpec(constant_delay(0.5), constant_delay(0.5))
     scen = make_scenario(grid, builtin_generator("zero"),
                          TerminalSpec(name="scaled_wt", params={"a": 1.0}),
                          delay=delay)
@@ -399,17 +400,17 @@ def test_segmented_equals_global_on_tree():
     b = _piecewise(scen, tree.ensemble, tree.backend())
     assert np.abs(a.Y - b.Y).max() <= 1e-12
     assert np.abs(a.Z - b.Z).max() <= 1e-12
-    assert b.metadata["segmentation"] == (0.75, 0.5, 0.25, 0.0)
+    assert segment_interval(scen.delay, scen.grid).points == (0.75, 0.5, 0.25, 0.0)
 
 
 def test_segmented_single_segment_when_delay_covers_horizon():
     grid = make_grid(0.5, 0.5, 0.25)
-    delay = DelaySpec(constant_delay(0.5), constant_delay(0.5), K=0.5)
+    delay = DelaySpec(constant_delay(0.5), constant_delay(0.5))
     gen = builtin_generator("anticipated_drift")
     scen = make_scenario(grid, gen, constant_terminal(1.0), delay=delay)
     paths = sample_paths(grid, 1, 1, 256, seed=9)
     b = _piecewise(scen, paths, RegressionBackend())
-    assert b.metadata["segmentation"] == (0.5, 0.0)
+    assert segment_interval(delay, grid).points == (0.5, 0.0)
     a = solve_backward_sweep(scen, paths, RegressionBackend())
     assert np.array_equal(a.Y, b.Y)
 
@@ -417,14 +418,37 @@ def test_segmented_single_segment_when_delay_covers_horizon():
 def test_sub_step_delay_still_solves_without_segmentation():
     # a delay shorter than h snaps to one step; no grid segmentation exists
     grid = make_grid(1.0, 0.125, 0.125)
-    delay = DelaySpec(constant_delay(0.01), constant_delay(0.01), K=0.125)
+    delay = DelaySpec(constant_delay(0.01), constant_delay(0.01))
     with pytest.warns(UserWarning, match="snapping"):
         scen = make_scenario(grid, builtin_generator("anticipated_drift"),
                              constant_terminal(1.0), delay=delay)
     sol = solve_backward_sweep(scen, sample_paths(grid, 1, 1, 256, seed=1),
                                RegressionBackend())
-    assert sol.metadata["segmentation"] is None
     assert np.all(np.isfinite(sol.Y))
+    with pytest.raises(NonTermination):
+        segment_interval(delay, grid)
+
+
+def test_a_delay_is_validated_once_per_scenario_and_never_in_a_sweep(monkeypatch):
+    calls = []
+    real = delays.validate_delay
+
+    def counted(spec, grid):
+        calls.append(spec)
+        return real(spec, grid)
+
+    monkeypatch.setattr(delays, "validate_delay", counted)
+    grid = make_grid(1.0, 0.5, 0.25)
+    delay = DelaySpec(constant_delay(0.5), constant_delay(0.5))
+    scen = make_scenario(grid, builtin_generator("anticipated_drift"),
+                         constant_terminal(1.0), delay=delay)
+    assert len(calls) == 1
+    paths = sample_paths(grid, 1, 1, 64, seed=3)
+    solve_backward_sweep(scen, paths, RegressionBackend())
+    assert len(calls) == 1
+    solve_backward_sweep(scen, paths, RegressionBackend(),
+                         on_node=lambda k, y, z: None)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +506,7 @@ def _consumer_case(name):
     if name == "pair":
         from abdsde.comparison import _joint_scenario
         grid = make_grid(0.5, 0.25, 0.0625)
-        delay = DelaySpec(constant_delay(0.25), constant_delay(0.25), K=0.25)
+        delay = DelaySpec(constant_delay(0.25), constant_delay(0.25))
         paths = sample_paths(grid, 1, 1, 2000, seed=9)
         s1, s2 = (make_scenario(grid, builtin_generator(gen),
                                 TerminalSpec(name="scaled_wt", params={"a": 0.5, "b": b}),
@@ -491,12 +515,11 @@ def _consumer_case(name):
         return _joint_scenario(s1, s2, paths), paths, backend
     grid, delay, gen = {
         "constant_K": (make_grid(0.5, 0.25, 0.0625),
-                       DelaySpec(constant_delay(0.25), constant_delay(0.25), K=0.25),
+                       DelaySpec(constant_delay(0.25), constant_delay(0.25)),
                        "example41_f1"),
         # largest offset 5 < n_K = 8
         "affine_below_K": (make_grid(0.25, 0.5, 0.0625),
-                           DelaySpec(affine_delay(0.0625, 1.0), constant_delay(0.125),
-                                     K=0.5),
+                           DelaySpec(affine_delay(0.0625, 1.0), constant_delay(0.125)),
                            "example41_f1"),
         "no_delay": (make_grid(0.5, 0.25, 0.0625), None, "linear_bsde"),
         "no_delay_K0": (make_grid(0.5, 0.0, 0.0625), None, "linear_bsde"),
@@ -591,10 +614,10 @@ def test_per_node_slabs_are_contiguous():
 @pytest.mark.parametrize("name", ["constant", "affine", "scaled_wt", "scaled_b_tail"])
 def test_built_terminal_data_is_read_only_and_solves_as_a_copy(name):
     grid = make_grid(0.5, 0.25, 0.0625)
-    delay = DelaySpec(constant_delay(0.25), constant_delay(0.25), K=0.25)
+    delay = DelaySpec(constant_delay(0.25), constant_delay(0.25))
     gen = builtin_generator("example41_f1")
     paths = sample_paths(grid, 1, 1, 2000, seed=6)
-    term = TerminalSpec(name=name, params={"eta": 0.1}).build(grid, paths)
+    term = TerminalSpec(name=name, params={"eta": 0.1}).build(grid, paths, m=1, d=1)
     for values in (term.xi, term.eta):
         assert not values.flags.writeable
         with pytest.raises(ValueError):

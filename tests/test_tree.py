@@ -96,7 +96,7 @@ def test_oracle_b_only_terminal_is_w_free_with_zero_z():
     tree = tree_for_grid(grid)
     gen = builtin_generator("duality_linear", mu=0.2, mu_bar=0.1,
                             kappa=[0.2], rho=0.1)
-    delay = DelaySpec(constant_delay(0.2), constant_delay(0.2), K=0.2)
+    delay = DelaySpec(constant_delay(0.2), constant_delay(0.2))
     term = TerminalSpec(name="scaled_b_tail", params={"a": 0.7, "b": 1.0})
     scen = make_scenario(grid, gen, term, delay=delay)
     sol = oracle_solve(scen, tree)
@@ -112,7 +112,7 @@ def test_oracle_measurability_audit():
     grid = make_grid(0.6, 0.4, 0.2)
     tree = tree_for_grid(grid)
     gen = builtin_generator("example41_f1")
-    delay = DelaySpec(constant_delay(0.4), constant_delay(0.4), K=0.4)
+    delay = DelaySpec(constant_delay(0.4), constant_delay(0.4))
     term = TerminalSpec(name="scaled_wt", params={"a": 0.5, "b": 1.0})
     scen = make_scenario(grid, gen, term, delay=delay)
     sol = oracle_solve(scen, tree)
@@ -130,7 +130,7 @@ def test_oracle_telescoping_identity():
     grid = make_grid(0.6, 0.4, 0.2)
     tree = tree_for_grid(grid)
     gen = builtin_generator("example41_f1")
-    delay = DelaySpec(constant_delay(0.4), constant_delay(0.4), K=0.4)
+    delay = DelaySpec(constant_delay(0.4), constant_delay(0.4))
     term = TerminalSpec(name="scaled_wt", params={"a": 0.5, "b": 1.0})
     scen = make_scenario(grid, gen, term, delay=delay)
     sol = oracle_solve(scen, tree)
@@ -164,7 +164,7 @@ def test_monte_carlo_pipeline_consistent_with_tree_enumeration():
     # error, a few percent here
     grid = make_grid(0.5, 0.5, 0.125)
     tree = tree_for_grid(grid)
-    delay = DelaySpec(constant_delay(0.5), constant_delay(0.5), K=0.5)
+    delay = DelaySpec(constant_delay(0.5), constant_delay(0.5))
     term = TerminalSpec(name="scaled_wt", params={"a": 0.5, "b": 1.0})
     scen = make_scenario(grid, builtin_generator("example41_f1"), term,
                          delay=delay)
@@ -189,7 +189,7 @@ def test_solver_with_exact_backend_matches_oracle(name, params):
     grid = make_grid(0.6, 0.4, 0.2)
     tree = tree_for_grid(grid)
     gen = builtin_generator(name, **params)
-    delay = DelaySpec(constant_delay(0.4), constant_delay(0.4), K=0.4)
+    delay = DelaySpec(constant_delay(0.4), constant_delay(0.4))
     term = TerminalSpec(name="scaled_wt", params={"a": 0.5, "b": 1.0})
     scen = make_scenario(grid, gen, term,
                          delay=delay if gen.anticipates else None)
@@ -203,7 +203,7 @@ def test_oracle_evaluates_each_nodes_functionals_once(monkeypatch):
     # node k's raw functionals are reused as node k-1's g input
     grid = make_grid(0.6, 0.4, 0.2)
     tree = tree_for_grid(grid)
-    delay = DelaySpec(constant_delay(0.4), constant_delay(0.4), K=0.4)
+    delay = DelaySpec(constant_delay(0.4), constant_delay(0.4))
     scen = make_scenario(grid, builtin_generator("example41_f1"),
                          TerminalSpec(name="scaled_wt", params={"a": 0.5, "b": 1.0}),
                          delay=delay)
@@ -250,7 +250,7 @@ def _catalog_scenarios(draw):
     terminal = TerminalSpec(name=kind, params={
         key: draw(_COEFFICIENT) for key in _TERMINAL_PARAMS[kind]})
     return make_scenario(grid, builtin_generator(name, **params), terminal,
-                         delay=DelaySpec(delta, zeta, K=grid.K),
+                         delay=DelaySpec(delta, zeta),
                          implicit_iters=draw(st.sampled_from((1, 3))))
 
 
@@ -327,7 +327,7 @@ def test_oracle_never_evaluates_the_generator_on_every_atom(monkeypatch):
     grid = make_grid(0.375, 0.375, 0.125)
     tree = tree_for_grid(grid)
     n = tree.n
-    delay = DelaySpec(constant_delay(0.375), constant_delay(0.25), K=0.375)
+    delay = DelaySpec(constant_delay(0.375), constant_delay(0.25))
     gen = builtin_generator("example41_f1")
     rows = {"f": [], "g": [], "phi": []}
 
