@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import sys
 from dataclasses import replace
 from typing import NamedTuple
@@ -257,8 +258,15 @@ def _build_all(config: dict) -> Built:
         n_paths = int(config["paths"]["count"])
         if n_paths < 1:
             raise ValidationError("paths.count must be >= 1")
-        g = config["grid"]
-        grid = make_grid(float(g["T"]), float(g["K"]), float(g["h"]))
+        seed = config["paths"]["seed"]
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+            raise ValidationError(
+                f"paths.seed must be a non-negative integer, got {seed!r}")
+        g = {key: float(config["grid"][key]) for key in ("T", "K", "h")}
+        for key, value in g.items():
+            if not math.isfinite(value):
+                raise ValidationError(f"grid.{key} must be finite, got {value}")
+        grid = make_grid(g["T"], g["K"], g["h"])
         delay = _build_delay(config, grid)
         generator = _build_generator(config["generator"], config["dims"])
         scenario = make_scenario(grid, generator, _build_terminal(config["terminal"]),
@@ -363,7 +371,8 @@ def _cmd_duality(config, built, out_path):
         n_outer=int(section.get("outer", 64)),
         inner=int(section.get("inner", 2048)),
         seed=int(config["paths"]["seed"]), backend=built.backend,
-        tol_mean=None if tol_mean is None else float(tol_mean))
+        tol_mean=None if tol_mean is None else float(tol_mean),
+        scenario=built.scenario)
     rows = [(j, float(r)) for j, r in enumerate(report.residuals)]
     rows.append(("summary", report.mean_residual))
     comments = (f"mean_residual = {_fmt(report.mean_residual)}",
@@ -381,10 +390,25 @@ def _cmd_oracle_check(config, built, out_path):
         tree = tree_for_grid(grid)
     # both routes read the same terminal data, built once on the atoms
     scenario = replace(scenario, terminal=scenario.terminal_data(tree.ensemble))
-    sol = solve_backward_sweep(scenario, tree.ensemble, tree.backend())
-    exact = oracle_solve(scenario, tree)
-    d_y = np.abs(sol.Y - exact.Y).max(axis=(0, 2))
-    d_z = np.abs(sol.Z - exact.Z).max(axis=(0, 2, 3))
+    exact = {}  # node k -> the oracle's (Y_k, Z_k) tensors of 2^n values
+
+    def keep(k, y_k, z_k):
+        exact[k] = (y_k, z_k)
+
+    oracle_solve(scenario, tree, on_node=keep)
+    atom_axes = (2,) * (2 * tree.n)
+    d_y = np.empty(grid.n_nodes)
+    d_z = np.empty(grid.n_nodes)
+
+    def compare(k, y_k, z_k):
+        # the solver holds only its anticipation window: each node is
+        # compared with the oracle's tensor, broadcast to the atoms, as the
+        # sweep stores it
+        y_exact, z_exact = exact[k]
+        d_y[k] = np.abs(y_k[:, 0].reshape(atom_axes) - y_exact).max()
+        d_z[k] = np.abs(z_k[:, 0, 0].reshape(atom_axes) - z_exact).max()
+
+    solve_backward_sweep(scenario, tree.ensemble, tree.backend(), on_node=compare)
     rows = [(grid.time(k), float(d_y[k]), float(d_z[k]))
             for k in range(grid.n_nodes)]
     worst = max(float(d_y.max()), float(d_z.max()))
@@ -421,7 +445,7 @@ def run(command: str, scenario_path: str, out_path: str,
     try:
         config = _read_config(scenario_path)
         if seed is not None:
-            config["paths"]["seed"] = int(seed)
+            config["paths"]["seed"] = seed  # validated with the file's
         if n_paths is not None:
             config["paths"]["count"] = int(n_paths)
         if grid_h is not None:

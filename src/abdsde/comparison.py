@@ -18,7 +18,10 @@ their coarsening, so each node's regression design serves both scenarios'
 targets (one basis per date, as in Gobet, Lemor & Warin 2005).  The
 components never mix, so each part is what a separate sweep would give, up
 to the summation order of the wider least-squares products.  Both sweeps
-reduce node by node, so the report holds the margins and no solution.
+reduce node by node, so the report holds the margins and no solution.  The
+coarse sweep runs first and keeps only its Y_0 means, so its ensemble is
+freed before the fine margins and ring are allocated: the two grids' arrays
+are never held together.
 """
 
 from __future__ import annotations
@@ -182,7 +185,9 @@ def run_comparison(scenario1: Scenario, scenario2: Scenario,
     """Solve both scenarios on the same paths and report ordering margins.
 
     The pair must share grid, delay and implicit_iters (ValidationError
-    otherwise); it is solved in one joint sweep per grid.  Terminal samples
+    otherwise); it is solved in one joint sweep per grid, the coarsening of
+    the paths first (when the backend calibrates on it), then the paths,
+    whose sweep fills the (P, n_nodes) margins.  Terminal samples
     must satisfy xi1 >= xi2 pointwise (TerminalOrderViolated otherwise).
     With epsilon=None the threshold is self-calibrated to 3x the run
     tolerance, which is 0 on the exact backend.
@@ -191,16 +196,20 @@ def run_comparison(scenario1: Scenario, scenario2: Scenario,
             (scenario2.grid, scenario2.delay, scenario2.implicit_iters):
         raise ValidationError(
             "a comparison pair must share its grid, delay and implicit_iters")
-    margins = np.empty((paths.n_paths, scenario1.grid.n_nodes))
-    y0, resid = _sweep_pair(scenario1, scenario2, paths, backend, margins)
-    tol = sum(_fit_noise_scale(r, paths, backend) for r in resid)
+    coarse_y0 = []
     if _can_coarsen(scenario1, scenario2, paths, backend):
+        # the coarse sweep runs first and keeps only its Y_0 means, so its
+        # ensemble is freed before the fine margins and ring are allocated
         coarse = paths.coarsen()
         coarse_y0, _ = _sweep_pair(_coarse_scenario(scenario1, coarse.grid),
                                    _coarse_scenario(scenario2, coarse.grid),
                                    coarse, backend)
-        for fine_mean, coarse_mean in zip(y0, coarse_y0):
-            tol += abs(fine_mean - coarse_mean)
+        del coarse
+    margins = np.empty((paths.n_paths, scenario1.grid.n_nodes))
+    y0, resid = _sweep_pair(scenario1, scenario2, paths, backend, margins)
+    tol = sum(_fit_noise_scale(r, paths, backend) for r in resid)
+    for fine_mean, coarse_mean in zip(y0, coarse_y0):
+        tol += abs(fine_mean - coarse_mean)
     if epsilon is None:
         epsilon = 3.0 * tol
     return ComparisonReport(margins=margins, epsilon=float(epsilon),

@@ -167,11 +167,12 @@ class ExactTreeBackend:
         ids = self.tree.f_atom_ids(k)
         n_groups = 1 << self.tree.n  # 2^n information atoms of 2^n atoms each
         flat = targets.reshape(targets.shape[0], -1)
-        cols = flat.shape[1]
-        # one bincount: column j's group g is bin j * n_groups + g, in atom order
-        bins = (ids + n_groups * np.arange(cols)[:, None]).ravel()
-        sums = np.bincount(bins, weights=flat.T.ravel(), minlength=n_groups * cols)
-        means = (sums / n_groups).reshape(cols, n_groups).T
+        # a bincount per column adds each group's atoms in atom order, and
+        # holds no copy of the whole block
+        means = np.empty((n_groups, flat.shape[1]))
+        for j in range(flat.shape[1]):
+            means[:, j] = np.bincount(ids, weights=flat[:, j], minlength=n_groups)
+        means /= n_groups
         return np.take(means, ids, axis=0).reshape(targets.shape)
 
 

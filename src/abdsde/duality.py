@@ -287,7 +287,8 @@ _CALIBRATION_FACTORS = (2, 4)
 def duality_check(coeffs: LinearDualityCoeffs, T: float, h: float,
                   P: int = 4096, n_outer: int = 64, inner: int = 2048,
                   seed: int = 11, backend: RegressionBackend | None = None,
-                  tol_mean: float | None = None) -> DualityReport:
+                  tol_mean: float | None = None, *,
+                  scenario: Scenario | None = None) -> DualityReport:
     """Residuals between the backward solve and the dual representation.
 
     Each grid draws P paths, solves the backward equation on them and
@@ -300,6 +301,10 @@ def duality_check(coeffs: LinearDualityCoeffs, T: float, h: float,
     When no coarse grid fits, C is unknown: a run that passes with C = 0
     passes for every C >= 0 and is reported, any other raises
     ValidationError naming the grids tried.
+
+    `scenario` is the backward scenario on the (T, h) grid when the caller
+    has built it already, as `cli.load_scenario` has; the coarse grids'
+    scenarios are built from coeffs.
     """
     if n_outer < 1 or inner < 1:
         raise ValidationError(
@@ -330,7 +335,11 @@ def duality_check(coeffs: LinearDualityCoeffs, T: float, h: float,
             if k == k0:
                 kept.append(y_k[:n_outer, 0].copy())
 
-        solve_backward_sweep(coeffs.scenario(grid), paths, backend, on_node=keep_y_t0)
+        scen = scenario if factor == 1 and scenario is not None \
+            else coeffs.scenario(grid)
+        if scen.grid != grid:
+            raise ValidationError("the given scenario is not on the (T, h) grid")
+        solve_backward_sweep(scen, paths, backend, on_node=keep_y_t0)
         y_t0 = kept[0]
         rhs, stderr = duality_rhs(coeffs, paths.dB[:n_outer], grid, k0,
                                   n_inner, (grid_seed, 104729))

@@ -15,7 +15,10 @@ block averages.
 on the atom tensor, the atom index as (2,)*2n bits, rather than by the
 group-by of `condexp.ExactTreeBackend`; agreement of the two routes is the
 package's core consistency check.  A node-k quantity keeps length-1 axes
-for the bits node k does not see, so it holds 2^n values, not 4^n.
+for the bits node k does not see, so it holds 2^n values, not 4^n.  Given
+`on_node`, the oracle hands over these node tensors, as the solver hands
+over its node slabs, and no solution on all atoms is expanded: `abdsde
+oracle-check` compares each node as the solver stores it.
 """
 
 from __future__ import annotations
@@ -108,14 +111,20 @@ def _rows(n: int, *tensors: np.ndarray):
                   .reshape((size,) + t.shape[2 * n:]) for t in tensors]
 
 
-def oracle_solve(scenario, tree: TreeModel):
+def oracle_solve(scenario, tree: TreeModel, on_node=None):
     """Exact backward recursion on the tree (scalar scenarios only).
 
     Mirrors the scheme of `solver.solve_backward_sweep` step for step, with
     each conditional expectation a mean over atom tensor axes.  f runs on
     at most 2^n rows, g and phi on the bits their nodes see together (below
-    4^n).  The SolutionProcess on all atoms, node-major like the solver's,
-    is expanded at the return.  Terminal data must be node-measurable.
+    4^n).  Terminal data must be node-measurable.
+
+    Returns the SolutionProcess on all atoms, node-major like the solver's,
+    expanded at the return.  Given `on_node`, it returns None instead and
+    calls `on_node(k, Y_k, Z_k)` once per node, from n_end down to 0, with
+    node k's tensors: 2^n values each, on the 2n bit axes of the atom index
+    (length 2 where node k sees the bit, else 1), so that they broadcast
+    against `values.reshape((2,) * 2n)` of per-atom values.
     """
     gen = scenario.generator
     grid = scenario.grid
@@ -165,6 +174,11 @@ def oracle_solve(scenario, tree: TreeModel):
             f_val = gen.f(grid.time(k), y[:, None], z[:, None, None], e)
             y_hat = y_bar + h * np.reshape(f_val, lead)
         Y[k] = y_hat
+
+    if on_node is not None:
+        for k in range(grid.n_end, -1, -1):
+            on_node(k, Y[k], Z[k])
+        return None
 
     def on_atoms(nodes):  # node-major rows, seen as (4^n, n_nodes)
         out = np.empty((grid.n_nodes, tree.n_atoms))

@@ -1,6 +1,7 @@
 import math
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -152,6 +153,29 @@ def test_joint_sweep_makes_one_condexp_call_per_node_per_ensemble(monkeypatch):
     paths = sample_paths(grid, 1, 1, 1024, seed=21)
     run_comparison(s1, s2, paths, RegressionBackend())  # calibrates on the coarse grid
     assert counts == {"condexp": grid.n_T + grid.n_T // 2, "sweeps": 2}
+
+
+def test_coarse_sweep_runs_first_and_its_ensemble_is_gone_before_the_fine_one(monkeypatch):
+    # the calibration keeps only the coarse Y_0 means: the coarse ensemble is
+    # freed before the fine sweep allocates its margins and ring
+    comparison_module = sys.modules["abdsde.comparison"]
+    sweeps, coarse = [], []
+    sweep = comparison_module.solve_backward_sweep
+
+    def recording(scenario, paths, backend, **kwargs):
+        if coarse:
+            sweeps.append((paths.grid.n_steps, coarse[0]() is None))
+        else:
+            coarse.append(weakref.ref(paths))
+            sweeps.append((paths.grid.n_steps, None))
+        return sweep(scenario, paths, backend, **kwargs)
+
+    monkeypatch.setattr(comparison_module, "solve_backward_sweep", recording)
+    grid = make_grid(0.5, 0.5, 1 / 32)
+    s1, s2 = _example41_pair(grid, 0.5)
+    paths = sample_paths(grid, 1, 1, 1024, seed=21)
+    run_comparison(s1, s2, paths, RegressionBackend())
+    assert sweeps == [(grid.n_steps // 2, None), (grid.n_steps, True)]
 
 
 def test_joint_terminal_data_holds_no_window_sized_buffer():

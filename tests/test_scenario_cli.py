@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -169,6 +170,29 @@ def test_removed_tolerance_keys_exit_two(tmp_path, capsys, section, key):
     assert f"ValidationError: unknown {section} keys ['{key}']" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section,value,override,key", [
+    ("paths", {"seed": "abc"}, {}, "paths.seed"),
+    ("paths", {"seed": -3}, {}, "paths.seed"),
+    ("paths", {"seed": 1.5}, {}, "paths.seed"),  # would run as seed 1
+    ("paths", {}, {"seed": -1}, "paths.seed"),
+    ("paths", {}, {"seed": 1.5}, "paths.seed"),
+    ("grid", {"T": float("inf")}, {}, "grid.T"),
+], ids=["seed-string", "seed-negative", "seed-float", "flag-seed-negative",
+        "flag-seed-float", "T-inf"])
+def test_bad_seed_or_non_finite_grid_exits_two(tmp_path, capsys, section, value,
+                                               override, key):
+    # rejected at load with the key named, not by a traceback at the draw
+    config = {name: dict(val) for name, val in DUALITY_READY.items()}
+    config[section].update(value)
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(config))
+    if not override:
+        with pytest.raises(ValidationError, match=key):
+            load_scenario(str(path))
+    assert run("solve", str(path), str(tmp_path / "x.csv"), **override) == 2
+    assert f"error: ValidationError: {key} must be" in capsys.readouterr().err
+
+
 def test_compare_command(tmp_path):
     scenario = _write(tmp_path, "cmp.yaml", """
         grid: {T: 0.5, K: 0.5, h: 0.0625}
@@ -331,6 +355,33 @@ def test_duality_coefficients_come_from_the_generator(tmp_path):
     assert bodies[0] == bodies[1]
 
 
+def test_duality_command_validates_the_delay_once_per_solved_grid(tmp_path, monkeypatch):
+    # the duality_nested shape: the fine grid and the 2h and 4h calibration
+    # grids are solved; the fine scenario is the one the loader built
+    import abdsde.delays
+    calls = []
+    validate_delay = abdsde.delays.validate_delay
+
+    def counted(spec, grid):
+        calls.append(grid.h)
+        return validate_delay(spec, grid)
+
+    monkeypatch.setattr(abdsde.delays, "validate_delay", counted)
+    scenario = _write(tmp_path, "dual.yaml", """
+        grid: {T: 1.0, K: 0.25, h: 0.03125}
+        delay: {delta: 0.25}
+        generator:
+          name: duality_linear
+          params: {mu: 0.1, mu_bar: 0.05, sigma: [0.1], sigma_bar: [0.0],
+                   kappa: [0.1], rho: 0.2}
+        terminal: {name: constant, params: {value: 1.0}}
+        paths: {count: 256, seed: 11}
+        duality: {t0: 0.25, outer: 2, inner: 8}
+    """)
+    run("duality", scenario, str(tmp_path / "dual.csv"))
+    assert calls == [0.03125, 0.0625, 0.125]
+
+
 def test_duality_command_pass_and_fail(tmp_path):
     base = """
         grid: {{T: 1.0, K: 0.25, h: {h}}}
@@ -433,6 +484,31 @@ def test_oracle_check_builds_the_terminal_data_once(tmp_path, monkeypatch):
     """)
     assert run("oracle-check", scenario, str(tmp_path / "orc.csv")) == 0
     assert calls == ["scaled_b_tail"]
+
+
+def test_oracle_check_holds_one_node_at_a_time(tmp_path):
+    # the check compares each node as the solver stores it, against the
+    # oracle's tensors of 2^n values: on the 8-step tree its peak stays
+    # within one (4^n, n_nodes) array of a plain solve's, below the two
+    # whole-solution arrays that holding either route's Y and Z would add
+    scenario = _write(tmp_path, "orc8.yaml", """
+        grid: {T: 0.5, K: 0.3, h: 0.1}
+        delay: {delta: 0.3, zeta: 0.1}
+        generator: {name: example41_f1}
+        terminal: {name: scaled_b_tail, params: {a: 0.5, b: 1.0}}
+        backend: {kind: exact}
+    """)
+    peaks = {}
+    for command in ("solve", "oracle-check"):
+        tracemalloc.start()
+        try:
+            assert run(command, scenario, str(tmp_path / "out.csv")) == 0
+            peaks[command] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    whole_solution = 8 * 4 ** 8 * 9  # one (4^n, n_nodes) float array
+    assert peaks["oracle-check"] < peaks["solve"] + whole_solution, \
+        (peaks["oracle-check"] - peaks["solve"]) / whole_solution
 
 
 def test_oracle_check_beyond_the_step_cap_names_the_cap(capsys, tmp_path):

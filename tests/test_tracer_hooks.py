@@ -69,3 +69,24 @@ def test_traced_solve_keeps_its_output_and_builds_one_design_per_node(tracer_mod
     n_T = cli._build_all(cli._read_config(scenario)).grid.n_T
     assert sum(span.name == "condexp.features" for span in tracer.spans) == n_T
     assert all(span.self_s >= 0.0 for span in tracer.spans)
+
+
+def test_traced_oracle_check_keeps_its_output_and_records_one_oracle_span(tracer_module, tmp_path):
+    # the tracer wraps oracle_solve where the CLI looks it up, so the check
+    # must keep calling it through its module global
+    scenario = str(Path(__file__).resolve().parents[1] / "scenarios" / "oracle_check.yaml")
+    cli = sys.modules["abdsde.cli"]
+    assert cli.run("oracle-check", scenario, str(tmp_path / "plain.csv")) == 0
+    tracer = tracer_module.Tracer()
+    try:
+        tracer.install()
+        for name in ("traced", "again"):
+            assert cli.run("oracle-check", scenario, str(tmp_path / f"{name}.csv")) == 0
+    finally:
+        tracer.uninstall()
+    plain = (tmp_path / "plain.csv").read_bytes()
+    assert (tmp_path / "traced.csv").read_bytes() == plain
+    assert (tmp_path / "again.csv").read_bytes() == plain
+    assert sum(span.name == "cli.run" for span in tracer.spans) == 2
+    assert sum(span.name == "tree.oracle_solve" for span in tracer.spans) == 2
+    assert all(span.self_s >= 0.0 for span in tracer.spans)

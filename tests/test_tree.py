@@ -267,6 +267,28 @@ def test_solver_matches_oracle_across_the_catalog(scen):
     assert np.abs(sweep.Z - exact.Z).max() <= 1e-10
 
 
+@pytest.mark.filterwarnings("ignore:anticipation times are off-grid")
+@settings(max_examples=60, deadline=None)
+@given(scen=_catalog_scenarios())
+def test_oracle_hands_each_node_once_as_its_tensor(scen):
+    # given on_node, the oracle hands node k's tensors of 2^n values, from
+    # n_end down to 0, and returns nothing; broadcast to the atoms they are
+    # the returned solution's bits
+    tree = tree_for_grid(scen.grid)
+    n = tree.n
+    handed = []
+    assert oracle_solve(scen, tree, on_node=lambda k, y, z: handed.append((k, y, z))) is None
+    assert [k for k, _, _ in handed] == list(range(scen.grid.n_end, -1, -1))
+    exact = oracle_solve(scen, tree)
+    for k, y_k, z_k in handed:
+        for tensor in (y_k, z_k):
+            assert tensor.ndim == 2 * n and tensor.size == 2 ** n
+        assert np.array_equal(np.broadcast_to(y_k, (2,) * (2 * n)).reshape(-1),
+                              exact.Y[:, k, 0])
+        assert np.array_equal(np.broadcast_to(z_k, (2,) * (2 * n)).reshape(-1),
+                              exact.Z[:, k, 0, 0])
+
+
 def _full_atom_oracle(scenario, tree):
     """The backward recursion with every node quantity held on all 4^n
     atoms, each conditional expectation a `_tensor_condexp`: the reference
