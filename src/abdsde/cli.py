@@ -317,7 +317,7 @@ def _paths(config, grid, tree):
     if tree is not None:
         return tree.ensemble
     return sample_paths(grid, config["dims"]["d"], config["dims"]["l"],
-                        int(config["paths"]["count"]), int(config["paths"]["seed"]))
+                        int(config["paths"]["count"]), config["paths"]["seed"])
 
 
 def _cmd_solve(config, built, out_path):
@@ -370,7 +370,7 @@ def _cmd_duality(config, built, out_path):
         P=int(config["paths"]["count"]),
         n_outer=int(section.get("outer", 64)),
         inner=int(section.get("inner", 2048)),
-        seed=int(config["paths"]["seed"]), backend=built.backend,
+        seed=config["paths"]["seed"], backend=built.backend,
         tol_mean=None if tol_mean is None else float(tol_mean),
         scenario=built.scenario)
     rows = [(j, float(r)) for j, r in enumerate(report.residuals)]
