@@ -126,7 +126,7 @@ def _delay_form(value):
     return constant_delay(float(value))
 
 
-def _build_delay(config: dict, grid):
+def _build_delay(config: dict):
     section = config.get("delay")
     if section is None:
         return None
@@ -267,7 +267,7 @@ def _build_all(config: dict) -> Built:
             if not math.isfinite(value):
                 raise ValidationError(f"grid.{key} must be finite, got {value}")
         grid = make_grid(g["T"], g["K"], g["h"])
-        delay = _build_delay(config, grid)
+        delay = _build_delay(config)
         generator = _build_generator(config["generator"], config["dims"])
         scenario = make_scenario(grid, generator, _build_terminal(config["terminal"]),
                                  delay=delay,
@@ -312,17 +312,21 @@ def _write_csv(path: str, config: dict, header: str, rows, extra_comments=()):
 ORACLE_TOLERANCE = 1e-10
 
 
-def _paths(config, grid, tree):
-    """The tree's atoms for the exact backend, else the configured draw."""
+def _paths(config, grid, tree, *scenarios):
+    """The tree's atoms for the exact backend, else the configured draw,
+    storing the leading steps that the given scenarios read (all without
+    one).  The tree keeps every step: its information field sees B past T."""
     if tree is not None:
         return tree.ensemble
+    n_stored = max((s.steps_read for s in scenarios), default=grid.n_steps)
     return sample_paths(grid, config["dims"]["d"], config["dims"]["l"],
-                        int(config["paths"]["count"]), config["paths"]["seed"])
+                        int(config["paths"]["count"]), config["paths"]["seed"],
+                        n_stored=n_stored)
 
 
 def _cmd_solve(config, built, out_path):
     grid = built.grid
-    paths = _paths(config, grid, built.tree)
+    paths = _paths(config, grid, built.tree, built.scenario)
     P = paths.n_paths
     rows = [None] * grid.n_nodes
 
@@ -345,7 +349,7 @@ def _cmd_compare(config, built, out_path):
     if built.compare is None:
         raise ValidationError("compare command needs a 'compare' section")
     grid = built.grid
-    paths = _paths(config, grid, built.tree)
+    paths = _paths(config, grid, built.tree, built.scenario, built.compare)
     report = run_comparison(built.scenario, built.compare, paths, built.backend)
     per_node = report.violation_fraction_per_node()
     rows = [(grid.time(k), report.mean_margin[k], report.min_margin[k],

@@ -128,9 +128,10 @@ def _denominators(coeffs: LinearDualityCoeffs, dB: np.ndarray, grid: TimeGrid,
                   k0: int) -> np.ndarray:
     """1 - kappa dB_k on the forward steps k0 <= k < n_T, row k - k0.
 
-    dB is node-major: (n_steps, l) for one B-path that every inner path
-    shares, or (n_steps, P, l).  The sum over l runs left to right in both,
-    so a path's denominators have the same bits whichever shape carries it.
+    dB is node-major, at least the n_T steps up to T: (steps, l) for one
+    B-path that every inner path shares, or (steps, P, l).  The sum over l
+    runs left to right in both, so a path's denominators have the same bits
+    whichever shape carries it.
     Raises NonFinite naming the first node where one nearly vanishes.
     """
     dB = dB[k0:grid.n_T]
@@ -328,17 +329,19 @@ def duality_check(coeffs: LinearDualityCoeffs, T: float, h: float,
                 raise
             unfit.append(h * factor)
             continue
-        paths = sample_paths(grid, coeffs.d, coeffs.l, P, grid_seed)
+        scen = scenario if factor == 1 and scenario is not None \
+            else coeffs.scenario(grid)
+        if scen.grid != grid:
+            raise ValidationError("the given scenario is not on the (T, h) grid")
+        # a deterministic terminal profile reads no path: n_T steps are stored
+        paths = sample_paths(grid, coeffs.d, coeffs.l, P, grid_seed,
+                             n_stored=scen.steps_read)
         kept = []
 
         def keep_y_t0(k, y_k, z_k):  # the sweep holds only its window
             if k == k0:
                 kept.append(y_k[:n_outer, 0].copy())
 
-        scen = scenario if factor == 1 and scenario is not None \
-            else coeffs.scenario(grid)
-        if scen.grid != grid:
-            raise ValidationError("the given scenario is not on the (T, h) grid")
         solve_backward_sweep(scen, paths, backend, on_node=keep_y_t0)
         y_t0 = kept[0]
         rhs, stderr = duality_rhs(coeffs, paths.dB[:n_outer], grid, k0,

@@ -15,6 +15,12 @@ the forward sums of the increments, kept at checkpoints every `_SEGMENT`
 nodes and replayed forward one segment at a time (checkpointing as in
 Griewank 1992), which gives the bits of `np.cumsum` in any call order.
 
+An ensemble may store only the leading steps, at least the n_T steps up to
+T: on [T, T+K] the solution is given terminal data, so a regression solve
+reads the drivers past T only when its terminal data do.  `sample_paths`
+still draws every step of every path, so the stored steps are the same
+bits whatever their count.
+
 Discretization conventions, used consistently everywhere in the package:
 
 * forward integral of Z against dW: left-endpoint sum  sum_k Z_k dW_k
@@ -105,12 +111,14 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class PathEnsemble:
     """Increments of the two drivers for P paths on a grid.
 
-    dW has shape (P, n_steps, d) and dB has shape (P, n_steps, l).  The
-    ensembles this module and `tree.build_tree` make store them node-major,
-    so dW[:, k] and dB[:, k] are contiguous (P, d) and (P, l) slabs.
-    W_{t_k} and B_{t_k} are forward sums of the increments, kept at
-    checkpoints and replayed a segment at a time, never a whole
-    (P, n_nodes) array; the increments must not change once they are read.
+    dW has shape (P, n_stored, d) and dB has shape (P, n_stored, l): the
+    leading n_stored steps, n_T <= n_stored <= n_steps, so W and B are
+    known on nodes 0..n_stored.  The ensembles this module and
+    `tree.build_tree` make store them node-major, so dW[:, k] and dB[:, k]
+    are contiguous (P, d) and (P, l) slabs.  W_{t_k} and B_{t_k} are
+    forward sums of the increments, kept at checkpoints and replayed a
+    segment at a time, never a whole (P, n_nodes) array; the increments
+    must not change once they are read.
     """
 
     grid: TimeGrid
@@ -122,17 +130,22 @@ class PathEnsemble:
                                     compare=False)
 
     def __post_init__(self):
-        n = self.grid.n_steps
-        if self.dW.ndim != 3 or self.dW.shape[1] != n:
-            raise ShapeMismatch(f"dW must have shape (P, {n}, d), got {self.dW.shape}")
-        if self.dB.ndim != 3 or self.dB.shape[1] != n:
-            raise ShapeMismatch(f"dB must have shape (P, {n}, l), got {self.dB.shape}")
-        if self.dW.shape[0] != self.dB.shape[0]:
-            raise ShapeMismatch("dW and dB must hold the same number of paths")
+        lo, hi = self.grid.n_T, self.grid.n_steps
+        if self.dW.ndim != 3 or not lo <= self.dW.shape[1] <= hi:
+            raise ShapeMismatch(f"dW must have shape (P, {lo}..{hi}, d), "
+                                f"got {self.dW.shape}")
+        if self.dB.ndim != 3 or self.dB.shape[:2] != self.dW.shape[:2]:
+            raise ShapeMismatch(f"dB must hold the paths and steps of dW "
+                                f"{self.dW.shape}, got {self.dB.shape}")
 
     @property
     def n_paths(self) -> int:
         return self.dW.shape[0]
+
+    @property
+    def n_stored(self) -> int:
+        """Leading steps stored; W and B are known on nodes 0..n_stored."""
+        return self.dW.shape[1]
 
     @property
     def d(self) -> int:
@@ -162,7 +175,9 @@ class PathEnsemble:
         """Merge pairs of steps, keeping the same Brownian paths.
 
         Useful for h-refinement studies coupled on the same noise.  Each
-        merged increment is the sum of its two steps in time order.
+        merged increment is the sum of its two steps in time order; the
+        stored steps are merged, and an odd last one, which has no partner,
+        is dropped.
         """
         n = self.grid.n_steps
         if n % 2:
@@ -171,10 +186,11 @@ class PathEnsemble:
             raise ValueError("coarsening would move T off the grid")
         grid = TimeGrid(h=self.grid.h * 2, n_T=self.grid.n_T // 2,
                         n_end=self.grid.n_end // 2)
+        pairs = self.n_stored // 2
 
         def merged(inc):  # node-major in, node-major out
-            steps = inc.transpose(1, 0, 2)
-            steps = steps.reshape((n // 2, 2) + steps.shape[1:])
+            steps = inc.transpose(1, 0, 2)[:2 * pairs]
+            steps = steps.reshape((pairs, 2) + steps.shape[1:])
             return steps.sum(axis=1).transpose(1, 0, 2)
 
         return PathEnsemble(grid=grid, dW=merged(self.dW), dB=merged(self.dB))
@@ -209,22 +225,29 @@ def increment_blocks(P: int, shape: tuple, h: float, seed: SeedLike):
     return blocks()
 
 
-def sample_paths(grid: TimeGrid, d: int, l: int, P: int, seed: SeedLike) -> PathEnsemble:
+def sample_paths(grid: TimeGrid, d: int, l: int, P: int, seed: SeedLike,
+                 n_stored: int | None = None) -> PathEnsemble:
     """Draw P independent paths of (W, B) increments on the grid.
 
     Increments are N(0, h) per coordinate, W independent of B.  Path i is
     one (n_steps, d + l) draw, W in the first d columns and B in the rest.
     The draw is deterministic in (seed, P, grid, d, l), and path i's
-    increments do not depend on P.
+    increments do not depend on P.  Only the leading n_stored steps
+    (default: all) are stored; every step is still drawn, so the stored
+    ones are the same bits as in a full draw.
     """
     if d < 1 or l < 1:
         raise ValueError(f"driver dimensions must be >= 1, got d={d}, l={l}")
+    n = grid.n_steps if n_stored is None else n_stored
+    if not grid.n_T <= n <= grid.n_steps:
+        raise ShapeMismatch(f"stored steps must be in {grid.n_T}..{grid.n_steps}, "
+                            f"got {n}")
     blocks = increment_blocks(P, (grid.n_steps, d + l), grid.h, seed)  # checks P
-    dW = np.empty((grid.n_steps, P, d)).transpose(1, 0, 2)  # node-major
-    dB = np.empty((grid.n_steps, P, l)).transpose(1, 0, 2)
+    dW = np.empty((n, P, d)).transpose(1, 0, 2)  # node-major
+    dB = np.empty((n, P, l)).transpose(1, 0, 2)
     for start, block in blocks:
-        dW[start:start + len(block)] = block[:, :, :d]
-        dB[start:start + len(block)] = block[:, :, d:]
+        dW[start:start + len(block)] = block[:, :n, :d]
+        dB[start:start + len(block)] = block[:, :n, d:]
     return PathEnsemble(grid=grid, dW=dW, dB=dB)
 
 
@@ -234,8 +257,9 @@ def forward_integral(Z, paths: PathEnsemble, k_from: int, k_to: int) -> np.ndarr
     Z has per-node values in R^{m x d}, shape (P, n_nodes, m, d); returns
     per-path values in R^m: sum_{k=k_from}^{k_to-1} Z_k dW_k.
     """
-    if not (0 <= k_from <= k_to <= paths.grid.n_end):
-        raise ValueError(f"bad node range [{k_from}, {k_to}]")
+    if not (0 <= k_from <= k_to <= paths.n_stored):
+        raise ValueError(f"bad node range [{k_from}, {k_to}] on {paths.n_stored} "
+                         "stored steps")
     if Z.ndim != 4 or Z.shape[3] != paths.d:
         raise ShapeMismatch(
             f"integrand must have shape (P, nodes, m, {paths.d}), got {Z.shape}"
@@ -249,8 +273,9 @@ def backward_integral(G, paths: PathEnsemble, k_from: int, k_to: int) -> np.ndar
     G has per-node values in R^{m x l}, shape (P, n_nodes, m, l); returns
     per-path values in R^m: sum_{k=k_from}^{k_to-1} G_{k+1} dB_k.
     """
-    if not (0 <= k_from <= k_to <= paths.grid.n_end):
-        raise ValueError(f"bad node range [{k_from}, {k_to}]")
+    if not (0 <= k_from <= k_to <= paths.n_stored):
+        raise ValueError(f"bad node range [{k_from}, {k_to}] on {paths.n_stored} "
+                         "stored steps")
     if G.ndim != 4 or G.shape[3] != paths.l:
         raise ShapeMismatch(
             f"integrand must have shape (P, nodes, m, {paths.l}), got {G.shape}"

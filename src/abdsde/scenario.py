@@ -35,6 +35,14 @@ class Scenario:
     def M(self) -> float:
         return self.delay.M if self.delay is not None else 1.0
 
+    @property
+    def steps_read(self) -> int:
+        """Leading path steps a solve of the scenario reads: the swept steps
+        0..n_T-1, and past T only the steps its terminal data read."""
+        last = 0 if isinstance(self.terminal, TerminalData) \
+            else self.terminal.last_node_read(self.grid)
+        return max(self.grid.n_T, last)
+
     def terminal_data(self, paths: PathEnsemble) -> TerminalData:
         if isinstance(self.terminal, TerminalData):
             if self.terminal.n_paths != paths.n_paths:

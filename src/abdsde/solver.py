@@ -33,7 +33,10 @@ usual (P, n_nodes, m[, d]) views, like the increments in `paths`: each
 node's store, each anticipated read and each dW_k, dB_k read touches one
 contiguous slab per component.  The node-k state (W_{t_k}, B_{t_{n_T}} -
 B_{t_k}) comes from the ensemble's checkpointed forward sums, so a solve
-holds no whole-horizon copy of W or B.
+holds no whole-horizon copy of W or B.  The sweep reads the drivers only on
+the steps 0..n_T-1 and the terminal data read them at most to the node
+`TerminalSpec.last_node_read` names, so an ensemble that stores just the
+leading `Scenario.steps_read` steps gives the same bits as a full one.
 
 The node axis is a ring of L slots, node k in slot k % L.  A caller that
 keeps the solution gets L = n_nodes.  A caller that reduces node by node

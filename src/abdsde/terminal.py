@@ -95,6 +95,11 @@ class TerminalSpec:
         return {key: float(self.params.get(key, default))
                 for key, default in defaults.items()}
 
+    def last_node_read(self, grid: TimeGrid) -> int:
+        """Last node of the paths that `build` reads: T for scaled_wt, T+K
+        for scaled_b_tail, and 0 (no path value) for the time-only builtins."""
+        return {"scaled_wt": grid.n_T, "scaled_b_tail": grid.n_end}.get(self.name, 0)
+
     def profile(self, grid: TimeGrid):
         """Time-only (xi, eta) on nodes n_T..n_end, each of shape (K_nodes,);
         None for the builtins that read the paths."""

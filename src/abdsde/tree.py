@@ -57,13 +57,17 @@ class TreeModel:
         return 4.0 ** (-self.n)
 
     def f_atom_ids(self, k: int) -> np.ndarray:
-        """Information-atom id per atom at node k (W bits < k, B bits >= k)."""
-        n = self.n
+        """Information-atom id per atom at node k (W bits < k, B bits >= k).
+
+        The W index is the low n bits of the atom and k <= n, so the id is
+        (atom & (2^k - 1)) | ((atom >> (n + k)) << k), built in two arrays.
+        """
         atoms = np.arange(self.n_atoms)
-        w_index = atoms & ((1 << n) - 1)
-        b_index = atoms >> n
-        mask = (1 << k) - 1
-        return (w_index & mask) | ((b_index >> k) << k)
+        ids = atoms & ((1 << k) - 1)
+        atoms >>= self.n + k
+        atoms <<= k
+        ids |= atoms
+        return ids
 
     def backend(self) -> ExactTreeBackend:
         return ExactTreeBackend(self)

@@ -236,3 +236,60 @@ def test_no_whole_horizon_state_after_a_descending_pass():
     assert all(a.size < whole for a in held)
     # checkpoints plus one replayed segment: less than one cumsum of W and of B
     assert sum(a.size for a in held) < whole * (paths.d + paths.l)
+
+
+# ---------------------------------------------------------------------------
+# a draw that stores only the leading steps
+# ---------------------------------------------------------------------------
+
+TRIM_GRID = make_grid(1.0, 0.5, 0.125)  # n_T = 8 of 12 steps
+
+
+def test_trimmed_draw_stores_the_leading_bits_of_the_full_draw():
+    P = 5000  # straddles the draw's block rows
+    assert P > _DRAW_ROWS
+    full = sample_paths(TRIM_GRID, 2, 1, P, seed=(6, 3))
+    for n in (TRIM_GRID.n_T, TRIM_GRID.n_T + 1, TRIM_GRID.n_steps):
+        trimmed = sample_paths(TRIM_GRID, 2, 1, P, seed=(6, 3), n_stored=n)
+        assert trimmed.n_stored == n
+        assert _same_bits(trimmed.dW, full.dW[:, :n])
+        assert _same_bits(trimmed.dB, full.dB[:, :n])
+        assert trimmed.dW[:, n - 1].flags.c_contiguous
+    for n in (TRIM_GRID.n_T - 1, TRIM_GRID.n_steps + 1):
+        with pytest.raises(ShapeMismatch, match="stored steps"):
+            sample_paths(TRIM_GRID, 2, 1, P, seed=(6, 3), n_stored=n)
+
+
+def test_reads_past_the_stored_steps_raise_at_the_check():
+    n_T = TRIM_GRID.n_T
+    paths = sample_paths(TRIM_GRID, 1, 1, 50, seed=2, n_stored=n_T)
+    integrand = np.ones((50, TRIM_GRID.n_nodes, 1, 1))
+    assert forward_integral(integrand, paths, 0, n_T).shape == (50, 1)
+    assert backward_integral(integrand, paths, 0, n_T).shape == (50, 1)
+    with pytest.raises(ValueError, match="bad node range"):
+        forward_integral(integrand, paths, 0, n_T + 1)
+    with pytest.raises(ValueError, match="bad node range"):
+        backward_integral(integrand, paths, 2, n_T + 1)
+    assert paths.w_at(n_T).shape == paths.b_tail(0).shape == (50, 1)
+    for read in (paths.w_at, paths.b_at):
+        with pytest.raises(IndexError):
+            read(n_T + 1)
+
+
+def test_an_ensemble_stores_from_n_T_to_every_step_in_both_drivers():
+    full = sample_paths(TRIM_GRID, 1, 1, 4, seed=1)
+    for n in (TRIM_GRID.n_T - 1, TRIM_GRID.n_steps + 1):
+        inc = np.zeros((4, n, 1))
+        with pytest.raises(ShapeMismatch):
+            PathEnsemble(grid=TRIM_GRID, dW=inc, dB=inc)
+    with pytest.raises(ShapeMismatch):
+        PathEnsemble(grid=TRIM_GRID, dW=full.dW[:, :9], dB=full.dB[:, :10])
+
+
+@pytest.mark.parametrize("n", [8, 9, 10])
+def test_coarsening_a_trimmed_draw_merges_its_stored_steps(n):
+    full = sample_paths(TRIM_GRID, 1, 1, 64, seed=5)
+    coarse = sample_paths(TRIM_GRID, 1, 1, 64, seed=5, n_stored=n).coarsen()
+    assert coarse.n_stored == n // 2 and coarse.grid == full.coarsen().grid
+    assert _same_bits(coarse.dW, full.coarsen().dW[:, :n // 2])
+    assert _same_bits(coarse.dB, full.coarsen().dB[:, :n // 2])

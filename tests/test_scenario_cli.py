@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from abdsde import cli
 from abdsde.cli import load_scenario, run, scenario_hash
 from abdsde.errors import ParseError, ValidationError
 
@@ -597,3 +598,55 @@ def test_duality_matches_the_kept_csv(tmp_path):
     out = tmp_path / "duality.csv"
     assert run("duality", str(data / "duality_small.yaml"), str(out)) == 0
     _assert_matches_kept_csv(out, data / "duality_small.csv")
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("command,scenario", [
+    ("solve", ROOT / "bench" / "reference" / "solve.yaml"),
+    ("compare", ROOT / "scenarios" / "example41_compare.yaml"),
+])
+def test_a_draw_of_the_steps_read_writes_the_bytes_of_a_full_draw(
+        tmp_path, monkeypatch, command, scenario):
+    stored = []
+    draw, paths_for = cli.sample_paths, cli._paths
+
+    def recording(*args, **kwargs):
+        paths = draw(*args, **kwargs)
+        stored.append(paths.n_stored)
+        return paths
+
+    monkeypatch.setattr(cli, "sample_paths", recording)
+    trimmed, full = tmp_path / "trimmed.csv", tmp_path / "full.csv"
+    assert run(command, str(scenario), str(trimmed)) == 0
+    monkeypatch.setattr(cli, "_paths", lambda config, grid, tree, *scenarios:
+                        paths_for(config, grid, tree))
+    assert run(command, str(scenario), str(full)) == 0
+    assert trimmed.read_bytes() == full.read_bytes()
+    grid = cli._build_all(cli._read_config(str(scenario))).grid
+    assert stored == [grid.n_T, grid.n_steps]
+
+
+@pytest.mark.parametrize("first,second,steps", [
+    ("scaled_wt", None, "n_T"),
+    ("constant", None, "n_T"),
+    ("scaled_b_tail", None, "n_steps"),
+    ("scaled_wt", "constant", "n_T"),
+    ("scaled_wt", "scaled_b_tail", "n_steps"),
+    ("scaled_b_tail", "scaled_wt", "n_steps"),
+])
+def test_a_draw_stores_every_step_a_terminal_reads(tmp_path, first, second, steps):
+    # the pair is only built, never solved, so its order is not checked
+    level = {"constant": "value", "scaled_wt": "b", "scaled_b_tail": "b"}
+    compare = "" if second is None else f"""
+        compare:
+          terminal: {{name: {second}, params: {{{level[second]}: -1.0}}}}"""
+    config = load_scenario(_write(tmp_path, "s.yaml", f"""
+        grid: {{T: 0.5, K: 0.25, h: 0.0625}}
+        terminal: {{name: {first}, params: {{{level[first]}: 2.0}}}}
+        paths: {{count: 64, seed: 4}}""" + compare))
+    built = cli._build_all(config)
+    scenarios = [s for s in (built.scenario, built.compare) if s is not None]
+    paths = cli._paths(config, built.grid, None, *scenarios)
+    assert paths.n_stored == getattr(built.grid, steps)

@@ -597,6 +597,25 @@ def test_solve_peak_memory_stays_near_increments_and_window(tmp_path):
     assert peak < PEAK_OVER_HELD * held, peak / held
 
 
+def test_solve_peak_memory_stays_near_the_steps_read_and_window(tmp_path):
+    # the draw stores only the n_T steps the sweep reads: scaled_wt terminal
+    # data read W up to T, and nothing reads past it
+    P = 20000
+    config = cli._read_config(REFERENCE)
+    config["paths"]["count"] = P
+    built = cli._build_all(config)
+    grid, gen, off = built.grid, built.scenario.generator, built.scenario.offsets
+    n_slots = 1 + int(max(off.d_delta.max(), off.d_zeta.max()))
+    held = 8 * P * (grid.n_T * (gen.d + gen.l) + n_slots * gen.m * (1 + gen.d))
+    tracemalloc.start()
+    try:
+        assert cli.run("solve", REFERENCE, str(tmp_path / "solve.csv"), n_paths=P) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < PEAK_OVER_HELD * held, peak / held
+
+
 def test_per_node_slabs_are_contiguous():
     config = cli._read_config(REFERENCE)
     built = cli._build_all(config)

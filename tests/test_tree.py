@@ -12,7 +12,7 @@ from abdsde.scenario import make_scenario
 from abdsde.solver import solve_backward_sweep
 from abdsde.terminal import TerminalData, TerminalSpec
 from abdsde.tree import build_tree, oracle_solve, tree_for_grid
-from tree_helpers import _tensor_condexp
+from tree_helpers import _reference_f_atom_ids, _tensor_condexp
 
 
 def test_one_step_tree():
@@ -386,3 +386,12 @@ def test_oracle_rejects_terminal_data_the_node_does_not_see():
     scen = make_scenario(grid, builtin_generator("zero"), _scalar_terminal(tree, xi))
     with pytest.raises(NotMeasurable, match="node 2"):
         oracle_solve(scen, tree)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_atom_ids_match_the_formula_on_the_w_and_b_indices(n):
+    tree = build_tree(n, 0.1)
+    for k in range(n + 1):
+        ids = tree.f_atom_ids(k)
+        assert ids.dtype == np.int64
+        assert np.array_equal(ids, _reference_f_atom_ids(tree, k))
