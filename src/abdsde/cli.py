@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import math
 import sys
 from dataclasses import replace
 from typing import NamedTuple
@@ -31,7 +30,7 @@ import yaml
 from .condexp import ExactTreeBackend, RegressionBackend, RegressionBasis
 from .delays import affine_delay, constant_delay, DelaySpec, segment_interval
 from .duality import duality_check, LinearDualityCoeffs
-from .errors import AbdsdeError, NonCommensurate, ParseError, ValidationError
+from .errors import AbdsdeError, integer, NonCommensurate, ParseError, real, ValidationError
 from .comparison import run_comparison
 from .generators import builtin_generator, catalog_params, with_lipschitz
 from .grids import make_grid, TimeGrid
@@ -76,8 +75,8 @@ def scenario_hash(config: dict) -> str:
 def load_scenario(path: str) -> dict:
     """Parse and validate a scenario file; returns the resolved config dict.
 
-    Parse failures raise ParseError; semantic failures raise
-    ValidationError naming the underlying condition.
+    Parse failures raise ParseError; semantic failures raise ValidationError,
+    naming the key of a value that breaks its rule (see `errors.integer`).
     """
     config = _read_config(path)
     _build_all(config)  # full validation pass
@@ -120,43 +119,41 @@ def _with_defaults(raw: dict) -> dict:
     return config
 
 
-def _delay_form(value):
+def _delay_form(value, key: str):
     if isinstance(value, dict):
-        return affine_delay(float(value["a"]), float(value.get("b", 0.0)))
-    return constant_delay(float(value))
+        return affine_delay(real(value["a"], f"{key}.a"),
+                            real(value.get("b", 0.0), f"{key}.b"))
+    return constant_delay(real(value, key))
 
 
 def _build_delay(config: dict):
     section = config.get("delay")
     if section is None:
         return None
-    delta = _delay_form(section["delta"])
-    zeta = _delay_form(section.get("zeta", section["delta"]))
+    delta = _delay_form(section["delta"], "delay.delta")
+    zeta = _delay_form(section.get("zeta", section["delta"]), "delay.zeta")
     return DelaySpec(delta=delta, zeta=zeta)
 
 
 def _build_generator(section: dict, dims: dict):
-    params = dict(section.get("params") or {})
-    spec = builtin_generator(section["name"], m=dims["m"], d=dims["d"],
-                             l=dims["l"], **params)
+    spec = builtin_generator(section["name"], **dims, **(section.get("params") or {}))
     override = section.get("lipschitz")
     if override:
         spec = with_lipschitz(spec, **{
-            key: float(override[key]) for key in ("c", "alpha1", "alpha2")
-            if key in override})
+            key: real(override[key], f"lipschitz.{key}")
+            for key in ("c", "alpha1", "alpha2") if key in override})
     return spec
 
 
 def _build_terminal(section: dict) -> TerminalSpec:
-    return TerminalSpec(name=section["name"], params=dict(section.get("params") or {}))
+    return TerminalSpec(name=section["name"], params=section.get("params") or {})
 
 
-def _build_backend(config: dict, grid):
-    section = config["backend"]
-    kind = section.get("kind", "regression")
+def _build_backend(section: dict, grid):
+    kind = section["kind"]
     if kind == "regression":
-        basis = RegressionBasis(degree=int(section.get("degree", 2)),
-                                ridge=float(section.get("ridge", 1e-8)))
+        basis = RegressionBasis(degree=integer(section["degree"], "backend.degree", 1),
+                                ridge=real(section["ridge"], "backend.ridge"))
         return RegressionBackend(basis), None
     if kind == "exact":
         tree = tree_for_grid(grid)
@@ -168,7 +165,7 @@ _COMPARE_KEYS = {"generator", "terminal"}
 _DUALITY_SETTINGS = {"t0", "outer", "inner", "tol_mean"}
 
 
-def _build_compare(config: dict, scenario: Scenario) -> Scenario | None:
+def _build_compare(config: dict, scenario: Scenario, dims: dict) -> Scenario | None:
     """The second scenario of the `compare:` pair, on the first one's grid,
     delay and implicit_iters; None without the section."""
     section = config.get("compare")
@@ -177,20 +174,20 @@ def _build_compare(config: dict, scenario: Scenario) -> Scenario | None:
     unknown = set(section) - _COMPARE_KEYS
     if unknown:
         raise ValidationError(f"unknown compare keys {sorted(unknown)}")
-    generator = _build_generator(section.get("generator", config["generator"]),
-                                 config["dims"])
+    generator = _build_generator(section.get("generator", config["generator"]), dims)
     terminal = _build_terminal(section.get("terminal", config["terminal"]))
     return make_scenario(scenario.grid, generator, terminal, delay=scenario.delay,
                          implicit_iters=scenario.implicit_iters)
 
 
-def _build_duality(config: dict, scenario: Scenario) -> LinearDualityCoeffs | None:
-    """Duality coefficients from the `duality_linear` generator's parameters;
-    None without a `duality:` section.
+def _build_duality(config: dict, scenario: Scenario, g: dict) -> dict | None:
+    """`duality_check`'s arguments: g's (T, h), the `duality_linear`
+    generator's parameters as coefficients and the `duality:` section's
+    settings; None without the section.
 
-    The section holds t0 (a grid node at most T), outer, inner and
-    tol_mean; a coefficient key still written there must equal the
-    generator's value after defaults.
+    The section holds t0 (a grid node at most T), outer, inner and tol_mean
+    (positive; null calibrates); a coefficient key still written there must
+    equal the generator's value after defaults.
     The scenario's delay must be the constant K in both delta and zeta, and
     its implicit_iters 1, the scheme of the duality harness's solves.
     """
@@ -201,13 +198,16 @@ def _build_duality(config: dict, scenario: Scenario) -> LinearDualityCoeffs | No
     if generator["name"] != "duality_linear":
         raise ValidationError("a duality section needs the duality_linear "
                               f"generator, got '{generator['name']}'")
-    coeffs = catalog_params("duality_linear", dict(generator.get("params") or {}))
+    coeffs = catalog_params("duality_linear", generator.get("params") or {})
     unknown = set(section) - set(coeffs) - _DUALITY_SETTINGS
     if unknown:
         raise ValidationError(f"unknown duality keys {sorted(unknown)}")
-    for key in ("outer", "inner"):
-        if int(section.get(key, 1)) < 1:
-            raise ValidationError(f"duality.{key} must be >= 1")
+    args = {name: integer(section[key], f"duality.{key}", 1)
+            for key, name in (("outer", "n_outer"), ("inner", "inner")) if key in section}
+    if section.get("tol_mean") is not None:
+        args["tol_mean"] = tol_mean = real(section["tol_mean"], "duality.tol_mean")
+        if tol_mean <= 0:
+            raise ValidationError(f"duality.tol_mean must be positive, got {tol_mean:g}")
     written = {key: section[key] for key in section if key in coeffs}
     stated = catalog_params("duality_linear", written)
     for key in written:
@@ -216,8 +216,8 @@ def _build_duality(config: dict, scenario: Scenario) -> LinearDualityCoeffs | No
                 f"duality.{key} = {section[key]} differs from the generator's "
                 f"{key} = {coeffs[key]}; the generator's parameters are the "
                 "coefficients")
-    T, K = float(config["grid"]["T"]), float(config["grid"]["K"])
-    t0 = float(section.get("t0", K))
+    T, K = g["T"], g["K"]
+    t0 = real(section.get("t0", K), "duality.t0")
     if t0 > T:
         raise ValidationError(f"duality.t0 = {t0:g} is beyond the horizon T = {T:g}")
     try:
@@ -234,59 +234,50 @@ def _build_duality(config: dict, scenario: Scenario) -> LinearDualityCoeffs | No
         raise ValidationError(
             "a duality scenario's solver.implicit_iters must be 1, the scheme "
             f"the duality harness solves with, got {scenario.implicit_iters}")
-    return LinearDualityCoeffs(
+    return dict(args, T=T, h=g["h"], coeffs=LinearDualityCoeffs(
         mu=coeffs["mu"], mu_bar=coeffs["mu_bar"], sigma=tuple(coeffs["sigma"]),
         sigma_bar=tuple(coeffs["sigma_bar"]), kappa=tuple(coeffs["kappa"]),
         rho=coeffs["rho"], delta=K, t0=t0,
-        terminal=scenario.terminal)
+        terminal=scenario.terminal))
 
 
 class Built(NamedTuple):
-    """Every runtime object of one scenario file."""
+    """Every runtime object of one scenario file and every value its commands read."""
 
     grid: TimeGrid
     scenario: Scenario
     backend: RegressionBackend | ExactTreeBackend
     tree: TreeModel | None     # None unless the backend is exact
+    n_paths: int
+    seed: int
     compare: Scenario | None   # the second scenario of the compare pair
-    duality: LinearDualityCoeffs | None
+    duality: dict | None       # duality_check's arguments from the file
 
 
 def _build_all(config: dict) -> Built:
-    """Construct every runtime object, mapping domain errors to ValidationError."""
+    """Construct every runtime object, reading each value once by its rule."""
     try:
-        n_paths = int(config["paths"]["count"])
-        if n_paths < 1:
-            raise ValidationError("paths.count must be >= 1")
-        seed = config["paths"]["seed"]
-        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-            raise ValidationError(
-                f"paths.seed must be a non-negative integer, got {seed!r}")
-        g = {key: float(config["grid"][key]) for key in ("T", "K", "h")}
-        for key, value in g.items():
-            if not math.isfinite(value):
-                raise ValidationError(f"grid.{key} must be finite, got {value}")
+        n_paths = integer(config["paths"]["count"], "paths.count", 1)
+        seed = integer(config["paths"]["seed"], "paths.seed", 0)
+        g = {key: real(config["grid"][key], f"grid.{key}") for key in ("T", "K", "h")}
+        dims = {key: integer(config["dims"][key], f"dims.{key}", 1) for key in "mdl"}
         grid = make_grid(g["T"], g["K"], g["h"])
-        delay = _build_delay(config)
-        generator = _build_generator(config["generator"], config["dims"])
+        generator = _build_generator(config["generator"], dims)
+        iters = integer(config["solver"]["implicit_iters"], "solver.implicit_iters", 1)
         scenario = make_scenario(grid, generator, _build_terminal(config["terminal"]),
-                                 delay=delay,
-                                 implicit_iters=int(config["solver"]["implicit_iters"]))
-        backend, tree = _build_backend(config, grid)
+                                 delay=_build_delay(config), implicit_iters=iters)
+        backend, tree = _build_backend(config["backend"], grid)
         if tree is None:
-            dims = config["dims"]
-            backend.basis.check_paths(n_paths, int(dims["d"]) + int(dims["l"]))
-        return Built(grid, scenario, backend, tree,
-                     compare=_build_compare(config, scenario),
-                     duality=_build_duality(config, scenario))
+            backend.basis.check_paths(n_paths, dims["d"] + dims["l"])
+        return Built(grid, scenario, backend, tree, n_paths, seed,
+                     compare=_build_compare(config, scenario, dims),
+                     duality=_build_duality(config, scenario, g))
     except (ParseError, ValidationError):
         raise
     except AbdsdeError as exc:
         raise ValidationError(f"{type(exc).__name__}: {exc}") from exc
     except (AttributeError, KeyError, TypeError) as exc:
         raise ValidationError(f"malformed scenario: {exc!r}") from exc
-    except ValueError as exc:
-        raise ValidationError(f"invalid scenario value: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -312,21 +303,20 @@ def _write_csv(path: str, config: dict, header: str, rows, extra_comments=()):
 ORACLE_TOLERANCE = 1e-10
 
 
-def _paths(config, grid, tree, *scenarios):
-    """The tree's atoms for the exact backend, else the configured draw,
+def _paths(built: Built, *scenarios):
+    """The tree's atoms for the exact backend, else the file's draw,
     storing the leading steps that the given scenarios read (all without
     one).  The tree keeps every step: its information field sees B past T."""
-    if tree is not None:
-        return tree.ensemble
-    n_stored = max((s.steps_read for s in scenarios), default=grid.n_steps)
-    return sample_paths(grid, config["dims"]["d"], config["dims"]["l"],
-                        int(config["paths"]["count"]), config["paths"]["seed"],
-                        n_stored=n_stored)
+    if built.tree is not None:
+        return built.tree.ensemble
+    gen = built.scenario.generator
+    n_stored = max((s.steps_read for s in scenarios), default=built.grid.n_steps)
+    return sample_paths(built.grid, gen.d, gen.l, built.n_paths, built.seed, n_stored=n_stored)
 
 
 def _cmd_solve(config, built, out_path):
     grid = built.grid
-    paths = _paths(config, grid, built.tree, built.scenario)
+    paths = _paths(built, built.scenario)
     P = paths.n_paths
     rows = [None] * grid.n_nodes
 
@@ -349,7 +339,7 @@ def _cmd_compare(config, built, out_path):
     if built.compare is None:
         raise ValidationError("compare command needs a 'compare' section")
     grid = built.grid
-    paths = _paths(config, grid, built.tree, built.scenario, built.compare)
+    paths = _paths(built, built.scenario, built.compare)
     report = run_comparison(built.scenario, built.compare, paths, built.backend)
     per_node = report.violation_fraction_per_node()
     rows = [(grid.time(k), report.mean_margin[k], report.min_margin[k],
@@ -366,17 +356,8 @@ def _cmd_compare(config, built, out_path):
 def _cmd_duality(config, built, out_path):
     if built.duality is None:
         raise ValidationError("duality command needs a 'duality' section")
-    section = config["duality"]
-    g = config["grid"]
-    tol_mean = section.get("tol_mean")
-    report = duality_check(
-        built.duality, T=float(g["T"]), h=float(g["h"]),
-        P=int(config["paths"]["count"]),
-        n_outer=int(section.get("outer", 64)),
-        inner=int(section.get("inner", 2048)),
-        seed=config["paths"]["seed"], backend=built.backend,
-        tol_mean=None if tol_mean is None else float(tol_mean),
-        scenario=built.scenario)
+    report = duality_check(**built.duality, P=built.n_paths, seed=built.seed,
+                           backend=built.backend, scenario=built.scenario)
     rows = [(j, float(r)) for j, r in enumerate(report.residuals)]
     rows.append(("summary", report.mean_residual))
     comments = (f"mean_residual = {_fmt(report.mean_residual)}",
@@ -448,12 +429,13 @@ def run(command: str, scenario_path: str, out_path: str,
     """Read, override, build once, dispatch; returns the process exit status."""
     try:
         config = _read_config(scenario_path)
+        # an override is read by the rule of the file value it replaces
         if seed is not None:
-            config["paths"]["seed"] = seed  # validated with the file's
+            config["paths"]["seed"] = seed
         if n_paths is not None:
-            config["paths"]["count"] = int(n_paths)
+            config["paths"]["count"] = n_paths
         if grid_h is not None:
-            config["grid"]["h"] = float(grid_h)
+            config["grid"]["h"] = grid_h
         return _COMMANDS[command](config, _build_all(config), out_path)
     except AbdsdeError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -25,7 +25,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .errors import BackendMismatch, NonFinite, SingularDesign
+from .errors import BackendMismatch, integer, NonFinite, real, SingularDesign, ValidationError
 from .paths import PathEnsemble
 
 
@@ -43,10 +43,9 @@ class RegressionBasis:
     ridge: float = 1e-8
 
     def __post_init__(self):
-        if self.degree < 1:
-            raise ValueError("degree must be >= 1")
-        if self.ridge < 0:
-            raise ValueError("ridge must be >= 0")
+        integer(self.degree, "degree", 1)
+        if real(self.ridge, "ridge") < 0:
+            raise ValidationError(f"ridge must be >= 0, got {self.ridge!r}")
 
     def n_features(self, n_state: int) -> int:
         """Number of monomials, intercept included, of an n_state-variable state."""
@@ -56,7 +55,7 @@ class RegressionBasis:
         """Require at least 10 paths per feature of an n_state-variable state."""
         n_features = self.n_features(n_state)
         if n_paths < 10 * n_features:
-            raise ValueError(
+            raise ValidationError(
                 f"{n_paths} paths is too few for {n_features} features "
                 "(need at least 10x)")
 

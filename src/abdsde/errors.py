@@ -1,8 +1,10 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the two rules that read numbers.
 
 Every error raised by the library derives from :class:`AbdsdeError`, so
 callers (in particular the CLI) can distinguish domain failures from bugs.
 """
+
+import math
 
 
 class AbdsdeError(Exception):
@@ -69,5 +71,25 @@ class ParseError(AbdsdeError):
     """A scenario file could not be parsed."""
 
 
-class ValidationError(AbdsdeError):
-    """A scenario file parsed but failed semantic validation."""
+class ValidationError(AbdsdeError, ValueError):
+    """A value broke its rule or range: a scenario value or override, named
+    by its key, or an argument.  A ValueError too, as such errors are."""
+
+
+def integer(value, key: str, least: int) -> int:
+    """The integer rule: `value` must be an int, not a bool, and >= least."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValidationError(f"{key} must be an integer >= {least}, got {value!r}")
+    return value
+
+
+def real(value, key: str) -> float:
+    """The real rule: float(value), which reads the strings YAML leaves
+    (such as 1e-8), must be finite."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise ValidationError(f"{key} must be a finite real number, got {value!r}")
+    return number

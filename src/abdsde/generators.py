@@ -24,7 +24,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import Infeasible, NonFinite, ShapeMismatch, UnknownName
+from .errors import (Infeasible, integer, NonFinite, real, ShapeMismatch, UnknownName,
+                     ValidationError)
 
 Array = np.ndarray
 
@@ -51,8 +52,8 @@ class LipschitzData:
     alpha2: float = 0.0
 
     def __post_init__(self):
-        if self.c < 0 or self.alpha1 < 0 or self.alpha2 < 0:
-            raise ValueError("Lipschitz constants must be nonnegative")
+        if not all(0 <= value < math.inf for value in (self.c, self.alpha1, self.alpha2)):
+            raise ValidationError("Lipschitz constants must be finite and nonnegative")
 
 
 def check_feasible(lip: LipschitzData, M: float) -> float:
@@ -214,7 +215,7 @@ def _duality_linear(m, d, l, mu, mu_bar, sigma, sigma_bar, kappa, rho):
     def g(t, y, z, e):
         return y[:, :, None] * kappa[None, None, :]
 
-    c_f = (mu + kap2) ** 2 + float(sigma @ sigma) + mu_bar ** 2 \
+    c_f = (mu + kap2) * (mu + kap2) + float(sigma @ sigma) + mu_bar * mu_bar \
         + float(sigma_bar @ sigma_bar)
     return (f, g, (_ANTICIPATED_Y, _phi_identity_z(d)),
             LipschitzData(c=max(c_f, kap2)))
@@ -242,35 +243,33 @@ CATALOG = {
 }
 
 
-def _param(value, default):
+def _param(value, default, key: str):
     if isinstance(default, tuple):
-        return np.atleast_1d(np.asarray(value, dtype=float))
-    return float(value)
+        values = value if isinstance(value, (list, tuple, np.ndarray)) else [value]
+        return np.array([real(v, key) for v in values])
+    return real(value, key)
 
 
 def catalog_params(name: str, params: dict) -> dict:
     """Every parameter of builtin `name`: `params` over the table's defaults,
-    converted as the builder receives them."""
+    each number read by the real rule, as the builder receives them."""
     if name not in CATALOG:
         raise UnknownName(f"no builtin generator named '{name}'")
     defaults = CATALOG[name][0]
     extra = set(params) - set(defaults)
     if extra:
         raise UnknownName(f"unknown parameters {sorted(extra)} for '{name}'")
-    return {key: _param(params.get(key, default), default)
+    return {key: _param(params.get(key, default), default, f"{name} parameter {key}")
             for key, default in defaults.items()}
 
 
-def builtin_generator(name: str, **params) -> GeneratorSpec:
+def builtin_generator(name: str, m: int = 1, d: int = 1, l: int = 1,
+                      **params) -> GeneratorSpec:
     """Construct the catalog generator `name`; `CATALOG` is the catalog.
 
-    Parameters left out take the table's defaults; dimension overrides
-    m/d/l default to 1, and scalar-only builtins raise ShapeMismatch for
-    m != 1.
+    Parameters left out take the table's defaults; scalar-only builtins
+    raise ShapeMismatch for m != 1.
     """
-    m = int(params.pop("m", 1))
-    d = int(params.pop("d", 1))
-    l = int(params.pop("l", 1))
     values = catalog_params(name, params)
     if CATALOG[name][1] and m != 1:
         raise ShapeMismatch(
@@ -327,8 +326,7 @@ def audit_lipschitz(spec: GeneratorSpec, samples: int = 2000,
     scaled by {0.1, 1, 10}; PASS requires every observed ratio to stay
     at or below its declared constant times (1 + 1e-9).
     """
-    if samples < 1000:
-        raise ValueError("audit needs at least 1000 samples")
+    integer(samples, "the audit's samples", 1000)
     rng = np.random.Generator(np.random.Philox(seed=np.random.SeedSequence(seed)))
     per_scale = samples // 3 + 1
     m, d = spec.m, spec.d

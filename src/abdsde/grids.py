@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonCommensurate
+from .errors import NonCommensurate, ValidationError
 
 #: relative tolerance when checking T/h and K/h for integrality
 _COMMENSURATE_RTOL = 1e-9
@@ -27,9 +27,9 @@ class TimeGrid:
 
     def __post_init__(self):
         if self.h <= 0:
-            raise ValueError(f"step must be positive, got {self.h}")
+            raise ValidationError(f"step must be positive, got {self.h}")
         if not (0 < self.n_T <= self.n_end):
-            raise ValueError(f"need 0 < n_T <= n_end, got ({self.n_T}, {self.n_end})")
+            raise ValidationError(f"need 0 < n_T <= n_end, got ({self.n_T}, {self.n_end})")
 
     @property
     def T(self) -> float:
@@ -60,7 +60,7 @@ class TimeGrid:
 
 
 def _as_steps(value: float, h: float, name: str) -> int:
-    n = round(value / h)
+    n = round(value / h) if np.isfinite(value / h) else 0  # off any grid
     if abs(value - n * h) > _COMMENSURATE_RTOL * max(1.0, abs(value)):
         raise NonCommensurate(
             f"{name}={value} is not an integer multiple of h={h}"
@@ -75,11 +75,11 @@ def make_grid(T: float, K: float, h: float) -> TimeGrid:
     relative tolerance of 1e-9), and requires T > 0, K >= 0, h > 0.
     """
     if h <= 0:
-        raise ValueError(f"step must be positive, got {h}")
+        raise ValidationError(f"step must be positive, got {h}")
     if T <= 0:
-        raise ValueError(f"horizon T must be positive, got {T}")
+        raise ValidationError(f"horizon T must be positive, got {T}")
     if K < 0:
-        raise ValueError(f"anticipation window K must be nonnegative, got {K}")
+        raise ValidationError(f"anticipation window K must be nonnegative, got {K}")
     n_T = _as_steps(T, h, "T")
     n_K = _as_steps(K, h, "K")
     return TimeGrid(h=h, n_T=n_T, n_end=n_T + n_K)

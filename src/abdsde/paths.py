@@ -39,7 +39,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import integer, ShapeMismatch, ValidationError
 from .grids import TimeGrid
 
 SeedLike = Union[int, Sequence[int]]
@@ -86,7 +86,7 @@ class _ForwardSums:
 
     def at(self, k: int) -> np.ndarray:
         if not 0 <= k < self.n_nodes:
-            raise IndexError(f"node {k} is outside 0..{self.n_nodes - 1}")
+            raise ValidationError(f"node {k} is outside 0..{self.n_nodes - 1}")
         if k in self._saved:
             return self._saved[k]
         i = bisect_right(self._marks, k)
@@ -181,9 +181,9 @@ class PathEnsemble:
         """
         n = self.grid.n_steps
         if n % 2:
-            raise ValueError(f"{n} steps do not pair up")
+            raise ValidationError(f"{n} steps do not pair up")
         if self.grid.n_T % 2:
-            raise ValueError("coarsening would move T off the grid")
+            raise ValidationError("coarsening would move T off the grid")
         grid = TimeGrid(h=self.grid.h * 2, n_T=self.grid.n_T // 2,
                         n_end=self.grid.n_end // 2)
         pairs = self.n_stored // 2
@@ -209,8 +209,7 @@ def increment_blocks(P: int, shape: tuple, h: float, seed: SeedLike):
     next block overwrites.  The Philox stream keyed by seed is drawn in path
     order, so path i's increments do not depend on P or on the block size.
     """
-    if P < 1:
-        raise ValueError(f"need at least one path, got P={P}")
+    integer(P, "the path count P", 1)
     rng = np.random.Generator(np.random.Philox(seed=np.random.SeedSequence(seed)))
     buf = np.empty((min(P, _DRAW_ROWS), *shape))
     scale = np.sqrt(h)
@@ -237,7 +236,7 @@ def sample_paths(grid: TimeGrid, d: int, l: int, P: int, seed: SeedLike,
     ones are the same bits as in a full draw.
     """
     if d < 1 or l < 1:
-        raise ValueError(f"driver dimensions must be >= 1, got d={d}, l={l}")
+        raise ValidationError(f"driver dimensions must be >= 1, got d={d}, l={l}")
     n = grid.n_steps if n_stored is None else n_stored
     if not grid.n_T <= n <= grid.n_steps:
         raise ShapeMismatch(f"stored steps must be in {grid.n_T}..{grid.n_steps}, "
@@ -258,8 +257,8 @@ def forward_integral(Z, paths: PathEnsemble, k_from: int, k_to: int) -> np.ndarr
     per-path values in R^m: sum_{k=k_from}^{k_to-1} Z_k dW_k.
     """
     if not (0 <= k_from <= k_to <= paths.n_stored):
-        raise ValueError(f"bad node range [{k_from}, {k_to}] on {paths.n_stored} "
-                         "stored steps")
+        raise ValidationError(f"bad node range [{k_from}, {k_to}] on {paths.n_stored} "
+                              "stored steps")
     if Z.ndim != 4 or Z.shape[3] != paths.d:
         raise ShapeMismatch(
             f"integrand must have shape (P, nodes, m, {paths.d}), got {Z.shape}"
@@ -274,8 +273,8 @@ def backward_integral(G, paths: PathEnsemble, k_from: int, k_to: int) -> np.ndar
     per-path values in R^m: sum_{k=k_from}^{k_to-1} G_{k+1} dB_k.
     """
     if not (0 <= k_from <= k_to <= paths.n_stored):
-        raise ValueError(f"bad node range [{k_from}, {k_to}] on {paths.n_stored} "
-                         "stored steps")
+        raise ValidationError(f"bad node range [{k_from}, {k_to}] on {paths.n_stored} "
+                              "stored steps")
     if G.ndim != 4 or G.shape[3] != paths.l:
         raise ShapeMismatch(
             f"integrand must have shape (P, nodes, m, {paths.l}), got {G.shape}"

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .delays import DelaySpec, GridOffsets, to_grid_offsets
-from .errors import NonFinite, ValidationError
+from .errors import integer, NonFinite, ValidationError
 from .generators import GeneratorSpec, check_feasible
 from .grids import TimeGrid
 from .paths import PathEnsemble
@@ -80,8 +80,7 @@ def make_scenario(grid: TimeGrid, generator: GeneratorSpec,
         if not np.all(np.isfinite(val)):
             raise NonFinite(f"f(t, 0, 0, 0) is non-finite at t={t}")
 
-    if implicit_iters < 1:
-        raise ValidationError("implicit_iters must be >= 1")
+    integer(implicit_iters, "implicit_iters", 1)
     return Scenario(grid=grid, generator=generator, terminal=terminal,
                     delay=delay, offsets=offsets,
                     implicit_iters=implicit_iters)

@@ -63,7 +63,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .condexp import condexp
-from .errors import Infeasible, NoConvergence, NonFinite, ShapeMismatch
+from .errors import Infeasible, NoConvergence, NonFinite, ShapeMismatch, ValidationError
 from .generators import check_feasible, LipschitzData
 from .grids import TimeGrid
 from .paths import PathEnsemble
@@ -313,7 +313,7 @@ def picard_iterate(scenario: Scenario, paths: PathEnsemble, backend,
     at most one application per segment of the interval segmentation.
     """
     if tol <= 0:
-        raise ValueError("tol must be positive")
+        raise ValidationError("tol must be positive")
     if params is None:
         params = contraction_params(scenario.generator.lip, scenario.M)
     current = init if init is not None else default_initial(scenario, paths)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFinite, ShapeMismatch, UnknownName
+from .errors import NonFinite, real, ShapeMismatch, UnknownName
 from .grids import TimeGrid
 from .paths import PathEnsemble
 
@@ -92,7 +92,7 @@ class TerminalSpec:
         if extra:
             raise UnknownName(
                 f"unknown parameters {sorted(extra)} for terminal '{self.name}'")
-        return {key: float(self.params.get(key, default))
+        return {key: real(self.params.get(key, default), f"{self.name} parameter {key}")
                 for key, default in defaults.items()}
 
     def last_node_read(self, grid: TimeGrid) -> int:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .condexp import ExactTreeBackend
-from .errors import NotMeasurable, ShapeMismatch, TooLarge
+from .errors import integer, NotMeasurable, ShapeMismatch, TooLarge
 from .grids import TimeGrid
 from .paths import PathEnsemble
 from .solver import SolutionProcess
@@ -79,8 +79,7 @@ def build_tree(n: int, h: float, n_T: int | None = None) -> TreeModel:
     n_T marks where the terminal window starts (defaults to n, i.e. K = 0);
     pass the scenario's grid split when anticipation is in play.
     """
-    if n < 1:
-        raise ValueError(f"need at least one step, got n={n}")
+    integer(n, "the step count n", 1)
     if n > MAX_STEPS:
         raise TooLarge(f"a {n}-step tree is beyond the cap of {MAX_STEPS} steps "
                        f"(4^{MAX_STEPS} atoms)")

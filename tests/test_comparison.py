@@ -227,7 +227,7 @@ def test_comparison_peak_memory_stays_near_margins_and_windows():
                                                                coarse_grid))
     held = 8 * P * (grid.n_nodes + slots * m * (1 + gen.d)
                     + coarse_grid.n_steps * (gen.d + gen.l))
-    paths = cli._paths(config, grid, None)
+    paths = cli._paths(built)
     tracemalloc.start()
     try:
         report = run_comparison(built.scenario, built.compare, paths, built.backend)

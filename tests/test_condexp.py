@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from abdsde.condexp import condexp, RegressionBackend, RegressionBasis, _poly_features
-from abdsde.errors import BackendMismatch, SingularDesign
+from abdsde.errors import BackendMismatch, SingularDesign, ValidationError
 from abdsde.grids import make_grid
 from abdsde.paths import sample_paths
 from abdsde.tree import build_tree
@@ -72,6 +72,13 @@ def test_too_few_paths_rejected():
     paths = sample_paths(grid, 1, 1, 30, seed=3)
     with pytest.raises(ValueError):
         condexp(RegressionBackend(), paths.w_at(grid.n_T), 2, paths)
+    # nor is a basis built whose degree is not an int (2.5 failed in
+    # math.comb, True ran as degree 1) or whose ridge is not finite (NaN
+    # passed the sign check and fitted NaN)
+    for degree, ridge, key in ((2.5, 1e-8, "degree"), (True, 1e-8, "degree"),
+                               (2, float("nan"), "ridge"), (2, float("inf"), "ridge")):
+        with pytest.raises(ValidationError, match=f"{key} must be"):
+            RegressionBasis(degree=degree, ridge=ridge)
 
 
 def test_exact_backend_two_step_tree_hand_enumeration():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from abdsde.errors import Infeasible, NonFinite, ShapeMismatch, UnknownName
+from abdsde.errors import Infeasible, NonFinite, ShapeMismatch, UnknownName, ValidationError
 from abdsde.generators import (AnticipationFunctional, audit_lipschitz,
                                builtin_generator, CATALOG, check_feasible,
                                evaluate, GeneratorSpec, LipschitzData,
@@ -65,6 +65,16 @@ def test_unknown_name_and_params():
 def test_bad_parameter_value_fails_when_the_spec_is_built():
     with pytest.raises(ValueError):
         builtin_generator("constant_rho", rho="not a number")
+
+
+@pytest.mark.parametrize("name,params", [
+    ("duality_linear", {"mu": -1e200}),  # its square overflowed with an OverflowError
+    ("linear_bsde", {"a": 1e200}),       # its square read inf and was kept
+    ("duality_linear", {"kappa": [1e200]}),
+])
+def test_a_coefficient_with_no_finite_lipschitz_constant_is_rejected(name, params):
+    with pytest.raises(ValidationError, match="Lipschitz constants must be finite"):
+        builtin_generator(name, **params)
 
 
 def test_evaluate_shape_and_finite_checks():

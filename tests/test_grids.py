@@ -44,3 +44,11 @@ def test_index_of():
     assert g.index_of(0.75) == 3
     with pytest.raises(NonCommensurate):
         g.index_of(0.3)
+
+
+def test_a_step_count_beyond_any_float_is_off_the_grid():
+    # value / h overflowed to inf, and round(inf) raised OverflowError
+    with pytest.raises(NonCommensurate):
+        make_grid(1e300, 0.0, 1e-10)
+    with pytest.raises(NonCommensurate):
+        make_grid(1.0, 0.0, 0.25).index_of(-1e308)

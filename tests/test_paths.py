@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import abdsde.paths
-from abdsde.errors import ShapeMismatch
+from abdsde.errors import ShapeMismatch, ValidationError
 from abdsde.grids import make_grid
 from abdsde.paths import (_DRAW_ROWS, _ForwardSums, backward_integral,
                           forward_integral, PathEnsemble, sample_paths)
@@ -203,7 +203,7 @@ def test_state_is_read_only_and_rejects_nodes_off_the_grid():
         paths.w_at(3)[:] = 0.0
     with pytest.raises(ValueError):
         paths.b_at(STATE_GRID.n_T)[:] = 0.0
-    with pytest.raises(IndexError):
+    with pytest.raises(ValidationError):
         paths.w_at(STATE_GRID.n_nodes)
 
 
@@ -272,7 +272,7 @@ def test_reads_past_the_stored_steps_raise_at_the_check():
         backward_integral(integrand, paths, 2, n_T + 1)
     assert paths.w_at(n_T).shape == paths.b_tail(0).shape == (50, 1)
     for read in (paths.w_at, paths.b_at):
-        with pytest.raises(IndexError):
+        with pytest.raises(ValidationError):
             read(n_T + 1)
 
 

@@ -1,4 +1,6 @@
+import math
 import os
+import string
 import subprocess
 import sys
 import textwrap
@@ -7,10 +9,11 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, HealthCheck, settings, strategies as st
 
 from abdsde import cli
 from abdsde.cli import load_scenario, run, scenario_hash
-from abdsde.errors import ParseError, ValidationError
+from abdsde.errors import AbdsdeError, ParseError, ValidationError
 
 
 def _write(tmp_path, name, body):
@@ -183,15 +186,48 @@ def test_removed_tolerance_keys_exit_two(tmp_path, capsys, section, key):
 def test_bad_seed_or_non_finite_grid_exits_two(tmp_path, capsys, section, value,
                                                override, key):
     # rejected at load with the key named, not by a traceback at the draw
+    _assert_rejected(tmp_path, capsys, "solve", section, value, override, key)
+
+
+def _assert_rejected(tmp_path, capsys, command, section, value, override, key):
     config = {name: dict(val) for name, val in DUALITY_READY.items()}
-    config[section].update(value)
+    config.setdefault(section, {}).update(value)
     path = tmp_path / "bad.yaml"
     path.write_text(yaml.safe_dump(config))
     if not override:
         with pytest.raises(ValidationError, match=key):
             load_scenario(str(path))
-    assert run("solve", str(path), str(tmp_path / "x.csv"), **override) == 2
+    assert run(command, str(path), str(tmp_path / "x.csv"), **override) == 2
     assert f"error: ValidationError: {key} must be" in capsys.readouterr().err
+
+
+_INF, _NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize("command,section,value,override,key", [
+    ("solve", "paths", {"count": _INF}, {}, "paths.count"),
+    ("solve", "solver", {"implicit_iters": _INF}, {}, "solver.implicit_iters"),
+    ("solve", "backend", {"degree": _INF}, {}, "backend.degree"),
+    ("solve", "dims", {"d": _INF}, {}, "dims.d"),
+    ("duality", "duality", {"outer": _INF}, {}, "duality.outer"),
+    ("solve", "dims", {"d": 1.5}, {}, "dims.d"),
+    ("duality", "duality", {"tol_mean": "x"}, {}, "duality.tol_mean"),
+    ("solve", "paths", {"count": 300.7}, {}, "paths.count"),
+    ("solve", "paths", {}, {"n_paths": 300.7}, "paths.count"),
+    ("solve", "solver", {"implicit_iters": 1.5}, {}, "solver.implicit_iters"),
+    ("solve", "backend", {"degree": 2.5}, {}, "backend.degree"),
+    ("duality", "duality", {"inner": 4.5}, {}, "duality.inner"),
+    ("duality", "duality", {"tol_mean": _NAN}, {}, "duality.tol_mean"),
+    ("duality", "duality", {"tol_mean": -1}, {}, "duality.tol_mean"),
+    ("solve", "backend", {"ridge": _NAN}, {}, "backend.ridge"),
+], ids=["count-inf", "iters-inf", "degree-inf", "d-inf", "outer-inf", "d-float",
+        "tol-mean-string", "count-float", "flag-paths-float", "iters-float",
+        "degree-float", "inner-float", "tol-mean-nan", "tol-mean-negative",
+        "ridge-nan"])
+def test_a_value_that_breaks_its_rule_exits_two(tmp_path, capsys, command, section,
+                                                value, override, key):
+    # each ran as a traceback, a truncated value or a meaningless check
+    _assert_rejected(tmp_path, capsys, command, section, value, override, key)
 
 
 def test_compare_command(tmp_path):
@@ -620,8 +656,7 @@ def test_a_draw_of_the_steps_read_writes_the_bytes_of_a_full_draw(
     monkeypatch.setattr(cli, "sample_paths", recording)
     trimmed, full = tmp_path / "trimmed.csv", tmp_path / "full.csv"
     assert run(command, str(scenario), str(trimmed)) == 0
-    monkeypatch.setattr(cli, "_paths", lambda config, grid, tree, *scenarios:
-                        paths_for(config, grid, tree))
+    monkeypatch.setattr(cli, "_paths", lambda built, *scenarios: paths_for(built))
     assert run(command, str(scenario), str(full)) == 0
     assert trimmed.read_bytes() == full.read_bytes()
     grid = cli._build_all(cli._read_config(str(scenario))).grid
@@ -648,5 +683,51 @@ def test_a_draw_stores_every_step_a_terminal_reads(tmp_path, first, second, step
         paths: {{count: 64, seed: 4}}""" + compare))
     built = cli._build_all(config)
     scenarios = [s for s in (built.scenario, built.compare) if s is not None]
-    paths = cli._paths(config, built.grid, None, *scenarios)
+    paths = cli._paths(built, *scenarios)
     assert paths.n_stored == getattr(built.grid, steps)
+
+
+def _key_paths(node, path=()):
+    """The key path of every value below the top level of a parsed file."""
+    items = node.items() if isinstance(node, dict) \
+        else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _key_paths(value, path + (key,))
+
+
+def _mutations(value):
+    """A string, a negative, NaN, infinity, a float where an int belongs, a
+    list or a mapping in place of `value`.  The strings are letters, so none
+    reads as a finite number, and the float is `value` + 0.5, so a mutated
+    grid is never finer than the file's and at most 0.5 longer."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return st.one_of(
+        st.text(string.ascii_letters, max_size=5),
+        st.integers(max_value=-1),
+        st.floats(max_value=-1e-300, allow_infinity=False),
+        st.sampled_from([math.nan, math.inf, -math.inf, value + 0.5 if number else 0.5,
+                         [value], {"a": value}]))
+
+
+@pytest.mark.parametrize("scenario", sorted((ROOT / "scenarios").glob("*.yaml"))
+                         + [ROOT / "tests" / "data" / "duality_small.yaml"],
+                         ids=lambda path: f"{path.parent.name}/{path.name}")
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_a_file_with_one_value_mutated_loads_or_raises_a_typed_error(
+        tmp_path, scenario, data):
+    # only the loader runs, so no mutated path count or grid is drawn or solved
+    config = yaml.safe_load(scenario.read_text())
+    *parents, key = data.draw(st.sampled_from(list(_key_paths(config))))
+    section = config
+    for parent in parents:
+        section = section[parent]
+    section[key] = data.draw(_mutations(section[key]))
+    mutated = tmp_path / "mutated.yaml"
+    mutated.write_text(yaml.safe_dump(config))
+    try:
+        load_scenario(str(mutated))
+    except AbdsdeError:
+        pass

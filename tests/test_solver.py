@@ -619,7 +619,7 @@ def test_solve_peak_memory_stays_near_the_steps_read_and_window(tmp_path):
 def test_per_node_slabs_are_contiguous():
     config = cli._read_config(REFERENCE)
     built = cli._build_all(config)
-    paths = cli._paths(config, built.grid, None)
+    paths = cli._paths(built)
     sol = solve_backward_sweep(built.scenario, paths, built.backend)
     for k in (0, built.grid.n_T - 1, built.grid.n_end):
         for i in range(built.scenario.generator.m):
