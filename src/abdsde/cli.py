@@ -97,6 +97,18 @@ def _read_config(path: str) -> dict:
     return _with_defaults(raw)
 
 
+#: Keys a section may hold beside those of its defaults; compare and
+#: duality keys are checked when built.
+_EXTRA_KEYS = {"generator": {"lipschitz"}}
+_LIPSCHITZ_KEYS = ("c", "alpha1", "alpha2")
+
+
+def _check_keys(values, allowed, name: str) -> None:
+    unknown = set(values) - set(allowed) if isinstance(values, dict) else set()
+    if unknown:
+        raise ValidationError(f"unknown {name} keys {sorted(unknown)}")
+
+
 def _with_defaults(raw: dict) -> dict:
     config = {
         "grid": {"T": 1.0, "K": 0.0, "h": 0.25},
@@ -109,8 +121,12 @@ def _with_defaults(raw: dict) -> dict:
     }
     for section, values in raw.items():
         if section in ("delay", "compare", "duality"):
+            if section == "delay":
+                _check_keys(values, {"delta", "zeta"}, "delay")
             config[section] = values
         elif section in config and isinstance(values, dict):
+            _check_keys(values, set(config[section]) | _EXTRA_KEYS.get(section, set()),
+                        section)
             merged = dict(config[section])
             merged.update(values)
             config[section] = merged
@@ -121,6 +137,7 @@ def _with_defaults(raw: dict) -> dict:
 
 def _delay_form(value, key: str):
     if isinstance(value, dict):
+        _check_keys(value, {"a", "b"}, key)
         return affine_delay(real(value["a"], f"{key}.a"),
                             real(value.get("b", 0.0), f"{key}.b"))
     return constant_delay(real(value, key))
@@ -139,9 +156,10 @@ def _build_generator(section: dict, dims: dict):
     spec = builtin_generator(section["name"], **dims, **(section.get("params") or {}))
     override = section.get("lipschitz")
     if override:
+        _check_keys(override, _LIPSCHITZ_KEYS, "generator.lipschitz")
         spec = with_lipschitz(spec, **{
             key: real(override[key], f"lipschitz.{key}")
-            for key in ("c", "alpha1", "alpha2") if key in override})
+            for key in _LIPSCHITZ_KEYS if key in override})
     return spec
 
 
@@ -180,14 +198,16 @@ def _build_compare(config: dict, scenario: Scenario, dims: dict) -> Scenario | N
                          implicit_iters=scenario.implicit_iters)
 
 
-def _build_duality(config: dict, scenario: Scenario, g: dict) -> dict | None:
+def _build_duality(config: dict, scenario: Scenario, g: dict,
+                   n_paths: int) -> dict | None:
     """`duality_check`'s arguments: g's (T, h), the `duality_linear`
     generator's parameters as coefficients and the `duality:` section's
     settings; None without the section.
 
-    The section holds t0 (a grid node at most T), outer, inner and tol_mean
-    (positive; null calibrates); a coefficient key still written there must
-    equal the generator's value after defaults.
+    The section holds t0 (a grid node at most T), outer (at most
+    paths.count: the outer paths are the draw's first ones), inner and
+    tol_mean (positive; null calibrates); a coefficient key still written
+    there must equal the generator's value after defaults.
     The scenario's delay must be the constant K in both delta and zeta, and
     its implicit_iters 1, the scheme of the duality harness's solves.
     """
@@ -204,6 +224,9 @@ def _build_duality(config: dict, scenario: Scenario, g: dict) -> dict | None:
         raise ValidationError(f"unknown duality keys {sorted(unknown)}")
     args = {name: integer(section[key], f"duality.{key}", 1)
             for key, name in (("outer", "n_outer"), ("inner", "inner")) if key in section}
+    if args.get("n_outer", 0) > n_paths:
+        raise ValidationError(f"duality.outer = {args['n_outer']} exceeds paths.count = "
+                              f"{n_paths}: the outer paths are the first paths of the draw")
     if section.get("tol_mean") is not None:
         args["tol_mean"] = tol_mean = real(section["tol_mean"], "duality.tol_mean")
         if tol_mean <= 0:
@@ -271,7 +294,7 @@ def _build_all(config: dict) -> Built:
             backend.basis.check_paths(n_paths, dims["d"] + dims["l"])
         return Built(grid, scenario, backend, tree, n_paths, seed,
                      compare=_build_compare(config, scenario, dims),
-                     duality=_build_duality(config, scenario, g))
+                     duality=_build_duality(config, scenario, g, n_paths))
     except (ParseError, ValidationError):
         raise
     except AbdsdeError as exc:

@@ -293,7 +293,7 @@ def duality_check(coeffs: LinearDualityCoeffs, T: float, h: float,
     """Residuals between the backward solve and the dual representation.
 
     Each grid draws P paths, solves the backward equation on them and
-    compares Y at t0 on the first n_outer paths with duality_rhs on their
+    compares Y at t0 on the first n_outer <= P paths with duality_rhs on their
     B-increments.  With tol_mean unset it is self-calibrated: the step-size
     constant C is the largest mean residual / h over the coarse grids with
     steps h * _CALIBRATION_FACTORS (max(inner // 2, 64) inner paths and
@@ -310,6 +310,9 @@ def duality_check(coeffs: LinearDualityCoeffs, T: float, h: float,
     if n_outer < 1 or inner < 1:
         raise ValidationError(
             f"need n_outer >= 1 and inner >= 1, got {n_outer} and {inner}")
+    if n_outer > P:
+        raise ValidationError(f"n_outer = {n_outer} exceeds the path count P = {P}: "
+                              "the outer paths are the first paths of the draw")
     if coeffs.t0 > T:
         raise ValidationError(f"t0 = {coeffs.t0:g} is beyond the horizon T = {T:g}")
     backend = backend or RegressionBackend()

@@ -11,9 +11,10 @@ step, and the values of a process at one node, are one contiguous
 (P, ...) slab behind the usual (P, n_steps | n_nodes, ...) views, because
 the backward sweep reads and writes one node at a time.  For the same
 reason W_{t_k} and B_{t_k} are not cached for the whole horizon: they are
-the forward sums of the increments, kept at checkpoints every `_SEGMENT`
-nodes and replayed forward one segment at a time (checkpointing as in
-Griewank 1992), which gives the bits of `np.cumsum` in any call order.
+the forward sums of the increments, kept only at checkpoints every
+`_SEGMENT` nodes, and each other node is summed afresh from the checkpoint
+below it (checkpointing as in Griewank 1992, at its memory end), which
+gives the bits of `np.cumsum` in any call order.
 
 An ensemble may store only the leading steps, at least the n_T steps up to
 T: on [T, T+K] the solution is given terminal data, so a regression solve
@@ -33,7 +34,6 @@ discrete quadratic variation sum_k (dB_k)^2.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
@@ -45,11 +45,10 @@ from .grids import TimeGrid
 SeedLike = Union[int, Sequence[int]]
 
 
-#: Nodes per checkpoint segment of the W and B forward sums, about the
-#: square root of the 97 nodes of the benchmark grids: a descending sweep
-#: then holds about 2 sqrt(n_nodes) slabs instead of n_nodes, and adds about
-#: two cumsums' worth of slabs.
-_SEGMENT = 10
+#: Nodes between checkpoints of the W and B forward sums: a sweep holds
+#: about n_nodes / _SEGMENT slabs per driver, and each read of another node
+#: adds up to _SEGMENT - 1 increments.
+_SEGMENT = 8
 
 
 class _ForwardSums:
@@ -58,24 +57,22 @@ class _ForwardSums:
     Every S_k is added in cumsum's order, S_{k+1} = S_k + inc_k, so it has
     the bits of np.cumsum whatever the order of the calls.  One forward
     pass keeps S at the checkpoint nodes (every _SEGMENT nodes, plus
-    `anchor`); any other node is read from the segment replayed forward
-    from the checkpoint before it, and only the last replayed segment is
-    kept.  The slabs handed out are read-only, and a replay allocates a new
-    segment, so a slab a caller still holds keeps its values.
+    `anchor`); any other node is summed into a new slab from the checkpoint
+    below it.  The slabs handed out are read-only, and no later call writes
+    to them.
     """
 
     def __init__(self, inc: np.ndarray, anchor: int):
         self._inc = inc  # (n_steps, P, c)
         self.n_nodes = inc.shape[0] + 1
-        self._marks = sorted(set(range(0, self.n_nodes, _SEGMENT)) | {anchor})
+        marks = set(range(0, self.n_nodes, _SEGMENT)) | {anchor}
         self._saved = {}
         running = np.zeros(inc.shape[1:])
-        for k in range(self._marks[-1] + 1):
+        for k in range(max(marks) + 1):
             if k:
                 self._step(k - 1, running, running)
-            if k in self._marks:
+            if k in marks:
                 self._saved[k] = _read_only(running.copy())
-        self._start = self._segment = None
 
     def _step(self, k: int, prev: np.ndarray, out: np.ndarray) -> None:
         """S_{k+1} into out, from prev = S_k."""
@@ -89,17 +86,13 @@ class _ForwardSums:
             raise ValidationError(f"node {k} is outside 0..{self.n_nodes - 1}")
         if k in self._saved:
             return self._saved[k]
-        i = bisect_right(self._marks, k)
-        start = self._marks[i - 1]
-        if start != self._start:
-            stop = self._marks[i] if i < len(self._marks) else self.n_nodes
-            segment = np.empty((stop - start - 1,) + self._inc.shape[1:])
-            prev = self._saved[start]
-            for j in range(len(segment)):
-                self._step(start + j, prev, segment[j])
-                prev = segment[j]
-            self._start, self._segment = start, _read_only(segment)
-        return self._segment[k - start - 1]
+        start = max(mark for mark in self._saved if mark < k)
+        out = np.empty(self._inc.shape[1:])
+        prev = self._saved[start]
+        for j in range(start, k):
+            self._step(j, prev, out)
+            prev = out
+        return _read_only(out)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -116,8 +109,8 @@ class PathEnsemble:
     known on nodes 0..n_stored.  The ensembles this module and
     `tree.build_tree` make store them node-major, so dW[:, k] and dB[:, k]
     are contiguous (P, d) and (P, l) slabs.  W_{t_k} and B_{t_k} are
-    forward sums of the increments, kept at checkpoints and replayed a
-    segment at a time, never a whole (P, n_nodes) array; the increments
+    forward sums of the increments, kept at checkpoints and summed from
+    them node by node, never a whole (P, n_nodes) array; the increments
     must not change once they are read.
     """
 

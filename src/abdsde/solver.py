@@ -38,12 +38,19 @@ the steps 0..n_T-1 and the terminal data read them at most to the node
 `TerminalSpec.last_node_read` names, so an ensemble that stores just the
 leading `Scenario.steps_read` steps gives the same bits as a full one.
 
-The node axis is a ring of L slots, node k in slot k % L.  A caller that
-keeps the solution gets L = n_nodes.  A caller that reduces node by node
-passes `on_node` instead: node k reads (Y, Z) only at k + 1 .. k + the
-largest offset, so L = 1 + that offset (1 without anticipation) holds every
-value the sweep still reads, and each node is handed over right after it
-is stored, terminal nodes first, from n_end down to 0.
+The sweep reads later nodes only through the functionals.  Node i's
+functionals read Y at a = i + d_delta[i] and Z at b = i + d_zeta[i]; they
+are evaluated as soon as the later-swept of the two, min(a, b), is stored
+(before the sweep, from the terminal data, when both are terminal), and
+their (P, q_total) values are held until node i's e-step and node i-1's
+g-step have read them: at most 1 + the largest offset such slabs at once.
+The node axis of (Y, Z) is a ring of L slots, node k in slot k % L.  A
+caller that keeps the solution gets L = n_nodes.  A caller that reduces
+node by node passes `on_node` instead: a swept node is then held only
+until the last evaluation that reads it, so L = 1 + the largest |a - b|
+over pairs of swept nodes (1 when delta = zeta, and without anticipation),
+and each node is handed over right after it is stored, terminal nodes
+first, from n_end down to 0.
 
 `solve_backward_sweep` is the one solve.  Given `frozen=`, it reads the
 anticipated arguments from that process instead of from the live sweep:
@@ -68,6 +75,7 @@ from .generators import check_feasible, LipschitzData
 from .grids import TimeGrid
 from .paths import PathEnsemble
 from .scenario import Scenario
+from .terminal import TerminalData
 
 #: gamma would degenerate to 0 when c = 0; any positive value keeps the
 #: weighted norm a norm without breaking the contraction inequality.
@@ -157,22 +165,13 @@ def weighted_distance(a: SolutionProcess, b: SolutionProcess,
 # the sweep
 # ---------------------------------------------------------------------------
 
-def _window(scenario: Scenario) -> int:
-    """Node slots a sweep must keep: node k reads k + 1 .. k + the largest offset."""
-    if not scenario.generator.anticipates:
-        return 1
-    off = scenario.offsets
-    return 1 + int(max(off.d_delta.max(), off.d_zeta.max()))
-
-
-def _ring(scenario: Scenario, paths: PathEnsemble, n_slots: int, on_node=None):
+def _ring(scenario: Scenario, term: TerminalData, n_slots: int, on_node=None):
     """(Y, Z) storage of n_slots node slots, node k in slot k % n_slots, with
     the terminal nodes filled from n_end down to n_T, each passed to
     `on_node` once stored."""
     gen = scenario.generator
     grid = scenario.grid
-    term = scenario.terminal_data(paths)
-    P = paths.n_paths
+    P = term.n_paths
     # (component, slot, path) storage behind the (P, n_slots, m[, d])
     # views: the sweep stores and reads one contiguous (P[, d]) slab per
     # component and node, and a stacked pair's components split into the
@@ -188,14 +187,27 @@ def _ring(scenario: Scenario, paths: PathEnsemble, n_slots: int, on_node=None):
     return Y, Z
 
 
-def _raw_functionals(scenario: Scenario, Y: np.ndarray, Z: np.ndarray, k: int):
-    gen = scenario.generator
-    if not gen.anticipates:
-        return np.zeros((Y.shape[0], 0))
-    off = scenario.offsets
-    n_slots = Y.shape[1]
-    return gen.eval_functionals(Y[:, (k + off.d_delta[k]) % n_slots],
-                                Z[:, (k + off.d_zeta[k]) % n_slots])
+def _schedule(scenario: Scenario):
+    """When the sweep evaluates each node's functionals, and its ring size.
+
+    Node i's functionals read Y at a = i + d_delta[i] and Z at
+    b = i + d_zeta[i], both later than i.  They are evaluated once the
+    later-swept of the two, min(a, b), is stored, or before the sweep when
+    both are terminal.  Returns ({r: the (i, a, b) due once node r is
+    stored, with r = n_T for before the sweep}, ring slots): a ring of
+    1 + the largest |a - b| over pairs of swept nodes still holds
+    max(a, b) when min(a, b) is stored.
+    """
+    if not scenario.generator.anticipates:
+        return {}, 1
+    n_T, off = scenario.grid.n_T, scenario.offsets
+    due, spans = {}, [0]
+    for i in range(n_T, -1, -1):
+        a, b = i + int(off.d_delta[i]), i + int(off.d_zeta[i])
+        due.setdefault(min(a, b, n_T), []).append((i, a, b))
+        if max(a, b) < n_T:
+            spans.append(abs(a - b))
+    return due, 1 + max(spans)
 
 
 def solve_backward_sweep(scenario: Scenario, paths: PathEnsemble, backend,
@@ -204,8 +216,8 @@ def solve_backward_sweep(scenario: Scenario, paths: PathEnsemble, backend,
     """Solve the anticipated equation in one backward sweep.
 
     Returns the SolutionProcess, or, given `on_node`, only its metadata:
-    then the sweep keeps just the anticipation window of (Y, Z) and calls
-    `on_node(k, Y_k, Z_k)` once per node, from n_end down to 0, with the
+    then the sweep keeps just the swept nodes its functionals still read and
+    calls `on_node(k, Y_k, Z_k)` once per node, from n_end down to 0, with the
     (P, m) and (P, m, d) values of node k as views valid during the call.
 
     Anticipated arguments are read from the live sweep, or from `frozen`
@@ -224,9 +236,10 @@ def solve_backward_sweep(scenario: Scenario, paths: PathEnsemble, backend,
             raise ShapeMismatch("frozen process lives on a different grid")
         if frozen.n_paths != paths.n_paths:
             raise ShapeMismatch("frozen process holds a different path count")
-    n_slots = grid.n_nodes if on_node is None else _window(scenario)
-    Y, Z = _ring(scenario, paths, n_slots, on_node)
-    ant_Y, ant_Z = (Y, Z) if frozen is None else (frozen.Y, frozen.Z)
+    due, ring_slots = _schedule(scenario)
+    n_slots = grid.n_nodes if on_node is None else ring_slots
+    term = scenario.terminal_data(paths)
+    Y, Z = _ring(scenario, term, n_slots, on_node)
     P = paths.n_paths
     n_z, n_e = gen.m * gen.d, gen.q_total
     # All of node k's targets, [Z target | raw functionals | Y target], in
@@ -235,18 +248,33 @@ def solve_backward_sweep(scenario: Scenario, paths: PathEnsemble, backend,
     z_cols, e_cols, y_cols = np.split(block, [n_z, n_z + n_e], axis=1)
     resid = {}
 
-    e_raw = _raw_functionals(scenario, ant_Y, ant_Z, grid.n_T)
+    def node(k):
+        """Node k's (Y, Z) as the functionals read them."""
+        if frozen is not None:
+            return frozen.Y[:, k], frozen.Z[:, k]
+        if k >= grid.n_T:
+            return term.xi_at(k), term.eta_at(k)
+        return Y[:, k % n_slots], Z[:, k % n_slots]
+
+    # node i -> its raw functionals, held from their evaluation until node
+    # i's e-step and node i-1's g-step have read them
+    raw = {}
+    no_functionals = np.zeros((P, 0))
+
+    def evaluate(r):
+        for i, a, b in due.get(r, ()):
+            raw[i] = gen.eval_functionals(node(a)[0], node(b)[1])
+
+    evaluate(grid.n_T)
     # node k+1's values, carried as contiguous copies of its slots
     y_next = Y[:, grid.n_T % n_slots].copy()
     z_next = Z[:, grid.n_T % n_slots].copy()
     for k in range(grid.n_T - 1, -1, -1):
         t_k = grid.time(k)
-        g_val = np.asarray(gen.g(grid.time(k + 1), y_next, z_next, e_raw))
+        g_val = np.asarray(gen.g(grid.time(k + 1), y_next, z_next,
+                                 raw.pop(k + 1, no_functionals)))
         target = y_next + np.einsum("pml,pl->pm", g_val, paths.dB[:, k])
-        # offsets are >= 1: node k's functionals read final values, and
-        # serve node k-1 as its raw functionals at k
-        e_raw = _raw_functionals(scenario, ant_Y, ant_Z, k)
-        e_cols[:] = e_raw
+        e_cols[:] = raw.get(k, no_functionals)
         y_cols[:] = target
 
         constant = np.ptp(y_cols, axis=0) == 0.0
@@ -275,6 +303,7 @@ def solve_backward_sweep(scenario: Scenario, paths: PathEnsemble, backend,
         Z[:, slot] = z_next = z_k
         if on_node is not None:
             on_node(k, Y[:, slot], Z[:, slot])
+        evaluate(k)
 
     metadata = {"ybar_residual_rms": resid}
     if on_node is not None:
@@ -288,7 +317,7 @@ def solve_backward_sweep(scenario: Scenario, paths: PathEnsemble, backend,
 
 def default_initial(scenario: Scenario, paths: PathEnsemble) -> SolutionProcess:
     """(y0, z0) = (xi_T extended constantly backward, 0), terminal part kept."""
-    Y, Z = _ring(scenario, paths, scenario.grid.n_nodes)
+    Y, Z = _ring(scenario, scenario.terminal_data(paths), scenario.grid.n_nodes)
     Y[:, : scenario.grid.n_T] = Y[:, scenario.grid.n_T][:, None, :]
     return SolutionProcess(grid=scenario.grid, Y=Y, Z=Z)
 
@@ -296,7 +325,7 @@ def default_initial(scenario: Scenario, paths: PathEnsemble) -> SolutionProcess:
 def constant_initial(scenario: Scenario, paths: PathEnsemble,
                      value: float) -> SolutionProcess:
     """(y0, z0) = (constant, 0) on [0, T), terminal part kept."""
-    Y, Z = _ring(scenario, paths, scenario.grid.n_nodes)
+    Y, Z = _ring(scenario, scenario.terminal_data(paths), scenario.grid.n_nodes)
     Y[:, : scenario.grid.n_T] = value
     return SolutionProcess(grid=scenario.grid, Y=Y, Z=Z)
 

@@ -19,7 +19,7 @@ from abdsde.generators import (AnticipationFunctional, builtin_generator,
 from abdsde.grids import make_grid
 from abdsde.paths import sample_paths
 from abdsde.scenario import make_scenario
-from abdsde.solver import _window, solve_backward_sweep
+from abdsde.solver import solve_backward_sweep
 from abdsde.terminal import broadcast_base, constant_terminal, TerminalSpec
 from abdsde.tree import tree_for_grid
 
@@ -208,13 +208,22 @@ EXAMPLE41_COMPARE = str(Path(__file__).resolve().parents[1] / "scenarios"
                         / "example41_compare.yaml")
 
 #: Bound on the comparison's tracemalloc peak over the bytes it must hold.
-#: A whole solution of either grid is 97 or 49 node slots against 33 or 17.
+#: A whole solution of either grid is 97 or 49 node slots, and a window of
+#: (Y, Z) for the largest offset 33 or 17, against one node of each.
 PEAK_OVER_HELD = 1.4
 
 
-def test_comparison_peak_memory_stays_near_margins_and_windows():
+def _pending_functionals(scen) -> int:
+    """Nodes whose raw functionals a node-by-node sweep holds at once: those
+    evaluated from a later node but not yet read, 1 + the largest offset."""
+    off = scen.offsets
+    return 1 + int(max(off.d_delta.max(), off.d_zeta.max()))
+
+
+def test_comparison_peak_memory_stays_near_margins_and_functionals():
     # both sweeps reduce node by node: the call holds the (P, n_nodes)
-    # margins, each grid's ring of (Y, Z) and the coarse increments
+    # margins, each sweep's pending functionals and its one node of (Y, Z)
+    # (delta = zeta), and the coarse increments
     P = 20000
     config = cli._read_config(EXAMPLE41_COMPARE)
     config["grid"] = {"T": 1.0, "K": 0.5, "h": 1 / 64}  # the compare_refine shape
@@ -223,9 +232,11 @@ def test_comparison_peak_memory_stays_near_margins_and_windows():
     grid, gen = built.grid, built.scenario.generator
     coarse_grid = make_grid(grid.T, grid.K, 2 * grid.h)
     m = gen.m + built.compare.generator.m
-    slots = _window(built.scenario) + _window(_coarse_scenario(built.scenario,
-                                                               coarse_grid))
-    held = 8 * P * (grid.n_nodes + slots * m * (1 + gen.d)
+    q = gen.q_total + built.compare.generator.q_total
+    assert built.scenario.delay.delta == built.scenario.delay.zeta
+    sweeps = (built.scenario, _coarse_scenario(built.scenario, coarse_grid))
+    held = 8 * P * (grid.n_nodes
+                    + sum(m * (1 + gen.d) + q * _pending_functionals(s) for s in sweeps)
                     + coarse_grid.n_steps * (gen.d + gen.l))
     paths = cli._paths(built)
     tracemalloc.start()

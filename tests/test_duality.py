@@ -226,6 +226,12 @@ def test_duality_check_needs_outer_and_inner_paths(n_outer, inner):
                       inner=inner, seed=5)
 
 
+def test_duality_check_needs_no_more_outer_paths_than_paths():
+    coeffs = LinearDualityCoeffs(mu=0.2, delta=0.25, t0=0.25)
+    with pytest.raises(ValidationError, match="n_outer = 300 exceeds the path count P = 256"):
+        duality_check(coeffs, T=1.0, h=0.125, P=256, n_outer=300, inner=8, seed=5)
+
+
 def test_calibration_without_a_fitting_grid_raises_unless_it_passes():
     # t0 = 0.375 with delta = 0.25 fits no grid coarser than h = 0.125, so
     # C is unknown; the residuals exceed tol_mean without it

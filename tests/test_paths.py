@@ -234,8 +234,9 @@ def test_no_whole_horizon_state_after_a_descending_pass():
             if not (np.may_share_memory(a, paths.dW) or np.may_share_memory(a, paths.dB))]
     assert held, "the state should hold its checkpoints"
     assert all(a.size < whole for a in held)
-    # checkpoints plus one replayed segment: less than one cumsum of W and of B
-    assert sum(a.size for a in held) < whole * (paths.d + paths.l)
+    # the checkpoints alone, every _SEGMENT nodes and the anchor n_T
+    checkpoints = len(range(0, STATE_GRID.n_nodes, abdsde.paths._SEGMENT)) + 1
+    assert sum(a.size for a in held) <= checkpoints * STATE_P * (paths.d + paths.l)
 
 
 # ---------------------------------------------------------------------------

@@ -174,6 +174,49 @@ def test_removed_tolerance_keys_exit_two(tmp_path, capsys, section, key):
     assert f"ValidationError: unknown {section} keys ['{key}']" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section,values,name,key", [
+    ("paths", {"cont": 300}, "paths", "cont"),
+    ("grid", {"dt": 0.25}, "grid", "dt"),
+    ("backend", {"degre": 3}, "backend", "degre"),
+    ("solver", {"iters": 3}, "solver", "iters"),
+    ("dims", {"n": 2}, "dims", "n"),
+    ("generator", {"param": {"mu": 0.2}}, "generator", "param"),
+    ("generator", {"lipschitz": {"alpha": 0.1}}, "generator.lipschitz", "alpha"),
+    ("terminal", {"parms": {}}, "terminal", "parms"),
+    ("delay", {"delta": 0.25, "zeta_": 0.25}, "delay", "zeta_"),
+    ("delay", {"delta": {"a": 0.25, "slope": 0.0}}, "delay.delta", "slope"),
+], ids=["paths", "grid", "backend", "solver", "dims", "generator", "lipschitz",
+        "terminal", "delay", "delay-form"])
+def test_unknown_key_in_a_known_section_exits_two(tmp_path, capsys, section, values,
+                                                  name, key):
+    # a misspelt key would otherwise run with the section's default
+    config = {sec: dict(val) for sec, val in DUALITY_READY.items()}
+    config.setdefault(section, {}).update(values)
+    path = tmp_path / "misspelt.yaml"
+    path.write_text(yaml.safe_dump(config))
+    with pytest.raises(ValidationError, match=f"unknown {name} keys"):
+        load_scenario(str(path))
+    assert run("solve", str(path), str(tmp_path / "x.csv")) == 2
+    assert f"ValidationError: unknown {name} keys ['{key}']" in capsys.readouterr().err
+
+
+def test_more_outer_paths_than_paths_exit_two(tmp_path, capsys):
+    # the outer paths are the first paths of the draw: 300 of 256 cannot be
+    config = {sec: dict(val) for sec, val in DUALITY_READY.items()}
+    config["duality"]["outer"] = 300
+    path = tmp_path / "outer.yaml"
+    path.write_text(yaml.safe_dump(config))
+    with pytest.raises(ValidationError, match="duality.outer = 300 exceeds paths.count = 256"):
+        load_scenario(str(path))
+    assert run("duality", str(path), str(tmp_path / "x.csv")) == 2
+    assert "duality.outer = 300 exceeds paths.count = 256" in capsys.readouterr().err
+    # an override of the path count is read against the same rule
+    config["duality"]["outer"] = 100
+    path.write_text(yaml.safe_dump(config))
+    assert run("duality", str(path), str(tmp_path / "x.csv"), n_paths=80) == 2
+    assert "duality.outer = 100 exceeds paths.count = 80" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("section,value,override,key", [
     ("paths", {"seed": "abc"}, {}, "paths.seed"),
     ("paths", {"seed": -3}, {}, "paths.seed"),

@@ -12,7 +12,7 @@ from abdsde.errors import (Infeasible, NoConvergence, NonFinite, NonTermination,
                            ShapeMismatch)
 from abdsde.generators import builtin_generator, GeneratorSpec, LipschitzData
 from abdsde.grids import make_grid
-from abdsde.paths import sample_paths
+from abdsde.paths import _SEGMENT, sample_paths
 from abdsde.scenario import make_scenario
 from abdsde.solver import (constant_initial, contraction_params,
                            default_initial, picard_iterate, SolutionProcess,
@@ -550,6 +550,60 @@ def test_consumer_sees_each_node_once_as_the_full_sweep_stores_it(name):
     assert metadata == full.metadata
 
 
+def _tree_affine_pair():
+    """The 8-step tree with affine delta != zeta: nodes 0 and 1 read two
+    swept nodes two apart, node 2 one swept and one terminal node, and the
+    later nodes two terminal ones."""
+    grid = make_grid(0.5, 0.3, 0.1)
+    tree = tree_for_grid(grid)
+    delay = DelaySpec(affine_delay(0.1, 0.4), constant_delay(0.3))
+    term = TerminalSpec(name="scaled_b_tail", params={"a": 0.6, "b": 1.0})
+    with pytest.warns(UserWarning, match="snapping"):
+        scen = make_scenario(grid, builtin_generator("example41_f1"), term, delay=delay)
+    assert list(scen.offsets.d_delta) == [1, 1, 2, 2, 3, 3]
+    assert tree.n == 8 and not np.array_equal(scen.offsets.d_delta, scen.offsets.d_zeta)
+    return scen, tree
+
+
+def _same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+@pytest.mark.parametrize("frozen", [False, True])
+def test_node_by_node_sweep_has_the_full_sweeps_bits_for_affine_delta_and_zeta(frozen):
+    scen, tree = _tree_affine_pair()
+    given = {"frozen": default_initial(scen, tree.ensemble)} if frozen else {}
+    full = solve_backward_sweep(scen, tree.ensemble, tree.backend(), **given)
+    seen = {}
+
+    def on_node(k, y_k, z_k):
+        seen[k] = (y_k.copy(), z_k.copy())
+
+    metadata = solve_backward_sweep(scen, tree.ensemble, tree.backend(),
+                                    on_node=on_node, **given)
+    assert sorted(seen) == list(range(scen.grid.n_nodes))
+    for k, (y_k, z_k) in seen.items():
+        assert _same_bits(y_k, full.Y[:, k]) and _same_bits(z_k, full.Z[:, k])
+    assert metadata == full.metadata
+
+
+@pytest.mark.parametrize("mode", ["full", "on_node", "frozen"])
+def test_a_sweep_evaluates_the_functionals_once_per_node(monkeypatch, mode):
+    calls = []
+    real = GeneratorSpec.eval_functionals
+
+    def counted(self, y_ant, z_ant):
+        calls.append(1)
+        return real(self, y_ant, z_ant)
+
+    scen, tree = _tree_affine_pair()
+    kwargs = {"full": {}, "on_node": {"on_node": lambda k, y, z: None},
+              "frozen": {"frozen": default_initial(scen, tree.ensemble)}}[mode]
+    monkeypatch.setattr(GeneratorSpec, "eval_functionals", counted)
+    solve_backward_sweep(scen, tree.ensemble, tree.backend(), **kwargs)
+    assert len(calls) == scen.grid.n_T + 1
+
+
 # ---------------------------------------------------------------------------
 # storage: what a solve holds
 # ---------------------------------------------------------------------------
@@ -580,7 +634,7 @@ def test_solve_peak_memory_stays_near_increments_and_solution(tmp_path):
 
 def test_solve_peak_memory_stays_near_increments_and_window(tmp_path):
     # the CSV step reduces each node as the sweep stores it, so the solve
-    # holds only the L = 1 + largest offset slots of (Y, Z) that node k reads
+    # holds at most the 1 + largest offset nodes that node k's functionals read
     P = 20000
     config = cli._read_config(REFERENCE)
     config["paths"]["count"] = P
@@ -614,6 +668,40 @@ def test_solve_peak_memory_stays_near_the_steps_read_and_window(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < PEAK_OVER_HELD * held, peak / held
+
+
+#: P-long columns of one node's regression and generator work held beside
+#: the solve's own state: design, fit, target block and temporaries (about
+#: 23 at the lsmc_solve shape).
+PER_NODE_COLUMNS = 32
+
+
+def test_solve_peak_memory_stays_near_increments_functionals_and_checkpoints(tmp_path):
+    # the sweep holds the raw functionals of the nodes between an anticipated
+    # read and its use, one node of (Y, Z) (delta = zeta), and W and B at
+    # their checkpoints only; a window of (Y, Z) for the largest offset, or
+    # a replayed segment of W or B, pushes the peak over the bound
+    P = 20000
+    config = cli._read_config(REFERENCE)  # the lsmc_solve shape
+    config["paths"]["count"] = P
+    built = cli._build_all(config)
+    scen = built.scenario
+    gen, off = scen.generator, scen.offsets
+    assert np.array_equal(off.d_delta, off.d_zeta)
+    n_stored = scen.steps_read
+    checkpoints = len(range(0, n_stored + 1, _SEGMENT)) + 1  # and the anchor
+    columns = (n_stored * (gen.d + gen.l)
+               + gen.q_total * (1 + int(off.d_delta.max()))
+               + gen.m * (1 + gen.d)
+               + checkpoints * (gen.d + gen.l)
+               + PER_NODE_COLUMNS)
+    tracemalloc.start()
+    try:
+        assert cli.run("solve", REFERENCE, str(tmp_path / "solve.csv"), n_paths=P) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * P * columns, peak / (8 * P)
 
 
 def test_per_node_slabs_are_contiguous():
