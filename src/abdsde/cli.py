@@ -13,15 +13,16 @@ Commands (exit status 0 = pass/success, 1 = a check reported FAIL,
 CSV starts with a '#' comment block holding the scenario hash and the full
 resolved parameters, so outputs are self-describing, and reruns of the same
 file and seed are byte-identical.  Floats are printed with 17 significant
-digits.  The scenario schema is documented in the README.
+digits.  The scenario schema is the table `SCHEMA`, documented in the README.
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
 import hashlib
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -32,7 +33,7 @@ from .delays import affine_delay, constant_delay, DelaySpec, segment_interval
 from .duality import duality_check, LinearDualityCoeffs
 from .errors import AbdsdeError, integer, NonCommensurate, ParseError, real, ValidationError
 from .comparison import run_comparison
-from .generators import builtin_generator, catalog_params, with_lipschitz
+from .generators import builtin_generator, CATALOG, catalog_params, with_lipschitz
 from .grids import make_grid, TimeGrid
 from .paths import sample_paths
 from .scenario import make_scenario, Scenario
@@ -72,6 +73,25 @@ def scenario_hash(config: dict) -> str:
 # scenario files
 # ---------------------------------------------------------------------------
 
+#: The scenario schema: section -> key -> default, where None marks a key
+#: with no default.  A section none of whose keys has one (delay, compare,
+#: duality) exists only if written; duality may restate the coefficients.
+SCHEMA = {
+    "grid": {"T": 1.0, "K": 0.0, "h": 0.25},
+    "dims": {"m": 1, "d": 1, "l": 1},
+    "delay": dict.fromkeys(("delta", "zeta")),
+    "generator": {"name": "zero", "params": {}, "lipschitz": None},
+    "terminal": {"name": "constant", "params": {"value": 1.0}},
+    "backend": {"kind": "regression", **asdict(RegressionBasis())},
+    "paths": {"count": 4096, "seed": 0},
+    "solver": {"implicit_iters": 1},
+    "compare": dict.fromkeys(("generator", "terminal")),
+    "duality": dict.fromkeys(("t0", "outer", "inner", "tol_mean",
+                              *CATALOG["duality_linear"][0])),
+}
+_LIPSCHITZ_KEYS = ("c", "alpha1", "alpha2")
+
+
 def load_scenario(path: str) -> dict:
     """Parse and validate a scenario file; returns the resolved config dict.
 
@@ -84,7 +104,9 @@ def load_scenario(path: str) -> dict:
 
 
 def _read_config(path: str) -> dict:
-    """Parse a scenario file and fill in the defaults, without building."""
+    """Parse a scenario file and put each section over its defaults, without
+    building.  A section that names its builtin takes that builtin's own
+    parameter defaults, not those of the schema's default builtin."""
     try:
         with open(path) as handle:
             raw = yaml.safe_load(handle)
@@ -94,45 +116,26 @@ def _read_config(path: str) -> dict:
         raise ParseError(f"scenario file {path} is not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParseError(f"scenario file {path} must hold a mapping at top level")
-    return _with_defaults(raw)
-
-
-#: Keys a section may hold beside those of its defaults; compare and
-#: duality keys are checked when built.
-_EXTRA_KEYS = {"generator": {"lipschitz"}}
-_LIPSCHITZ_KEYS = ("c", "alpha1", "alpha2")
+    for section in raw:
+        if section not in SCHEMA:
+            raise ValidationError(f"unknown scenario section '{section}'")
+    config = {}
+    for section, keys in SCHEMA.items():
+        values = raw.get(section, {})
+        _check_keys(values, keys, section)
+        defaults = {key: value for key, value in keys.items() if value is not None
+                    and not (key == "params" and "name" in values)}
+        if defaults or section in raw:
+            config[section] = {**copy.deepcopy(defaults), **values}
+    return config
 
 
 def _check_keys(values, allowed, name: str) -> None:
-    unknown = set(values) - set(allowed) if isinstance(values, dict) else set()
+    if not isinstance(values, dict):
+        raise ValidationError(f"{name} must be a mapping, got {values!r}")
+    unknown = set(values) - set(allowed)
     if unknown:
         raise ValidationError(f"unknown {name} keys {sorted(unknown)}")
-
-
-def _with_defaults(raw: dict) -> dict:
-    config = {
-        "grid": {"T": 1.0, "K": 0.0, "h": 0.25},
-        "dims": {"m": 1, "d": 1, "l": 1},
-        "generator": {"name": "zero", "params": {}},
-        "terminal": {"name": "constant", "params": {"value": 1.0}},
-        "backend": {"kind": "regression", "degree": 2, "ridge": 1e-8},
-        "paths": {"count": 4096, "seed": 0},
-        "solver": {"implicit_iters": 1},
-    }
-    for section, values in raw.items():
-        if section in ("delay", "compare", "duality"):
-            if section == "delay":
-                _check_keys(values, {"delta", "zeta"}, "delay")
-            config[section] = values
-        elif section in config and isinstance(values, dict):
-            _check_keys(values, set(config[section]) | _EXTRA_KEYS.get(section, set()),
-                        section)
-            merged = dict(config[section])
-            merged.update(values)
-            config[section] = merged
-        else:
-            raise ValidationError(f"unknown scenario section '{section}'")
-    return config
 
 
 def _delay_form(value, key: str):
@@ -179,19 +182,14 @@ def _build_backend(section: dict, grid):
     raise ValidationError(f"unknown backend kind '{kind}'")
 
 
-_COMPARE_KEYS = {"generator", "terminal"}
-_DUALITY_SETTINGS = {"t0", "outer", "inner", "tol_mean"}
-
-
 def _build_compare(config: dict, scenario: Scenario, dims: dict) -> Scenario | None:
     """The second scenario of the `compare:` pair, on the first one's grid,
     delay and implicit_iters; None without the section."""
     section = config.get("compare")
     if not section:
         return None
-    unknown = set(section) - _COMPARE_KEYS
-    if unknown:
-        raise ValidationError(f"unknown compare keys {sorted(unknown)}")
+    for key, values in section.items():
+        _check_keys(values, SCHEMA[key], f"compare.{key}")
     generator = _build_generator(section.get("generator", config["generator"]), dims)
     terminal = _build_terminal(section.get("terminal", config["terminal"]))
     return make_scenario(scenario.grid, generator, terminal, delay=scenario.delay,
@@ -219,9 +217,6 @@ def _build_duality(config: dict, scenario: Scenario, g: dict,
         raise ValidationError("a duality section needs the duality_linear "
                               f"generator, got '{generator['name']}'")
     coeffs = catalog_params("duality_linear", generator.get("params") or {})
-    unknown = set(section) - set(coeffs) - _DUALITY_SETTINGS
-    if unknown:
-        raise ValidationError(f"unknown duality keys {sorted(unknown)}")
     args = {name: integer(section[key], f"duality.{key}", 1)
             for key, name in (("outer", "n_outer"), ("inner", "inner")) if key in section}
     if args.get("n_outer", 0) > n_paths:

@@ -52,7 +52,7 @@ class BackendMismatch(AbdsdeError):
 
 
 class TooLarge(AbdsdeError):
-    """A requested exact tree exceeds the enumeration budget."""
+    """A requested exact tree or grid exceeds its size cap."""
 
 
 class NotMeasurable(AbdsdeError):

@@ -34,6 +34,8 @@ from .grids import TimeGrid
 from .paths import PathEnsemble
 from .solver import SolutionProcess
 
+#: Most steps an exact tree enumerates (4^8 atoms).  Any grid is capped at
+#: grids.MAX_NODES = 2^16 nodes, as a load and a draw are linear in them.
 MAX_STEPS = 8
 
 

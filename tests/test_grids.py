@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from abdsde.errors import NonCommensurate
-from abdsde.grids import make_grid, TimeGrid
+from abdsde.errors import NonCommensurate, TooLarge
+from abdsde.grids import make_grid, MAX_NODES, TimeGrid
 
 
 def test_make_grid_basic():
@@ -52,3 +52,10 @@ def test_a_step_count_beyond_any_float_is_off_the_grid():
         make_grid(1e300, 0.0, 1e-10)
     with pytest.raises(NonCommensurate):
         make_grid(1.0, 0.0, 0.25).index_of(-1e308)
+
+
+def test_a_grid_has_at_most_max_nodes():
+    # the node count is checked after commensurability, from the step counts
+    assert make_grid(1.0, 0.0, 1.0 / (MAX_NODES - 1)).n_nodes == MAX_NODES
+    with pytest.raises(TooLarge, match=f"h = 1e-06 has 1000001 nodes; the cap is {MAX_NODES}"):
+        make_grid(1.0, 0.0, 1e-6)

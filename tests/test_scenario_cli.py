@@ -4,6 +4,7 @@ import string
 import subprocess
 import sys
 import textwrap
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from hypothesis import given, HealthCheck, settings, strategies as st
 from abdsde import cli
 from abdsde.cli import load_scenario, run, scenario_hash
 from abdsde.errors import AbdsdeError, ParseError, ValidationError
+from abdsde.grids import MAX_NODES
 
 
 def _write(tmp_path, name, body):
@@ -185,8 +187,10 @@ def test_removed_tolerance_keys_exit_two(tmp_path, capsys, section, key):
     ("terminal", {"parms": {}}, "terminal", "parms"),
     ("delay", {"delta": 0.25, "zeta_": 0.25}, "delay", "zeta_"),
     ("delay", {"delta": {"a": 0.25, "slope": 0.0}}, "delay.delta", "slope"),
+    ("compare", {"terminal": {"name": "constant", "parms": {}}}, "compare.terminal",
+     "parms"),
 ], ids=["paths", "grid", "backend", "solver", "dims", "generator", "lipschitz",
-        "terminal", "delay", "delay-form"])
+        "terminal", "delay", "delay-form", "compare-terminal"])
 def test_unknown_key_in_a_known_section_exits_two(tmp_path, capsys, section, values,
                                                   name, key):
     # a misspelt key would otherwise run with the section's default
@@ -601,6 +605,23 @@ def test_oracle_check_beyond_the_step_cap_names_the_cap(capsys, tmp_path):
     assert "96-step" in err and "cap of 8 steps" in err
 
 
+@pytest.mark.parametrize("h,override", [(1.0e-6, {}), (0.25, {"grid_h": 1e-6})],
+                         ids=["file", "flag"])
+def test_a_grid_beyond_the_node_cap_exits_two_at_once(tmp_path, capsys, h, override):
+    # a million nodes: without the cap, f is evaluated at each one before the
+    # tree's step cap trips; the exact backend keeps a draw out of reach
+    scenario = _write(tmp_path, "fine.yaml", f"""
+        grid: {{T: 1.0, K: 0.0, h: {h}}}
+        backend: {{kind: exact}}
+    """)
+    start = time.perf_counter()
+    assert run("solve", scenario, str(tmp_path / "x.csv"), **override) == 2
+    assert time.perf_counter() - start < 2.0
+    err = capsys.readouterr().err
+    assert "TooLarge: a grid with step h = 1e-06 has 1000001 nodes" in err
+    assert f"the cap is {MAX_NODES}" in err
+
+
 def test_segment_command(tmp_path):
     scenario = _write(tmp_path, "seg.yaml", """
         grid: {T: 1.0, K: 0.4, h: 0.05}
@@ -628,6 +649,62 @@ def test_shipped_scenarios_load():
     assert expected <= found
     for name in expected:
         load_scenario(str(root / name))
+
+
+@pytest.mark.parametrize("name,digest", [
+    ("anticipated_deterministic", "f17e156aa2d0f5f7"),
+    ("duality_small", "8088966492bfcd58"),
+    ("example41_compare", "506e00a733742ee1"),
+    ("linear_benchmark", "cf28a1dff932127c"),
+    ("oracle_check", "39ee0d961214fc13"),
+    ("segmentation", "6d38ebc8430374d6"),
+])
+def test_a_shipped_scenario_keeps_its_resolved_header(name, digest):
+    # the hash covers every resolved key and default the CSV header prints
+    path = Path(__file__).resolve().parents[1] / "scenarios" / f"{name}.yaml"
+    assert scenario_hash(cli._read_config(str(path))) == digest
+
+
+def test_a_terminal_given_by_name_alone_takes_its_builtin_defaults(tmp_path):
+    # the default terminal's value = 1.0 is not a scaled_wt parameter
+    scenario = _write(tmp_path, "named.yaml", """
+        grid: {T: 1.0, K: 0.0, h: 0.25}
+        terminal: {name: scaled_wt}
+        paths: {count: 200}
+    """)
+    out = tmp_path / "named.csv"
+    assert run("solve", scenario, str(out)) == 0
+    header = [line for line in out.read_text().splitlines() if line.startswith("#")]
+    assert "# terminal.name = scaled_wt" in header
+    assert not [line for line in header if line.startswith("# terminal.params")]
+
+
+@pytest.mark.parametrize("section,value", [
+    ("grid", 0.25), ("paths", "many"), ("generator", None), ("delay", 0.5),
+    ("compare", 3), ("duality", [1]),
+], ids=["grid", "paths", "generator", "delay", "compare", "duality"])
+def test_a_section_that_is_not_a_mapping_exits_two_naming_it(tmp_path, capsys,
+                                                             section, value):
+    path = tmp_path / "flat.yaml"
+    path.write_text(yaml.safe_dump({section: value}))
+    with pytest.raises(ValidationError, match=f"^{section} must be a mapping, got"):
+        load_scenario(str(path))
+    assert run("solve", str(path), str(tmp_path / "x.csv")) == 2
+    assert (f"ValidationError: {section} must be a mapping, got {value!r}"
+            in capsys.readouterr().err)
+
+
+def test_the_readme_schema_block_is_the_schema_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Scenario file schema", 1)[1]
+    block = block.split("```yaml\n", 1)[1].split("```", 1)[0]
+    documented = yaml.safe_load(block)
+    assert {section: set(keys) for section, keys in documented.items()} == \
+        {section: set(keys) for section, keys in cli.SCHEMA.items()}
+    for section, keys in cli.SCHEMA.items():
+        for key, default in keys.items():
+            if default is not None:
+                assert documented[section][key] == default, (section, key)
 
 
 def test_console_entry_point(tmp_path):
