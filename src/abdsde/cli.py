@@ -73,13 +73,17 @@ def scenario_hash(config: dict) -> str:
 # scenario files
 # ---------------------------------------------------------------------------
 
+#: Marks a key with no default that a written section must hold.
+REQUIRED = object()
+
 #: The scenario schema: section -> key -> default, where None marks a key
-#: with no default.  A section none of whose keys has one (delay, compare,
-#: duality) exists only if written; duality may restate the coefficients.
+#: with no default and REQUIRED one that must be written.  A section none
+#: of whose keys has a default (delay, compare, duality) exists only if
+#: written; duality may restate the coefficients.
 SCHEMA = {
     "grid": {"T": 1.0, "K": 0.0, "h": 0.25},
     "dims": {"m": 1, "d": 1, "l": 1},
-    "delay": dict.fromkeys(("delta", "zeta")),
+    "delay": {"delta": REQUIRED, "zeta": None},
     "generator": {"name": "zero", "params": {}, "lipschitz": None},
     "terminal": {"name": "constant", "params": {"value": 1.0}},
     "backend": {"kind": "regression", **asdict(RegressionBasis())},
@@ -123,11 +127,18 @@ def _read_config(path: str) -> dict:
     for section, keys in SCHEMA.items():
         values = raw.get(section, {})
         _check_keys(values, keys, section)
-        defaults = {key: value for key, value in keys.items() if value is not None
-                    and not (key == "params" and "name" in values)}
+        defaults = _defaults(keys, values)
         if defaults or section in raw:
             config[section] = {**copy.deepcopy(defaults), **values}
+            _check_required(config[section], keys, section)
     return config
+
+
+def _defaults(keys: dict, values: dict) -> dict:
+    """The defaults a section written as `values` takes from its `keys`."""
+    return {key: value for key, value in keys.items()
+            if value is not None and value is not REQUIRED
+            and not (key == "params" and "name" in values)}
 
 
 def _check_keys(values, allowed, name: str) -> None:
@@ -136,6 +147,15 @@ def _check_keys(values, allowed, name: str) -> None:
     unknown = set(values) - set(allowed)
     if unknown:
         raise ValidationError(f"unknown {name} keys {sorted(unknown)}")
+
+
+def _check_required(values: dict, keys: dict, name: str) -> None:
+    """Each key marked REQUIRED, or whose default `values` would take, must
+    be in `values`; so a section that takes no defaults holds them all."""
+    takes = _defaults(keys, values)
+    for key, default in keys.items():
+        if key not in values and (default is REQUIRED or key in takes):
+            raise ValidationError(f"{name}.{key} is required")
 
 
 def _delay_form(value, key: str):
@@ -188,8 +208,9 @@ def _build_compare(config: dict, scenario: Scenario, dims: dict) -> Scenario | N
     section = config.get("compare")
     if not section:
         return None
-    for key, values in section.items():
+    for key, values in section.items():  # a part takes no defaults
         _check_keys(values, SCHEMA[key], f"compare.{key}")
+        _check_required(values, SCHEMA[key], f"compare.{key}")
     generator = _build_generator(section.get("generator", config["generator"]), dims)
     terminal = _build_terminal(section.get("terminal", config["terminal"]))
     return make_scenario(scenario.grid, generator, terminal, delay=scenario.delay,

@@ -18,10 +18,11 @@ their coarsening, so each node's regression design serves both scenarios'
 targets (one basis per date, as in Gobet, Lemor & Warin 2005).  The
 components never mix, so each part is what a separate sweep would give, up
 to the summation order of the wider least-squares products.  Both sweeps
-reduce node by node, so the report holds the margins and no solution.  The
-coarse sweep runs first and keeps only its Y_0 means, so its ensemble is
-freed before the fine margins and ring are allocated: the two grids' arrays
-are never held together.
+reduce node by node, so no solution is held, and the fine sweep keeps of
+each node's margin only its mean, its min and its negative values: a
+threshold -eps <= 0 counts no other margin.  The coarse sweep runs first
+and keeps only its Y_0 means, so its ensemble is freed before the fine
+sweep starts: the two grids' arrays are never held together.
 """
 
 from __future__ import annotations
@@ -41,24 +42,32 @@ from .terminal import broadcast_base, TerminalData, TerminalSpec
 _ORDER_SLACK = 1e-12
 
 
+def reduce_margin(margin: np.ndarray) -> tuple:
+    """One node's margins over the paths as (mean, min, negatives), all a
+    report reads of them.  The mean sums down the paths in order, as the
+    column mean of a row-major (P, n_nodes) array does, and keeps its bits."""
+    return np.cumsum(margin)[-1] / margin.size, margin.min(), margin[margin < 0.0]
+
+
 @dataclass
 class ComparisonReport:
-    """Margins of a solved pair, with each summary statistic reduced once."""
+    """Per-node margin summaries of a solved pair, from `reduce_margin`, with
+    the violation fractions at `epsilon` >= 0 counted once."""
 
-    margins: np.ndarray          # (P, n_nodes)
+    mean_margin: np.ndarray      # (n_nodes,)
+    min_margin: np.ndarray       # (n_nodes,)
+    negatives: list              # per node, the margins below 0
+    n_paths: int
     epsilon: float
     run_tolerance: float
-    mean_margin: np.ndarray = field(init=False)   # (n_nodes,)
-    min_margin: np.ndarray = field(init=False)    # (n_nodes,)
     _violations: float = field(init=False, repr=False)
     _violations_per_node: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.mean_margin = self.margins.mean(axis=0)
-        self.min_margin = self.margins.min(axis=0)
-        below = self.margins < -self.epsilon
-        self._violations = float(np.mean(below))
-        self._violations_per_node = below.mean(axis=0)
+        below = np.array([np.count_nonzero(neg < -self.epsilon)
+                          for neg in self.negatives])
+        self._violations_per_node = below / self.n_paths
+        self._violations = float(below.sum() / (self.n_paths * below.size))
 
     def violation_fraction(self) -> float:
         """Share of (path, node) points with Y1 < Y2 - epsilon."""
@@ -160,17 +169,17 @@ def _joint_scenario(s1: Scenario, s2: Scenario, paths: PathEnsemble) -> Scenario
 
 
 def _sweep_pair(s1: Scenario, s2: Scenario, paths: PathEnsemble, backend,
-                margins: np.ndarray | None = None) -> tuple:
+                summaries: list | None = None) -> tuple:
     """Each part's mean Y_0 and per-node residual RMS from one joint sweep,
-    reduced node by node; given the row-major (P, n_nodes) `margins`, also
-    fills node k with Y1_k - Y2_k summed over components."""
+    reduced node by node; given `summaries`, a list of n_nodes slots, also
+    puts in slot k `reduce_margin` of Y1_k - Y2_k summed over components."""
     parts = (slice(0, s1.generator.m), slice(s1.generator.m, None))
     y0 = []
 
     def reduce(k, y_k, z_k):
-        if margins is not None:  # row-major: each path's components add in a row
-            margins[:, k] = np.subtract(y_k[:, parts[0]], y_k[:, parts[1]],
-                                        order="C").sum(axis=1)
+        if summaries is not None:  # row-major: each path's components add in a row
+            summaries[k] = reduce_margin(np.subtract(
+                y_k[:, parts[0]], y_k[:, parts[1]], order="C").sum(axis=1))
         if k == 0:
             y0.extend(float(y_k[:, part].mean()) for part in parts)
 
@@ -187,11 +196,15 @@ def run_comparison(scenario1: Scenario, scenario2: Scenario,
     The pair must share grid, delay and implicit_iters (ValidationError
     otherwise); it is solved in one joint sweep per grid, the coarsening of
     the paths first (when the backend calibrates on it), then the paths,
-    whose sweep fills the (P, n_nodes) margins.  Terminal samples
-    must satisfy xi1 >= xi2 pointwise (TerminalOrderViolated otherwise).
-    With epsilon=None the threshold is self-calibrated to 3x the run
-    tolerance, which is 0 on the exact backend.
+    whose sweep reduces each node's margin by `reduce_margin`.  Terminal
+    samples must satisfy xi1 >= xi2 pointwise (TerminalOrderViolated
+    otherwise).  With epsilon=None the threshold is self-calibrated to 3x
+    the run tolerance, which is 0 on the exact backend; a given epsilon
+    must be >= 0 (ValidationError otherwise), as only negative margins are
+    kept.
     """
+    if epsilon is not None and not epsilon >= 0.0:
+        raise ValidationError(f"epsilon must be >= 0, got {epsilon!r}")
     if (scenario1.grid, scenario1.delay, scenario1.implicit_iters) != \
             (scenario2.grid, scenario2.delay, scenario2.implicit_iters):
         raise ValidationError(
@@ -199,21 +212,23 @@ def run_comparison(scenario1: Scenario, scenario2: Scenario,
     coarse_y0 = []
     if _can_coarsen(scenario1, scenario2, paths, backend):
         # the coarse sweep runs first and keeps only its Y_0 means, so its
-        # ensemble is freed before the fine margins and ring are allocated
+        # ensemble is freed before the fine sweep allocates its ring
         coarse = paths.coarsen()
         coarse_y0, _ = _sweep_pair(_coarse_scenario(scenario1, coarse.grid),
                                    _coarse_scenario(scenario2, coarse.grid),
                                    coarse, backend)
         del coarse
-    margins = np.empty((paths.n_paths, scenario1.grid.n_nodes))
-    y0, resid = _sweep_pair(scenario1, scenario2, paths, backend, margins)
+    summaries = [None] * scenario1.grid.n_nodes
+    y0, resid = _sweep_pair(scenario1, scenario2, paths, backend, summaries)
     tol = sum(_fit_noise_scale(r, paths, backend) for r in resid)
     for fine_mean, coarse_mean in zip(y0, coarse_y0):
         tol += abs(fine_mean - coarse_mean)
     if epsilon is None:
         epsilon = 3.0 * tol
-    return ComparisonReport(margins=margins, epsilon=float(epsilon),
-                            run_tolerance=float(tol))
+    mean, low, negatives = zip(*summaries)
+    return ComparisonReport(mean_margin=np.array(mean), min_margin=np.array(low),
+                            negatives=list(negatives), n_paths=paths.n_paths,
+                            epsilon=float(epsilon), run_tolerance=float(tol))
 
 
 # ---------------------------------------------------------------------------

@@ -212,7 +212,7 @@ def test_criterion6_comparison():
     s1, s2 = _example41_pair(grid_t)
     tree_report = run_comparison(s1, s2, tree.ensemble, tree.backend(),
                                  epsilon=0.0)
-    tree_ok = tree_report.margins.min() >= -1e-10
+    tree_ok = tree_report.min_margin.min() >= -1e-10
 
     grid_m = make_grid(0.5, 0.5, 1.0 / 32)
     m1, m2 = _example41_pair(grid_m)
@@ -222,7 +222,7 @@ def test_criterion6_comparison():
     elapsed = time.time() - start
     ok = tree_ok and mc_ok and elapsed < 120.0
     assert _report("6 comparison", ok,
-                   f"tree min margin {tree_report.margins.min():.2e}, "
+                   f"tree min margin {tree_report.min_margin.min():.2e}, "
                    f"eps* {mc_report.epsilon:.4f}, "
                    f"v(eps*) {mc_report.violation_fraction():.4f}, {elapsed:.1f}s")
 

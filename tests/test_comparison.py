@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from abdsde import cli
 from abdsde.comparison import (_coarse_scenario, _joint_scenario, check_monotone_chain,
-                               ComparisonReport, run_comparison)
+                               ComparisonReport, reduce_margin, run_comparison)
 from abdsde.condexp import RegressionBackend
 from abdsde.delays import constant_delay, DelaySpec
 from abdsde.errors import TerminalOrderViolated, ValidationError
@@ -31,7 +31,9 @@ def test_identical_scenarios_zero_margins():
     paths = sample_paths(grid, 1, 1, 512, seed=11)
     report = run_comparison(scen, scen, paths, RegressionBackend(),
                             epsilon=0.0)
-    assert np.all(report.margins == 0.0)
+    # min 0 and mean 0: every margin is 0
+    assert np.all(report.min_margin == 0.0) and np.all(report.mean_margin == 0.0)
+    assert not any(neg.size for neg in report.negatives)
     assert report.violation_fraction() == 0.0
 
 
@@ -80,7 +82,7 @@ def test_example41_pair_tree_margins_nonnegative():
     s1, s2 = _example41_pair(grid, 0.4)
     report = run_comparison(s1, s2, tree.ensemble, tree.backend(),
                             epsilon=0.0)
-    assert report.margins.min() >= -1e-10
+    assert report.min_margin.min() >= -1e-10
     assert report.violation_fraction() == 0.0
 
 
@@ -126,10 +128,55 @@ def test_joint_sweep_matches_separate_sweeps(backend_kind, tolerance):
         for k, rms in sol.metadata["ybar_residual_rms"].items():
             assert abs(joint_resid[k][part] - rms[0]) <= tolerance
     report = run_comparison(s1, s2, paths, backend)
-    separate = alone[0].Y[:, :, 0] - alone[1].Y[:, :, 0]
-    assert np.abs(report.margins - separate).max() <= 2 * tolerance
-    # reduced node by node, the margins keep the bits of the whole solution's
-    assert np.array_equal(report.margins, joint.Y[:, :, 0] - joint.Y[:, :, 1])
+    # row-major, so each column's mean sums down the paths as the report's does
+    separate = np.ascontiguousarray(alone[0].Y[:, :, 0] - alone[1].Y[:, :, 0])
+    assert np.abs(report.mean_margin - separate.mean(axis=0)).max() <= 2 * tolerance
+    assert np.abs(report.min_margin - separate.min(axis=0)).max() <= 2 * tolerance
+    # reduced node by node, the summaries keep the bits of the whole solution's
+    _assert_reduces_bit_for_bit(report, joint.Y[:, :, 0] - joint.Y[:, :, 1])
+
+
+def _assert_reduces_bit_for_bit(report, margins):
+    """The report's summaries are the dense reduction of the (P, n_nodes)
+    `margins`, held row-major, bit for bit."""
+    margins = np.ascontiguousarray(margins)
+    below = margins < -report.epsilon
+    assert np.array_equal(report.mean_margin, margins.mean(axis=0))
+    assert np.array_equal(report.min_margin, margins.min(axis=0))
+    assert np.array_equal(report.violation_fraction_per_node(), below.mean(axis=0))
+    assert report.violation_fraction() == float(np.mean(below))
+    for k, neg in enumerate(report.negatives):
+        assert np.array_equal(neg, margins[:, k][margins[:, k] < 0.0])
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.01, 0.05])
+def test_reduced_margins_keep_the_bits_of_the_dense_reduction(epsilon):
+    # a violating pair: at a = 0.9 the regression noise outweighs the
+    # terminal shift 0.1, so some margins are below -0.05 too
+    grid = make_grid(1.0, 0.5, 1 / 32)
+    delay = DelaySpec(constant_delay(0.5), constant_delay(0.5))
+    s1, s2 = (make_scenario(grid, builtin_generator(name), TerminalSpec(
+        name="scaled_wt", params={"a": 0.9, "b": b}), delay=delay)
+        for name, b in (("example41_f1", 1.1), ("example41_f2", 1.0)))
+    paths = sample_paths(grid, 1, 1, 2000, seed=8)
+    joint = solve_backward_sweep(_joint_scenario(s1, s2, paths), paths,
+                                 RegressionBackend())
+    margins = joint.Y[:, :, 0] - joint.Y[:, :, 1]
+    assert (margins < -0.05).any()
+    report = run_comparison(s1, s2, paths, RegressionBackend(), epsilon=epsilon)
+    _assert_reduces_bit_for_bit(report, margins)
+
+
+@pytest.mark.parametrize("epsilon", [-1e-3, -np.inf, np.nan])
+def test_a_negative_or_nan_epsilon_is_rejected(epsilon):
+    grid = make_grid(1.0, 0.0, 0.25)
+    scen = make_scenario(grid, builtin_generator("zero"), constant_terminal(1.0))
+    paths = sample_paths(grid, 1, 1, 128, seed=11)
+    with pytest.raises(ValidationError, match="epsilon must be >= 0"):
+        run_comparison(scen, scen, paths, RegressionBackend(), epsilon=epsilon)
+    for kept in (0.0, np.inf):
+        assert run_comparison(scen, scen, paths, RegressionBackend(),
+                              epsilon=kept).passed
 
 
 def test_joint_sweep_makes_one_condexp_call_per_node_per_ensemble(monkeypatch):
@@ -157,7 +204,7 @@ def test_joint_sweep_makes_one_condexp_call_per_node_per_ensemble(monkeypatch):
 
 def test_coarse_sweep_runs_first_and_its_ensemble_is_gone_before_the_fine_one(monkeypatch):
     # the calibration keeps only the coarse Y_0 means: the coarse ensemble is
-    # freed before the fine sweep allocates its margins and ring
+    # freed before the fine sweep allocates its ring
     comparison_module = sys.modules["abdsde.comparison"]
     sweeps, coarse = [], []
     sweep = comparison_module.solve_backward_sweep
@@ -220,10 +267,10 @@ def _pending_functionals(scen) -> int:
     return 1 + int(max(off.d_delta.max(), off.d_zeta.max()))
 
 
-def test_comparison_peak_memory_stays_near_margins_and_functionals():
-    # both sweeps reduce node by node: the call holds the (P, n_nodes)
-    # margins, each sweep's pending functionals and its one node of (Y, Z)
-    # (delta = zeta), and the coarse increments
+def test_comparison_peak_memory_stays_near_functionals():
+    # both sweeps reduce node by node and keep of each node's margin only
+    # summaries: the call holds each sweep's pending functionals and its one
+    # node of (Y, Z) (delta = zeta), and the coarse increments
     P = 20000
     config = cli._read_config(EXAMPLE41_COMPARE)
     config["grid"] = {"T": 1.0, "K": 0.5, "h": 1 / 64}  # the compare_refine shape
@@ -235,8 +282,7 @@ def test_comparison_peak_memory_stays_near_margins_and_functionals():
     q = gen.q_total + built.compare.generator.q_total
     assert built.scenario.delay.delta == built.scenario.delay.zeta
     sweeps = (built.scenario, _coarse_scenario(built.scenario, coarse_grid))
-    held = 8 * P * (grid.n_nodes
-                    + sum(m * (1 + gen.d) + q * _pending_functionals(s) for s in sweeps)
+    held = 8 * P * (sum(m * (1 + gen.d) + q * _pending_functionals(s) for s in sweeps)
                     + coarse_grid.n_steps * (gen.d + gen.l))
     paths = cli._paths(built)
     tracemalloc.start()
@@ -245,7 +291,9 @@ def test_comparison_peak_memory_stays_near_margins_and_functionals():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert report.margins.shape == (P, grid.n_nodes)
+    # per-node summaries, and along the paths only each node's negative margins
+    assert report.mean_margin.shape == report.min_margin.shape == (grid.n_nodes,)
+    assert len(report.negatives) == grid.n_nodes
     assert peak < PEAK_OVER_HELD * held, peak / held
 
 
@@ -281,12 +329,17 @@ def test_constant_component_gets_exactly_zero_z():
 def test_violation_fraction_nonincreasing(eps):
     rng = np.random.default_rng(0)
     margins = rng.normal(scale=0.5, size=(64, 5))
-    values = [ComparisonReport(margins=margins, epsilon=e,
-                               run_tolerance=0.0).violation_fraction()
-              for e in sorted(eps)]
+    mean, low, negatives = zip(*(reduce_margin(margins[:, k]) for k in range(5)))
+
+    def report(e):
+        return ComparisonReport(mean_margin=np.array(mean), min_margin=np.array(low),
+                                negatives=list(negatives), n_paths=64, epsilon=e,
+                                run_tolerance=0.0)
+
+    values = [report(e).violation_fraction() for e in sorted(eps)]
     assert all(a >= b for a, b in zip(values, values[1:]))
-    assert ComparisonReport(margins=margins, epsilon=np.inf,
-                            run_tolerance=0.0).violation_fraction() == 0.0
+    assert values[0] == float(np.mean(margins < -sorted(eps)[0]))
+    assert report(np.inf).violation_fraction() == 0.0
 
 
 def test_no_anticipation_pair_with_shared_diffusion():

@@ -694,6 +694,31 @@ def test_a_section_that_is_not_a_mapping_exits_two_naming_it(tmp_path, capsys,
             in capsys.readouterr().err)
 
 
+def test_a_delay_section_without_delta_exits_two_naming_it(tmp_path, capsys):
+    scenario = _write(tmp_path, "zeta_only.yaml", """
+        grid: {T: 1.0, K: 0.5, h: 0.25}
+        generator: {name: anticipated_drift}
+        delay: {zeta: 0.5}
+    """)
+    with pytest.raises(ValidationError, match="^delay.delta is required$"):
+        load_scenario(scenario)
+    assert run("segment", scenario, str(tmp_path / "x.csv")) == 2
+    assert "ValidationError: delay.delta is required" in capsys.readouterr().err
+
+
+def test_a_compare_part_without_name_exits_two_naming_it(tmp_path, capsys):
+    # a part takes no defaults, so it must name its builtin
+    scenario = _write(tmp_path, "nameless.yaml", """
+        grid: {T: 1.0, K: 0.0, h: 0.25}
+        paths: {count: 200}
+        compare: {terminal: {params: {value: 2.0}}}
+    """)
+    with pytest.raises(ValidationError, match="^compare.terminal.name is required$"):
+        load_scenario(scenario)
+    assert run("compare", scenario, str(tmp_path / "x.csv")) == 2
+    assert "ValidationError: compare.terminal.name is required" in capsys.readouterr().err
+
+
 def test_the_readme_schema_block_is_the_schema_table():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## Scenario file schema", 1)[1]
@@ -703,7 +728,7 @@ def test_the_readme_schema_block_is_the_schema_table():
         {section: set(keys) for section, keys in cli.SCHEMA.items()}
     for section, keys in cli.SCHEMA.items():
         for key, default in keys.items():
-            if default is not None:
+            if default is not None and default is not cli.REQUIRED:
                 assert documented[section][key] == default, (section, key)
 
 
