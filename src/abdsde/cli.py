@@ -113,7 +113,7 @@ def _read_config(path: str) -> dict:
     parameter defaults, not those of the schema's default builtin."""
     try:
         with open(path) as handle:
-            raw = yaml.safe_load(handle)
+            raw = yaml.load(handle, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except OSError as exc:
         raise ParseError(f"cannot read scenario file {path}: {exc}") from exc
     except yaml.YAMLError as exc:
@@ -161,6 +161,8 @@ def _check_required(values: dict, keys: dict, name: str) -> None:
 def _delay_form(value, key: str):
     if isinstance(value, dict):
         _check_keys(value, {"a", "b"}, key)
+        if "a" not in value:
+            raise ValidationError(f"{key}.a is required")
         return affine_delay(real(value["a"], f"{key}.a"),
                             real(value.get("b", 0.0), f"{key}.b"))
     return constant_delay(real(value, key))

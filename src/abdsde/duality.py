@@ -45,7 +45,7 @@ from .errors import NonCommensurate, NonFinite, ValidationError
 from .delays import constant_delay, DelaySpec
 from .generators import builtin_generator
 from .grids import TimeGrid, make_grid
-from .paths import increment_blocks, PathEnsemble, sample_paths
+from .paths import _node_rows, increment_blocks, PathEnsemble, sample_paths
 from .scenario import make_scenario, Scenario
 from .solver import solve_backward_sweep, SolutionProcess
 from .terminal import TerminalSpec
@@ -120,8 +120,10 @@ def solve_delayed_dsde(coeffs: LinearDualityCoeffs, paths: PathEnsemble,
                                  + (sigma X_k + sigma_bar X_{k-dd}) dW_k.
     """
     grid = paths.grid
-    denom = _denominators(coeffs, paths.dB.transpose(1, 0, 2), grid, k0)
-    return _forward(coeffs, paths.dW[:, k0:grid.n_T], denom, grid, k0).T
+    dB = _node_rows(paths.db, 0, grid.n_T, (paths.n_paths, paths.l))
+    denom = _denominators(coeffs, dB, grid, k0)
+    dW = _node_rows(paths.dw, k0, grid.n_T, (paths.n_paths, paths.d))
+    return _forward(coeffs, dW.transpose(1, 0, 2), denom, grid, k0).T
 
 
 def _denominators(coeffs: LinearDualityCoeffs, dB: np.ndarray, grid: TimeGrid,

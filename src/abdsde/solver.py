@@ -273,11 +273,12 @@ def solve_backward_sweep(scenario: Scenario, paths: PathEnsemble, backend,
         t_k = grid.time(k)
         g_val = np.asarray(gen.g(grid.time(k + 1), y_next, z_next,
                                  raw.pop(k + 1, no_functionals)))
-        target = y_next + np.einsum("pml,pl->pm", g_val, paths.dB[:, k])
+        target = y_next + np.einsum("pml,pl->pm", g_val, paths.db(k))
         e_cols[:] = raw.get(k, no_functionals)
         y_cols[:] = target
 
         constant = np.ptp(y_cols, axis=0) == 0.0
+        dw_k = paths.dw(k)
         for i in range(gen.m):
             z_i = z_cols[:, i * gen.d:(i + 1) * gen.d]
             if constant[i]:
@@ -285,7 +286,7 @@ def solve_backward_sweep(scenario: Scenario, paths: PathEnsemble, backend,
                 # returns these zero columns bit for bit
                 z_i[:] = 0.0
             else:
-                np.multiply(target[:, i, None], paths.dW[:, k], out=z_i)
+                np.multiply(target[:, i, None], dw_k, out=z_i)
         z_fit, e_k, y_bar = np.split(condexp(backend, block, k, paths),
                                      [n_z, n_z + n_e], axis=1)
         z_k = z_fit.reshape(P, gen.m, gen.d) / h

@@ -6,10 +6,11 @@ giving 4^n equally likely atoms.  Increment moments match the Brownian ones
 to the order the schemes use: E dW = 0, E dW^2 = h, E dW dB = 0, exactly.
 
 Atom a in [0, 4^n) encodes w_index = a mod 2^n and b_index = a div 2^n;
-bit j of each index is the sign of that driver's step-j increment.  Two
-atoms lie in the same information atom at node k iff they agree on W bits
-before k and on B bits at or after k, so conditional expectations are plain
-block averages.
+bit j of each index is the sign of that driver's step-j increment.  The
+tree's path ensemble stores no increments: it fills a step's (4^n, 1) slab
+of +-sqrt(h) from that bit when the slab is read.  Two atoms lie in the
+same information atom at node k iff they agree on W bits before k and on B
+bits at or after k, so conditional expectations are plain block averages.
 
 `oracle_solve` re-implements the backward sweep with those exact averages
 on the atom tensor, the atom index as (2,)*2n bits, rather than by the
@@ -75,6 +76,27 @@ class TreeModel:
         return ExactTreeBackend(self)
 
 
+class _TreeSteps(PathEnsemble):
+    """The 4^n atoms as paths: step k's W-increment is -sqrt(h) or
+    +sqrt(h) as bit k of the atom index is 0 or 1, its B-increment as bit
+    n + k is; each slab is filled when it is read."""
+
+    def __init__(self, grid: TimeGrid):
+        self._root_h = np.sqrt(grid.h)
+        self._describe(grid, 4 ** grid.n_steps, grid.n_steps, 1, 1)
+
+    def _signs(self, bit: int) -> np.ndarray:
+        slab = np.empty((self.n_paths, 1))
+        slab.reshape(-1, 2, 1 << bit)[:] = [[-self._root_h], [self._root_h]]
+        return slab
+
+    def _w_step(self, k: int) -> np.ndarray:
+        return self._signs(k)
+
+    def _b_step(self, k: int) -> np.ndarray:
+        return self._signs(self.grid.n_steps + k)
+
+
 def build_tree(n: int, h: float, n_T: int | None = None) -> TreeModel:
     """Enumerate the n-step tree (atom count 4^n, capped at n = 8).
 
@@ -86,14 +108,7 @@ def build_tree(n: int, h: float, n_T: int | None = None) -> TreeModel:
         raise TooLarge(f"a {n}-step tree is beyond the cap of {MAX_STEPS} steps "
                        f"(4^{MAX_STEPS} atoms)")
     grid = TimeGrid(h=h, n_T=n if n_T is None else n_T, n_end=n)
-    root_h = np.sqrt(h)
-    steps = np.empty((2 * n, 4 ** n, 1))  # node-major: W's steps, then B's
-    for j in range(2 * n):  # bit j of the atom index signs row j
-        steps[j].reshape(-1, 2, 1 << j)[:] = [[-root_h], [root_h]]
-    dW = steps[:n].transpose(1, 0, 2)
-    dB = steps[n:].transpose(1, 0, 2)
-    ensemble = PathEnsemble(grid=grid, dW=dW, dB=dB)
-    return TreeModel(grid=grid, ensemble=ensemble)
+    return TreeModel(grid=grid, ensemble=_TreeSteps(grid))
 
 
 def tree_for_grid(grid: TimeGrid) -> TreeModel:

@@ -270,7 +270,7 @@ def _pending_functionals(scen) -> int:
 def test_comparison_peak_memory_stays_near_functionals():
     # both sweeps reduce node by node and keep of each node's margin only
     # summaries: the call holds each sweep's pending functionals and its one
-    # node of (Y, Z) (delta = zeta), and the coarse increments
+    # node of (Y, Z) (delta = zeta); the coarsening stores no increments
     P = 20000
     config = cli._read_config(EXAMPLE41_COMPARE)
     config["grid"] = {"T": 1.0, "K": 0.5, "h": 1 / 64}  # the compare_refine shape
@@ -282,8 +282,7 @@ def test_comparison_peak_memory_stays_near_functionals():
     q = gen.q_total + built.compare.generator.q_total
     assert built.scenario.delay.delta == built.scenario.delay.zeta
     sweeps = (built.scenario, _coarse_scenario(built.scenario, coarse_grid))
-    held = 8 * P * (sum(m * (1 + gen.d) + q * _pending_functionals(s) for s in sweeps)
-                    + coarse_grid.n_steps * (gen.d + gen.l))
+    held = 8 * P * sum(m * (1 + gen.d) + q * _pending_functionals(s) for s in sweeps)
     paths = cli._paths(built)
     tracemalloc.start()
     try:

@@ -6,6 +6,7 @@ from abdsde.errors import BackendMismatch, SingularDesign, ValidationError
 from abdsde.grids import make_grid
 from abdsde.paths import sample_paths
 from abdsde.tree import build_tree
+from tree_helpers import stacked_steps
 
 
 def test_poly_feature_count():
@@ -87,12 +88,13 @@ def test_exact_backend_two_step_tree_hand_enumeration():
     # by the known coordinates (dW_0, dB_1)
     tree = build_tree(2, 0.25)
     paths = tree.ensemble
-    dw1 = paths.dW[:, 1, 0]
+    dW, dB = stacked_steps(paths)
+    dw1 = dW[:, 1, 0]
     target = np.exp(dw1)
     got = condexp(tree.backend(), target.reshape(-1, 1), 1, paths)[:, 0]
     groups = {}
     for atom in range(16):
-        key = (paths.dW[atom, 0, 0], paths.dB[atom, 1, 0])
+        key = (dW[atom, 0, 0], dB[atom, 1, 0])
         groups.setdefault(key, []).append(atom)
     assert sorted(len(v) for v in groups.values()) == [4, 4, 4, 4]
     for atoms in groups.values():
@@ -102,7 +104,7 @@ def test_exact_backend_two_step_tree_hand_enumeration():
     root = np.sqrt(0.25)
     assert np.allclose(got, 0.5 * (np.exp(root) + np.exp(-root)), atol=1e-14)
     # and a target known at k=1 (dB_1 is future-B) is returned untouched
-    known = paths.dB[:, 1, 0].reshape(-1, 1)
+    known = dB[:, 1, 0].reshape(-1, 1)
     assert np.allclose(condexp(tree.backend(), known, 1, paths), known, atol=1e-15)
 
 
@@ -144,8 +146,8 @@ def test_exact_backend_tower_property_for_future_measurable_targets():
     tree = build_tree(3, 0.5)
     paths = tree.ensemble
     k, kp = 1, 2
-    target = (np.sin(paths.dW[:, 0, 0] + paths.dW[:, 2, 0])
-              + paths.dB[:, 2, 0] ** 2).reshape(-1, 1)
+    dW, dB = stacked_steps(paths)
+    target = (np.sin(dW[:, 0, 0] + dW[:, 2, 0]) + dB[:, 2, 0] ** 2).reshape(-1, 1)
     backend = tree.backend()
     inner = condexp(backend, target, kp, paths)
     lhs = condexp(backend, inner, k, paths)
@@ -176,7 +178,7 @@ def test_block_shortcuts_constant_columns_and_fits_the_rest_together(kind):
     block = np.empty((P, 4), order="F")
     block[:, 0] = rng.normal(size=P)
     block[:, 1] = 0.1
-    block[:, 2] = np.sin(paths.dW[:, 0, 0]) + rng.normal(size=P)
+    block[:, 2] = np.sin(stacked_steps(paths)[0][:, 0, 0]) + rng.normal(size=P)
     block[:, 3] = -2.5
     got = condexp(backend, block, k, paths)
     assert got.shape == (P, 4)

@@ -15,6 +15,7 @@ from abdsde.errors import NonFinite, ValidationError
 from abdsde.paths import PathEnsemble, sample_paths
 from abdsde.solver import solve_backward_sweep
 from abdsde.terminal import TerminalSpec
+from tree_helpers import stacked_steps
 
 
 def test_coeffs_require_start_after_delay():
@@ -199,7 +200,7 @@ def test_tree_duality_exact_for_scalar_drift_families():
         sol = solve_backward_sweep(coeffs.scenario(grid), tree.ensemble,
                                    tree.backend())
         k0 = grid.index_of(0.25)
-        outer = tree.ensemble.dB[:5]
+        outer = stacked_steps(tree.ensemble)[1][:5]
         rhs, _ = duality_rhs(coeffs, outer, grid, k0, inner=2, seed=(8,))
         resid = np.abs(sol.Y[:5, k0, 0] - rhs)
         assert resid.max() <= 1e-9

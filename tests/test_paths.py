@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from abdsde.grids import make_grid
 from abdsde.paths import (_DRAW_ROWS, _ForwardSums, backward_integral,
                           forward_integral, PathEnsemble, sample_paths)
 from abdsde.tree import build_tree
+from tree_helpers import reference_coarsened_steps, reference_tree_steps, stacked_steps
 
 
 GRID = make_grid(1.0, 0.0, 0.125)
@@ -134,7 +137,8 @@ def test_coarsen_preserves_brownian_path():
     paths = sample_paths(make_grid(1.0, 0.5, 0.125), 1, 1, 64, seed=5)
     coarse = paths.coarsen()
     assert coarse.grid.h == 0.25 and coarse.grid.n_T == 4
-    assert np.allclose(coarse.dW.sum(axis=1), paths.dW.sum(axis=1), atol=1e-14)
+    assert np.allclose(stacked_steps(coarse)[0].sum(axis=1), paths.dW.sum(axis=1),
+                       atol=1e-14)
     assert np.allclose(coarse.b_at(2), paths.b_at(4), atol=1e-14)
     # three steps do not pair up; four do, but T would fall between nodes
     for grid in (make_grid(0.75, 0.0, 0.25), make_grid(0.75, 0.25, 0.25)):
@@ -182,7 +186,7 @@ def test_state_has_the_cumsum_bits_in_any_call_order(monkeypatch, kind, segment)
     if segment is not None:  # the tree's 8 nodes fit in one default segment
         monkeypatch.setattr(abdsde.paths, "_SEGMENT", segment)
     reference = _ENSEMBLES[kind]()
-    cum_w, cum_b = _cumsum_nodes(reference.dW), _cumsum_nodes(reference.dB)
+    cum_w, cum_b = map(_cumsum_nodes, stacked_steps(reference))
     n_T = reference.grid.n_T
     for order in _orders(reference.grid.n_nodes).values():
         paths = _ENSEMBLES[kind]()
@@ -292,5 +296,50 @@ def test_coarsening_a_trimmed_draw_merges_its_stored_steps(n):
     full = sample_paths(TRIM_GRID, 1, 1, 64, seed=5)
     coarse = sample_paths(TRIM_GRID, 1, 1, 64, seed=5, n_stored=n).coarsen()
     assert coarse.n_stored == n // 2 and coarse.grid == full.coarsen().grid
-    assert _same_bits(coarse.dW, full.coarsen().dW[:, :n // 2])
-    assert _same_bits(coarse.dB, full.coarsen().dB[:, :n // 2])
+    for got, whole in zip(stacked_steps(coarse), stacked_steps(full.coarsen())):
+        assert _same_bits(got, whole[:, :n // 2])
+
+
+# ---------------------------------------------------------------------------
+# derived ensembles: slabs computed when read
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kind", ["tree", "coarsened"])
+def test_derived_slabs_have_the_bits_of_the_stored_reference(kind):
+    if kind == "tree":
+        cases = [(build_tree(n, 0.1, n_T=max(n - 2, 1)).ensemble,
+                  reference_tree_steps(n, 0.1)) for n in (1, 3, 8)]
+    else:
+        cases = []
+        for n in (TRIM_GRID.n_T, TRIM_GRID.n_T + 1, TRIM_GRID.n_steps):
+            draw = sample_paths(TRIM_GRID, 2, 1, 300, seed=(3, 1), n_stored=n)
+            cases.append((draw.coarsen(), reference_coarsened_steps(draw)))
+    for paths, (ref_w, ref_b) in cases:
+        assert paths.n_stored == ref_w.shape[1]
+        for k in range(paths.n_stored):
+            dw, db = paths.dw(k), paths.db(k)
+            assert _same_bits(dw, ref_w[:, k]) and _same_bits(db, ref_b[:, k])
+            assert not (dw.flags.writeable or db.flags.writeable)
+        for read in (paths.dw, paths.db):
+            for k in (-1, paths.n_stored):
+                with pytest.raises(ValidationError, match=f"step {k} is outside"):
+                    read(k)
+
+
+def _traced_peak(make):
+    tracemalloc.start()
+    try:
+        made = make()
+        return made, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_tree_and_a_coarsening_allocate_less_than_one_slab():
+    # neither stores increments: the tree signs a slab from one bit of the
+    # atom index, and a coarse slab adds two fine ones, each when read
+    tree, peak = _traced_peak(lambda: build_tree(8, 0.1, 5))
+    assert peak < 8 * tree.n_atoms, peak  # a (4^8, 1) slab
+    draw = sample_paths(STATE_GRID, 1, 1, 4096, seed=2)
+    _, peak = _traced_peak(draw.coarsen)
+    assert peak < 8 * draw.n_paths, peak  # a (4096, 1) slab

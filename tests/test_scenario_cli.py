@@ -695,15 +695,19 @@ def test_a_section_that_is_not_a_mapping_exits_two_naming_it(tmp_path, capsys,
 
 
 def test_a_delay_section_without_delta_exits_two_naming_it(tmp_path, capsys):
-    scenario = _write(tmp_path, "zeta_only.yaml", """
-        grid: {T: 1.0, K: 0.5, h: 0.25}
-        generator: {name: anticipated_drift}
-        delay: {zeta: 0.5}
-    """)
-    with pytest.raises(ValidationError, match="^delay.delta is required$"):
-        load_scenario(scenario)
-    assert run("segment", scenario, str(tmp_path / "x.csv")) == 2
-    assert "ValidationError: delay.delta is required" in capsys.readouterr().err
+    # a delay needs delta, and an affine form {a, b} needs its slope a
+    for delay, key in (("{zeta: 0.5}", "delay.delta"),
+                       ("{delta: {b: 0.25}}", "delay.delta.a"),
+                       ("{delta: 0.5, zeta: {b: 0.25}}", "delay.zeta.a")):
+        scenario = _write(tmp_path, "partial.yaml", f"""
+            grid: {{T: 1.0, K: 0.5, h: 0.25}}
+            generator: {{name: anticipated_drift}}
+            delay: {delay}
+        """)
+        with pytest.raises(ValidationError, match=f"^{key} is required$"):
+            load_scenario(scenario)
+        assert run("segment", scenario, str(tmp_path / "x.csv")) == 2
+        assert f"ValidationError: {key} is required" in capsys.readouterr().err
 
 
 def test_a_compare_part_without_name_exits_two_naming_it(tmp_path, capsys):

@@ -456,8 +456,9 @@ def test_a_delay_is_validated_once_per_scenario_and_never_in_a_sweep(monkeypatch
 # ---------------------------------------------------------------------------
 
 def test_discrete_one_step_identity_on_tree():
-    from tree_helpers import _tensor_condexp
+    from tree_helpers import _tensor_condexp, stacked_steps
     scen, tree = _example41_tree_setup()
+    _, dB = stacked_steps(tree.ensemble)
     sol = solve_backward_sweep(scen, tree.ensemble, tree.backend())
     gen, grid = scen.generator, scen.grid
     Y = sol.Y[:, :, 0]
@@ -470,7 +471,7 @@ def test_discrete_one_step_identity_on_tree():
             Z[:, k + 1 + off.d_zeta[k + 1]][:, None, None])
         g_val = np.asarray(gen.g(grid.time(k + 1), Y[:, k + 1][:, None],
                                  Z[:, k + 1][:, None, None], e_raw_next))
-        target = Y[:, k + 1] + g_val[:, 0, 0] * tree.ensemble.dB[:, k, 0]
+        target = Y[:, k + 1] + g_val[:, 0, 0] * dB[:, k, 0]
         e_raw = gen.eval_functionals(
             Y[:, k + off.d_delta[k]][:, None],
             Z[:, k + off.d_zeta[k]][:, None, None])

@@ -12,19 +12,19 @@ from abdsde.scenario import make_scenario
 from abdsde.solver import solve_backward_sweep
 from abdsde.terminal import TerminalData, TerminalSpec
 from abdsde.tree import build_tree, oracle_solve, tree_for_grid
-from tree_helpers import _reference_f_atom_ids, _tensor_condexp
+from tree_helpers import _reference_f_atom_ids, _tensor_condexp, stacked_steps
 
 
 def test_one_step_tree():
     tree = build_tree(1, 0.25)
     assert tree.n_atoms == 4 and tree.atom_probability == 0.25
-    assert np.all(np.abs(tree.ensemble.dW) == 0.5)
+    dW, _ = stacked_steps(tree.ensemble)
+    assert np.all(np.abs(dW) == 0.5)
 
 
 def test_increment_moments_exact():
     tree = build_tree(3, 0.25)
-    dW = tree.ensemble.dW[:, :, 0]
-    dB = tree.ensemble.dB[:, :, 0]
+    dW, dB = (inc[:, :, 0] for inc in stacked_steps(tree.ensemble))
     assert np.all(dW.mean(axis=0) == 0.0)
     assert np.all(dW.var(axis=0) == 0.25)
     assert np.all((dW * dB).mean(axis=0) == 0.0)
@@ -37,11 +37,12 @@ def test_atom_index_bits_sign_the_increments():
     n = 3
     tree = build_tree(n, 0.25)
     atoms = np.arange(tree.n_atoms)
+    dW, dB = stacked_steps(tree.ensemble)
     for j in range(n):
-        assert np.array_equal(tree.ensemble.dW[:, j, 0] > 0, (atoms >> j) & 1 == 1)
-        assert np.array_equal(tree.ensemble.dB[:, j, 0] > 0, (atoms >> (n + j)) & 1 == 1)
-    assert np.all(np.abs(tree.ensemble.dW) == 0.5)
-    assert np.all(np.abs(tree.ensemble.dB) == 0.5)
+        assert np.array_equal(dW[:, j, 0] > 0, (atoms >> j) & 1 == 1)
+        assert np.array_equal(dB[:, j, 0] > 0, (atoms >> (n + j)) & 1 == 1)
+    assert np.all(np.abs(dW) == 0.5)
+    assert np.all(np.abs(dB) == 0.5)
 
 
 def test_partition_block_counts():
@@ -72,7 +73,8 @@ def test_oracle_martingale_representation_of_last_increment():
     h = 0.25
     tree = build_tree(1, h)
     gen = builtin_generator("zero")
-    xi = tree.ensemble.dW[:, 0, 0] / np.sqrt(h)
+    dW, _ = stacked_steps(tree.ensemble)
+    xi = dW[:, 0, 0] / np.sqrt(h)
     scen = make_scenario(tree.grid, gen, _scalar_terminal(tree, xi))
     sol = oracle_solve(scen, tree)
     assert sol.Y[:, 0, 0] == pytest.approx(0.0, abs=1e-14)
@@ -137,6 +139,7 @@ def test_oracle_telescoping_identity():
     Y = sol.Y[:, :, 0]
     Z = sol.Z[:, :, 0, 0]
     h = grid.h
+    _, dB = stacked_steps(tree.ensemble)
     total = Y[:, grid.n_T].copy()
     for k in range(grid.n_T):
         off = scen.offsets
@@ -145,7 +148,7 @@ def test_oracle_telescoping_identity():
             Z[:, k + 1 + off.d_zeta[k + 1]][:, None, None])
         g_val = gen.g(grid.time(k + 1), Y[:, k + 1][:, None],
                       Z[:, k + 1][:, None, None], e_raw_next)
-        total += np.asarray(g_val)[:, 0, 0] * tree.ensemble.dB[:, k, 0]
+        total += np.asarray(g_val)[:, 0, 0] * dB[:, k, 0]
         e_k_raw = gen.eval_functionals(
             Y[:, k + off.d_delta[k]][:, None],
             Z[:, k + off.d_zeta[k]][:, None, None])
@@ -297,8 +300,7 @@ def _full_atom_oracle(scenario, tree):
     gen = scenario.generator
     grid = scenario.grid
     n, A, h = tree.n, tree.n_atoms, grid.h
-    dW = tree.ensemble.dW[:, :, 0]
-    dB = tree.ensemble.dB[:, :, 0]
+    dW, dB = (inc[:, :, 0] for inc in stacked_steps(tree.ensemble))
     term = scenario.terminal_data(tree.ensemble)
     Y = np.zeros((A, grid.n_nodes))
     Z = np.zeros((A, grid.n_nodes))
@@ -382,7 +384,8 @@ def test_oracle_rejects_terminal_data_the_node_does_not_see():
     # last step, so the oracle raises instead of averaging it away
     grid = make_grid(0.4, 0.2, 0.2)
     tree = tree_for_grid(grid)
-    xi = tree.ensemble.dW[:, tree.n - 1, 0]
+    dW, _ = stacked_steps(tree.ensemble)
+    xi = dW[:, tree.n - 1, 0]
     scen = make_scenario(grid, builtin_generator("zero"), _scalar_terminal(tree, xi))
     with pytest.raises(NotMeasurable, match="node 2"):
         oracle_solve(scen, tree)
