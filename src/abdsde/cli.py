@@ -349,7 +349,7 @@ def _paths(built: Built, *scenarios):
     storing the leading steps that the given scenarios read (all without
     one).  The tree keeps every step: its information field sees B past T."""
     if built.tree is not None:
-        return built.tree.ensemble
+        return built.tree
     gen = built.scenario.generator
     n_stored = max((s.steps_read for s in scenarios), default=built.grid.n_steps)
     return sample_paths(built.grid, gen.d, gen.l, built.n_paths, built.seed, n_stored=n_stored)
@@ -415,7 +415,7 @@ def _cmd_oracle_check(config, built, out_path):
     if tree is None:
         tree = tree_for_grid(grid)
     # both routes read the same terminal data, built once on the atoms
-    scenario = replace(scenario, terminal=scenario.terminal_data(tree.ensemble))
+    scenario = replace(scenario, terminal=scenario.terminal_data(tree))
     exact = {}  # node k -> the oracle's (Y_k, Z_k) tensors of 2^n values
 
     def keep(k, y_k, z_k):
@@ -434,7 +434,7 @@ def _cmd_oracle_check(config, built, out_path):
         d_y[k] = np.abs(y_k[:, 0].reshape(atom_axes) - y_exact).max()
         d_z[k] = np.abs(z_k[:, 0, 0].reshape(atom_axes) - z_exact).max()
 
-    solve_backward_sweep(scenario, tree.ensemble, tree.backend(), on_node=compare)
+    solve_backward_sweep(scenario, tree, tree.backend(), on_node=compare)
     rows = [(grid.time(k), float(d_y[k]), float(d_z[k]))
             for k in range(grid.n_nodes)]
     worst = max(float(d_y.max()), float(d_z.max()))

@@ -52,7 +52,8 @@ def reduce_margin(margin: np.ndarray) -> tuple:
 @dataclass
 class ComparisonReport:
     """Per-node margin summaries of a solved pair, from `reduce_margin`, with
-    the violation fractions at `epsilon` >= 0 counted once."""
+    the violation fractions at `epsilon` counted once.  As only negative
+    margins are kept, epsilon must be >= 0 (ValidationError otherwise)."""
 
     mean_margin: np.ndarray      # (n_nodes,)
     min_margin: np.ndarray       # (n_nodes,)
@@ -64,6 +65,8 @@ class ComparisonReport:
     _violations_per_node: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        if not self.epsilon >= 0.0:
+            raise ValidationError(f"epsilon must be >= 0, got {self.epsilon!r}")
         below = np.array([np.count_nonzero(neg < -self.epsilon)
                           for neg in self.negatives])
         self._violations_per_node = below / self.n_paths
@@ -189,8 +192,7 @@ def _sweep_pair(s1: Scenario, s2: Scenario, paths: PathEnsemble, backend,
 
 
 def run_comparison(scenario1: Scenario, scenario2: Scenario,
-                   paths: PathEnsemble, backend,
-                   epsilon: float | None = None) -> ComparisonReport:
+                   paths: PathEnsemble, backend) -> ComparisonReport:
     """Solve both scenarios on the same paths and report ordering margins.
 
     The pair must share grid, delay and implicit_iters (ValidationError
@@ -198,13 +200,9 @@ def run_comparison(scenario1: Scenario, scenario2: Scenario,
     the paths first (when the backend calibrates on it), then the paths,
     whose sweep reduces each node's margin by `reduce_margin`.  Terminal
     samples must satisfy xi1 >= xi2 pointwise (TerminalOrderViolated
-    otherwise).  With epsilon=None the threshold is self-calibrated to 3x
-    the run tolerance, which is 0 on the exact backend; a given epsilon
-    must be >= 0 (ValidationError otherwise), as only negative margins are
-    kept.
+    otherwise).  The threshold epsilon is self-calibrated to 3x the run
+    tolerance, which is 0 on the exact backend.
     """
-    if epsilon is not None and not epsilon >= 0.0:
-        raise ValidationError(f"epsilon must be >= 0, got {epsilon!r}")
     if (scenario1.grid, scenario1.delay, scenario1.implicit_iters) != \
             (scenario2.grid, scenario2.delay, scenario2.implicit_iters):
         raise ValidationError(
@@ -223,12 +221,10 @@ def run_comparison(scenario1: Scenario, scenario2: Scenario,
     tol = sum(_fit_noise_scale(r, paths, backend) for r in resid)
     for fine_mean, coarse_mean in zip(y0, coarse_y0):
         tol += abs(fine_mean - coarse_mean)
-    if epsilon is None:
-        epsilon = 3.0 * tol
     mean, low, negatives = zip(*summaries)
     return ComparisonReport(mean_margin=np.array(mean), min_margin=np.array(low),
                             negatives=list(negatives), n_paths=paths.n_paths,
-                            epsilon=float(epsilon), run_tolerance=float(tol))
+                            epsilon=3.0 * float(tol), run_tolerance=float(tol))
 
 
 # ---------------------------------------------------------------------------

@@ -151,15 +151,14 @@ class RegressionBackend:
 
 
 class ExactTreeBackend:
-    """Exact enumeration backend bound to one tree's atom ensemble."""
+    """Exact enumeration backend bound to one tree, its only paths."""
 
     def __init__(self, tree):
         self.tree = tree
 
     def _check(self, paths: PathEnsemble):
-        if paths is not self.tree.ensemble:
-            raise BackendMismatch(
-                "exact backend only conditions on its own tree's atom ensemble")
+        if paths is not self.tree:
+            raise BackendMismatch("exact backend only conditions on its own tree")
 
     def condexp(self, targets: np.ndarray, k: int, paths: PathEnsemble) -> np.ndarray:
         self._check(paths)

@@ -387,13 +387,16 @@ class MeasurabilityReport:
         return self.z_norm <= self.tol_z and 1.0 - self.min_r2 <= self.tol_meas
 
 
-def _r2_on_b_features(Y_k: np.ndarray, paths: PathEnsemble, k: int,
-                      degree: int = 2) -> float:
+#: The measurability check's basis, for its Z noise scale and its B-feature fits.
+_MEASURABILITY_BASIS = RegressionBasis(degree=2)
+
+
+def _r2_on_b_features(Y_k: np.ndarray, paths: PathEnsemble, k: int) -> float:
     scale = float(np.abs(Y_k).max())
     if np.ptp(Y_k) <= 1e-12 * max(1.0, scale):
         return 1.0  # constant target: nothing left to explain
     ss_tot = float(np.sum((Y_k - Y_k.mean()) ** 2))
-    X = _poly_features(paths.b_tail(k), degree)
+    X = _poly_features(paths.b_tail(k), _MEASURABILITY_BASIS.degree)
     fitted, _ = _ridge_fit(X, Y_k[:, None], 1e-10)
     ss_res = float(np.sum((Y_k - fitted[:, 0]) ** 2))
     return 1.0 - ss_res / ss_tot
@@ -411,7 +414,7 @@ def measurability_check(sol: SolutionProcess, paths: PathEnsemble,
     grid = sol.grid
     z = sol.Z[:, k0: grid.n_T]
     z_norm = float(np.sqrt(np.mean(np.sum(z ** 2, axis=(2, 3)).sum(axis=1) * grid.h)))
-    n_features = RegressionBasis(degree=2).n_features(paths.d + paths.l)
+    n_features = _MEASURABILITY_BASIS.n_features(paths.d + paths.l)
     tol_z = np.sqrt(n_features / (grid.h * paths.n_paths)) \
         * max(1.0, float(np.abs(sol.Y).max()))
     r2 = [

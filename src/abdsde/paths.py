@@ -6,10 +6,10 @@ slab at a time, `dw(k)` and `db(k)`, because the backward sweep reads and
 writes one node at a time.  A draw stores them; all its randomness comes
 from a counter-based Philox stream keyed by the master seed, and path i's
 increments occupy a fixed counter block, so regenerating with a different
-path count P leaves paths 0..min(P)-1 bit-identical.  The ensembles derived
-from others compute each slab when it is read: a coarsening adds two fine
-slabs, and the exact tree (`tree.build_tree`) signs sqrt(h) by one bit of
-the atom index, so neither holds a copy of its increments.
+path count P leaves paths 0..min(P)-1 bit-identical.  The other ensembles
+compute each slab when it is read: a coarsening adds two fine slabs, and
+the exact tree (`tree.TreeModel`, one path per atom) signs sqrt(h) by one
+bit of the atom index, so neither holds a copy of its increments.
 
 A draw's storage is (nodes, paths) contiguous per component: the
 increments of one step, and the values of a process at one node, are one
@@ -116,8 +116,8 @@ class PathEnsemble:
     so W and B are known on nodes 0..n_stored.  A draw stores them:
     `PathEnsemble(grid, dW, dB)` holds dW of shape (P, n_stored, d) and dB
     of shape (P, n_stored, l), node-major as `sample_paths` makes them, so
-    each slab is a contiguous view.  The ensembles that `coarsen` and
-    `tree.build_tree` derive store no increments: their subclasses compute
+    each slab is a contiguous view.  A coarsening (`coarsen`) and an exact
+    tree (`tree.TreeModel`) store no increments: these subclasses compute
     each slab when it is read (`_w_step`, `_b_step`).  W_{t_k} and B_{t_k}
     are forward sums of the slabs, kept at checkpoints and summed from them
     node by node, never a whole (P, n_nodes) array; a slab must not change

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .delays import DelaySpec, GridOffsets, to_grid_offsets
-from .errors import integer, NonFinite, ValidationError
+from .errors import integer, NonFinite, ShapeMismatch, ValidationError
 from .generators import GeneratorSpec, check_feasible
 from .grids import TimeGrid
 from .paths import PathEnsemble
@@ -44,6 +44,11 @@ class Scenario:
         return max(self.grid.n_T, last)
 
     def terminal_data(self, paths: PathEnsemble) -> TerminalData:
+        """The terminal data on the paths, which must lie on the scenario's
+        grid (ShapeMismatch otherwise): every solve starts here."""
+        if paths.grid != self.grid:
+            raise ShapeMismatch(f"the paths lie on {paths.grid}, the scenario "
+                                f"on {self.grid}")
         if isinstance(self.terminal, TerminalData):
             if self.terminal.n_paths != paths.n_paths:
                 raise ValidationError(

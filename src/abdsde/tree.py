@@ -7,10 +7,11 @@ to the order the schemes use: E dW = 0, E dW^2 = h, E dW dB = 0, exactly.
 
 Atom a in [0, 4^n) encodes w_index = a mod 2^n and b_index = a div 2^n;
 bit j of each index is the sign of that driver's step-j increment.  The
-tree's path ensemble stores no increments: it fills a step's (4^n, 1) slab
-of +-sqrt(h) from that bit when the slab is read.  Two atoms lie in the
-same information atom at node k iff they agree on W bits before k and on B
-bits at or after k, so conditional expectations are plain block averages.
+tree is itself the path ensemble of its atoms, and stores no increments:
+it fills a step's (4^n, 1) slab of +-sqrt(h) from that bit when the slab
+is read.  Two atoms lie in the same information atom at node k iff they
+agree on W bits before k and on B bits at or after k, so conditional
+expectations are plain block averages.
 
 `oracle_solve` re-implements the backward sweep with those exact averages
 on the atom tensor, the atom index as (2,)*2n bits, rather than by the
@@ -25,7 +26,6 @@ oracle-check` compares each node as the solver stores it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,50 +40,18 @@ from .solver import SolutionProcess
 MAX_STEPS = 8
 
 
-@dataclass
-class TreeModel:
-    """Enumerated atoms of the two-point model; d = l = 1."""
-
-    grid: TimeGrid
-    ensemble: PathEnsemble
-
-    @property
-    def n(self) -> int:
-        return self.grid.n_steps
-
-    @property
-    def n_atoms(self) -> int:
-        return 4 ** self.n
-
-    @property
-    def atom_probability(self) -> float:
-        return 4.0 ** (-self.n)
-
-    def f_atom_ids(self, k: int) -> np.ndarray:
-        """Information-atom id per atom at node k (W bits < k, B bits >= k).
-
-        The W index is the low n bits of the atom and k <= n, so the id is
-        (atom & (2^k - 1)) | ((atom >> (n + k)) << k), built in two arrays.
-        """
-        atoms = np.arange(self.n_atoms)
-        ids = atoms & ((1 << k) - 1)
-        atoms >>= self.n + k
-        atoms <<= k
-        ids |= atoms
-        return ids
-
-    def backend(self) -> ExactTreeBackend:
-        return ExactTreeBackend(self)
-
-
-class _TreeSteps(PathEnsemble):
-    """The 4^n atoms as paths: step k's W-increment is -sqrt(h) or
-    +sqrt(h) as bit k of the atom index is 0 or 1, its B-increment as bit
-    n + k is; each slab is filled when it is read."""
+class TreeModel(PathEnsemble):
+    """The 4^n atoms of the two-point model as paths, d = l = 1: step k's
+    W-increment is -sqrt(h) or +sqrt(h) as bit k of the atom index is 0 or
+    1, its B-increment as bit n + k is; each slab is filled when it is read."""
 
     def __init__(self, grid: TimeGrid):
         self._root_h = np.sqrt(grid.h)
         self._describe(grid, 4 ** grid.n_steps, grid.n_steps, 1, 1)
+
+    @property
+    def n(self) -> int:
+        return self.grid.n_steps
 
     def _signs(self, bit: int) -> np.ndarray:
         slab = np.empty((self.n_paths, 1))
@@ -94,7 +62,23 @@ class _TreeSteps(PathEnsemble):
         return self._signs(k)
 
     def _b_step(self, k: int) -> np.ndarray:
-        return self._signs(self.grid.n_steps + k)
+        return self._signs(self.n + k)
+
+    def f_atom_ids(self, k: int) -> np.ndarray:
+        """Information-atom id per atom at node k (W bits < k, B bits >= k).
+
+        The W index is the low n bits of the atom and k <= n, so the id is
+        (atom & (2^k - 1)) | ((atom >> (n + k)) << k), built in two arrays.
+        """
+        atoms = np.arange(self.n_paths)
+        ids = atoms & ((1 << k) - 1)
+        atoms >>= self.n + k
+        atoms <<= k
+        ids |= atoms
+        return ids
+
+    def backend(self) -> ExactTreeBackend:
+        return ExactTreeBackend(self)
 
 
 def build_tree(n: int, h: float, n_T: int | None = None) -> TreeModel:
@@ -108,7 +92,7 @@ def build_tree(n: int, h: float, n_T: int | None = None) -> TreeModel:
         raise TooLarge(f"a {n}-step tree is beyond the cap of {MAX_STEPS} steps "
                        f"(4^{MAX_STEPS} atoms)")
     grid = TimeGrid(h=h, n_T=n if n_T is None else n_T, n_end=n)
-    return TreeModel(grid=grid, ensemble=_TreeSteps(grid))
+    return TreeModel(grid)
 
 
 def tree_for_grid(grid: TimeGrid) -> TreeModel:
@@ -137,7 +121,8 @@ def oracle_solve(scenario, tree: TreeModel, on_node=None):
     Mirrors the scheme of `solver.solve_backward_sweep` step for step, with
     each conditional expectation a mean over atom tensor axes.  f runs on
     at most 2^n rows, g and phi on the bits their nodes see together (below
-    4^n).  Terminal data must be node-measurable.
+    4^n).  The scenario must lie on the tree's grid (ShapeMismatch
+    otherwise), and its terminal data must be node-measurable.
 
     Returns the SolutionProcess on all atoms, node-major like the solver's,
     expanded at the return.  Given `on_node`, it returns None instead and
@@ -150,13 +135,11 @@ def oracle_solve(scenario, tree: TreeModel, on_node=None):
     grid = scenario.grid
     if (gen.m, gen.d, gen.l) != (1, 1, 1):
         raise ShapeMismatch("the exact oracle is scalar: m = d = l = 1")
-    if grid.n_end != tree.n or abs(grid.h - tree.grid.h) > 1e-15:
-        raise ShapeMismatch("scenario grid and tree disagree")
     n = tree.n
     h = grid.h
     signs = np.array([-np.sqrt(h), np.sqrt(h)])  # bit 0, bit 1
 
-    term = scenario.terminal_data(tree.ensemble)
+    term = scenario.terminal_data(tree)
     Y = [None] * grid.n_nodes  # node-k tensors
     Z = [None] * grid.n_nodes
     for k in range(grid.n_T, grid.n_end + 1):
@@ -201,7 +184,7 @@ def oracle_solve(scenario, tree: TreeModel, on_node=None):
         return None
 
     def on_atoms(nodes):  # node-major rows, seen as (4^n, n_nodes)
-        out = np.empty((grid.n_nodes, tree.n_atoms))
+        out = np.empty((grid.n_nodes, tree.n_paths))
         for k, values in enumerate(nodes):
             out[k].reshape((2,) * (2 * n))[...] = values
         return out.T

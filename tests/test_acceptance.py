@@ -61,7 +61,7 @@ def test_criterion1_oracle_equivalence():
         gen = builtin_generator(name, **params)
         scen = make_scenario(grid, gen, term,
                              delay=delay if gen.anticipates else None)
-        sweep = solve_backward_sweep(scen, tree.ensemble, tree.backend())
+        sweep = solve_backward_sweep(scen, tree, tree.backend())
         exact = oracle_solve(scen, tree)
         worst = max(worst,
                     float(np.abs(sweep.Y - exact.Y).max()),
@@ -89,13 +89,13 @@ def test_criterion2_contraction():
     assert params.cbar == pytest.approx((1.0 + 1.0 / 3.0) / 2.0)
 
     tol = 1e-9
-    sol0, log = picard_iterate(scen, tree.ensemble, tree.backend(), tol=tol,
-                               init=constant_initial(scen, tree.ensemble, 0.0))
+    sol0, log = picard_iterate(scen, tree, tree.backend(), tol=tol,
+                               init=constant_initial(scen, tree, 0.0))
     ratios = [log[i + 1] / log[i] for i in range(1, len(log) - 1) if log[i] > 0]
     ratios_ok = all(r <= params.cbar + 0.05 for r in ratios)
 
-    sol10, _ = picard_iterate(scen, tree.ensemble, tree.backend(), tol=tol,
-                              init=constant_initial(scen, tree.ensemble, 10.0))
+    sol10, _ = picard_iterate(scen, tree, tree.backend(), tol=tol,
+                              init=constant_initial(scen, tree, 10.0))
     dist = weighted_distance(sol0, sol10, params)
     elapsed = time.time() - start
     ok = ratios_ok and dist <= 10 * tol and elapsed < 30.0
@@ -178,12 +178,12 @@ def test_criterion5_segmentation():
     scen = make_scenario(grid_c, builtin_generator("example41_f1"),
                          TerminalSpec(name="scaled_wt", params={"a": 0.5, "b": 1.0}),
                          delay=delay_c)
-    glob = solve_backward_sweep(scen, tree.ensemble, tree.backend())
+    glob = solve_backward_sweep(scen, tree, tree.backend())
     # piece by piece: application i of the frozen-anticipation map settles
     # segment i, so N applications reproduce the global sweep
-    segd = default_initial(scen, tree.ensemble)
+    segd = default_initial(scen, tree)
     for _ in range(segment_interval(scen.delay, grid_c).N):
-        segd = solve_backward_sweep(scen, tree.ensemble, tree.backend(), frozen=segd)
+        segd = solve_backward_sweep(scen, tree, tree.backend(), frozen=segd)
     equiv = float(np.abs(glob.Y - segd.Y).max())
     elapsed = time.time() - start
     ok = const_ok and affine_ok and equiv <= 1e-12 and elapsed < 5.0
@@ -210,8 +210,7 @@ def test_criterion6_comparison():
     grid_t = make_grid(0.6, 0.4, 0.2)  # 5-step tree
     tree = tree_for_grid(grid_t)
     s1, s2 = _example41_pair(grid_t)
-    tree_report = run_comparison(s1, s2, tree.ensemble, tree.backend(),
-                                 epsilon=0.0)
+    tree_report = run_comparison(s1, s2, tree, tree.backend())
     tree_ok = tree_report.min_margin.min() >= -1e-10
 
     grid_m = make_grid(0.5, 0.5, 1.0 / 32)
@@ -268,7 +267,7 @@ def test_criterion8_measurability():
     tree = tree_for_grid(grid_t)
     coeffs_t = LinearDualityCoeffs(mu=0.2, mu_bar=0.1, kappa=(0.2,), rho=0.1,
                                    delta=0.2, t0=0.2)
-    sol_t = solve_backward_sweep(coeffs_t.scenario(grid_t), tree.ensemble,
+    sol_t = solve_backward_sweep(coeffs_t.scenario(grid_t), tree,
                                  tree.backend())
     z_tree = float(np.abs(sol_t.Z[:, : grid_t.n_T]).max())
     tree_ok = z_tree == 0.0

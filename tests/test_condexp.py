@@ -87,7 +87,7 @@ def test_exact_backend_two_step_tree_hand_enumeration():
     # the expected values come from brute force over all 16 atoms, grouped
     # by the known coordinates (dW_0, dB_1)
     tree = build_tree(2, 0.25)
-    paths = tree.ensemble
+    paths = tree
     dW, dB = stacked_steps(paths)
     dw1 = dW[:, 1, 0]
     target = np.exp(dw1)
@@ -118,9 +118,9 @@ def test_exact_backend_partition_structure():
 def test_exact_backend_outputs_constant_on_atoms():
     tree = build_tree(3, 0.25)
     rng = np.random.default_rng(0)
-    target = rng.normal(size=(tree.n_atoms, 1))
+    target = rng.normal(size=(tree.n_paths, 1))
     for k in range(4):
-        out = condexp(tree.backend(), target, k, tree.ensemble)[:, 0]
+        out = condexp(tree.backend(), target, k, tree)[:, 0]
         ids = tree.f_atom_ids(k)
         for gid in np.unique(ids):
             assert np.ptp(out[ids == gid]) == 0.0
@@ -130,12 +130,12 @@ def test_exact_backend_block_matches_its_columns_bitwise():
     # one group-by over the block sums each bin in atom order, as one
     # group-by per column would
     tree = build_tree(3, 0.25)
-    block = np.random.default_rng(1).normal(size=(tree.n_atoms, 3))
+    block = np.random.default_rng(1).normal(size=(tree.n_paths, 3))
     backend = tree.backend()
     for k in range(4):
-        whole = backend.condexp(block, k, tree.ensemble)
+        whole = backend.condexp(block, k, tree)
         for j in range(3):
-            column = backend.condexp(block[:, j:j + 1], k, tree.ensemble)
+            column = backend.condexp(block[:, j:j + 1], k, tree)
             assert np.array_equal(whole[:, j:j + 1], column)
 
 
@@ -144,7 +144,7 @@ def test_exact_backend_tower_property_for_future_measurable_targets():
     # built from W and the B-increments at/after k' the tower identity
     # E_k E_k' = E_k holds exactly
     tree = build_tree(3, 0.5)
-    paths = tree.ensemble
+    paths = tree
     k, kp = 1, 2
     dW, dB = stacked_steps(paths)
     target = (np.sin(dW[:, 0, 0] + dW[:, 2, 0]) + dB[:, 2, 0] ** 2).reshape(-1, 1)
@@ -157,9 +157,10 @@ def test_exact_backend_tower_property_for_future_measurable_targets():
 
 def test_backend_mismatch():
     tree = build_tree(2, 0.25)
-    other = sample_paths(tree.grid, 1, 1, 16, seed=0)
-    with pytest.raises(BackendMismatch):
-        condexp(tree.backend(), other.w_at(1), 1, other)
+    # the backend binds to one tree object, not to the trees of its grid
+    for other in (sample_paths(tree.grid, 1, 1, 16, seed=0), build_tree(2, 0.25)):
+        with pytest.raises(BackendMismatch):
+            condexp(tree.backend(), other.w_at(1), 1, other)
 
 
 @pytest.mark.parametrize("kind", ["regression", "exact"])
@@ -169,7 +170,7 @@ def test_block_shortcuts_constant_columns_and_fits_the_rest_together(kind):
     # column by column; to rounding on regression, one gemm vs gemvs)
     if kind == "exact":
         tree = build_tree(4, 0.25)
-        paths, backend = tree.ensemble, tree.backend()
+        paths, backend = tree, tree.backend()
     else:
         paths = sample_paths(make_grid(1.0, 0.0, 0.25), 1, 1, 2000, seed=5)
         backend = RegressionBackend()

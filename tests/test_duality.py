@@ -197,10 +197,10 @@ def test_tree_duality_exact_for_scalar_drift_families():
         coeffs = LinearDualityCoeffs(delta=0.25, t0=0.25, **kwargs)
         grid = coeffs.grid_for(0.75, 0.25)
         tree = tree_for_grid(grid)
-        sol = solve_backward_sweep(coeffs.scenario(grid), tree.ensemble,
+        sol = solve_backward_sweep(coeffs.scenario(grid), tree,
                                    tree.backend())
         k0 = grid.index_of(0.25)
-        outer = stacked_steps(tree.ensemble)[1][:5]
+        outer = stacked_steps(tree)[1][:5]
         rhs, _ = duality_rhs(coeffs, outer, grid, k0, inner=2, seed=(8,))
         resid = np.abs(sol.Y[:5, k0, 0] - rhs)
         assert resid.max() <= 1e-9

@@ -170,7 +170,7 @@ def _same_bits(a, b):
 _ENSEMBLES = {
     "draw": lambda: sample_paths(STATE_GRID, 2, 1, STATE_P, seed=(9, 1)),
     "coarsened": lambda: sample_paths(STATE_GRID, 2, 1, STATE_P, seed=(9, 1)).coarsen(),
-    "tree": lambda: build_tree(7, 0.1, n_T=5).ensemble,
+    "tree": lambda: build_tree(7, 0.1, n_T=5),
 }
 
 
@@ -307,7 +307,7 @@ def test_coarsening_a_trimmed_draw_merges_its_stored_steps(n):
 @pytest.mark.parametrize("kind", ["tree", "coarsened"])
 def test_derived_slabs_have_the_bits_of_the_stored_reference(kind):
     if kind == "tree":
-        cases = [(build_tree(n, 0.1, n_T=max(n - 2, 1)).ensemble,
+        cases = [(build_tree(n, 0.1, n_T=max(n - 2, 1)),
                   reference_tree_steps(n, 0.1)) for n in (1, 3, 8)]
     else:
         cases = []
@@ -339,7 +339,7 @@ def test_the_tree_and_a_coarsening_allocate_less_than_one_slab():
     # neither stores increments: the tree signs a slab from one bit of the
     # atom index, and a coarse slab adds two fine ones, each when read
     tree, peak = _traced_peak(lambda: build_tree(8, 0.1, 5))
-    assert peak < 8 * tree.n_atoms, peak  # a (4^8, 1) slab
+    assert peak < 8 * tree.n_paths, peak  # a (4^8, 1) slab
     draw = sample_paths(STATE_GRID, 1, 1, 4096, seed=2)
     _, peak = _traced_peak(draw.coarsen)
     assert peak < 8 * draw.n_paths, peak  # a (4096, 1) slab

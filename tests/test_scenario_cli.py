@@ -736,6 +736,16 @@ def test_the_readme_schema_block_is_the_schema_table():
                 assert documented[section][key] == default, (section, key)
 
 
+def test_the_readme_python_blocks_run_in_order():
+    # one namespace, as a reader pasting the blocks into one session has
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = [part.split("```", 1)[0] for part in readme.split("```python\n")[1:]]
+    assert blocks
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+
+
 def test_console_entry_point(tmp_path):
     scenario = _write(tmp_path, "s.yaml", MINIMAL)
     out = str(tmp_path / "cli.csv")

@@ -18,7 +18,7 @@ from abdsde.solver import (constant_initial, contraction_params,
                            default_initial, picard_iterate, SolutionProcess,
                            solve_backward_sweep, weighted_distance, weighted_norm)
 from abdsde.terminal import constant_terminal, TerminalData, TerminalSpec
-from abdsde.tree import tree_for_grid
+from abdsde.tree import build_tree, oracle_solve, tree_for_grid, TreeModel
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +213,31 @@ def test_nonfinite_generator_detected():
         solve_backward_sweep(scen, paths, RegressionBackend())
 
 
+@pytest.mark.parametrize("grid, make_paths", [
+    (make_grid(1.0, 0.0, 1 / 16),
+     lambda: sample_paths(make_grid(1.0, 0.0, 1 / 64), 1, 1, 256, seed=3)),
+    (make_grid(1.0, 0.0, 1 / 16),
+     lambda: sample_paths(make_grid(1.0, 0.0, 1 / 8), 1, 1, 256, seed=3)),
+    (make_grid(0.75, 0.25, 0.25), lambda: build_tree(4, 0.25)),  # n_T 4, not 3
+], ids=["finer", "coarser", "tree_n_T"])
+def test_paths_on_another_grid_are_rejected_naming_both_grids(grid, make_paths):
+    # finer paths used to give a fit of the wrong steps without an error,
+    # coarser ones an out-of-range step
+    scen = make_scenario(grid, builtin_generator("linear_bsde", a=1.0),
+                         TerminalSpec(name="scaled_wt", params={"a": 1.0, "b": 0.0}))
+    paths = make_paths()
+    if isinstance(paths, TreeModel):
+        routes = [lambda: solve_backward_sweep(scen, paths, paths.backend()),
+                  lambda: oracle_solve(scen, paths)]
+    else:
+        routes = [lambda: solve_backward_sweep(scen, paths, RegressionBackend())]
+    for route in routes:
+        with pytest.raises(ShapeMismatch) as raised:
+            route()
+        assert str(paths.grid) in str(raised.value)
+        assert str(grid) in str(raised.value)
+
+
 def test_picard_no_convergence_error():
     grid = make_grid(0.75, 0.25, 0.25)
     gen = builtin_generator("example41_f1")
@@ -254,8 +279,8 @@ def _example41_tree_setup():
 
 def test_sweep_is_fixed_point_of_map():
     scen, tree = _example41_tree_setup()
-    sweep = solve_backward_sweep(scen, tree.ensemble, tree.backend())
-    mapped = solve_backward_sweep(scen, tree.ensemble, tree.backend(), frozen=sweep)
+    sweep = solve_backward_sweep(scen, tree, tree.backend())
+    mapped = solve_backward_sweep(scen, tree, tree.backend(), frozen=sweep)
     assert np.abs(mapped.Y - sweep.Y).max() <= 1e-10
     assert np.abs(mapped.Z - sweep.Z).max() <= 1e-10
 
@@ -265,10 +290,10 @@ def test_map_ignores_frozen_input_for_zero_generator():
     tree = tree_for_grid(grid)
     xi = TerminalSpec(name="scaled_wt", params={"a": 1.0, "b": 0.0})
     scen = make_scenario(grid, builtin_generator("zero"), xi)
-    a = solve_backward_sweep(scen, tree.ensemble, tree.backend(),
-                             frozen=constant_initial(scen, tree.ensemble, 0.0))
-    b = solve_backward_sweep(scen, tree.ensemble, tree.backend(),
-                             frozen=constant_initial(scen, tree.ensemble, 10.0))
+    a = solve_backward_sweep(scen, tree, tree.backend(),
+                             frozen=constant_initial(scen, tree, 0.0))
+    b = solve_backward_sweep(scen, tree, tree.backend(),
+                             frozen=constant_initial(scen, tree, 10.0))
     assert np.array_equal(a.Y, b.Y)
     assert np.array_equal(a.Z, b.Z)
 
@@ -278,15 +303,15 @@ def test_map_contracts_random_inputs():
     params = contraction_params(scen.generator.lip, scen.M)
     rng = np.random.default_rng(7)
     for _ in range(5):
-        u = default_initial(scen, tree.ensemble)
-        v = default_initial(scen, tree.ensemble)
+        u = default_initial(scen, tree)
+        v = default_initial(scen, tree)
         n_T = scen.grid.n_T
         u.Y[:, :n_T] += rng.normal(size=u.Y[:, :n_T].shape)
         v.Y[:, :n_T] += rng.normal(size=v.Y[:, :n_T].shape)
         u.Z[:, :n_T] += rng.normal(size=u.Z[:, :n_T].shape)
         v.Z[:, :n_T] += rng.normal(size=v.Z[:, :n_T].shape)
-        iu = solve_backward_sweep(scen, tree.ensemble, tree.backend(), frozen=u)
-        iv = solve_backward_sweep(scen, tree.ensemble, tree.backend(), frozen=v)
+        iu = solve_backward_sweep(scen, tree, tree.backend(), frozen=u)
+        iv = solve_backward_sweep(scen, tree, tree.backend(), frozen=v)
         num = weighted_distance(iu, iv, params)
         den = weighted_distance(u, v, params)
         assert num <= (params.cbar + 0.05) * den
@@ -296,7 +321,7 @@ def test_picard_zero_generator_one_iteration():
     grid = make_grid(0.5, 0.0, 0.25)
     tree = tree_for_grid(grid)
     scen = make_scenario(grid, builtin_generator("zero"), constant_terminal(1.5))
-    sol, log = picard_iterate(scen, tree.ensemble, tree.backend(), tol=1e-9)
+    sol, log = picard_iterate(scen, tree, tree.backend(), tol=1e-9)
     assert len(log) == 1 and log[0] == 0.0
     assert np.all(sol.Y == 1.5)
 
@@ -304,8 +329,8 @@ def test_picard_zero_generator_one_iteration():
 def test_picard_ratios_bounded_by_contraction_factor():
     scen, tree = _example41_tree_setup()
     params = contraction_params(scen.generator.lip, scen.M)
-    sol, log = picard_iterate(scen, tree.ensemble, tree.backend(), tol=1e-9,
-                              init=constant_initial(scen, tree.ensemble, 0.0))
+    sol, log = picard_iterate(scen, tree, tree.backend(), tol=1e-9,
+                              init=constant_initial(scen, tree, 0.0))
     for d_prev, d_next in zip(log[1:], log[2:]):
         if d_prev > 0:
             assert d_next / d_prev <= params.cbar + 0.05
@@ -314,18 +339,18 @@ def test_picard_ratios_bounded_by_contraction_factor():
 def test_picard_unique_fixed_point_from_two_initializations():
     scen, tree = _example41_tree_setup()
     tol = 1e-9
-    s0, _ = picard_iterate(scen, tree.ensemble, tree.backend(), tol=tol,
-                           init=constant_initial(scen, tree.ensemble, 0.0))
-    s10, _ = picard_iterate(scen, tree.ensemble, tree.backend(), tol=tol,
-                            init=constant_initial(scen, tree.ensemble, 10.0))
+    s0, _ = picard_iterate(scen, tree, tree.backend(), tol=tol,
+                           init=constant_initial(scen, tree, 0.0))
+    s10, _ = picard_iterate(scen, tree, tree.backend(), tol=tol,
+                            init=constant_initial(scen, tree, 10.0))
     params = contraction_params(scen.generator.lip, scen.M)
     assert weighted_distance(s0, s10, params) <= 10 * tol
 
 
 def test_picard_matches_single_sweep():
     scen, tree = _example41_tree_setup()
-    sweep = solve_backward_sweep(scen, tree.ensemble, tree.backend())
-    sol, _ = picard_iterate(scen, tree.ensemble, tree.backend(), tol=1e-9)
+    sweep = solve_backward_sweep(scen, tree, tree.backend())
+    sol, _ = picard_iterate(scen, tree, tree.backend(), tol=1e-9)
     assert np.abs(sol.Y - sweep.Y).max() <= 1e-10
 
 
@@ -396,8 +421,8 @@ def test_segmented_equals_global_zero_generator():
 
 def test_segmented_equals_global_on_tree():
     scen, tree = _example41_tree_setup()
-    a = solve_backward_sweep(scen, tree.ensemble, tree.backend())
-    b = _piecewise(scen, tree.ensemble, tree.backend())
+    a = solve_backward_sweep(scen, tree, tree.backend())
+    b = _piecewise(scen, tree, tree.backend())
     assert np.abs(a.Y - b.Y).max() <= 1e-12
     assert np.abs(a.Z - b.Z).max() <= 1e-12
     assert segment_interval(scen.delay, scen.grid).points == (0.75, 0.5, 0.25, 0.0)
@@ -458,8 +483,8 @@ def test_a_delay_is_validated_once_per_scenario_and_never_in_a_sweep(monkeypatch
 def test_discrete_one_step_identity_on_tree():
     from tree_helpers import _tensor_condexp, stacked_steps
     scen, tree = _example41_tree_setup()
-    _, dB = stacked_steps(tree.ensemble)
-    sol = solve_backward_sweep(scen, tree.ensemble, tree.backend())
+    _, dB = stacked_steps(tree)
+    sol = solve_backward_sweep(scen, tree, tree.backend())
     gen, grid = scen.generator, scen.grid
     Y = sol.Y[:, :, 0]
     Z = sol.Z[:, :, 0, 0]
@@ -492,7 +517,7 @@ def _consumer_case(name):
     """(scenario, paths, backend) of one case of the consumer test."""
     if name == "tree":
         scen, tree = _example41_tree_setup()
-        return scen, tree.ensemble, tree.backend()
+        return scen, tree, tree.backend()
     backend = RegressionBackend()
     if name == "linear_m2_d2":
         grid = make_grid(0.5, 0.25, 0.0625)
@@ -573,14 +598,14 @@ def _same_bits(a, b):
 @pytest.mark.parametrize("frozen", [False, True])
 def test_node_by_node_sweep_has_the_full_sweeps_bits_for_affine_delta_and_zeta(frozen):
     scen, tree = _tree_affine_pair()
-    given = {"frozen": default_initial(scen, tree.ensemble)} if frozen else {}
-    full = solve_backward_sweep(scen, tree.ensemble, tree.backend(), **given)
+    given = {"frozen": default_initial(scen, tree)} if frozen else {}
+    full = solve_backward_sweep(scen, tree, tree.backend(), **given)
     seen = {}
 
     def on_node(k, y_k, z_k):
         seen[k] = (y_k.copy(), z_k.copy())
 
-    metadata = solve_backward_sweep(scen, tree.ensemble, tree.backend(),
+    metadata = solve_backward_sweep(scen, tree, tree.backend(),
                                     on_node=on_node, **given)
     assert sorted(seen) == list(range(scen.grid.n_nodes))
     for k, (y_k, z_k) in seen.items():
@@ -599,9 +624,9 @@ def test_a_sweep_evaluates_the_functionals_once_per_node(monkeypatch, mode):
 
     scen, tree = _tree_affine_pair()
     kwargs = {"full": {}, "on_node": {"on_node": lambda k, y, z: None},
-              "frozen": {"frozen": default_initial(scen, tree.ensemble)}}[mode]
+              "frozen": {"frozen": default_initial(scen, tree)}}[mode]
     monkeypatch.setattr(GeneratorSpec, "eval_functionals", counted)
-    solve_backward_sweep(scen, tree.ensemble, tree.backend(), **kwargs)
+    solve_backward_sweep(scen, tree, tree.backend(), **kwargs)
     assert len(calls) == scen.grid.n_T + 1
 
 

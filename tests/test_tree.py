@@ -17,27 +17,27 @@ from tree_helpers import _reference_f_atom_ids, _tensor_condexp, stacked_steps
 
 def test_one_step_tree():
     tree = build_tree(1, 0.25)
-    assert tree.n_atoms == 4 and tree.atom_probability == 0.25
-    dW, _ = stacked_steps(tree.ensemble)
+    assert tree.n_paths == 4 and 4.0 ** -tree.n == 0.25
+    dW, _ = stacked_steps(tree)
     assert np.all(np.abs(dW) == 0.5)
 
 
 def test_increment_moments_exact():
     tree = build_tree(3, 0.25)
-    dW, dB = (inc[:, :, 0] for inc in stacked_steps(tree.ensemble))
+    dW, dB = (inc[:, :, 0] for inc in stacked_steps(tree))
     assert np.all(dW.mean(axis=0) == 0.0)
     assert np.all(dW.var(axis=0) == 0.25)
     assert np.all((dW * dB).mean(axis=0) == 0.0)
     # probabilities are uniform dyadic rationals summing to one exactly
-    assert tree.n_atoms * tree.atom_probability == 1.0
+    assert tree.n_paths * 4.0 ** -tree.n == 1.0
 
 
 def test_atom_index_bits_sign_the_increments():
     # bit j of the atom index signs W's step j, bit n + j signs B's
     n = 3
     tree = build_tree(n, 0.25)
-    atoms = np.arange(tree.n_atoms)
-    dW, dB = stacked_steps(tree.ensemble)
+    atoms = np.arange(tree.n_paths)
+    dW, dB = stacked_steps(tree)
     for j in range(n):
         assert np.array_equal(dW[:, j, 0] > 0, (atoms >> j) & 1 == 1)
         assert np.array_equal(dB[:, j, 0] > 0, (atoms >> (n + j)) & 1 == 1)
@@ -60,7 +60,7 @@ def test_too_large():
 def _scalar_terminal(tree, xi_vals, eta_vals=None):
     grid = tree.grid
     k_nodes = grid.n_end - grid.n_T + 1
-    A = tree.n_atoms
+    A = tree.n_paths
     xi = np.repeat(np.asarray(xi_vals, dtype=float)[:, None, None], k_nodes, axis=1)
     eta = np.zeros((A, k_nodes, 1, 1))
     if eta_vals is not None:
@@ -73,7 +73,7 @@ def test_oracle_martingale_representation_of_last_increment():
     h = 0.25
     tree = build_tree(1, h)
     gen = builtin_generator("zero")
-    dW, _ = stacked_steps(tree.ensemble)
+    dW, _ = stacked_steps(tree)
     xi = dW[:, 0, 0] / np.sqrt(h)
     scen = make_scenario(tree.grid, gen, _scalar_terminal(tree, xi))
     sol = oracle_solve(scen, tree)
@@ -139,7 +139,7 @@ def test_oracle_telescoping_identity():
     Y = sol.Y[:, :, 0]
     Z = sol.Z[:, :, 0, 0]
     h = grid.h
-    _, dB = stacked_steps(tree.ensemble)
+    _, dB = stacked_steps(tree)
     total = Y[:, grid.n_T].copy()
     for k in range(grid.n_T):
         off = scen.offsets
@@ -172,7 +172,7 @@ def test_monte_carlo_pipeline_consistent_with_tree_enumeration():
     scen = make_scenario(grid, builtin_generator("example41_f1"), term,
                          delay=delay)
     y0_tree = solve_backward_sweep(
-        scen, tree.ensemble, tree.backend()).Y[:, 0, 0].mean()
+        scen, tree, tree.backend()).Y[:, 0, 0].mean()
 
     from abdsde.condexp import RegressionBackend
     from abdsde.paths import sample_paths
@@ -196,7 +196,7 @@ def test_solver_with_exact_backend_matches_oracle(name, params):
     term = TerminalSpec(name="scaled_wt", params={"a": 0.5, "b": 1.0})
     scen = make_scenario(grid, gen, term,
                          delay=delay if gen.anticipates else None)
-    sweep = solve_backward_sweep(scen, tree.ensemble, tree.backend())
+    sweep = solve_backward_sweep(scen, tree, tree.backend())
     exact = oracle_solve(scen, tree)
     assert np.abs(sweep.Y - exact.Y).max() <= 1e-10
     assert np.abs(sweep.Z - exact.Z).max() <= 1e-10
@@ -264,7 +264,7 @@ def test_solver_matches_oracle_across_the_catalog(scen):
     # every generator x terminal kind x delay pair x implicit_iters; this
     # also guards the per-component zero-Z shortcut for constant Y targets
     tree = tree_for_grid(scen.grid)
-    sweep = solve_backward_sweep(scen, tree.ensemble, tree.backend())
+    sweep = solve_backward_sweep(scen, tree, tree.backend())
     exact = oracle_solve(scen, tree)
     assert np.abs(sweep.Y - exact.Y).max() <= 1e-10
     assert np.abs(sweep.Z - exact.Z).max() <= 1e-10
@@ -299,9 +299,9 @@ def _full_atom_oracle(scenario, tree):
     (A, n_nodes) arrays."""
     gen = scenario.generator
     grid = scenario.grid
-    n, A, h = tree.n, tree.n_atoms, grid.h
-    dW, dB = (inc[:, :, 0] for inc in stacked_steps(tree.ensemble))
-    term = scenario.terminal_data(tree.ensemble)
+    n, A, h = tree.n, tree.n_paths, grid.h
+    dW, dB = (inc[:, :, 0] for inc in stacked_steps(tree))
+    term = scenario.terminal_data(tree)
     Y = np.zeros((A, grid.n_nodes))
     Z = np.zeros((A, grid.n_nodes))
     for k in range(grid.n_T, grid.n_end + 1):
@@ -376,7 +376,7 @@ def test_oracle_never_evaluates_the_generator_on_every_atom(monkeypatch):
     oracle_solve(scen, tree)
     assert len(rows["f"]) == 3 * grid.n_T and len(rows["phi"]) == grid.n_T + 1
     assert max(rows["f"]) <= 2 ** n
-    assert max(rows["g"] + rows["phi"]) < tree.n_atoms
+    assert max(rows["g"] + rows["phi"]) < tree.n_paths
 
 
 def test_oracle_rejects_terminal_data_the_node_does_not_see():
@@ -384,7 +384,7 @@ def test_oracle_rejects_terminal_data_the_node_does_not_see():
     # last step, so the oracle raises instead of averaging it away
     grid = make_grid(0.4, 0.2, 0.2)
     tree = tree_for_grid(grid)
-    dW, _ = stacked_steps(tree.ensemble)
+    dW, _ = stacked_steps(tree)
     xi = dW[:, tree.n - 1, 0]
     scen = make_scenario(grid, builtin_generator("zero"), _scalar_terminal(tree, xi))
     with pytest.raises(NotMeasurable, match="node 2"):

@@ -16,7 +16,7 @@ def _reference_f_atom_ids(tree, k: int) -> np.ndarray:
     """`TreeModel.f_atom_ids` from the W and B indices of each atom, the
     formula the in-place version must match."""
     n = tree.n
-    atoms = np.arange(tree.n_atoms)
+    atoms = np.arange(tree.n_paths)
     w_index = atoms & ((1 << n) - 1)
     b_index = atoms >> n
     mask = (1 << k) - 1
