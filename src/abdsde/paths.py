@@ -14,11 +14,12 @@ bit of the atom index, so neither holds a copy of its increments.
 A draw's storage is (nodes, paths) contiguous per component: the
 increments of one step, and the values of a process at one node, are one
 contiguous (P, ...) slab behind the usual (P, n_steps | n_nodes, ...)
-views.  W_{t_k} and B_{t_k} are not cached for the whole horizon either:
-they are the forward sums of the slabs, kept only at checkpoints every
-`_SEGMENT` nodes, and each other node is summed afresh from the checkpoint
-below it (checkpointing as in Griewank 1992, at its memory end), which
-gives the bits of `np.cumsum` in any call order.
+views.  W_{t_k} and B_{t_k} are not cached for the whole horizon either.
+Each driver holds two node slabs: the anchor at n_T, summed once in
+cumsum's order, and the last other node handed out.  The backward sweep
+reads the nodes from T down to 0, so each of its reads is one
+subtraction, S_k = S_{k+1} - inc_k; any other node is summed forward from
+the highest node held below it.
 
 An ensemble may hold only the leading steps, at least the n_T steps up to
 T: on [T, T+K] the solution is given terminal data, so a regression solve
@@ -48,60 +49,6 @@ from .grids import TimeGrid
 SeedLike = Union[int, Sequence[int]]
 
 
-#: Nodes between checkpoints of the W and B forward sums: a sweep holds
-#: about n_nodes / _SEGMENT slabs per driver, and each read of another node
-#: adds up to _SEGMENT - 1 increments.
-_SEGMENT = 8
-
-
-class _ForwardSums:
-    """S_k = inc_0 + ... + inc_{k-1} (S_0 = 0) of increments read by step.
-
-    `read(k)` is step k's (P, c) slab, for k below n_steps.  It is passed
-    to each call and not kept, so the sums hold no reference back to the
-    ensemble that owns them, which is freed as soon as its last name goes.
-    Every S_k is added in cumsum's order, S_{k+1} = S_k + inc_k, so it has
-    the bits of np.cumsum whatever the order of the calls.  One forward
-    pass keeps S at the checkpoint nodes (every _SEGMENT nodes, plus
-    `anchor`); any other node is summed into a new slab from the checkpoint
-    below it.  The slabs handed out are read-only, and no later call writes
-    to them.
-    """
-
-    def __init__(self, read, n_steps: int, shape: tuple, anchor: int):
-        self._shape = shape
-        self.n_nodes = n_steps + 1
-        marks = set(range(0, self.n_nodes, _SEGMENT)) | {anchor}
-        self._saved = {}
-        running = np.zeros(shape)
-        for k in range(max(marks) + 1):
-            if k:
-                _step(read, k - 1, running, running)
-            if k in marks:
-                self._saved[k] = _read_only(running.copy())
-
-    def at(self, k: int, read) -> np.ndarray:
-        if not 0 <= k < self.n_nodes:
-            raise ValidationError(f"node {k} is outside 0..{self.n_nodes - 1}")
-        if k in self._saved:
-            return self._saved[k]
-        start = max(mark for mark in self._saved if mark < k)
-        out = np.empty(self._shape)
-        prev = self._saved[start]
-        for j in range(start, k):
-            _step(read, j, prev, out)
-            prev = out
-        return _read_only(out)
-
-
-def _step(read, k: int, prev: np.ndarray, out: np.ndarray) -> None:
-    """S_{k+1} into out, from prev = S_k."""
-    if k == 0:
-        np.copyto(out, read(0))  # cumsum starts at inc_0 itself
-    else:
-        np.add(prev, read(k), out=out)
-
-
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -119,9 +66,8 @@ class PathEnsemble:
     each slab is a contiguous view.  A coarsening (`coarsen`) and an exact
     tree (`tree.TreeModel`) store no increments: these subclasses compute
     each slab when it is read (`_w_step`, `_b_step`).  W_{t_k} and B_{t_k}
-    are forward sums of the slabs, kept at checkpoints and summed from them
-    node by node, never a whole (P, n_nodes) array; a slab must not change
-    once it is read.
+    are sums of the slabs carried node by node (`_node_sum`), never a whole
+    (P, n_nodes) array; a slab must not change once it is read.
     """
 
     def __init__(self, grid: TimeGrid, dW: np.ndarray, dB: np.ndarray):
@@ -140,8 +86,7 @@ class PathEnsemble:
         """Record the grid and the shape, for a draw and a derived ensemble."""
         self.grid = grid
         self.n_paths, self.n_stored, self.d, self.l = n_paths, n_stored, d, l
-        self._w: _ForwardSums | None = None
-        self._b: _ForwardSums | None = None
+        self._held: dict = {"w": {}, "b": {}}  # driver -> {node: S_node}
 
     def _w_step(self, k: int) -> np.ndarray:
         return self.dW[:, k]
@@ -164,17 +109,42 @@ class PathEnsemble:
 
     def w_at(self, k: int) -> np.ndarray:
         """W_{t_k} = sum of the first k W-increments, shape (P, d), read-only."""
-        if self._w is None:  # W_{t_{n_T}} is what scaled_wt terminal data read
-            self._w = _ForwardSums(self.dw, self.n_stored, (self.n_paths, self.d),
-                                   self.grid.n_T)
-        return self._w.at(k, self.dw)
+        return self._node_sum("w", self.dw, self.d, k)
 
     def b_at(self, k: int) -> np.ndarray:
         """B_{t_k}, shape (P, l), read-only."""
-        if self._b is None:  # B_{t_{n_T}} anchors every node's B tail
-            self._b = _ForwardSums(self.db, self.n_stored, (self.n_paths, self.l),
-                                   self.grid.n_T)
-        return self._b.at(k, self.db)
+        return self._node_sum("b", self.db, self.l, k)
+
+    def _node_sum(self, driver: str, read, c: int, k: int) -> np.ndarray:
+        """S_k = inc_0 + ... + inc_{k-1} of one driver, S_0 = 0, read-only.
+
+        The driver holds the anchor S_{n_T}, summed first, and the last
+        other node handed out; reading the anchor keeps that node.  Node k
+        is one subtraction, S_{k+1} - inc_k, when k + 1 is held and a
+        forward sum would take more than one step; otherwise it is summed
+        forward, in cumsum's order, from the highest node held below it.
+        Each slab handed out is new, and no later read writes to it.
+        """
+        if not 0 <= k <= self.n_stored:
+            raise ValidationError(f"node {k} is outside 0..{self.n_stored}")
+        n_T = self.grid.n_T
+        held = self._held[driver]
+        for node in dict.fromkeys((n_T, k)):  # the anchor first
+            if node in held:
+                continue
+            start = max([j for j in held if j < node], default=0)
+            if node == 0:
+                out = np.zeros((self.n_paths, c))
+            elif node + 1 in held and node - start > 1:
+                out = held[node + 1] - read(node)
+            else:  # cumsum starts at inc_0 itself
+                out = held[start].copy() if start else np.array(read(0))
+                for j in range(max(start, 1), node):
+                    out += read(j)
+            _read_only(out)
+            held = {n_T: out} if node == n_T else {n_T: held[n_T], node: out}
+        self._held[driver] = held
+        return held[k]
 
     def b_tail(self, k: int) -> np.ndarray:
         """B_{t_{n_T}} - B_{t_k}, shape (P, l)."""

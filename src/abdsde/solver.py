@@ -32,11 +32,12 @@ Y and Z are stored as (nodes, paths) contiguous per component behind the
 usual (P, n_nodes, m[, d]) views, like the increments in `paths`: each
 node's store, each anticipated read and each dW_k, dB_k read touches one
 contiguous slab per component.  The node-k state (W_{t_k}, B_{t_{n_T}} -
-B_{t_k}) comes from the ensemble's checkpointed forward sums, so a solve
-holds no whole-horizon copy of W or B.  The sweep reads the drivers only on
-the steps 0..n_T-1 and the terminal data read them at most to the node
-`TerminalSpec.last_node_read` names, so an ensemble that stores just the
-leading `Scenario.steps_read` steps gives the same bits as a full one.
+B_{t_k}) is carried down the sweep by the ensemble, one subtraction per
+node from node k + 1, so a solve holds no whole-horizon copy of W or B.
+The sweep reads the drivers only on the steps 0..n_T-1 and the terminal
+data read them at most to the node `TerminalSpec.last_node_read` names,
+so an ensemble that stores just the leading `Scenario.steps_read` steps
+gives the same bits as a full one.
 
 The sweep reads later nodes only through the functionals.  Node i's
 functionals read Y at a = i + d_delta[i] and Z at b = i + d_zeta[i]; they
@@ -232,8 +233,9 @@ def solve_backward_sweep(scenario: Scenario, paths: PathEnsemble, backend,
     grid = scenario.grid
     h = grid.h
     if frozen is not None:
-        if frozen.grid.n_nodes != grid.n_nodes:
-            raise ShapeMismatch("frozen process lives on a different grid")
+        if frozen.grid != grid:
+            raise ShapeMismatch(f"the frozen process lies on {frozen.grid}, "
+                                f"the scenario on {grid}")
         if frozen.n_paths != paths.n_paths:
             raise ShapeMismatch("frozen process holds a different path count")
     due, ring_slots = _schedule(scenario)

@@ -6,8 +6,8 @@ import pytest
 import abdsde.paths
 from abdsde.errors import ShapeMismatch, ValidationError
 from abdsde.grids import make_grid
-from abdsde.paths import (_DRAW_ROWS, _ForwardSums, backward_integral,
-                          forward_integral, PathEnsemble, sample_paths)
+from abdsde.paths import (_DRAW_ROWS, backward_integral, forward_integral,
+                          PathEnsemble, sample_paths)
 from abdsde.tree import build_tree
 from tree_helpers import reference_coarsened_steps, reference_tree_steps, stacked_steps
 
@@ -147,10 +147,10 @@ def test_coarsen_preserves_brownian_path():
 
 
 # ---------------------------------------------------------------------------
-# checkpointed W and B state
+# W and B state carried down the nodes
 # ---------------------------------------------------------------------------
 
-# 23 nodes, n_T = 16: neither is a multiple of the checkpoint spacing
+# 23 nodes, n_T = 16: the anchor sits inside the horizon, not at either end
 STATE_GRID = make_grid(1.0, 0.375, 0.0625)
 STATE_P = _DRAW_ROWS + 4  # not a multiple of the draw's block rows
 
@@ -180,25 +180,56 @@ def _orders(n_nodes):
             "shuffled": list(np.random.default_rng(4).permutation(n_nodes))}
 
 
-@pytest.mark.parametrize("segment", [None, 3])
 @pytest.mark.parametrize("kind", sorted(_ENSEMBLES))
-def test_state_has_the_cumsum_bits_in_any_call_order(monkeypatch, kind, segment):
-    if segment is not None:  # the tree's 8 nodes fit in one default segment
-        monkeypatch.setattr(abdsde.paths, "_SEGMENT", segment)
+def test_state_is_within_1e12_of_cumsum_in_any_call_order(kind):
     reference = _ENSEMBLES[kind]()
     cum_w, cum_b = map(_cumsum_nodes, stacked_steps(reference))
     n_T = reference.grid.n_T
-    for order in _orders(reference.grid.n_nodes).values():
+
+    def near(a, b):
+        return np.max(np.abs(a - b), initial=0.0) <= 1e-12
+
+    for name, order in _orders(reference.grid.n_nodes).items():
         paths = _ENSEMBLES[kind]()
         held = []
         for k in order:
             w, b, tail = paths.w_at(k), paths.b_at(k), paths.b_tail(k)
-            assert _same_bits(w, cum_w[:, k]) and _same_bits(b, cum_b[:, k])
-            assert _same_bits(tail, cum_b[:, n_T] - cum_b[:, k])
-            held.append((k, w, b))
-        # a replay never overwrites a slab handed out before it
-        assert all(_same_bits(w, cum_w[:, k]) and _same_bits(b, cum_b[:, k])
-                   for k, w, b in held)
+            assert near(w, cum_w[:, k]) and near(b, cum_b[:, k])
+            assert near(tail, cum_b[:, n_T] - cum_b[:, k])
+            held.append((w.copy(), b.copy(), w, b))
+        # node 0 is zero and the anchor is summed in cumsum's order; an
+        # ascending pass only ever sums forward, so it keeps cumsum's bits
+        for k in order if name == "ascending" else (0, n_T):
+            assert _same_bits(paths.w_at(k), cum_w[:, k])
+            assert _same_bits(paths.b_at(k), cum_b[:, k])
+        # no later read writes to a slab handed out before it
+        assert all(_same_bits(w, w0) and _same_bits(b, b0) for w0, b0, w, b in held)
+
+
+def _count_step_reads(paths):
+    """Wrap the ensemble's dw and db; returns {driver: reads per step}."""
+    counts = {"w": np.zeros(paths.n_stored, int), "b": np.zeros(paths.n_stored, int)}
+    for driver, read in (("w", paths.dw), ("b", paths.db)):
+        def counting(k, read=read, count=counts[driver]):
+            count[k] += 1
+            return read(k)
+        setattr(paths, "d" + driver, counting)
+    return counts
+
+
+@pytest.mark.parametrize("kind", sorted(_ENSEMBLES))
+def test_each_step_is_read_at_most_twice_in_a_pass(kind):
+    # a descending pass reads each step once in the forward sums of the
+    # anchor and of the first node read, and once stepping down; an
+    # ascending pass once in the anchor and once stepping up; neither
+    # replays a run of steps per node
+    for order in ("descending", "ascending"):
+        paths = _ENSEMBLES[kind]()
+        counts = _count_step_reads(paths)
+        for k in _orders(paths.grid.n_nodes)[order]:
+            paths.w_at(k), paths.b_tail(k)
+        for driver, count in counts.items():
+            assert count.max() <= 2, (order, driver, count)
 
 
 def test_state_is_read_only_and_rejects_nodes_off_the_grid():
@@ -225,7 +256,7 @@ def _arrays(obj, seen=None):
     elif isinstance(obj, (list, tuple)):
         for value in obj:
             yield from _arrays(value, seen)
-    elif isinstance(obj, (PathEnsemble, _ForwardSums)):
+    elif isinstance(obj, PathEnsemble):
         yield from _arrays(vars(obj), seen)
 
 
@@ -236,11 +267,10 @@ def test_no_whole_horizon_state_after_a_descending_pass():
     whole = STATE_P * STATE_GRID.n_nodes
     held = [a for a in _arrays(paths)
             if not (np.may_share_memory(a, paths.dW) or np.may_share_memory(a, paths.dB))]
-    assert held, "the state should hold its checkpoints"
+    assert held, "the state should hold its anchor"
     assert all(a.size < whole for a in held)
-    # the checkpoints alone, every _SEGMENT nodes and the anchor n_T
-    checkpoints = len(range(0, STATE_GRID.n_nodes, abdsde.paths._SEGMENT)) + 1
-    assert sum(a.size for a in held) <= checkpoints * STATE_P * (paths.d + paths.l)
+    # two slabs per driver: the anchor n_T and the last node read
+    assert sum(a.size for a in held) <= 2 * STATE_P * (paths.d + paths.l)
 
 
 # ---------------------------------------------------------------------------

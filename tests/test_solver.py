@@ -12,7 +12,7 @@ from abdsde.errors import (Infeasible, NoConvergence, NonFinite, NonTermination,
                            ShapeMismatch)
 from abdsde.generators import builtin_generator, GeneratorSpec, LipschitzData
 from abdsde.grids import make_grid
-from abdsde.paths import _SEGMENT, sample_paths
+from abdsde.paths import sample_paths
 from abdsde.scenario import make_scenario
 from abdsde.solver import (constant_initial, contraction_params,
                            default_initial, picard_iterate, SolutionProcess,
@@ -236,6 +236,22 @@ def test_paths_on_another_grid_are_rejected_naming_both_grids(grid, make_paths):
             route()
         assert str(paths.grid) in str(raised.value)
         assert str(grid) in str(raised.value)
+
+
+def test_a_frozen_process_on_another_grid_is_rejected_naming_both_grids():
+    # both grids have 17 nodes; comparing only the node counts read the
+    # frozen process as if it lay on the scenario grid (mean Y_0 6.58)
+    gen = builtin_generator("linear_bsde", a=1.0)
+    fine, other = make_grid(1.0, 0.0, 1 / 16), make_grid(2.0, 0.0, 1 / 8)
+    assert fine.n_nodes == other.n_nodes
+    frozen = solve_backward_sweep(make_scenario(fine, gen, constant_terminal(1.0)),
+                                  sample_paths(fine, 1, 1, 500, seed=3),
+                                  RegressionBackend())
+    scen = make_scenario(other, gen, constant_terminal(1.0))
+    paths = sample_paths(other, 1, 1, 500, seed=3)
+    with pytest.raises(ShapeMismatch) as raised:
+        solve_backward_sweep(scen, paths, RegressionBackend(), frozen=frozen)
+    assert str(fine) in str(raised.value) and str(other) in str(raised.value)
 
 
 def test_picard_no_convergence_error():
@@ -702,11 +718,12 @@ def test_solve_peak_memory_stays_near_the_steps_read_and_window(tmp_path):
 PER_NODE_COLUMNS = 32
 
 
-def test_solve_peak_memory_stays_near_increments_functionals_and_checkpoints(tmp_path):
+def test_solve_peak_memory_stays_near_increments_functionals_and_two_state_slabs(tmp_path):
     # the sweep holds the raw functionals of the nodes between an anticipated
-    # read and its use, one node of (Y, Z) (delta = zeta), and W and B at
-    # their checkpoints only; a window of (Y, Z) for the largest offset, or
-    # a replayed segment of W or B, pushes the peak over the bound
+    # read and its use, one node of (Y, Z) (delta = zeta), and two node slabs
+    # each of W and B, the anchor n_T and the last node read; a window of
+    # (Y, Z) for the largest offset, or W or B at more nodes, pushes the
+    # peak over the bound
     P = 20000
     config = cli._read_config(REFERENCE)  # the lsmc_solve shape
     config["paths"]["count"] = P
@@ -715,11 +732,10 @@ def test_solve_peak_memory_stays_near_increments_functionals_and_checkpoints(tmp
     gen, off = scen.generator, scen.offsets
     assert np.array_equal(off.d_delta, off.d_zeta)
     n_stored = scen.steps_read
-    checkpoints = len(range(0, n_stored + 1, _SEGMENT)) + 1  # and the anchor
     columns = (n_stored * (gen.d + gen.l)
                + gen.q_total * (1 + int(off.d_delta.max()))
                + gen.m * (1 + gen.d)
-               + checkpoints * (gen.d + gen.l)
+               + 2 * (gen.d + gen.l)
                + PER_NODE_COLUMNS)
     tracemalloc.start()
     try:
