@@ -180,8 +180,12 @@ def _orders(n_nodes):
             "shuffled": list(np.random.default_rng(4).permutation(n_nodes))}
 
 
+@pytest.mark.parametrize("start", [None, 3])
 @pytest.mark.parametrize("kind", sorted(_ENSEMBLES))
-def test_state_is_within_1e12_of_cumsum_in_any_call_order(kind):
+def test_state_has_the_cumsum_bits_in_any_call_order(kind, start):
+    # within 1e-12 of np.cumsum everywhere, and cumsum's bits where no
+    # subtraction was taken; start is a node read before each pass, so the
+    # pass begins with a node held below the anchor instead of none
     reference = _ENSEMBLES[kind]()
     cum_w, cum_b = map(_cumsum_nodes, stacked_steps(reference))
     n_T = reference.grid.n_T
@@ -192,6 +196,10 @@ def test_state_is_within_1e12_of_cumsum_in_any_call_order(kind):
     for name, order in _orders(reference.grid.n_nodes).items():
         paths = _ENSEMBLES[kind]()
         held = []
+        if start is not None:
+            w, b = paths.w_at(start), paths.b_at(start)
+            assert _same_bits(w, cum_w[:, start]) and _same_bits(b, cum_b[:, start])
+            held.append((w.copy(), b.copy(), w, b))
         for k in order:
             w, b, tail = paths.w_at(k), paths.b_at(k), paths.b_tail(k)
             assert near(w, cum_w[:, k]) and near(b, cum_b[:, k])
