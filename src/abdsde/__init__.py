@@ -12,9 +12,8 @@ from .delays import (affine_delay, constant_delay, DelayForm, DelaySpec,
                      to_grid_offsets, validate_delay)
 from .duality import (duality_check, duality_rhs, LinearDualityCoeffs,
                       measurability_check, solve_delayed_dsde)
-from .generators import (AnticipationFunctional, audit_lipschitz,
-                         builtin_generator, check_feasible, evaluate,
-                         GeneratorSpec, LipschitzData, with_lipschitz)
+from .generators import (audit_lipschitz, builtin_generator, check_feasible,
+                         evaluate, GeneratorSpec, LipschitzData, with_lipschitz)
 from .grids import make_grid, TimeGrid
 from .paths import (backward_integral, forward_integral, PathEnsemble,
                     sample_paths)

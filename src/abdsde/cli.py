@@ -229,8 +229,9 @@ def _build_duality(config: dict, scenario: Scenario, g: dict,
     paths.count: the outer paths are the draw's first ones), inner and
     tol_mean (positive; null calibrates); a coefficient key still written
     there must equal the generator's value after defaults.
-    The scenario's delay must be the constant K in both delta and zeta, and
-    its implicit_iters 1, the scheme of the duality harness's solves.
+    The scenario's delay must be the constant K in both delta and zeta, its
+    implicit_iters 1, the scheme of the duality harness's solves, and its
+    terminal a deterministic profile, which the representation reads.
     """
     section = config.get("duality")
     if not section:
@@ -275,11 +276,12 @@ def _build_duality(config: dict, scenario: Scenario, g: dict,
         raise ValidationError(
             "a duality scenario's solver.implicit_iters must be 1, the scheme "
             f"the duality harness solves with, got {scenario.implicit_iters}")
-    return dict(args, T=T, h=g["h"], coeffs=LinearDualityCoeffs(
+    dual = LinearDualityCoeffs(
         mu=coeffs["mu"], mu_bar=coeffs["mu_bar"], sigma=tuple(coeffs["sigma"]),
         sigma_bar=tuple(coeffs["sigma_bar"]), kappa=tuple(coeffs["kappa"]),
-        rho=coeffs["rho"], delta=K, t0=t0,
-        terminal=scenario.terminal))
+        rho=coeffs["rho"], delta=K, t0=t0, terminal=scenario.terminal)
+    dual.profiles(scenario.grid)  # a terminal that reads the paths fails here
+    return dict(args, T=T, h=g["h"], coeffs=dual)
 
 
 class Built(NamedTuple):

@@ -12,7 +12,7 @@ neither, so on a tree eps* is 0.
 
 The pair must share its grid, delay and `implicit_iters`, and is solved
 jointly: one scenario with m1 + m2 components (block-diagonal f and g, each
-functional reading its own components, the two terminal data side by side)
+part's phi reading its own components, the two terminal data side by side)
 goes through one backward sweep per grid, once on the paths and once on
 their coarsening, so each node's regression design serves both scenarios'
 targets (one basis per date, as in Gobet, Lemor & Warin 2005).  The
@@ -33,7 +33,7 @@ import numpy as np
 
 from .condexp import RegressionBackend
 from .errors import TerminalOrderViolated, ValidationError
-from .generators import AnticipationFunctional, GeneratorSpec, LipschitzData
+from .generators import GeneratorSpec, LipschitzData
 from .paths import PathEnsemble
 from .scenario import make_scenario, Scenario
 from .solver import solve_backward_sweep
@@ -112,11 +112,6 @@ def _coarse_scenario(scen: Scenario, coarse_grid) -> Scenario:
                          delay=scen.delay, implicit_iters=scen.implicit_iters)
 
 
-def _own_components(phi: AnticipationFunctional, part: slice) -> AnticipationFunctional:
-    return AnticipationFunctional(
-        width=phi.width, fn=lambda ya, za: phi(ya[:, part], za[:, part]))
-
-
 def _stack_generators(gen1: GeneratorSpec, gen2: GeneratorSpec) -> GeneratorSpec:
     """Block-diagonal pair: components 0..m1-1 are gen1's, the rest gen2's."""
     if (gen1.d, gen1.l) != (gen2.d, gen2.l):
@@ -132,15 +127,17 @@ def _stack_generators(gen1: GeneratorSpec, gen2: GeneratorSpec) -> GeneratorSpec
         return np.concatenate([gen1.g(t, y[:, p1], z[:, p1], e[:, e1]),
                                gen2.g(t, y[:, p2], z[:, p2], e[:, e2])], axis=1)
 
-    functionals = tuple(_own_components(phi, p1) for phi in gen1.functionals) \
-        + tuple(_own_components(phi, p2) for phi in gen2.functionals)
+    def phi(ya, za):
+        return np.concatenate([gen1.phi(ya[:, p1], za[:, p1]),
+                               gen2.phi(ya[:, p2], za[:, p2])], axis=1)
+
     # |d(f1, f2)|^2 = |df1|^2 + |df2|^2: the larger constant bounds the pair
     lip = LipschitzData(c=max(gen1.lip.c, gen2.lip.c),
                         alpha1=max(gen1.lip.alpha1, gen2.lip.alpha1),
                         alpha2=max(gen1.lip.alpha2, gen2.lip.alpha2))
     return GeneratorSpec(name=f"{gen1.name}+{gen2.name}", m=gen1.m + gen2.m,
-                         d=gen1.d, l=gen1.l, f=f, g=g, functionals=functionals,
-                         lip=lip)
+                         d=gen1.d, l=gen1.l, f=f, g=g, lip=lip, phi=phi,
+                         q_total=gen1.q_total + gen2.q_total)
 
 
 def _side_by_side(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -338,6 +338,7 @@ def duality_check(coeffs: LinearDualityCoeffs, T: float, h: float,
             else coeffs.scenario(grid)
         if scen.grid != grid:
             raise ValidationError("the given scenario is not on the (T, h) grid")
+        coeffs.profiles(grid)  # a terminal that reads the paths fails before a draw
         # a deterministic terminal profile reads no path: n_T steps are stored
         paths = sample_paths(grid, coeffs.d, coeffs.l, P, grid_seed,
                              n_stored=scen.steps_read)

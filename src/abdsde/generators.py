@@ -1,18 +1,17 @@
-"""Coefficient pairs (f, g), their anticipation functionals and audits.
+"""Coefficient pairs (f, g), their anticipated map phi and audits.
 
-A generator reads future solution values only through conditional
-expectations of declared functionals: at time t the solver hands f and g
-the vector e = (E[phi_j(Y_ant, Z_ant) | current information])_j.  Every
-builtin has exactly this shape, and it keeps the anticipated terms
-computable with one regression per functional.
+A generator reads future solution values only through the conditional
+expectation of one declared map: at time t the solver hands f and g
+e = E[phi(Y_ant, Z_ant) | current information], a (P, q_total) block.  The
+sweep stacks e's q_total targets with the node's Z and Y targets, so each
+node takes one conditional expectation, whatever phi's width.
 
 Lipschitz metadata declares constants for the *composite* map, i.e. with
-the functional folded in, measured against point differences of all four
-argument groups (y, z, anticipated-y, anticipated-z).  These are the
-constants the contraction parameters consume.  `audit_lipschitz` probes
-them empirically with point-mass anticipated values: a joint ratio for f
-and a per-group decomposition for g (y-group -> c, z -> alpha1,
-anticipated-z -> alpha2).
+phi folded in, measured against point differences of all four argument
+groups (y, z, anticipated-y, anticipated-z).  These are the constants the
+contraction parameters consume.  `audit_lipschitz` probes them empirically
+with point-mass anticipated values: a joint ratio for f and a per-group
+decomposition for g (y-group -> c, z -> alpha1, anticipated-z -> alpha2).
 """
 
 from __future__ import annotations
@@ -28,18 +27,6 @@ from .errors import (Infeasible, integer, NonFinite, real, ShapeMismatch, Unknow
                      ValidationError)
 
 Array = np.ndarray
-
-
-@dataclass(frozen=True)
-class AnticipationFunctional:
-    """A declared map phi(y_ant, z_ant) -> R^width, fed to f/g via condexp."""
-
-    width: int
-    fn: Callable[[Array, Array], Array]
-
-    def __call__(self, y_ant: Array, z_ant: Array) -> Array:
-        out = self.fn(y_ant, z_ant)
-        return np.asarray(out, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -67,12 +54,19 @@ def check_feasible(lip: LipschitzData, M: float) -> float:
     return load
 
 
+def _no_phi(y_ant: Array, z_ant: Array) -> Array:
+    return np.zeros((y_ant.shape[0], 0))
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Coefficients f: (t,y,z,e) -> R^m and g: (t,y,z,e) -> R^{m x l}.
 
-    y has shape (P, m), z has shape (P, m, d), e has shape (P, q_total)
-    where q_total = sum of functional widths.
+    y has shape (P, m), z has shape (P, m, d) and e has shape (P, q_total):
+    e = E[phi(Y_ant, Z_ant) | current information], where phi maps (P, m)
+    and (P, m, d) anticipated values to (P, q_total).  q_total is declared,
+    as the sweep sizes its block before phi runs, and `make_scenario`
+    checks phi against it.  The defaults read no anticipated value.
     """
 
     name: str
@@ -81,23 +75,18 @@ class GeneratorSpec:
     l: int
     f: Callable[[float, Array, Array, Array], Array]
     g: Callable[[float, Array, Array, Array], Array]
-    functionals: tuple
     lip: LipschitzData
-
-    @property
-    def q_total(self) -> int:
-        return sum(phi.width for phi in self.functionals)
+    phi: Callable[[Array, Array], Array] = _no_phi
+    q_total: int = 0
 
     @property
     def anticipates(self) -> bool:
-        return bool(self.functionals)
+        return self.q_total > 0
 
     def eval_functionals(self, y_ant: Array, z_ant: Array) -> Array:
-        """Stack phi_j(y_ant, z_ant) into (P, q_total)."""
-        P = y_ant.shape[0]
-        if not self.functionals:
-            return np.zeros((P, 0))
-        return np.concatenate([phi(y_ant, z_ant) for phi in self.functionals], axis=1)
+        """phi(y_ant, z_ant) as a new (P, q_total) array: phi may return a
+        view of the (Y, Z) slots that the sweep later overwrites."""
+        return np.array(self.phi(y_ant, z_ant), dtype=float)
 
 
 def evaluate(spec: GeneratorSpec, t: float, y: Array, z: Array, e: Array):
@@ -138,14 +127,6 @@ def _zeros_g(l: int):
     return g
 
 
-_ANTICIPATED_Y = AnticipationFunctional(width=1, fn=lambda ya, za: ya)
-
-
-def _phi_identity_z(d: int) -> AnticipationFunctional:
-    return AnticipationFunctional(
-        width=d, fn=lambda ya, za: za.reshape(za.shape[0], -1))
-
-
 def _scalar_drift_from_e(t, y, z, e):
     return e[:, :1]
 
@@ -158,17 +139,18 @@ def _growth_g(l: int):
     return g
 
 
-# Builders take (m, d, l, **params) and return (f, g, functionals, lip).
+# Builders take (m, d, l, **params) and return (f, g, phi, q_total, lip).
 
 def _linear(m, d, l, a, rho):
     return (lambda t, y, z, e: a * y + rho,
-            _zeros_g(l), (), LipschitzData(c=a * a))
+            _zeros_g(l), _no_phi, 0, LipschitzData(c=a * a))
 
 
 def _drift_from_y_ant(fn, c, m, d, l):
     """f = E[fn(Y_ant)], g = 0; c = (Lipschitz constant of fn)^2."""
-    phi = AnticipationFunctional(width=1, fn=lambda ya, za: fn(ya[:, 0])[:, None])
-    return _scalar_drift_from_e, _zeros_g(l), (phi,), LipschitzData(c=c)
+    def phi(ya, za):
+        return fn(ya[:, 0])[:, None]
+    return _scalar_drift_from_e, _zeros_g(l), phi, 1, LipschitzData(c=c)
 
 
 def _example41_f1_phi(ya, za):
@@ -185,14 +167,13 @@ def _example41_f2_phi(ya, za):
 def _example41(phi_fn, m, d, l):
     """f = E[phi(Y_ant, Z_ant)] with the growth diffusion g of Example 4.1."""
     # |dphi| <= 3|dy| + |dz|  =>  |dphi|^2 <= 10 (|dy|^2 + |dz|^2)
-    return (_scalar_drift_from_e, _growth_g(l),
-            (AnticipationFunctional(width=1, fn=phi_fn),),
+    return (_scalar_drift_from_e, _growth_g(l), phi_fn, 1,
             LipschitzData(c=10.0, alpha1=1.0 / 3.0))
 
 
 def _example41_g(m, d, l):
     return (lambda t, y, z, e: np.zeros((y.shape[0], 1)),
-            _growth_g(l), (), LipschitzData(c=1.0, alpha1=1.0 / 3.0))
+            _growth_g(l), _no_phi, 0, LipschitzData(c=1.0, alpha1=1.0 / 3.0))
 
 
 def _duality_linear(m, d, l, mu, mu_bar, sigma, sigma_bar, kappa, rho):
@@ -215,10 +196,12 @@ def _duality_linear(m, d, l, mu, mu_bar, sigma, sigma_bar, kappa, rho):
     def g(t, y, z, e):
         return y[:, :, None] * kappa[None, None, :]
 
+    def phi(ya, za):  # the anticipated Y and Z themselves
+        return np.concatenate([ya, za[:, 0]], axis=1)
+
     c_f = (mu + kap2) * (mu + kap2) + float(sigma @ sigma) + mu_bar * mu_bar \
         + float(sigma_bar @ sigma_bar)
-    return (f, g, (_ANTICIPATED_Y, _phi_identity_z(d)),
-            LipschitzData(c=max(c_f, kap2)))
+    return f, g, phi, 1 + d, LipschitzData(c=max(c_f, kap2))
 
 
 # name -> (parameter defaults, scalar only (m = 1), builder).  A tuple
@@ -274,9 +257,9 @@ def builtin_generator(name: str, m: int = 1, d: int = 1, l: int = 1,
     if CATALOG[name][1] and m != 1:
         raise ShapeMismatch(
             f"builtin generator '{name}' is scalar (m = 1), got m = {m}")
-    f, g, functionals, lip = CATALOG[name][2](m, d, l, **values)
-    return GeneratorSpec(name=name, m=m, d=d, l=l, f=f, g=g,
-                         functionals=functionals, lip=lip)
+    f, g, phi, q_total, lip = CATALOG[name][2](m, d, l, **values)
+    return GeneratorSpec(name=name, m=m, d=d, l=l, f=f, g=g, lip=lip,
+                         phi=phi, q_total=q_total)
 
 
 def with_lipschitz(spec: GeneratorSpec, **kwargs) -> GeneratorSpec:

@@ -4,7 +4,8 @@ A Scenario bundles everything the solvers need apart from the sampled paths
 and the conditional-expectation backend.  `make_scenario` performs the
 semantic validation: anticipation maps are validated against the grid and
 converted to index offsets, the feasibility condition alpha1 + alpha2*M < 1
-is enforced, and f(., 0, 0, 0) is checked finite on grid nodes.
+is enforced, phi's width is checked against the declared q_total and
+f(., 0, 0, 0) is checked finite on grid nodes.
 """
 
 from __future__ import annotations
@@ -45,11 +46,15 @@ class Scenario:
 
     def terminal_data(self, paths: PathEnsemble) -> TerminalData:
         """The terminal data on the paths, which must lie on the scenario's
-        grid (ShapeMismatch otherwise): every solve starts here."""
+        grid, as given terminal data must (ShapeMismatch otherwise): every
+        solve starts here."""
         if paths.grid != self.grid:
             raise ShapeMismatch(f"the paths lie on {paths.grid}, the scenario "
                                 f"on {self.grid}")
         if isinstance(self.terminal, TerminalData):
+            if self.terminal.grid != self.grid:
+                raise ShapeMismatch(f"the terminal data lie on {self.terminal.grid}, "
+                                    f"the scenario on {self.grid}")
             if self.terminal.n_paths != paths.n_paths:
                 raise ValidationError(
                     "terminal data was materialized for a different path count")
@@ -76,10 +81,16 @@ def make_scenario(grid: TimeGrid, generator: GeneratorSpec,
                 stacklevel=2)
     check_feasible(generator.lip, 1.0 if delay is None else delay.M)
 
+    # phi at zero anticipated values must have the declared width, and
     # f(., 0, 0, 0) must be finite on grid nodes (square-integrability proxy)
     y0 = np.zeros((1, generator.m))
     z0 = np.zeros((1, generator.m, generator.d))
     e0 = np.zeros((1, generator.q_total))
+    shape = np.shape(generator.phi(y0, z0))
+    if shape != e0.shape:
+        raise ShapeMismatch(f"generator '{generator.name}' declares q_total = "
+                            f"{generator.q_total}, but phi(0, 0) has shape "
+                            f"{shape}, wanted {e0.shape}")
     for t in grid.times[: grid.n_T + 1]:
         val = np.asarray(generator.f(float(t), y0, z0, e0))
         if not np.all(np.isfinite(val)):

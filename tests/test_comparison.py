@@ -15,8 +15,7 @@ from abdsde.comparison import (_coarse_scenario, _joint_scenario, check_monotone
 from abdsde.condexp import RegressionBackend
 from abdsde.delays import constant_delay, DelaySpec
 from abdsde.errors import TerminalOrderViolated, ValidationError
-from abdsde.generators import (AnticipationFunctional, builtin_generator,
-                               GeneratorSpec, LipschitzData)
+from abdsde.generators import builtin_generator, GeneratorSpec, LipschitzData
 from abdsde.grids import make_grid
 from abdsde.paths import sample_paths
 from abdsde.scenario import make_scenario
@@ -349,8 +348,7 @@ def test_no_anticipation_pair_with_shared_diffusion():
         return GeneratorSpec(
             name=f"ordered({rho})", m=1, d=1, l=1,
             f=lambda t, y, z, e: y + rho,
-            g=base.g, functionals=(),
-            lip=LipschitzData(c=1.0, alpha1=1.0 / 3.0))
+            g=base.g, lip=LipschitzData(c=1.0, alpha1=1.0 / 3.0))
 
     grid = make_grid(1.0, 0.0, 1 / 16)
     s1 = make_scenario(grid, pair_member(1.0), constant_terminal(1.0))
@@ -361,12 +359,11 @@ def test_no_anticipation_pair_with_shared_diffusion():
 
 
 def _affine_anticipated(a, b):
-    phi = AnticipationFunctional(width=1, fn=lambda ya, za: ya)
     return GeneratorSpec(
         name=f"affine({a},{b})", m=1, d=1, l=1,
         f=lambda t, y, z, e: a * e + b,
         g=lambda t, y, z, e: np.zeros((y.shape[0], 1, 1)),
-        functionals=(phi,), lip=LipschitzData(c=a * a))
+        lip=LipschitzData(c=a * a), phi=lambda ya, za: ya, q_total=1)
 
 
 def test_chain_example42_triple_passes():

@@ -441,6 +441,20 @@ def test_duality_check_rejects_t0_beyond_the_horizon_before_drawing(monkeypatch)
     assert report.passed
 
 
+def test_duality_check_rejects_a_path_reading_terminal_before_drawing(monkeypatch):
+    # the representation reads a deterministic profile; a scaled_wt terminal
+    # used to be drawn and solved before duality_rhs raised in its pool
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew paths")
+
+    coeffs = LinearDualityCoeffs(
+        mu=0.2, mu_bar=0.1, delta=0.25, t0=0.5,
+        terminal=TerminalSpec(name="scaled_wt", params={"a": 0.5, "b": 1.0}))
+    monkeypatch.setattr(abdsde.duality, "sample_paths", no_draw)
+    with pytest.raises(ValidationError, match="deterministic terminal profile"):
+        duality_check(coeffs, T=1.0, h=0.125, P=256, n_outer=4, inner=8, seed=5)
+
+
 def test_a_worker_failure_surfaces_as_non_finite():
     # kappa = 1 / dB of outer path 0 at node 4: 1 - kappa dB_4 vanishes there
     # in the inner forward solve, while the backward solve stays finite

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from abdsde.delays import constant_delay, DelaySpec
 from abdsde.errors import Infeasible, NonFinite, ShapeMismatch, UnknownName, ValidationError
-from abdsde.generators import (AnticipationFunctional, audit_lipschitz,
-                               builtin_generator, CATALOG, check_feasible,
-                               evaluate, GeneratorSpec, LipschitzData,
-                               with_lipschitz)
+from abdsde.generators import (audit_lipschitz, builtin_generator, CATALOG,
+                               check_feasible, evaluate, GeneratorSpec,
+                               LipschitzData, with_lipschitz)
+from abdsde.grids import make_grid
+from abdsde.scenario import make_scenario
+from abdsde.terminal import constant_terminal
 
 P1 = lambda *vals: np.array([list(vals)], dtype=float)
 
@@ -183,11 +186,32 @@ def test_check_feasible_raises():
 
 def test_custom_spec_construction():
     # a hand-rolled anticipated spec: f = e + 1 with phi(y') = y'
-    phi = AnticipationFunctional(width=1, fn=lambda ya, za: ya)
     spec = GeneratorSpec(
         name="custom", m=1, d=1, l=1,
         f=lambda t, y, z, e: e + 1.0,
         g=lambda t, y, z, e: np.zeros((y.shape[0], 1, 1)),
-        functionals=(phi,), lip=LipschitzData(c=1.0))
+        lip=LipschitzData(c=1.0), phi=lambda ya, za: ya, q_total=1)
     f, _ = _eval_scalar(spec, 0.0, 0.0, 0.0, 2.5, 0.0)
     assert f == pytest.approx(3.5)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_make_scenario_checks_phi_against_the_declared_width(d):
+    grid = make_grid(1.0, 0.5, 1 / 8)
+    delay = DelaySpec(constant_delay(0.5), constant_delay(0.5))
+    for name in CATALOG:
+        vectors = {"sigma": [0.0] * d, "sigma_bar": [0.0] * d} \
+            if name == "duality_linear" else {}
+        make_scenario(grid, builtin_generator(name, d=d, **vectors),
+                      constant_terminal(1.0), delay=delay)
+    # a narrower phi used to be broadcast over the declared columns with no
+    # error, and a wider one failed only in the sweep
+    for q_total, phi in ((2, lambda ya, za: ya),
+                         (1, lambda ya, za: np.concatenate([ya, ya], axis=1))):
+        spec = GeneratorSpec(
+            name="custom", m=1, d=d, l=1,
+            f=lambda t, y, z, e: e[:, :1],
+            g=lambda t, y, z, e: np.zeros((y.shape[0], 1, 1)),
+            lip=LipschitzData(c=1.0), phi=phi, q_total=q_total)
+        with pytest.raises(ShapeMismatch, match=f"declares q_total = {q_total}"):
+            make_scenario(grid, spec, constant_terminal(1.0), delay=delay)

@@ -360,6 +360,22 @@ def test_duality_coefficients_disagreeing_with_the_generator_exit_two(
     assert run("duality", path, str(tmp_path / "d.csv")) == 2
 
 
+def test_a_duality_terminal_that_reads_the_paths_fails_at_load(tmp_path, capsys):
+    # it used to load, then draw and solve the h = 1/32 grid, and fail only
+    # in duality_rhs's worker pool
+    root = Path(__file__).resolve().parents[1] / "scenarios"
+    config = yaml.safe_load((root / "duality_small.yaml").read_text())
+    config["terminal"] = {"name": "scaled_wt"}
+    path = tmp_path / "scaled_wt.yaml"
+    path.write_text(yaml.safe_dump(config))
+    with pytest.raises(ValidationError, match="deterministic terminal profile"):
+        load_scenario(str(path))
+    out = tmp_path / "d.csv"
+    assert run("duality", str(path), str(out)) == 2
+    assert not out.exists()
+    assert "deterministic terminal profile, got 'scaled_wt'" in capsys.readouterr().err
+
+
 def test_duality_section_needs_the_duality_linear_generator(tmp_path):
     path = _write(tmp_path, "d.yaml", """
         grid: {T: 1.0, K: 0.25, h: 0.25}

@@ -205,7 +205,7 @@ def test_nonfinite_generator_detected():
     exploding = GeneratorSpec(
         name="explodes", m=1, d=1, l=1,
         f=lambda t, y, z, e: np.where(np.abs(y) > 0.5, np.inf, 0.0),
-        g=spec.g, functionals=(), lip=LipschitzData(c=0.0))
+        g=spec.g, lip=LipschitzData(c=0.0))
     grid = make_grid(0.5, 0.0, 0.25)
     scen = make_scenario(grid, exploding, constant_terminal(1.0))
     paths = sample_paths(grid, 1, 1, 128, seed=4)
@@ -236,6 +236,20 @@ def test_paths_on_another_grid_are_rejected_naming_both_grids(grid, make_paths):
             route()
         assert str(paths.grid) in str(raised.value)
         assert str(grid) in str(raised.value)
+
+
+def test_terminal_data_on_another_grid_are_rejected_naming_both_grids():
+    # both grids have n_T 4 and n_end 5; checking only the path count read
+    # W_1 as if it were W_2 (mean Y_0 5.08, no error)
+    built_on, grid = make_grid(1.0, 0.25, 0.25), make_grid(2.0, 0.5, 0.5)
+    assert (built_on.n_T, built_on.n_end) == (grid.n_T, grid.n_end)
+    term = TerminalSpec(name="scaled_wt", params={"a": 1.0, "b": 1.0}).build(
+        built_on, sample_paths(built_on, 1, 1, 500, seed=3), m=1, d=1)
+    scen = make_scenario(grid, builtin_generator("linear_bsde", a=1.0), term)
+    with pytest.raises(ShapeMismatch) as raised:
+        solve_backward_sweep(scen, sample_paths(grid, 1, 1, 500, seed=3),
+                             RegressionBackend())
+    assert str(built_on) in str(raised.value) and str(grid) in str(raised.value)
 
 
 def test_a_frozen_process_on_another_grid_is_rejected_naming_both_grids():
@@ -559,6 +573,11 @@ def _consumer_case(name):
         "constant_K": (make_grid(0.5, 0.25, 0.0625),
                        DelaySpec(constant_delay(0.25), constant_delay(0.25)),
                        "example41_f1"),
+        # phi is a view into the one-slot (Y, Z) ring, which later nodes
+        # overwrite while its value is still held
+        "view_phi": (make_grid(0.5, 0.25, 0.0625),
+                     DelaySpec(constant_delay(0.25), constant_delay(0.25)),
+                     "anticipated_drift"),
         # largest offset 5 < n_K = 8
         "affine_below_K": (make_grid(0.25, 0.5, 0.0625),
                            DelaySpec(affine_delay(0.0625, 1.0), constant_delay(0.125)),
@@ -571,7 +590,7 @@ def _consumer_case(name):
     return make_scenario(grid, builtin_generator(gen), term, delay=delay), paths, backend
 
 
-@pytest.mark.parametrize("name", ["constant_K", "affine_below_K", "no_delay",
+@pytest.mark.parametrize("name", ["constant_K", "view_phi", "affine_below_K", "no_delay",
                                   "no_delay_K0", "linear_m2_d2", "pair", "tree"])
 def test_consumer_sees_each_node_once_as_the_full_sweep_stores_it(name):
     scen, paths, backend = _consumer_case(name)
@@ -592,7 +611,7 @@ def test_consumer_sees_each_node_once_as_the_full_sweep_stores_it(name):
     assert metadata == full.metadata
 
 
-def _tree_affine_pair():
+def _tree_affine_pair(generator="example41_f1"):
     """The 8-step tree with affine delta != zeta: nodes 0 and 1 read two
     swept nodes two apart, node 2 one swept and one terminal node, and the
     later nodes two terminal ones."""
@@ -601,7 +620,7 @@ def _tree_affine_pair():
     delay = DelaySpec(affine_delay(0.1, 0.4), constant_delay(0.3))
     term = TerminalSpec(name="scaled_b_tail", params={"a": 0.6, "b": 1.0})
     with pytest.warns(UserWarning, match="snapping"):
-        scen = make_scenario(grid, builtin_generator("example41_f1"), term, delay=delay)
+        scen = make_scenario(grid, builtin_generator(generator), term, delay=delay)
     assert list(scen.offsets.d_delta) == [1, 1, 2, 2, 3, 3]
     assert tree.n == 8 and not np.array_equal(scen.offsets.d_delta, scen.offsets.d_zeta)
     return scen, tree
@@ -613,20 +632,23 @@ def _same_bits(a, b):
 
 @pytest.mark.parametrize("frozen", [False, True])
 def test_node_by_node_sweep_has_the_full_sweeps_bits_for_affine_delta_and_zeta(frozen):
-    scen, tree = _tree_affine_pair()
-    given = {"frozen": default_initial(scen, tree)} if frozen else {}
-    full = solve_backward_sweep(scen, tree, tree.backend(), **given)
-    seen = {}
+    # anticipated_drift's phi is a view of Y (see the consumer test's
+    # view_phi case, where the ring reuses the slot before phi is read)
+    for generator in ("example41_f1", "anticipated_drift"):
+        scen, tree = _tree_affine_pair(generator)
+        given = {"frozen": default_initial(scen, tree)} if frozen else {}
+        full = solve_backward_sweep(scen, tree, tree.backend(), **given)
+        seen = {}
 
-    def on_node(k, y_k, z_k):
-        seen[k] = (y_k.copy(), z_k.copy())
+        def on_node(k, y_k, z_k):
+            seen[k] = (y_k.copy(), z_k.copy())
 
-    metadata = solve_backward_sweep(scen, tree, tree.backend(),
-                                    on_node=on_node, **given)
-    assert sorted(seen) == list(range(scen.grid.n_nodes))
-    for k, (y_k, z_k) in seen.items():
-        assert _same_bits(y_k, full.Y[:, k]) and _same_bits(z_k, full.Z[:, k])
-    assert metadata == full.metadata
+        metadata = solve_backward_sweep(scen, tree, tree.backend(),
+                                        on_node=on_node, **given)
+        assert sorted(seen) == list(range(scen.grid.n_nodes))
+        for k, (y_k, z_k) in seen.items():
+            assert _same_bits(y_k, full.Y[:, k]) and _same_bits(z_k, full.Z[:, k])
+        assert metadata == full.metadata
 
 
 @pytest.mark.parametrize("mode", ["full", "on_node", "frozen"])
