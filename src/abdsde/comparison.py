@@ -136,8 +136,7 @@ def _stack_generators(gen1: GeneratorSpec, gen2: GeneratorSpec) -> GeneratorSpec
                         alpha1=max(gen1.lip.alpha1, gen2.lip.alpha1),
                         alpha2=max(gen1.lip.alpha2, gen2.lip.alpha2))
     return GeneratorSpec(name=f"{gen1.name}+{gen2.name}", m=gen1.m + gen2.m,
-                         d=gen1.d, l=gen1.l, f=f, g=g, lip=lip, phi=phi,
-                         q_total=gen1.q_total + gen2.q_total)
+                         d=gen1.d, l=gen1.l, f=f, g=g, lip=lip, phi=phi)
 
 
 def _side_by_side(a: np.ndarray, b: np.ndarray) -> np.ndarray:

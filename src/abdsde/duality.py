@@ -317,6 +317,7 @@ def duality_check(coeffs: LinearDualityCoeffs, T: float, h: float,
                               "the outer paths are the first paths of the draw")
     if coeffs.t0 > T:
         raise ValidationError(f"t0 = {coeffs.t0:g} is beyond the horizon T = {T:g}")
+    coeffs.profiles(coeffs.grid_for(T, h))  # a terminal that reads the paths fails here
     backend = backend or RegressionBackend()
     calibrate = tol_mean is None
     grids = [(1, inner, seed)]
@@ -338,7 +339,6 @@ def duality_check(coeffs: LinearDualityCoeffs, T: float, h: float,
             else coeffs.scenario(grid)
         if scen.grid != grid:
             raise ValidationError("the given scenario is not on the (T, h) grid")
-        coeffs.profiles(grid)  # a terminal that reads the paths fails before a draw
         # a deterministic terminal profile reads no path: n_T steps are stored
         paths = sample_paths(grid, coeffs.d, coeffs.l, P, grid_seed,
                              n_stored=scen.steps_read)

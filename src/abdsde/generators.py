@@ -17,7 +17,7 @@ decomposition for g (y-group -> c, z -> alpha1, anticipated-z -> alpha2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable
 
@@ -64,9 +64,9 @@ class GeneratorSpec:
 
     y has shape (P, m), z has shape (P, m, d) and e has shape (P, q_total):
     e = E[phi(Y_ant, Z_ant) | current information], where phi maps (P, m)
-    and (P, m, d) anticipated values to (P, q_total).  q_total is declared,
-    as the sweep sizes its block before phi runs, and `make_scenario`
-    checks phi against it.  The defaults read no anticipated value.
+    and (P, m, d) anticipated values to (P, q_total).  q_total is read off
+    phi(0, 0) once, at construction.  The default phi reads no anticipated
+    value.
     """
 
     name: str
@@ -77,16 +77,26 @@ class GeneratorSpec:
     g: Callable[[float, Array, Array, Array], Array]
     lip: LipschitzData
     phi: Callable[[Array, Array], Array] = _no_phi
-    q_total: int = 0
+    q_total: int = field(init=False)
+
+    def __post_init__(self):
+        shape = np.shape(self.phi(np.zeros((1, self.m)), np.zeros((1, self.m, self.d))))
+        if len(shape) != 2 or shape[0] != 1:
+            raise ShapeMismatch(f"generator '{self.name}': phi(0, 0) on one path "
+                                f"has shape {shape}, wanted (1, q_total)")
+        object.__setattr__(self, "q_total", shape[1])
 
     @property
     def anticipates(self) -> bool:
         return self.q_total > 0
 
     def eval_functionals(self, y_ant: Array, z_ant: Array) -> Array:
-        """phi(y_ant, z_ant) as a new (P, q_total) array: phi may return a
-        view of the (Y, Z) slots that the sweep later overwrites."""
-        return np.array(self.phi(y_ant, z_ant), dtype=float)
+        """phi(y_ant, z_ant) as (P, q_total), copied when it shares memory
+        with its arguments: the sweep later overwrites their (Y, Z) slots."""
+        out = np.asarray(self.phi(y_ant, z_ant), dtype=float)
+        if np.may_share_memory(out, y_ant) or np.may_share_memory(out, z_ant):
+            return out.copy()
+        return out
 
 
 def evaluate(spec: GeneratorSpec, t: float, y: Array, z: Array, e: Array):
@@ -139,18 +149,18 @@ def _growth_g(l: int):
     return g
 
 
-# Builders take (m, d, l, **params) and return (f, g, phi, q_total, lip).
+# Builders take (m, d, l, **params) and return (f, g, phi, lip).
 
 def _linear(m, d, l, a, rho):
     return (lambda t, y, z, e: a * y + rho,
-            _zeros_g(l), _no_phi, 0, LipschitzData(c=a * a))
+            _zeros_g(l), _no_phi, LipschitzData(c=a * a))
 
 
 def _drift_from_y_ant(fn, c, m, d, l):
     """f = E[fn(Y_ant)], g = 0; c = (Lipschitz constant of fn)^2."""
     def phi(ya, za):
         return fn(ya[:, 0])[:, None]
-    return _scalar_drift_from_e, _zeros_g(l), phi, 1, LipschitzData(c=c)
+    return _scalar_drift_from_e, _zeros_g(l), phi, LipschitzData(c=c)
 
 
 def _example41_f1_phi(ya, za):
@@ -167,13 +177,13 @@ def _example41_f2_phi(ya, za):
 def _example41(phi_fn, m, d, l):
     """f = E[phi(Y_ant, Z_ant)] with the growth diffusion g of Example 4.1."""
     # |dphi| <= 3|dy| + |dz|  =>  |dphi|^2 <= 10 (|dy|^2 + |dz|^2)
-    return (_scalar_drift_from_e, _growth_g(l), phi_fn, 1,
+    return (_scalar_drift_from_e, _growth_g(l), phi_fn,
             LipschitzData(c=10.0, alpha1=1.0 / 3.0))
 
 
 def _example41_g(m, d, l):
     return (lambda t, y, z, e: np.zeros((y.shape[0], 1)),
-            _growth_g(l), _no_phi, 0, LipschitzData(c=1.0, alpha1=1.0 / 3.0))
+            _growth_g(l), _no_phi, LipschitzData(c=1.0, alpha1=1.0 / 3.0))
 
 
 def _duality_linear(m, d, l, mu, mu_bar, sigma, sigma_bar, kappa, rho):
@@ -201,7 +211,7 @@ def _duality_linear(m, d, l, mu, mu_bar, sigma, sigma_bar, kappa, rho):
 
     c_f = (mu + kap2) * (mu + kap2) + float(sigma @ sigma) + mu_bar * mu_bar \
         + float(sigma_bar @ sigma_bar)
-    return f, g, phi, 1 + d, LipschitzData(c=max(c_f, kap2))
+    return f, g, phi, LipschitzData(c=max(c_f, kap2))
 
 
 # name -> (parameter defaults, scalar only (m = 1), builder).  A tuple
@@ -257,9 +267,8 @@ def builtin_generator(name: str, m: int = 1, d: int = 1, l: int = 1,
     if CATALOG[name][1] and m != 1:
         raise ShapeMismatch(
             f"builtin generator '{name}' is scalar (m = 1), got m = {m}")
-    f, g, phi, q_total, lip = CATALOG[name][2](m, d, l, **values)
-    return GeneratorSpec(name=name, m=m, d=d, l=l, f=f, g=g, lip=lip,
-                         phi=phi, q_total=q_total)
+    f, g, phi, lip = CATALOG[name][2](m, d, l, **values)
+    return GeneratorSpec(name=name, m=m, d=d, l=l, f=f, g=g, lip=lip, phi=phi)
 
 
 def with_lipschitz(spec: GeneratorSpec, **kwargs) -> GeneratorSpec:

@@ -4,8 +4,7 @@ A Scenario bundles everything the solvers need apart from the sampled paths
 and the conditional-expectation backend.  `make_scenario` performs the
 semantic validation: anticipation maps are validated against the grid and
 converted to index offsets, the feasibility condition alpha1 + alpha2*M < 1
-is enforced, phi's width is checked against the declared q_total and
-f(., 0, 0, 0) is checked finite on grid nodes.
+is enforced, and f(., 0, 0, 0) is checked finite on grid nodes.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ class Scenario:
                 raise ShapeMismatch(f"the terminal data lie on {self.terminal.grid}, "
                                     f"the scenario on {self.grid}")
             if self.terminal.n_paths != paths.n_paths:
-                raise ValidationError(
+                raise ShapeMismatch(
                     "terminal data was materialized for a different path count")
             return self.terminal
         return self.terminal.build(self.grid, paths, m=self.generator.m,
@@ -81,16 +80,10 @@ def make_scenario(grid: TimeGrid, generator: GeneratorSpec,
                 stacklevel=2)
     check_feasible(generator.lip, 1.0 if delay is None else delay.M)
 
-    # phi at zero anticipated values must have the declared width, and
     # f(., 0, 0, 0) must be finite on grid nodes (square-integrability proxy)
     y0 = np.zeros((1, generator.m))
     z0 = np.zeros((1, generator.m, generator.d))
     e0 = np.zeros((1, generator.q_total))
-    shape = np.shape(generator.phi(y0, z0))
-    if shape != e0.shape:
-        raise ShapeMismatch(f"generator '{generator.name}' declares q_total = "
-                            f"{generator.q_total}, but phi(0, 0) has shape "
-                            f"{shape}, wanted {e0.shape}")
     for t in grid.times[: grid.n_T + 1]:
         val = np.asarray(generator.f(float(t), y0, z0, e0))
         if not np.all(np.isfinite(val)):

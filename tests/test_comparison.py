@@ -363,7 +363,7 @@ def _affine_anticipated(a, b):
         name=f"affine({a},{b})", m=1, d=1, l=1,
         f=lambda t, y, z, e: a * e + b,
         g=lambda t, y, z, e: np.zeros((y.shape[0], 1, 1)),
-        lip=LipschitzData(c=a * a), phi=lambda ya, za: ya, q_total=1)
+        lip=LipschitzData(c=a * a), phi=lambda ya, za: ya)
 
 
 def test_chain_example42_triple_passes():

@@ -190,28 +190,30 @@ def test_custom_spec_construction():
         name="custom", m=1, d=1, l=1,
         f=lambda t, y, z, e: e + 1.0,
         g=lambda t, y, z, e: np.zeros((y.shape[0], 1, 1)),
-        lip=LipschitzData(c=1.0), phi=lambda ya, za: ya, q_total=1)
+        lip=LipschitzData(c=1.0), phi=lambda ya, za: ya)
     f, _ = _eval_scalar(spec, 0.0, 0.0, 0.0, 2.5, 0.0)
     assert f == pytest.approx(3.5)
 
 
 @pytest.mark.parametrize("d", [1, 2])
-def test_make_scenario_checks_phi_against_the_declared_width(d):
+def test_q_total_is_read_off_phi(d):
+    # every builtin's block has phi's width, and a solve on it accepts it
     grid = make_grid(1.0, 0.5, 1 / 8)
     delay = DelaySpec(constant_delay(0.5), constant_delay(0.5))
+    rng = np.random.default_rng(3)
     for name in CATALOG:
         vectors = {"sigma": [0.0] * d, "sigma_bar": [0.0] * d} \
             if name == "duality_linear" else {}
-        make_scenario(grid, builtin_generator(name, d=d, **vectors),
-                      constant_terminal(1.0), delay=delay)
-    # a narrower phi used to be broadcast over the declared columns with no
-    # error, and a wider one failed only in the sweep
-    for q_total, phi in ((2, lambda ya, za: ya),
-                         (1, lambda ya, za: np.concatenate([ya, ya], axis=1))):
-        spec = GeneratorSpec(
-            name="custom", m=1, d=d, l=1,
-            f=lambda t, y, z, e: e[:, :1],
-            g=lambda t, y, z, e: np.zeros((y.shape[0], 1, 1)),
-            lip=LipschitzData(c=1.0), phi=phi, q_total=q_total)
-        with pytest.raises(ShapeMismatch, match=f"declares q_total = {q_total}"):
-            make_scenario(grid, spec, constant_terminal(1.0), delay=delay)
+        spec = builtin_generator(name, d=d, **vectors)
+        y, z = rng.standard_normal((5, spec.m)), rng.standard_normal((5, spec.m, d))
+        assert spec.eval_functionals(y, z).shape == (5, spec.q_total)
+        make_scenario(grid, spec, constant_terminal(1.0), delay=delay)
+    assert builtin_generator("duality_linear", d=d, sigma=[0.0] * d,
+                             sigma_bar=[0.0] * d).q_total == 1 + d
+    # a phi whose value is not a (P, q_total) block fails at construction
+    for phi in (lambda ya, za: ya[:, 0], lambda ya, za: np.zeros((2, 1))):
+        with pytest.raises(ShapeMismatch, match=r"phi\(0, 0\) on one path"):
+            GeneratorSpec(name="custom", m=1, d=d, l=1,
+                          f=lambda t, y, z, e: e[:, :1],
+                          g=lambda t, y, z, e: np.zeros((y.shape[0], 1, 1)),
+                          lip=LipschitzData(c=1.0), phi=phi)

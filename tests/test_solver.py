@@ -252,6 +252,17 @@ def test_terminal_data_on_another_grid_are_rejected_naming_both_grids():
     assert str(built_on) in str(raised.value) and str(grid) in str(raised.value)
 
 
+def test_terminal_data_for_another_path_count_raise_shape_mismatch():
+    # as a frozen process of another path count does (it was ValidationError)
+    grid = make_grid(1.0, 0.0, 0.25)
+    term = TerminalSpec(name="scaled_wt", params={"a": 1.0}).build(
+        grid, sample_paths(grid, 1, 1, 400, seed=3), m=1, d=1)
+    scen = make_scenario(grid, builtin_generator("linear_bsde", a=1.0), term)
+    with pytest.raises(ShapeMismatch, match="different path count"):
+        solve_backward_sweep(scen, sample_paths(grid, 1, 1, 500, seed=3),
+                             RegressionBackend())
+
+
 def test_a_frozen_process_on_another_grid_is_rejected_naming_both_grids():
     # both grids have 17 nodes; comparing only the node counts read the
     # frozen process as if it lay on the scenario grid (mean Y_0 6.58)
@@ -630,25 +641,29 @@ def _same_bits(a, b):
     return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
 
 
-@pytest.mark.parametrize("frozen", [False, True])
-def test_node_by_node_sweep_has_the_full_sweeps_bits_for_affine_delta_and_zeta(frozen):
-    # anticipated_drift's phi is a view of Y (see the consumer test's
-    # view_phi case, where the ring reuses the slot before phi is read)
-    for generator in ("example41_f1", "anticipated_drift"):
-        scen, tree = _tree_affine_pair(generator)
-        given = {"frozen": default_initial(scen, tree)} if frozen else {}
-        full = solve_backward_sweep(scen, tree, tree.backend(), **given)
-        seen = {}
+# anticipated_drift's phi is a view of Y (the consumer test's view_phi case
+# is the one where the ring reuses that slot while phi's value is held)
+@pytest.mark.parametrize("generator,frozen", [
+    pytest.param("example41_f1", False, id="False"),
+    pytest.param("example41_f1", True, id="True"),
+    pytest.param("anticipated_drift", False, id="anticipated_drift-False"),
+    pytest.param("anticipated_drift", True, id="anticipated_drift-True")])
+def test_node_by_node_sweep_has_the_full_sweeps_bits_for_affine_delta_and_zeta(
+        generator, frozen):
+    scen, tree = _tree_affine_pair(generator)
+    given = {"frozen": default_initial(scen, tree)} if frozen else {}
+    full = solve_backward_sweep(scen, tree, tree.backend(), **given)
+    seen = {}
 
-        def on_node(k, y_k, z_k):
-            seen[k] = (y_k.copy(), z_k.copy())
+    def on_node(k, y_k, z_k):
+        seen[k] = (y_k.copy(), z_k.copy())
 
-        metadata = solve_backward_sweep(scen, tree, tree.backend(),
-                                        on_node=on_node, **given)
-        assert sorted(seen) == list(range(scen.grid.n_nodes))
-        for k, (y_k, z_k) in seen.items():
-            assert _same_bits(y_k, full.Y[:, k]) and _same_bits(z_k, full.Z[:, k])
-        assert metadata == full.metadata
+    metadata = solve_backward_sweep(scen, tree, tree.backend(),
+                                    on_node=on_node, **given)
+    assert sorted(seen) == list(range(scen.grid.n_nodes))
+    for k, (y_k, z_k) in seen.items():
+        assert _same_bits(y_k, full.Y[:, k]) and _same_bits(z_k, full.Z[:, k])
+    assert metadata == full.metadata
 
 
 @pytest.mark.parametrize("mode", ["full", "on_node", "frozen"])
