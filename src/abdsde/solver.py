@@ -37,7 +37,11 @@ node from node k + 1, so a solve holds no whole-horizon copy of W or B.
 The sweep reads the drivers only on the steps 0..n_T-1 and the terminal
 data read them at most to the node `TerminalSpec.last_node_read` names,
 so an ensemble that stores just the leading `Scenario.steps_read` steps
-gives the same bits as a full one.
+gives the same bits as a full one.  While node k fits, the sweep holds the
+stored increments, the pending functionals, the (Y, Z) ring, node k+1's
+(Y, Z) and one target block, beside condexp's design and fit: node k's Y
+target is formed in the block, and its g value, fit and f value are freed
+before node k-1 fits.
 
 The sweep reads later nodes only through the functionals.  Node i's
 functionals read Y at a = i + d_delta[i] and Z at b = i + d_zeta[i]; they
@@ -275,9 +279,11 @@ def solve_backward_sweep(scenario: Scenario, paths: PathEnsemble, backend,
         t_k = grid.time(k)
         g_val = np.asarray(gen.g(grid.time(k + 1), y_next, z_next,
                                  raw.pop(k + 1, no_functionals)))
-        target = y_next + np.einsum("pml,pl->pm", g_val, paths.db(k))
+        # the Y target is formed in its block columns, so neither a separate
+        # target nor g's value is held through the fit
+        np.add(y_next, np.einsum("pml,pl->pm", g_val, paths.db(k)), out=y_cols)
+        del g_val
         e_cols[:] = raw.get(k, no_functionals)
-        y_cols[:] = target
 
         constant = np.ptp(y_cols, axis=0) == 0.0
         dw_k = paths.dw(k)
@@ -288,12 +294,12 @@ def solve_backward_sweep(scenario: Scenario, paths: PathEnsemble, backend,
                 # returns these zero columns bit for bit
                 z_i[:] = 0.0
             else:
-                np.multiply(target[:, i, None], dw_k, out=z_i)
+                np.multiply(y_cols[:, i, None], dw_k, out=z_i)
         z_fit, e_k, y_bar = np.split(condexp(backend, block, k, paths),
                                      [n_z, n_z + n_e], axis=1)
         z_k = z_fit.reshape(P, gen.m, gen.d) / h
 
-        resid[k] = tuple(float(np.sqrt(np.mean((target[:, i] - y_bar[:, i]) ** 2)))
+        resid[k] = tuple(float(np.sqrt(np.mean((y_cols[:, i] - y_bar[:, i]) ** 2)))
                          for i in range(gen.m))
         y_hat = y_bar
         for _ in range(scenario.implicit_iters):
@@ -304,6 +310,7 @@ def solve_backward_sweep(scenario: Scenario, paths: PathEnsemble, backend,
         slot = k % n_slots
         Y[:, slot] = y_next = y_hat
         Z[:, slot] = z_next = z_k
+        del z_fit, e_k, y_bar  # free the fit before node k-1's allocates
         if on_node is not None:
             on_node(k, Y[:, slot], Z[:, slot])
         evaluate(k)

@@ -814,6 +814,15 @@ def test_duality_matches_the_kept_csv(tmp_path):
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def test_compare_matches_the_kept_csv(tmp_path):
+    # tests/data/example41_compare.csv is the kept output of
+    # scenarios/example41_compare.yaml: a change to the joint sweep, the
+    # margins, epsilon or the run tolerance fails here
+    out = tmp_path / "compare.csv"
+    assert run("compare", str(ROOT / "scenarios" / "example41_compare.yaml"), str(out)) == 0
+    _assert_matches_kept_csv(out, ROOT / "tests" / "data" / "example41_compare.csv")
+
+
 @pytest.mark.parametrize("command,scenario", [
     ("solve", ROOT / "bench" / "reference" / "solve.yaml"),
     ("compare", ROOT / "scenarios" / "example41_compare.yaml"),

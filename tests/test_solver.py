@@ -1,11 +1,12 @@
 import math
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from abdsde import cli, delays
+from abdsde import cli, delays, solver
 from abdsde.condexp import RegressionBackend
 from abdsde.delays import affine_delay, constant_delay, DelaySpec, segment_interval
 from abdsde.errors import (Infeasible, NoConvergence, NonFinite, NonTermination,
@@ -750,9 +751,10 @@ def test_solve_peak_memory_stays_near_the_steps_read_and_window(tmp_path):
 
 
 #: P-long columns of one node's regression and generator work held beside
-#: the solve's own state: design, fit, target block and temporaries (about
-#: 23 at the lsmc_solve shape).
-PER_NODE_COLUMNS = 32
+#: the solve's own state: design, fit, target block and temporaries (14.3
+#: at the lsmc_solve shape; 19.3 while the previous node's fit, its Y
+#: target and its g value stayed alive through the next node's fit).
+PER_NODE_COLUMNS = 17
 
 
 def test_solve_peak_memory_stays_near_increments_functionals_and_two_state_slabs(tmp_path):
@@ -774,6 +776,9 @@ def test_solve_peak_memory_stays_near_increments_functionals_and_two_state_slabs
                + gen.m * (1 + gen.d)
                + 2 * (gen.d + gen.l)
                + PER_NODE_COLUMNS)
+    # the modules a first run imports hold about 4 columns at this P; an
+    # untraced run imports them, so the bound does not depend on test order
+    assert cli.run("solve", REFERENCE, str(tmp_path / "warm.csv"), n_paths=1000) == 0
     tracemalloc.start()
     try:
         assert cli.run("solve", REFERENCE, str(tmp_path / "solve.csv"), n_paths=P) == 0
@@ -781,6 +786,30 @@ def test_solve_peak_memory_stays_near_increments_functionals_and_two_state_slabs
     finally:
         tracemalloc.stop()
     assert peak < 8 * P * columns, peak / (8 * P)
+
+
+@pytest.mark.parametrize("command,scenario", [
+    ("solve", REFERENCE),
+    ("compare", str(Path(REFERENCE).parents[2] / "scenarios" / "example41_compare.yaml")),
+])
+def test_each_node_frees_its_fit_before_the_next_node_fits(
+        tmp_path, monkeypatch, command, scenario):
+    # node k's conditional expectations, with every view the sweep takes of
+    # them, are gone when node k - 1 calls condexp: the sweep holds one fit
+    fits, held = [], []
+    real = solver.condexp
+
+    def recording(backend, targets, k, paths):
+        if fits:
+            held.append(fits[-1]() is not None)
+        out = real(backend, targets, k, paths)
+        # the array that owns the memory: views of views point at it
+        fits.append(weakref.ref(out if out.base is None else out.base))
+        return out
+
+    monkeypatch.setattr(solver, "condexp", recording)
+    assert cli.run(command, scenario, str(tmp_path / "out.csv")) == 0
+    assert held and not any(held)
 
 
 def test_per_node_slabs_are_contiguous():
