@@ -69,7 +69,7 @@ class DelaySpec:
 def _check_form(form: DelayForm, grid: TimeGrid, name: str) -> None:
     t = grid.times[: grid.n_T + 1]
     vals = form(t)
-    if np.any(vals <= 0):
+    if not np.all(vals > 0):
         raise NonPositiveDelay(f"{name} is not strictly positive on [0, T]")
     horizon = grid.T + grid.K
     tol = 1e-12 * max(1.0, horizon)

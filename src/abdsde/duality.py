@@ -79,10 +79,10 @@ class LinearDualityCoeffs:
     def __post_init__(self):
         if len(self.sigma_bar) != self.d:
             raise ValidationError("sigma and sigma_bar must share a dimension")
-        if self.t0 < self.delta:
+        if not self.t0 >= self.delta:
             raise ValidationError(
                 f"need t0 >= delta > 0, got t0={self.t0}, delta={self.delta}")
-        if self.delta <= 0:
+        if not self.delta > 0:
             raise ValidationError("delta must be positive")
 
     def generator(self):
@@ -283,43 +283,6 @@ class DualityReport:
         return self.mean_residual <= self.tol_mean and self.max_residual <= self.tol_max
 
 
-def _check_scenario(coeffs: LinearDualityCoeffs, scenario: Scenario,
-                    T: float, h: float) -> None:
-    """Raise ValidationError unless `scenario` is the backward scenario of
-    coeffs on the (T, h) grid: its f, g and phi give the bits of
-    coeffs.generator()'s on one fixed probe, and its delay offsets, terminal
-    profile and implicit_iters are those of coeffs.scenario(grid), which is
-    not built."""
-    grid = coeffs.grid_for(T, h)
-    if scenario.grid != grid:
-        raise ValidationError("the given scenario is not on the (T, h) grid")
-    gen, want = scenario.generator, coeffs.generator()
-    same = (gen.m, gen.d, gen.l, gen.q_total) == (want.m, want.d, want.l, want.q_total)
-    if same:
-        rng = np.random.default_rng(0)
-        y, z, e = (rng.standard_normal((4, *shape)) for shape in
-                   ((want.m,), (want.m, want.d), (want.q_total,)))
-        same = all(np.array_equal(mine(coeffs.t0, y, z, e), theirs(coeffs.t0, y, z, e))
-                   for mine, theirs in ((gen.f, want.f), (gen.g, want.g))) \
-            and np.array_equal(gen.phi(y, z), want.phi(y, z))
-    if not same:
-        raise ValidationError(f"the given scenario's generator '{gen.name}' is not "
-                              "the duality_linear generator of the coefficients")
-    dd = grid.index_of(coeffs.delta)
-    off = scenario.offsets
-    if off is None or np.any(off.d_delta != dd) or np.any(off.d_zeta != dd):
-        raise ValidationError("the given scenario's delay is not delta = zeta = the "
-                              f"constant {coeffs.delta:g} of the coefficients")
-    profile = scenario.terminal.profile(grid) \
-        if isinstance(scenario.terminal, TerminalSpec) else None
-    if profile is None or not all(map(np.array_equal, profile, coeffs.profiles(grid))):
-        raise ValidationError("the given scenario's terminal is not the terminal "
-                              "of the coefficients")
-    if scenario.implicit_iters != 1:
-        raise ValidationError("the given scenario's implicit_iters is "
-                              f"{scenario.implicit_iters}, not the harness's 1")
-
-
 # step-size multiples of the coarse grids that calibrate the tolerances
 _CALIBRATION_FACTORS = (2, 4)
 
@@ -327,8 +290,7 @@ _CALIBRATION_FACTORS = (2, 4)
 def duality_check(coeffs: LinearDualityCoeffs, T: float, h: float,
                   P: int = 4096, n_outer: int = 64, inner: int = 2048,
                   seed: int = 11, backend: RegressionBackend | None = None,
-                  tol_mean: float | None = None, *,
-                  scenario: Scenario | None = None) -> DualityReport:
+                  tol_mean: float | None = None) -> DualityReport:
     """Residuals between the backward solve and the dual representation.
 
     Each grid draws P paths, solves the backward equation on them and
@@ -341,12 +303,6 @@ def duality_check(coeffs: LinearDualityCoeffs, T: float, h: float,
     When no coarse grid fits, C is unknown: a run that passes with C = 0
     passes for every C >= 0 and is reported, any other raises
     ValidationError naming the grids tried.
-
-    `scenario` is the backward scenario on the (T, h) grid when the caller
-    has built it already, as `cli.load_scenario` has; the coarse grids'
-    scenarios are built from coeffs.  A scenario whose grid, generator,
-    delay, terminal or implicit_iters is not that of coeffs raises
-    ValidationError naming the mismatch, before any draw.
     """
     if n_outer < 1 or inner < 1:
         raise ValidationError(
@@ -357,8 +313,6 @@ def duality_check(coeffs: LinearDualityCoeffs, T: float, h: float,
     if coeffs.t0 > T:
         raise ValidationError(f"t0 = {coeffs.t0:g} is beyond the horizon T = {T:g}")
     coeffs.profiles(coeffs.grid_for(T, h))  # a terminal that reads the paths fails here
-    if scenario is not None:
-        _check_scenario(coeffs, scenario, T, h)
     backend = backend or RegressionBackend()
     calibrate = tol_mean is None
     grids = [(1, inner, seed)]
@@ -376,8 +330,7 @@ def duality_check(coeffs: LinearDualityCoeffs, T: float, h: float,
                 raise
             unfit.append(h * factor)
             continue
-        scen = scenario if factor == 1 and scenario is not None \
-            else coeffs.scenario(grid)
+        scen = coeffs.scenario(grid)
         # a deterministic terminal profile reads no path: n_T steps are stored
         paths = sample_paths(grid, coeffs.d, coeffs.l, P, grid_seed,
                              n_stored=scen.steps_read)

@@ -65,7 +65,7 @@ class TimeGrid:
 
 def _as_steps(value: float, h: float, name: str) -> int:
     n = round(value / h) if np.isfinite(value / h) else 0  # off any grid
-    if abs(value - n * h) > _COMMENSURATE_RTOL * max(1.0, abs(value)):
+    if not abs(value - n * h) <= _COMMENSURATE_RTOL * max(1.0, abs(value)):
         raise NonCommensurate(
             f"{name}={value} is not an integer multiple of h={h}"
         )

@@ -132,7 +132,7 @@ def contraction_params(lip: LipschitzData, M: float,
     c = lip.c
     if lam0 is None:
         lam0 = 2.0 * c * (1.0 + M) / (1.0 - load) if c > 0 else 1.0
-    if lam0 <= 0:
+    if not lam0 > 0:
         raise Infeasible(f"lambda0 must be positive, got {lam0}")
     cbar = (c / lam0) * (1.0 + M) + load
     if cbar >= 1.0:
@@ -351,7 +351,7 @@ def picard_iterate(scenario: Scenario, paths: PathEnsemble, backend,
     anticipation reads strictly later nodes, the iteration terminates after
     at most one application per segment of the interval segmentation.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValidationError("tol must be positive")
     if params is None:
         params = contraction_params(scenario.generator.lip, scenario.M)

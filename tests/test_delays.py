@@ -63,6 +63,14 @@ def test_non_positive_delay():
         validate_delay(_spec(affine_delay(0.0, 0.5)), grid)
 
 
+def test_a_nan_delay_is_not_positive():
+    # NaN <= 0 is False: a NaN delta loaded as a one-step anticipation
+    grid = make_grid(1.0, 0.5, 0.125)
+    with pytest.raises(NonPositiveDelay, match="delta is not strictly positive"):
+        validate_delay(DelaySpec(constant_delay(float("nan")), constant_delay(0.5)),
+                       grid)
+
+
 def test_offsets_constant_delay():
     grid = make_grid(1.0, 0.5, 0.25)
     spec = validate_delay(_spec(constant_delay(0.5)), grid)

@@ -54,6 +54,15 @@ def test_a_step_count_beyond_any_float_is_off_the_grid():
         make_grid(1.0, 0.0, 0.25).index_of(-1e308)
 
 
+def test_a_nan_is_off_every_grid():
+    # |NaN - n h| > tol is False: a NaN K made a K = 0 grid and a NaN time
+    # was node 0
+    with pytest.raises(NonCommensurate, match="K=nan"):
+        make_grid(1.0, float("nan"), 0.25)
+    with pytest.raises(NonCommensurate, match="time=nan"):
+        make_grid(1.0, 0.5, 0.25).index_of(float("nan"))
+
+
 def test_a_grid_has_at_most_max_nodes():
     # the node count is checked after commensurability, from the step counts
     assert make_grid(1.0, 0.0, 1.0 / (MAX_NODES - 1)).n_nodes == MAX_NODES

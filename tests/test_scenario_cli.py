@@ -455,9 +455,11 @@ def test_duality_coefficients_come_from_the_generator(tmp_path):
     assert bodies[0] == bodies[1]
 
 
-def test_duality_command_validates_the_delay_once_per_solved_grid(tmp_path, monkeypatch):
-    # the duality_nested shape: the fine grid and the 2h and 4h calibration
-    # grids are solved; the fine scenario is the one the loader built
+def test_duality_command_validates_the_delay_at_load_and_once_per_solved_grid(
+        tmp_path, monkeypatch):
+    # the duality_nested shape: the loader validates the file's delay, then
+    # the harness builds and solves the fine grid and the 2h and 4h
+    # calibration grids from the coefficients
     import abdsde.delays
     calls = []
     validate_delay = abdsde.delays.validate_delay
@@ -479,7 +481,7 @@ def test_duality_command_validates_the_delay_once_per_solved_grid(tmp_path, monk
         duality: {t0: 0.25, outer: 2, inner: 8}
     """)
     run("duality", scenario, str(tmp_path / "dual.csv"))
-    assert calls == [0.03125, 0.0625, 0.125]
+    assert calls == [0.03125, 0.03125, 0.0625, 0.125]
 
 
 def test_duality_command_pass_and_fail(tmp_path):

@@ -10,7 +10,7 @@ from abdsde import cli, delays, solver
 from abdsde.condexp import RegressionBackend
 from abdsde.delays import affine_delay, constant_delay, DelaySpec, segment_interval
 from abdsde.errors import (Infeasible, NoConvergence, NonFinite, NonTermination,
-                           ShapeMismatch)
+                           ShapeMismatch, ValidationError)
 from abdsde.generators import builtin_generator, GeneratorSpec, LipschitzData
 from abdsde.grids import make_grid
 from abdsde.paths import sample_paths
@@ -48,6 +48,12 @@ def test_contraction_params_infeasible():
     with pytest.raises(Infeasible):
         # lambda0 too small for the declared c
         contraction_params(LipschitzData(c=1.0, alpha1=0.0), M=1.0, lam0=0.5)
+
+
+def test_contraction_params_rejects_a_nan_lambda():
+    # a NaN lambda0 used to give ContractionParams of NaNs
+    with pytest.raises(Infeasible, match="lambda0 must be positive, got nan"):
+        contraction_params(LipschitzData(c=1.0), M=1.0, lam0=float("nan"))
 
 
 def test_contraction_params_degenerate_c():
@@ -289,6 +295,20 @@ def test_picard_no_convergence_error():
     with pytest.raises(NoConvergence):
         picard_iterate(scen, paths, RegressionBackend(), tol=1e-12, max_iter=1,
                        init=constant_initial(scen, paths, 50.0))
+
+
+def test_picard_rejects_a_nan_tolerance_before_sweeping(monkeypatch):
+    # no distance is below a NaN tol: all max_iter sweeps ran, then
+    # NoConvergence was raised
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("swept")
+
+    grid = make_grid(0.75, 0.25, 0.25)
+    scen = make_scenario(grid, builtin_generator("zero"), constant_terminal(1.0))
+    paths = sample_paths(grid, 1, 1, 16, seed=5)
+    monkeypatch.setattr(solver, "solve_backward_sweep", no_sweep)
+    with pytest.raises(ValidationError, match="tol must be positive"):
+        picard_iterate(scen, paths, RegressionBackend(), tol=float("nan"))
 
 
 def test_implicit_iters_flips_error_sign():
