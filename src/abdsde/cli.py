@@ -39,7 +39,7 @@ from .paths import sample_paths
 from .scenario import make_scenario, Scenario
 from .solver import solve_backward_sweep
 from .terminal import TerminalSpec
-from .tree import oracle_solve, tree_for_grid, TreeModel
+from .tree import oracle_solve, tree_for_grid
 
 
 def _fmt(x) -> str:
@@ -90,8 +90,7 @@ SCHEMA = {
     "paths": {"count": 4096, "seed": 0},
     "solver": {"implicit_iters": 1},
     "compare": dict.fromkeys(("generator", "terminal")),
-    "duality": dict.fromkeys(("t0", "outer", "inner", "tol_mean",
-                              *CATALOG["duality_linear"][0])),
+    "duality": dict.fromkeys(("t0", "outer", "inner", *CATALOG["duality_linear"][0])),
 }
 _LIPSCHITZ_KEYS = ("c", "alpha1", "alpha2")
 
@@ -197,10 +196,9 @@ def _build_backend(section: dict, grid):
     if kind == "regression":
         basis = RegressionBasis(degree=integer(section["degree"], "backend.degree", 1),
                                 ridge=real(section["ridge"], "backend.ridge"))
-        return RegressionBackend(basis), None
+        return RegressionBackend(basis)
     if kind == "exact":
-        tree = tree_for_grid(grid)
-        return tree.backend(), tree
+        return tree_for_grid(grid).backend()
     raise ValidationError(f"unknown backend kind '{kind}'")
 
 
@@ -223,13 +221,15 @@ def _build_duality(config: dict, scenario: Scenario, g: dict,
                    n_paths: int) -> dict | None:
     """`duality_check`'s arguments: g's (T, h), the `duality_linear`
     generator's parameters as coefficients and the `duality:` section's
-    settings; None without the section.
+    settings; None without the section.  The tolerances are not among them:
+    `duality_check` calibrates them from the run.
 
     The section holds t0 (a grid node at most T), outer (at most
-    paths.count: the outer paths are the draw's first ones), inner and
-    tol_mean (positive; null calibrates); a coefficient key still written
-    there must equal the generator's value after defaults.
-    The scenario's delay must be the constant K in both delta and zeta, its
+    paths.count: the outer paths are the draw's first ones) and inner; a
+    coefficient key still written there must equal the generator's value
+    after defaults.
+    The backend must be regression, since the harness draws its paths; the
+    scenario's delay must be the constant K in both delta and zeta, its
     implicit_iters 1, the scheme of the duality harness's solves, and its
     terminal a deterministic profile, which the representation reads.
     """
@@ -240,16 +240,16 @@ def _build_duality(config: dict, scenario: Scenario, g: dict,
     if generator["name"] != "duality_linear":
         raise ValidationError("a duality section needs the duality_linear "
                               f"generator, got '{generator['name']}'")
+    if config["backend"]["kind"] != "regression":
+        raise ValidationError(
+            "backend.kind must be regression in a duality scenario, whose harness "
+            f"draws its paths; got '{config['backend']['kind']}'")
     coeffs = catalog_params("duality_linear", generator.get("params") or {})
     args = {name: integer(section[key], f"duality.{key}", 1)
             for key, name in (("outer", "n_outer"), ("inner", "inner")) if key in section}
     if args.get("n_outer", 0) > n_paths:
         raise ValidationError(f"duality.outer = {args['n_outer']} exceeds paths.count = "
                               f"{n_paths}: the outer paths are the first paths of the draw")
-    if section.get("tol_mean") is not None:
-        args["tol_mean"] = tol_mean = real(section["tol_mean"], "duality.tol_mean")
-        if tol_mean <= 0:
-            raise ValidationError(f"duality.tol_mean must be positive, got {tol_mean:g}")
     written = {key: section[key] for key in section if key in coeffs}
     stated = catalog_params("duality_linear", written)
     for key in written:
@@ -290,7 +290,6 @@ class Built(NamedTuple):
     grid: TimeGrid
     scenario: Scenario
     backend: RegressionBackend | ExactTreeBackend
-    tree: TreeModel | None     # None unless the backend is exact
     n_paths: int
     seed: int
     compare: Scenario | None   # the second scenario of the compare pair
@@ -309,12 +308,12 @@ def _build_all(config: dict) -> Built:
         iters = integer(config["solver"]["implicit_iters"], "solver.implicit_iters", 1)
         scenario = make_scenario(grid, generator, _build_terminal(config["terminal"]),
                                  delay=_build_delay(config), implicit_iters=iters)
-        backend, tree = _build_backend(config["backend"], grid)
-        if tree is None:
+        duality = _build_duality(config, scenario, g, n_paths)  # rejects a tree first
+        backend = _build_backend(config["backend"], grid)
+        if isinstance(backend, RegressionBackend):
             backend.basis.check_paths(n_paths, dims["d"] + dims["l"])
-        return Built(grid, scenario, backend, tree, n_paths, seed,
-                     compare=_build_compare(config, scenario, dims),
-                     duality=_build_duality(config, scenario, g, n_paths))
+        return Built(grid, scenario, backend, n_paths, seed,
+                     compare=_build_compare(config, scenario, dims), duality=duality)
     except (ParseError, ValidationError):
         raise
     except AbdsdeError as exc:
@@ -350,8 +349,8 @@ def _paths(built: Built, *scenarios):
     """The tree's atoms for the exact backend, else the file's draw,
     storing the leading steps that the given scenarios read (all without
     one).  The tree keeps every step: its information field sees B past T."""
-    if built.tree is not None:
-        return built.tree
+    if isinstance(built.backend, ExactTreeBackend):
+        return built.backend.tree
     gen = built.scenario.generator
     n_stored = max((s.steps_read for s in scenarios), default=built.grid.n_steps)
     return sample_paths(built.grid, gen.d, gen.l, built.n_paths, built.seed, n_stored=n_stored)
@@ -413,9 +412,8 @@ def _cmd_duality(config, built, out_path):
 
 
 def _cmd_oracle_check(config, built, out_path):
-    grid, scenario, tree = built.grid, built.scenario, built.tree
-    if tree is None:
-        tree = tree_for_grid(grid)
+    grid, scenario, backend = built.grid, built.scenario, built.backend
+    tree = backend.tree if isinstance(backend, ExactTreeBackend) else tree_for_grid(grid)
     # both routes read the same terminal data, built once on the atoms
     scenario = replace(scenario, terminal=scenario.terminal_data(tree))
     exact = {}  # node k -> the oracle's (Y_k, Z_k) tensors of 2^n values

@@ -110,16 +110,11 @@ def _ridge_fit(X: np.ndarray, Y: np.ndarray, ridge: float):
     raises SingularDesign.
     """
     XtX = X.T @ X
-    XtY = X.T @ Y
-    if ridge == 0.0:
-        if np.linalg.matrix_rank(XtX) < XtX.shape[0]:
-            raise SingularDesign(
-                "normal equations are rank-deficient and ridge is 0")
-        beta = np.linalg.solve(XtX, XtY)
-    else:
-        penalty = np.full(XtX.shape[0], ridge)
-        penalty[0] = 0.0  # leave the intercept alone
-        beta = np.linalg.solve(XtX + np.diag(penalty), XtY)
+    if ridge == 0.0 and np.linalg.matrix_rank(XtX) < XtX.shape[0]:
+        raise SingularDesign("normal equations are rank-deficient and ridge is 0")
+    penalty = np.full(XtX.shape[0], ridge)  # ridge 0 adds exact zeros
+    penalty[0] = 0.0  # leave the intercept alone
+    beta = np.linalg.solve(XtX + np.diag(penalty), X.T @ Y)
     # X @ beta has few columns, so it is memory-bound: in row blocks each
     # BLAS call stays small and on this thread, and the values are the same
     fitted = np.empty((X.shape[0], beta.shape[1]))

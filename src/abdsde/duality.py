@@ -24,8 +24,8 @@ whatever the worker count.  The inner forward solve is node-major: a
 block's X_k is one contiguous row, each step writes it through scratch
 vectors allocated once per solve, the denominators 1 - kappa dB_k are
 formed and checked once per outer path, and one finiteness pass checks
-each solve.  The run's own grid gives the residuals; with tol_mean unset,
-the same pass on coarser grids calibrates the tolerances.
+each solve.  The run's own grid gives the residuals, and the same pass on
+coarser grids calibrates the tolerances, so no tolerance is set by hand.
 
 Discretization: the forward kappa term sits against the backward integral,
 so it is evaluated at the right endpoint, which makes each forward step an
@@ -287,17 +287,39 @@ class DualityReport:
 _CALIBRATION_FACTORS = (2, 4)
 
 
+def _grid_pass(coeffs: LinearDualityCoeffs, grid: TimeGrid, k0: int, P: int,
+               n_outer: int, inner: int, seed: int,
+               backend: RegressionBackend) -> tuple:
+    """Draw, backward solve and duality_rhs on one grid: the residuals
+    |y_t0 - rhs|, inner standard errors, y_t0 and rhs on the first n_outer paths."""
+    scen = coeffs.scenario(grid)
+    # a deterministic terminal profile reads no path: n_T steps are stored
+    paths = sample_paths(grid, coeffs.d, coeffs.l, P, seed, n_stored=scen.steps_read)
+    kept = []
+
+    def keep_y_t0(k, y_k, z_k):  # the sweep holds only its window
+        if k == k0:
+            kept.append(y_k[:n_outer, 0].copy())
+
+    solve_backward_sweep(scen, paths, backend, on_node=keep_y_t0)
+    rhs, stderr = duality_rhs(coeffs, paths.dB[:n_outer], grid, k0, inner,
+                              (seed, 104729))
+    return np.abs(kept[0] - rhs), stderr, kept[0], rhs
+
+
 def duality_check(coeffs: LinearDualityCoeffs, T: float, h: float,
                   P: int = 4096, n_outer: int = 64, inner: int = 2048,
-                  seed: int = 11, backend: RegressionBackend | None = None,
-                  tol_mean: float | None = None) -> DualityReport:
+                  seed: int = 11,
+                  backend: RegressionBackend | None = None) -> DualityReport:
     """Residuals between the backward solve and the dual representation.
 
     Each grid draws P paths, solves the backward equation on them and
     compares Y at t0 on the first n_outer <= P paths with duality_rhs on their
-    B-increments.  With tol_mean unset it is self-calibrated: the step-size
-    constant C is the largest mean residual / h over the coarse grids with
-    steps h * _CALIBRATION_FACTORS (max(inner // 2, 64) inner paths and
+    B-increments.  The run's grid, step h, gives the residuals; a t0 or
+    horizon off it raises NonCommensurate before any draw.  The tolerances
+    are self-calibrated from the run: the step-size constant C is the
+    largest mean residual / h over the coarse grids with steps
+    h * _CALIBRATION_FACTORS (max(inner // 2, 64) inner paths and
     seed + factor; a grid that T, delta or t0 does not fit is skipped), and
     tol_mean = 3 (mean inner stderr + C h).  tol_max is 3 tol_mean.
     When no coarse grid fits, C is unknown: a run that passes with C = 0
@@ -312,55 +334,33 @@ def duality_check(coeffs: LinearDualityCoeffs, T: float, h: float,
                               "the outer paths are the first paths of the draw")
     if coeffs.t0 > T:
         raise ValidationError(f"t0 = {coeffs.t0:g} is beyond the horizon T = {T:g}")
-    coeffs.profiles(coeffs.grid_for(T, h))  # a terminal that reads the paths fails here
+    grid = coeffs.grid_for(T, h)
+    coeffs.profiles(grid)  # a terminal that reads the paths fails here
+    k0 = grid.index_of(coeffs.t0)
     backend = backend or RegressionBackend()
-    calibrate = tol_mean is None
-    grids = [(1, inner, seed)]
-    if calibrate:
-        grids += [(factor, max(inner // 2, 64), seed + factor)
-                  for factor in _CALIBRATION_FACTORS]
+    resid, stderr, y_t0, rhs = _grid_pass(coeffs, grid, k0, P, n_outer, inner,
+                                          seed, backend)
     rate_c = 0.0
     unfit = []  # steps of the coarse grids that T, delta or t0 does not fit
-    for factor, n_inner, grid_seed in grids:
+    for factor in _CALIBRATION_FACTORS:
         try:
-            grid = coeffs.grid_for(T, h * factor)
-            k0 = grid.index_of(coeffs.t0)
+            coarse = coeffs.grid_for(T, h * factor)
+            coarse_k0 = coarse.index_of(coeffs.t0)
         except NonCommensurate:
-            if factor == 1:
-                raise
             unfit.append(h * factor)
             continue
-        scen = coeffs.scenario(grid)
-        # a deterministic terminal profile reads no path: n_T steps are stored
-        paths = sample_paths(grid, coeffs.d, coeffs.l, P, grid_seed,
-                             n_stored=scen.steps_read)
-        kept = []
-
-        def keep_y_t0(k, y_k, z_k):  # the sweep holds only its window
-            if k == k0:
-                kept.append(y_k[:n_outer, 0].copy())
-
-        solve_backward_sweep(scen, paths, backend, on_node=keep_y_t0)
-        y_t0 = kept[0]
-        rhs, stderr = duality_rhs(coeffs, paths.dB[:n_outer], grid, k0,
-                                  n_inner, (grid_seed, 104729))
-        resid = np.abs(y_t0 - rhs)
-        if factor == 1:
-            fine = (resid, stderr, y_t0, rhs)
-        else:
-            rate_c = max(rate_c, float(resid.mean()) / grid.h)
-    resid, stderr, y_t0, rhs = fine
-    if calibrate:
-        tol_mean = 3.0 * (float(stderr.mean()) + rate_c * h)
-    report = DualityReport(residuals=resid, tol_mean=float(tol_mean),
-                           tol_max=3.0 * float(tol_mean), rate_constant=rate_c,
-                           y_t0=y_t0, rhs=rhs)
-    if calibrate and len(unfit) == len(_CALIBRATION_FACTORS) and not report.passed:
+        coarse_resid = _grid_pass(coeffs, coarse, coarse_k0, P, n_outer,
+                                  max(inner // 2, 64), seed + factor, backend)[0]
+        rate_c = max(rate_c, float(coarse_resid.mean()) / coarse.h)
+    tol_mean = 3.0 * (float(stderr.mean()) + rate_c * h)
+    report = DualityReport(residuals=resid, tol_mean=tol_mean, tol_max=3.0 * tol_mean,
+                           rate_constant=rate_c, y_t0=y_t0, rhs=rhs)
+    if len(unfit) == len(_CALIBRATION_FACTORS) and not report.passed:
         tried = ", ".join(f"{step:g}" for step in unfit)
         raise ValidationError(
             f"no calibration grid fits T = {T:g}, delta = {coeffs.delta:g} and "
             f"t0 = {coeffs.t0:g} (tried h = {tried}), and without the "
-            f"step-size term the residuals exceed tol_mean; set tol_mean")
+            "step-size term the residuals exceed tol_mean")
     return report
 
 

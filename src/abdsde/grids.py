@@ -30,8 +30,8 @@ class TimeGrid:
     n_end: int
 
     def __post_init__(self):
-        if self.h <= 0:
-            raise ValidationError(f"step must be positive, got {self.h}")
+        if not 0 < self.h < np.inf:  # NaN fails both comparisons
+            raise ValidationError(f"step must be finite and positive, got {self.h}")
         if not (0 < self.n_T <= self.n_end):
             raise ValidationError(f"need 0 < n_T <= n_end, got ({self.n_T}, {self.n_end})")
 

@@ -389,3 +389,13 @@ def test_chain_decreasing_middle_fails():
                                   samples=2000, seed=3)
     assert not report.passed
     assert report.worst_monotone_gap < 0.0
+
+
+@pytest.mark.parametrize("dims", [{"d": 2}, {"l": 2}], ids=["d2", "l2"])
+def test_a_pair_with_other_driver_dimensions_raises(dims):
+    grid = make_grid(1.0, 0.0, 0.25)
+    first = make_scenario(grid, builtin_generator("zero"), constant_terminal(1.0))
+    second = make_scenario(grid, builtin_generator("zero", **dims), constant_terminal(1.0))
+    with pytest.raises(ValidationError, match="share the driver dimensions"):
+        run_comparison(first, second, sample_paths(grid, 1, 1, 256, seed=1),
+                       RegressionBackend())

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from abdsde.condexp import condexp, RegressionBackend, RegressionBasis, _poly_features
-from abdsde.errors import BackendMismatch, SingularDesign, ValidationError
+from abdsde.errors import BackendMismatch, NonFinite, SingularDesign, ValidationError
 from abdsde.grids import make_grid
 from abdsde.paths import sample_paths
 from abdsde.tree import build_tree
@@ -194,3 +194,13 @@ def test_block_shortcuts_constant_columns_and_fits_the_rest_together(kind):
     assert np.array_equal(condexp(backend, np.ascontiguousarray(block), k, paths), got)
     assert np.array_equal(condexp(backend, block.reshape(P, 2, 2), k, paths),
                           got.reshape(P, 2, 2))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_targets_raise_non_finite(value):
+    grid = make_grid(1.0, 0.0, 0.25)
+    paths = sample_paths(grid, 1, 1, 64, seed=1)
+    targets = np.ones(64)
+    targets[5] = value
+    with pytest.raises(NonFinite, match="non-finite targets"):
+        condexp(RegressionBackend(), targets, 2, paths)

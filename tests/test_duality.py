@@ -11,7 +11,7 @@ from abdsde.condexp import RegressionBackend
 from abdsde.duality import (_bracket, _denominators, _forward, duality_check,
                             duality_rhs, LinearDualityCoeffs,
                             measurability_check, solve_delayed_dsde)
-from abdsde.errors import NonFinite, ValidationError
+from abdsde.errors import NonCommensurate, NonFinite, ValidationError
 from abdsde.paths import PathEnsemble, sample_paths
 from abdsde.solver import solve_backward_sweep
 from abdsde.terminal import TerminalSpec
@@ -114,8 +114,7 @@ def test_both_duality_sides_converge_to_the_ode_reference():
     reference = _anticipated_ode_reference(0.2, 0.1, 0.25, 1.0, 0.25)
     errs_solver, errs_rhs = [], []
     for h in (1 / 32, 1 / 64):
-        rep = duality_check(coeffs, T=1.0, h=h, P=128, n_outer=4, inner=4,
-                            seed=5, tol_mean=1.0)
+        rep = duality_check(coeffs, T=1.0, h=h, P=128, n_outer=4, inner=4, seed=5)
         errs_solver.append(abs(float(rep.y_t0[0]) - reference))
         errs_rhs.append(abs(float(rep.rhs[0]) - reference))
         assert errs_solver[-1] <= 2 * h * 0.05
@@ -130,8 +129,7 @@ def test_stochastic_residual_ladder_trends_to_zero():
     residuals = []
     for h, P, inner in ((1 / 8, 1024, 128), (1 / 16, 4096, 512),
                         (1 / 32, 16384, 2048)):
-        rep = duality_check(coeffs, T=1.0, h=h, P=P, n_outer=16, inner=inner,
-                            seed=31, tol_mean=1.0)
+        rep = duality_check(coeffs, T=1.0, h=h, P=P, n_outer=16, inner=inner, seed=31)
         residuals.append(rep.mean_residual)
     assert residuals[0] > residuals[1] > residuals[2]
 
@@ -253,6 +251,18 @@ def test_calibration_without_a_fitting_grid_raises_unless_it_passes():
     report = duality_check(coeffs, T=1.0, h=0.125, P=256, n_outer=4, inner=8,
                            seed=5)
     assert report.rate_constant > 0.0 and report.passed
+
+
+def test_a_start_off_the_run_grid_raises_before_any_draw(monkeypatch):
+    # t0 = 0.3 is no node of the h = 1/8 grid: the run's grid is checked
+    # before its pass draws, and no calibration grid is tried
+    draws = []
+    monkeypatch.setattr(abdsde.duality, "sample_paths",
+                        lambda *args, **kwargs: draws.append(args))
+    coeffs = LinearDualityCoeffs(mu=0.2, delta=0.25, t0=0.3)
+    with pytest.raises(NonCommensurate, match="time=0.3"):
+        duality_check(coeffs, T=1.0, h=1 / 8, P=256, n_outer=4, inner=8, seed=5)
+    assert draws == []
 
 
 def _serial_rhs(coeffs, outer_dB, grid, k0, inner, seed):
@@ -476,6 +486,15 @@ def test_a_worker_failure_surfaces_as_non_finite():
     with pytest.raises(NonFinite, match="degenerate at node 4"):
         duality_rhs(coeffs, dB[:4], grid, grid.index_of(0.25), 8, (1,))
     with pytest.raises(NonFinite, match="degenerate at node 4"):
-        duality_check(coeffs, T=1.0, h=1 / 8, P=256, n_outer=4, inner=8,
-                      seed=5, tol_mean=1.0)
+        duality_check(coeffs, T=1.0, h=1 / 8, P=256, n_outer=4, inner=8, seed=5)
     assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("params,match", [
+    ({"sigma": (0.1,), "sigma_bar": (0.0, 0.0)}, "share a dimension"),
+    ({"delta": 0.0}, "delta must be positive"),
+    ({"delta": -0.25}, "delta must be positive"),
+], ids=["sigma-bar-dim", "delta-zero", "delta-negative"])
+def test_coefficients_that_break_a_rule_raise_validation_error(params, match):
+    with pytest.raises(ValidationError, match=match):
+        LinearDualityCoeffs(**params)

@@ -217,3 +217,23 @@ def test_q_total_is_read_off_phi(d):
                           f=lambda t, y, z, e: e[:, :1],
                           g=lambda t, y, z, e: np.zeros((y.shape[0], 1, 1)),
                           lip=LipschitzData(c=1.0), phi=phi)
+
+
+def _spec_returning(f_shape, g_shape):
+    return GeneratorSpec(name="shaped", m=1, d=1, l=1,
+                         f=lambda t, y, z, e: np.zeros((y.shape[0],) + f_shape),
+                         g=lambda t, y, z, e: np.zeros((y.shape[0],) + g_shape),
+                         lip=LipschitzData(c=0.0))
+
+
+@pytest.mark.parametrize("spec,z,e,match", [
+    (_spec_returning((1,), (1, 1)), np.zeros((4, 1)), np.zeros((4, 0)), "z must be"),
+    (_spec_returning((1,), (1, 1)), np.zeros((4, 1, 2)), np.zeros((4, 0)), "z must be"),
+    (_spec_returning((1,), (1, 1)), np.zeros((4, 1, 1)), np.zeros((4, 2)), "e must be"),
+    (_spec_returning((1,), (1, 1)), np.zeros((4, 1, 1)), np.zeros(4), "e must be"),
+    (_spec_returning((), (1, 1)), np.zeros((4, 1, 1)), np.zeros((4, 0)), "f returned"),
+    (_spec_returning((1,), (1,)), np.zeros((4, 1, 1)), np.zeros((4, 0)), "g returned"),
+], ids=["z-ndim", "z-d", "e-width", "e-ndim", "f-shape", "g-shape"])
+def test_evaluate_checks_argument_and_return_shapes(spec, z, e, match):
+    with pytest.raises(ShapeMismatch, match=match):
+        evaluate(spec, 0.0, np.zeros((4, 1)), z, e)

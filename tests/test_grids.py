@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from abdsde.errors import NonCommensurate, TooLarge
+from abdsde.errors import NonCommensurate, TooLarge, ValidationError
 from abdsde.grids import make_grid, MAX_NODES, TimeGrid
 
 
@@ -37,6 +37,13 @@ def test_invalid_parameters():
         make_grid(-1.0, 0.0, 0.25)
     with pytest.raises(ValueError):
         TimeGrid(h=0.25, n_T=0, n_end=2)
+
+
+@pytest.mark.parametrize("h", [np.nan, np.inf, -np.inf, 0.0, -0.25])
+def test_a_grid_step_must_be_finite_and_positive(h):
+    # NaN compares false both ways, so `h <= 0` alone lets it through
+    with pytest.raises(ValidationError, match="step must be finite and positive"):
+        TimeGrid(h=h, n_T=2, n_end=2)
 
 
 def test_index_of():

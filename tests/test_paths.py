@@ -381,3 +381,9 @@ def test_the_tree_and_a_coarsening_allocate_less_than_one_slab():
     draw = sample_paths(STATE_GRID, 1, 1, 4096, seed=2)
     _, peak = _traced_peak(draw.coarsen)
     assert peak < 8 * draw.n_paths, peak  # a (4096, 1) slab
+
+
+@pytest.mark.parametrize("d,l", [(0, 1), (1, 0)], ids=["d0", "l0"])
+def test_a_draw_needs_both_drivers(d, l):
+    with pytest.raises(ValidationError, match="driver dimensions must be >= 1"):
+        sample_paths(make_grid(1.0, 0.0, 0.25), d, l, 16, seed=1)

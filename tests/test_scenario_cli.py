@@ -8,12 +8,14 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, HealthCheck, settings, strategies as st
 
 from abdsde import cli
 from abdsde.cli import load_scenario, run, scenario_hash
+from abdsde.duality import DualityReport
 from abdsde.errors import AbdsdeError, ParseError, ValidationError
 from abdsde.grids import MAX_NODES
 
@@ -163,9 +165,10 @@ def test_out_of_range_input_exits_two(tmp_path, command, section, value,
     assert run(command, str(path), str(tmp_path / "x.csv"), **override) == 2
 
 
-@pytest.mark.parametrize("section,key", [("compare", "epsilon"), ("duality", "tol_max")])
+@pytest.mark.parametrize("section,key", [("compare", "epsilon"), ("duality", "tol_max"),
+                                         ("duality", "tol_mean")])
 def test_removed_tolerance_keys_exit_two(tmp_path, capsys, section, key):
-    # the comparison's epsilon and the duality's tol_max follow from the run
+    # the comparison's epsilon and the duality's tolerances follow from the run
     config = {name: dict(val) for name, val in DUALITY_READY.items()}
     config.setdefault(section, {})[key] = 0.1
     path = tmp_path / "removed.yaml"
@@ -258,19 +261,15 @@ _INF, _NAN = float("inf"), float("nan")
     ("solve", "dims", {"d": _INF}, {}, "dims.d"),
     ("duality", "duality", {"outer": _INF}, {}, "duality.outer"),
     ("solve", "dims", {"d": 1.5}, {}, "dims.d"),
-    ("duality", "duality", {"tol_mean": "x"}, {}, "duality.tol_mean"),
     ("solve", "paths", {"count": 300.7}, {}, "paths.count"),
     ("solve", "paths", {}, {"n_paths": 300.7}, "paths.count"),
     ("solve", "solver", {"implicit_iters": 1.5}, {}, "solver.implicit_iters"),
     ("solve", "backend", {"degree": 2.5}, {}, "backend.degree"),
     ("duality", "duality", {"inner": 4.5}, {}, "duality.inner"),
-    ("duality", "duality", {"tol_mean": _NAN}, {}, "duality.tol_mean"),
-    ("duality", "duality", {"tol_mean": -1}, {}, "duality.tol_mean"),
     ("solve", "backend", {"ridge": _NAN}, {}, "backend.ridge"),
 ], ids=["count-inf", "iters-inf", "degree-inf", "d-inf", "outer-inf", "d-float",
-        "tol-mean-string", "count-float", "flag-paths-float", "iters-float",
-        "degree-float", "inner-float", "tol-mean-nan", "tol-mean-negative",
-        "ridge-nan"])
+        "count-float", "flag-paths-float", "iters-float", "degree-float",
+        "inner-float", "ridge-nan"])
 def test_a_value_that_breaks_its_rule_exits_two(tmp_path, capsys, command, section,
                                                 value, override, key):
     # each ran as a traceback, a truncated value or a meaningless check
@@ -374,6 +373,25 @@ def test_a_duality_terminal_that_reads_the_paths_fails_at_load(tmp_path, capsys)
     assert run("duality", str(path), str(out)) == 2
     assert not out.exists()
     assert "deterministic terminal profile, got 'scaled_wt'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("h", [0.125, 0.03125], ids=["6-steps", "24-steps"])
+def test_a_duality_file_on_the_exact_backend_fails_at_load(tmp_path, capsys, monkeypatch,
+                                                           h):
+    # the harness draws its paths, so no tree is built: on 24 steps it would
+    # raise TooLarge, which names no duality rule
+    trees = []
+    monkeypatch.setattr(cli, "tree_for_grid", trees.append)
+    config = {name: dict(val) for name, val in DUALITY_READY.items()}
+    config.update(grid={"T": 0.5, "K": 0.25, "h": h}, backend={"kind": "exact"})
+    path = tmp_path / "exact.yaml"
+    path.write_text(yaml.safe_dump(config))
+    with pytest.raises(ValidationError, match="backend.kind must be regression in a duality"):
+        load_scenario(str(path))
+    out = tmp_path / "d.csv"
+    assert run("duality", str(path), str(out)) == 2
+    assert not out.exists() and trees == []
+    assert "ValidationError: backend.kind must be regression" in capsys.readouterr().err
 
 
 def test_duality_section_needs_the_duality_linear_generator(tmp_path):
@@ -484,28 +502,29 @@ def test_duality_command_validates_the_delay_at_load_and_once_per_solved_grid(
     assert calls == [0.03125, 0.03125, 0.0625, 0.125]
 
 
-def test_duality_command_pass_and_fail(tmp_path):
-    base = """
-        grid: {{T: 1.0, K: 0.25, h: {h}}}
-        delay: {{delta: 0.25}}
-        generator: {{name: duality_linear, params: {{mu: 0.2, mu_bar: 0.1, rho: 0.2}}}}
-        terminal: {{name: constant, params: {{value: 1.0}}}}
-        paths: {{count: 256, seed: 11}}
-        duality: {{mu: 0.2, mu_bar: 0.1, rho: 0.2, t0: 0.25, outer: 4, inner: 32{tol}}}
-    """
-    ok = _write(tmp_path, "ok.yaml", base.format(h=0.0625, tol=""))
+def test_duality_command_pass_and_fail(tmp_path, monkeypatch):
+    scenario = _write(tmp_path, "dual.yaml", """
+        grid: {T: 1.0, K: 0.25, h: 0.0625}
+        delay: {delta: 0.25}
+        generator: {name: duality_linear, params: {mu: 0.2, mu_bar: 0.1, rho: 0.2}}
+        terminal: {name: constant, params: {value: 1.0}}
+        paths: {count: 256, seed: 11}
+        duality: {mu: 0.2, mu_bar: 0.1, rho: 0.2, t0: 0.25, outer: 4, inner: 32}
+    """)
     out = str(tmp_path / "d.csv")
-    assert run("duality", ok, out) == 0
+    assert run("duality", scenario, out) == 0
     body = [line for line in open(out).read().splitlines()
             if not line.startswith("#")]
     assert body[0] == "outer_path,residual"
     assert body[-1].startswith("summary,")
-    # deliberately huge step with a pinned tolerance: FAIL report, CSV written
-    fail = _write(tmp_path, "fail.yaml",
-                  base.format(h=0.25, tol=", tol_mean: 1.0e-6"))
+    # a report whose residuals exceed its tolerances: FAIL, CSV written
+    failing = DualityReport(residuals=np.array([0.5, 0.7]), tol_mean=0.1, tol_max=0.3,
+                            rate_constant=0.0, y_t0=np.ones(2), rhs=np.array([0.5, 0.3]))
+    monkeypatch.setattr(cli, "duality_check", lambda **kwargs: failing)
     out2 = str(tmp_path / "d2.csv")
-    assert run("duality", fail, out2) == 1
-    assert "result = FAIL" in open(out2).read()
+    assert run("duality", scenario, out2) == 1
+    text = open(out2).read()
+    assert "result = FAIL" in text and "\n1,0.69999999999999996\n" in text
 
 
 def test_duality_command_fits_with_the_backend_section(tmp_path):
@@ -762,6 +781,36 @@ def test_the_readme_python_blocks_run_in_order():
     namespace: dict = {}
     for block in blocks:
         exec(compile(block, "README.md", "exec"), namespace)
+
+
+@pytest.mark.parametrize("command,body,out,message", [
+    ("solve", "- 1\n- 2\n", "x.csv", "ParseError: scenario file"),
+    ("solve", MINIMAL + "    backend: {kind: lattice}\n", "x.csv",
+     "ValidationError: unknown backend kind 'lattice'"),
+    ("compare", MINIMAL, "x.csv", "ValidationError: compare command needs"),
+    ("duality", MINIMAL, "x.csv", "ValidationError: duality command needs"),
+    ("segment", MINIMAL, "x.csv", "ValidationError: segment command needs"),
+    ("solve", MINIMAL, "missing/x.csv", "No such file or directory"),
+], ids=["top-level-list", "unknown-backend-kind", "compare-without-section",
+        "duality-without-section", "segment-without-delay", "unwritable-out"])
+def test_a_file_or_command_that_breaks_a_rule_exits_two(tmp_path, capsys, command, body,
+                                                         out, message):
+    scenario = _write(tmp_path, "s.yaml", body)
+    assert run(command, scenario, str(tmp_path / out)) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_importing_the_cli_leaves_the_thread_pool_unloaded():
+    # duality_rhs imports concurrent.futures when it runs: every process
+    # would pay for a module-level import at start-up
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, abdsde.cli; print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_console_entry_point(tmp_path):

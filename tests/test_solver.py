@@ -862,3 +862,54 @@ def test_built_terminal_data_is_read_only_and_solves_as_a_copy(name):
                                  RegressionBackend()) for t in (term, copied)]
     assert np.array_equal(sols[0].Y, sols[1].Y)
     assert np.array_equal(sols[0].Z, sols[1].Z)
+
+
+@pytest.mark.parametrize("frozen_paths", [400, 600])
+def test_a_frozen_process_of_another_path_count_raises_shape_mismatch(frozen_paths):
+    grid = make_grid(1.0, 0.0, 0.25)
+    scen = make_scenario(grid, builtin_generator("linear_bsde", a=1.0),
+                         constant_terminal(1.0))
+    frozen = solve_backward_sweep(scen, sample_paths(grid, 1, 1, frozen_paths, seed=3),
+                                  RegressionBackend())
+    with pytest.raises(ShapeMismatch, match="frozen process holds a different path count"):
+        solve_backward_sweep(scen, sample_paths(grid, 1, 1, 500, seed=3),
+                             RegressionBackend(), frozen=frozen)
+
+
+def _constant_f(value):
+    return GeneratorSpec(name="constant_f", m=1, d=1, l=1,
+                         f=lambda t, y, z, e: np.full((y.shape[0], 1), value),
+                         g=lambda t, y, z, e: np.zeros((y.shape[0], 1, 1)),
+                         lip=LipschitzData(c=0.0))
+
+
+@pytest.mark.parametrize("generator,error,match", [
+    (lambda: builtin_generator("example41_f1"), ValidationError, "no delay"),
+    (lambda: _constant_f(np.nan), NonFinite, r"f\(t, 0, 0, 0\) is non-finite"),
+    (lambda: _constant_f(np.inf), NonFinite, r"f\(t, 0, 0, 0\) is non-finite"),
+], ids=["anticipates-without-delay", "f-nan", "f-inf"])
+def test_make_scenario_rejects_a_generator_it_cannot_solve(generator, error, match):
+    with pytest.raises(error, match=match):
+        make_scenario(make_grid(1.0, 0.5, 0.25), generator(), constant_terminal(1.0))
+
+
+# on the grid make_grid(1.0, 0.5, 0.25) the terminal window has 3 nodes
+@pytest.mark.parametrize("xi,eta,error,match", [
+    (np.ones((4, 3)), np.zeros((4, 3, 1, 1)), ShapeMismatch, "xi must be"),
+    (np.ones((4, 2, 1)), np.zeros((4, 3, 1, 1)), ShapeMismatch, "xi must be"),
+    (np.ones((4, 3, 1)), np.zeros((4, 3, 1)), ShapeMismatch, "eta must be"),
+    (np.ones((4, 3, 1)), np.zeros((4, 4, 1, 1)), ShapeMismatch, "eta must be"),
+    (np.full((4, 3, 1), np.nan), np.zeros((4, 3, 1, 1)), NonFinite, "non-finite"),
+    (np.ones((4, 3, 1)), np.full((4, 3, 1, 1), np.inf), NonFinite, "non-finite"),
+], ids=["xi-ndim", "xi-nodes", "eta-ndim", "eta-nodes", "xi-nan", "eta-inf"])
+def test_terminal_data_that_break_a_rule_raise(xi, eta, error, match):
+    with pytest.raises(error, match=match):
+        TerminalData(make_grid(1.0, 0.5, 0.25), xi, eta)
+
+
+@pytest.mark.parametrize("name", ["scaled_wt", "scaled_b_tail"])
+def test_a_path_reading_terminal_is_scalar(name):
+    grid = make_grid(1.0, 0.5, 0.25)
+    with pytest.raises(ShapeMismatch, match="scalar"):
+        TerminalSpec(name=name, params={"a": 1.0}).build(
+            grid, sample_paths(grid, 1, 1, 16, seed=1), m=2, d=1)

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from abdsde.delays import affine_delay, constant_delay, DelaySpec
-from abdsde.errors import NotMeasurable, TooLarge
+from abdsde.errors import NotMeasurable, ShapeMismatch, TooLarge
 from abdsde.generators import builtin_generator, CATALOG, GeneratorSpec
 from abdsde.grids import make_grid
 from abdsde.scenario import make_scenario
 from abdsde.solver import solve_backward_sweep
-from abdsde.terminal import TerminalData, TerminalSpec
+from abdsde.terminal import constant_terminal, TerminalData, TerminalSpec
 from abdsde.tree import build_tree, oracle_solve, tree_for_grid
 from tree_helpers import _reference_f_atom_ids, _tensor_condexp, stacked_steps
 
@@ -398,3 +398,11 @@ def test_atom_ids_match_the_formula_on_the_w_and_b_indices(n):
         ids = tree.f_atom_ids(k)
         assert ids.dtype == np.int64
         assert np.array_equal(ids, _reference_f_atom_ids(tree, k))
+
+
+@pytest.mark.parametrize("dims", [{"m": 2}, {"d": 2}, {"l": 2}], ids=["m2", "d2", "l2"])
+def test_the_oracle_is_scalar(dims):
+    grid = make_grid(0.5, 0.0, 0.25)
+    scen = make_scenario(grid, builtin_generator("zero", **dims), constant_terminal(1.0))
+    with pytest.raises(ShapeMismatch, match="the exact oracle is scalar"):
+        oracle_solve(scen, tree_for_grid(grid))
