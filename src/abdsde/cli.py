@@ -399,7 +399,7 @@ def _cmd_duality(config, built, out_path):
     if built.duality is None:
         raise ValidationError("duality command needs a 'duality' section")
     report = duality_check(**built.duality, P=built.n_paths, seed=built.seed,
-                           backend=built.backend)
+                           basis=built.backend.basis)
     rows = [(j, float(r)) for j, r in enumerate(report.residuals)]
     rows.append(("summary", report.mean_residual))
     comments = (f"mean_residual = {_fmt(report.mean_residual)}",

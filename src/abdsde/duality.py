@@ -310,18 +310,19 @@ def _grid_pass(coeffs: LinearDualityCoeffs, grid: TimeGrid, k0: int, P: int,
 def duality_check(coeffs: LinearDualityCoeffs, T: float, h: float,
                   P: int = 4096, n_outer: int = 64, inner: int = 2048,
                   seed: int = 11,
-                  backend: RegressionBackend | None = None) -> DualityReport:
+                  basis: RegressionBasis = RegressionBasis()) -> DualityReport:
     """Residuals between the backward solve and the dual representation.
 
-    Each grid draws P paths, solves the backward equation on them and
-    compares Y at t0 on the first n_outer <= P paths with duality_rhs on their
-    B-increments.  The run's grid, step h, gives the residuals; a t0 or
-    horizon off it raises NonCommensurate before any draw.  The tolerances
-    are self-calibrated from the run: the step-size constant C is the
-    largest mean residual / h over the coarse grids with steps
-    h * _CALIBRATION_FACTORS (max(inner // 2, 64) inner paths and
-    seed + factor; a grid that T, delta or t0 does not fit is skipped), and
-    tol_mean = 3 (mean inner stderr + C h).  tol_max is 3 tol_mean.
+    Each grid draws P paths, solves the backward equation on them by
+    regression on `basis` and compares Y at t0 on the first n_outer <= P
+    paths with duality_rhs on their B-increments.  The run's grid, step h,
+    gives the residuals; a t0 or horizon off it raises NonCommensurate
+    before any draw.  The tolerances are self-calibrated from the run: the
+    step-size constant C is the largest mean residual / h over the coarse
+    grids with steps h * _CALIBRATION_FACTORS (max(inner // 2, 64) inner
+    paths and seed + factor; a grid that T, delta or t0 does not fit is
+    skipped), and tol_mean = 3 (mean inner stderr + C h).  tol_max is 3
+    tol_mean.
     When no coarse grid fits, C is unknown: a run that passes with C = 0
     passes for every C >= 0 and is reported, any other raises
     ValidationError naming the grids tried.
@@ -337,7 +338,7 @@ def duality_check(coeffs: LinearDualityCoeffs, T: float, h: float,
     grid = coeffs.grid_for(T, h)
     coeffs.profiles(grid)  # a terminal that reads the paths fails here
     k0 = grid.index_of(coeffs.t0)
-    backend = backend or RegressionBackend()
+    backend = RegressionBackend(basis)
     resid, stderr, y_t0, rhs = _grid_pass(coeffs, grid, k0, P, n_outer, inner,
                                           seed, backend)
     rate_c = 0.0

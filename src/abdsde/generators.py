@@ -44,9 +44,9 @@ class LipschitzData:
 
 
 def check_feasible(lip: LipschitzData, M: float) -> float:
-    """Return alpha1 + alpha2*M, raising Infeasible when it is >= 1."""
+    """Return alpha1 + alpha2*M, raising Infeasible unless it is < 1."""
     load = lip.alpha1 + lip.alpha2 * M
-    if load >= 1.0:
+    if not load < 1.0:
         raise Infeasible(
             f"alpha1 + alpha2*M = {load:.6g} >= 1 (alpha1={lip.alpha1}, "
             f"alpha2={lip.alpha2}, M={M})"
@@ -127,8 +127,11 @@ def evaluate(spec: GeneratorSpec, t: float, y: Array, z: Array, e: Array):
 # ---------------------------------------------------------------------------
 
 def _z_norm(z: Array) -> Array:
-    # Euclidean norm over the (m, d) axes, shape (P,)
-    return np.sqrt(np.sum(z * z, axis=(1, 2)))
+    # Euclidean norm over the (m, d) axes, shape (P,), in a new array; one
+    # entry is sqrt(z*z), which is not |z| below 1.5e-154 or above 1.3e154
+    sq = z * z
+    norm = sq[:, 0, 0] if sq.shape[1] * sq.shape[2] == 1 else np.sum(sq, axis=(1, 2))
+    return np.sqrt(norm, out=norm)
 
 
 def _zeros_g(l: int):
@@ -142,10 +145,15 @@ def _scalar_drift_from_e(t, y, z, e):
 
 
 def _growth_g(l: int):
-    """g(t, y, z) = y + |z|/sqrt(3), scalar values broadcast to (P, 1, l)."""
+    """g(t, y, z) = y + |z|/sqrt(3), scalar values repeated to (P, 1, l)."""
     def g(t, y, z, e):
-        vals = y[:, 0] + _z_norm(z) / math.sqrt(3.0)
-        return np.repeat(vals[:, None, None], l, axis=2)
+        # stored, not a broadcast view: einsum reads a stride-0 axis with
+        # another kernel, which moves the sweep's G dB_k for l >= 2
+        out = np.empty((y.shape[0], 1, l))
+        np.divide(_z_norm(z), math.sqrt(3.0), out=out[:, 0, 0])
+        out[:, 0, 0] += y[:, 0]
+        out[:, 0, 1:] = out[:, 0, :1]
+        return out
     return g
 
 
@@ -163,15 +171,28 @@ def _drift_from_y_ant(fn, c, m, d, l):
     return _scalar_drift_from_e, _zeros_g(l), phi, LipschitzData(c=c)
 
 
+# Each phi below forms its value in one buffer, adding in the order of
+# x + sin(2x) + |z| + 2 and x + 2|cos x| + sin(v) - 2.
+
 def _example41_f1_phi(ya, za):
     x = ya[:, 0]
-    return (x + np.sin(2.0 * x) + _z_norm(za) + 2.0)[:, None]
+    out = np.multiply(x, 2.0)
+    np.sin(out, out=out)
+    out += x
+    out += _z_norm(za)
+    out += 2.0
+    return out[:, None]
 
 
 def _example41_f2_phi(ya, za):
     x = ya[:, 0]
-    v = za[:, 0, 0] if za.shape[2] == 1 else _z_norm(za)
-    return (x + 2.0 * np.abs(np.cos(x)) + np.sin(v) - 2.0)[:, None]
+    out = np.cos(x)
+    np.abs(out, out=out)
+    out *= 2.0
+    out += x
+    out += np.sin(za[:, 0, 0] if za.shape[2] == 1 else _z_norm(za))
+    out -= 2.0
+    return out[:, None]
 
 
 def _example41(phi_fn, m, d, l):

@@ -38,10 +38,11 @@ The sweep reads the drivers only on the steps 0..n_T-1 and the terminal
 data read them at most to the node `TerminalSpec.last_node_read` names,
 so an ensemble that stores just the leading `Scenario.steps_read` steps
 gives the same bits as a full one.  While node k fits, the sweep holds the
-stored increments, the pending functionals, the (Y, Z) ring, node k+1's
-(Y, Z) and one target block, beside condexp's design and fit: node k's Y
-target is formed in the block, and its g value, fit and f value are freed
-before node k-1 fits.
+stored increments, the pending functionals, the (Y, Z) ring, node k+1's Z
+and one target block, beside condexp's design and fit.  The block's Y
+columns hold node k+1's Y, then node k's Y target formed over it, then
+node k's squared residual and Y_k, which node k-1 reads and overwrites;
+node k's g value, fit and f value are freed before node k-1 fits.
 
 The sweep reads later nodes only through the functionals.  Node i's
 functionals read Y at a = i + d_delta[i] and Z at b = i + d_zeta[i]; they
@@ -272,7 +273,8 @@ def solve_backward_sweep(scenario: Scenario, paths: PathEnsemble, backend,
             raw[i] = gen.eval_functionals(node(a)[0], node(b)[1])
 
     evaluate(grid.n_T)
-    # node k+1's values, carried as contiguous copies of its slots
+    # node k+1's values: Z as a contiguous copy of its slot, Y where it was
+    # formed, in the block's Y columns (the terminal node's as a copy)
     y_next = Y[:, grid.n_T % n_slots].copy()
     z_next = Z[:, grid.n_T % n_slots].copy()
     for k in range(grid.n_T - 1, -1, -1):
@@ -299,11 +301,15 @@ def solve_backward_sweep(scenario: Scenario, paths: PathEnsemble, backend,
                                      [n_z, n_z + n_e], axis=1)
         z_k = z_fit.reshape(P, gen.m, gen.d) / h
 
-        resid[k] = tuple(float(np.sqrt(np.mean((y_cols[:, i] - y_bar[:, i]) ** 2)))
-                         for i in range(gen.m))
+        # the residual and Y_k are formed in the Y-target columns, which the
+        # fit has read and node k-1 overwrites; f's value is only read, as
+        # it may view e_k, which every pass reads again
+        np.square(np.subtract(y_cols, y_bar, out=y_cols), out=y_cols)
+        resid[k] = tuple(float(np.sqrt(np.mean(y_cols[:, i]))) for i in range(gen.m))
         y_hat = y_bar
         for _ in range(scenario.implicit_iters):
-            y_hat = y_bar + h * np.asarray(gen.f(t_k, y_hat, z_k, e_k))
+            np.multiply(h, gen.f(t_k, y_hat, z_k, e_k), out=y_cols)
+            y_hat = np.add(y_bar, y_cols, out=y_cols)
 
         if not (np.all(np.isfinite(y_hat)) and np.all(np.isfinite(z_k))):
             raise NonFinite(f"sweep produced non-finite values at node {k}")

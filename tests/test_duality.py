@@ -1,3 +1,4 @@
+import inspect
 import os
 import sys
 import threading
@@ -7,7 +8,7 @@ import pytest
 
 import abdsde.duality
 import abdsde.paths
-from abdsde.condexp import RegressionBackend
+from abdsde.condexp import RegressionBackend, RegressionBasis
 from abdsde.duality import (_bracket, _denominators, _forward, duality_check,
                             duality_rhs, LinearDualityCoeffs,
                             measurability_check, solve_delayed_dsde)
@@ -15,6 +16,7 @@ from abdsde.errors import NonCommensurate, NonFinite, ValidationError
 from abdsde.paths import PathEnsemble, sample_paths
 from abdsde.solver import solve_backward_sweep
 from abdsde.terminal import TerminalSpec
+from abdsde.tree import tree_for_grid
 from tree_helpers import stacked_steps
 
 
@@ -459,6 +461,35 @@ def test_duality_check_rejects_t0_beyond_the_horizon_before_drawing(monkeypatch)
     report = duality_check(coeffs, T=1.0, h=0.125, P=256, n_outer=4, inner=8,
                            seed=5)
     assert report.passed
+
+
+def test_duality_check_fits_by_regression_on_the_basis_it_is_given(monkeypatch):
+    # it takes a basis, not a backend: an exact backend used to be accepted
+    # and raised BackendMismatch only after the draw, or was never consulted
+    params = inspect.signature(duality_check).parameters
+    assert "backend" not in params
+    assert params["basis"].default == RegressionBasis()
+    coeffs = LinearDualityCoeffs(mu=0.2, kappa=(0.1,), sigma=(0.1,), rho=0.2,
+                                 delta=0.25, t0=0.25)
+    tree = tree_for_grid(coeffs.grid_for(0.5, 0.125))
+    with pytest.raises(TypeError, match="backend"):
+        duality_check(coeffs, T=0.5, h=0.125, P=256, n_outer=4, inner=8, seed=5,
+                      backend=tree.backend())
+    backends = []
+
+    class Stop(Exception):
+        pass
+
+    def first_pass(*args):
+        backends.append(args[-1])
+        raise Stop  # before the draw
+
+    monkeypatch.setattr(abdsde.duality, "_grid_pass", first_pass)
+    basis = RegressionBasis(degree=3, ridge=1e-6)
+    with pytest.raises(Stop):
+        duality_check(coeffs, T=0.5, h=0.125, P=256, n_outer=4, inner=8, seed=5,
+                      basis=basis)
+    assert type(backends[0]) is RegressionBackend and backends[0].basis is basis
 
 
 def test_duality_check_rejects_a_path_reading_terminal_before_drawing(monkeypatch):
