@@ -183,12 +183,10 @@ def condexp(backend, targets: np.ndarray, k: int, paths: PathEnsemble) -> np.nda
     Both backends return 2-D blocks column-major too.
     """
     targets = np.asarray(targets, dtype=float)
-    flat = np.asfortranarray(targets.reshape(targets.shape[0], -1))
-    # a column is finite when its min and max are: NaN propagates to both
-    lo, hi = flat.min(axis=0), flat.max(axis=0)
-    if not np.isfinite([lo, hi]).all():
+    if not np.all(np.isfinite(targets)):
         raise NonFinite("condexp received non-finite targets")
-    varying = hi - lo != 0.0
+    flat = np.asfortranarray(targets.reshape(targets.shape[0], -1))
+    varying = np.ptp(flat, axis=0) != 0.0
     if not varying.any():
         return targets.copy(order="K")
     if varying.all():

@@ -127,11 +127,9 @@ def evaluate(spec: GeneratorSpec, t: float, y: Array, z: Array, e: Array):
 # ---------------------------------------------------------------------------
 
 def _z_norm(z: Array) -> Array:
-    # Euclidean norm over the (m, d) axes, shape (P,), in a new array; one
-    # entry is sqrt(z*z), which is not |z| below 1.5e-154 or above 1.3e154
-    sq = z * z
-    norm = sq[:, 0, 0] if sq.shape[1] * sq.shape[2] == 1 else np.sum(sq, axis=(1, 2))
-    return np.sqrt(norm, out=norm)
+    # Euclidean norm over the (m, d) axes, shape (P,); one entry is
+    # sqrt(z*z), which is not |z| below 1.5e-154 or above 1.3e154
+    return np.sqrt(np.sum(z * z, axis=(1, 2)))
 
 
 def _zeros_g(l: int):
@@ -147,13 +145,8 @@ def _scalar_drift_from_e(t, y, z, e):
 def _growth_g(l: int):
     """g(t, y, z) = y + |z|/sqrt(3), scalar values repeated to (P, 1, l)."""
     def g(t, y, z, e):
-        # stored, not a broadcast view: einsum reads a stride-0 axis with
-        # another kernel, which moves the sweep's G dB_k for l >= 2
-        out = np.empty((y.shape[0], 1, l))
-        np.divide(_z_norm(z), math.sqrt(3.0), out=out[:, 0, 0])
-        out[:, 0, 0] += y[:, 0]
-        out[:, 0, 1:] = out[:, 0, :1]
-        return out
+        vals = y[:, 0] + _z_norm(z) / math.sqrt(3.0)
+        return np.repeat(vals[:, None, None], l, axis=2)
     return g
 
 
@@ -171,28 +164,15 @@ def _drift_from_y_ant(fn, c, m, d, l):
     return _scalar_drift_from_e, _zeros_g(l), phi, LipschitzData(c=c)
 
 
-# Each phi below forms its value in one buffer, adding in the order of
-# x + sin(2x) + |z| + 2 and x + 2|cos x| + sin(v) - 2.
-
 def _example41_f1_phi(ya, za):
     x = ya[:, 0]
-    out = np.multiply(x, 2.0)
-    np.sin(out, out=out)
-    out += x
-    out += _z_norm(za)
-    out += 2.0
-    return out[:, None]
+    return (x + np.sin(2.0 * x) + _z_norm(za) + 2.0)[:, None]
 
 
 def _example41_f2_phi(ya, za):
     x = ya[:, 0]
-    out = np.cos(x)
-    np.abs(out, out=out)
-    out *= 2.0
-    out += x
-    out += np.sin(za[:, 0, 0] if za.shape[2] == 1 else _z_norm(za))
-    out -= 2.0
-    return out[:, None]
+    v = za[:, 0, 0] if za.shape[2] == 1 else _z_norm(za)
+    return (x + 2.0 * np.abs(np.cos(x)) + np.sin(v) - 2.0)[:, None]
 
 
 def _example41(phi_fn, m, d, l):

@@ -308,8 +308,7 @@ def solve_backward_sweep(scenario: Scenario, paths: PathEnsemble, backend,
         resid[k] = tuple(float(np.sqrt(np.mean(y_cols[:, i]))) for i in range(gen.m))
         y_hat = y_bar
         for _ in range(scenario.implicit_iters):
-            np.multiply(h, gen.f(t_k, y_hat, z_k, e_k), out=y_cols)
-            y_hat = np.add(y_bar, y_cols, out=y_cols)
+            y_hat = np.add(y_bar, h * gen.f(t_k, y_hat, z_k, e_k), out=y_cols)
 
         if not (np.all(np.isfinite(y_hat)) and np.all(np.isfinite(z_k))):
             raise NonFinite(f"sweep produced non-finite values at node {k}")

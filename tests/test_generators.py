@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from abdsde.delays import constant_delay, DelaySpec
 from abdsde.errors import Infeasible, NonFinite, ShapeMismatch, UnknownName, ValidationError
-from abdsde.generators import (_example41_f1_phi, _example41_f2_phi, _growth_g,
-                               _z_norm, audit_lipschitz, builtin_generator,
+from abdsde.generators import (_z_norm, audit_lipschitz, builtin_generator,
                                CATALOG, check_feasible, evaluate, GeneratorSpec,
                                LipschitzData, with_lipschitz)
 from abdsde.grids import make_grid
@@ -39,6 +38,10 @@ def test_example41_g_value():
     spec = builtin_generator("example41_g")
     _, g = _eval_scalar(spec, 0.0, 1.0, 1.0, 0.0, 0.0)
     assert g == pytest.approx(1.0 + 1.0 / math.sqrt(3.0))
+    # with no Brownian B the diffusion is an empty (P, 1, 0) block
+    _, g = evaluate(builtin_generator("example41_g", l=0), 0.0, np.ones((4, 1)),
+                    np.ones((4, 1, 1)), np.zeros((4, 0)))
+    assert g.shape == (4, 1, 0)
 
 
 def test_linear_bsde_value():
@@ -191,52 +194,6 @@ def test_check_feasible_rejects_a_nan_load():
         check_feasible(LipschitzData(c=1.0, alpha1=0.2, alpha2=0.1), M=float("nan"))
 
 
-# The expressions the in-place builtins replace, kept as their reference.
-def _old_z_norm(z):
-    return np.sqrt(np.sum(z * z, axis=(1, 2)))
-
-
-def _old_f1_phi(ya, za):
-    x = ya[:, 0]
-    return (x + np.sin(2.0 * x) + _old_z_norm(za) + 2.0)[:, None]
-
-
-def _old_f2_phi(ya, za):
-    x = ya[:, 0]
-    v = za[:, 0, 0] if za.shape[2] == 1 else _old_z_norm(za)
-    return (x + 2.0 * np.abs(np.cos(x)) + np.sin(v) - 2.0)[:, None]
-
-
-def _old_growth_g(l, y, z):
-    vals = y[:, 0] + _old_z_norm(z) / math.sqrt(3.0)
-    return np.repeat(vals[:, None, None], l, axis=2)
-
-
-# sqrt(z*z) is not |z| at 1e-160 and -3e-155, and overflows to inf at 1e200
-_EDGES = np.array([0.0, -0.0, 1e-160, -3e-155, 1e200, -1e200, np.nan, 1.5, -2.25])
-
-
-def _draws(shape, seed):
-    # random values, then every edge value in every entry position
-    rows = [np.random.default_rng(seed).standard_normal((200,) + shape)]
-    for i in range(math.prod(shape)):
-        block = np.random.default_rng(seed + 1 + i).standard_normal((_EDGES.size,) + shape)
-        block.reshape(_EDGES.size, -1)[:, i] = _EDGES
-        rows.append(block)
-    return np.concatenate(rows)
-
-
-def _same(new, old):
-    return new.shape == old.shape and np.array_equal(new, old, equal_nan=True)
-
-
-@pytest.fixture
-def quiet():
-    # the edge values overflow, and sin of inf is NaN
-    with np.errstate(over="ignore", invalid="ignore"):
-        yield
-
-
 def test_sqrt_of_the_square_is_not_the_magnitude_at_the_edges():
     z = np.array([1e-160, -3e-155, 1e200]).reshape(3, 1, 1)
     with np.errstate(over="ignore"):
@@ -244,35 +201,6 @@ def test_sqrt_of_the_square_is_not_the_magnitude_at_the_edges():
     assert norm[0] == pytest.approx(9.99994434e-161, rel=1e-9) and norm[0] != 1e-160
     assert norm[1] == pytest.approx(3.0e-155, rel=1e-9) and norm[1] != 3e-155
     assert norm[2] == math.inf  # the sweep then raises NonFinite
-
-
-@pytest.mark.parametrize("m,d", [(1, 1), (1, 3), (2, 2)])
-def test_z_norm_keeps_the_bits_of_its_old_expression(quiet, m, d):
-    z = _draws((m, d), 3)
-    assert _same(_z_norm(z), _old_z_norm(z))
-
-
-@pytest.mark.parametrize("d", [1, 2])
-@pytest.mark.parametrize("phi,old", [(_example41_f1_phi, _old_f1_phi),
-                                     (_example41_f2_phi, _old_f2_phi)],
-                         ids=["f1", "f2"])
-def test_example41_phi_keeps_the_bits_of_its_old_expression(quiet, phi, old, d):
-    za = _draws((1, d), 7)
-    ya = np.resize(_draws((1,), 5), (za.shape[0], 1))
-    for y, z in ((ya, za), (ya[::-1], za)):
-        assert _same(phi(y, z), old(y, z))
-
-
-@pytest.mark.parametrize("l", [1, 2])
-def test_growth_g_keeps_the_bits_of_its_old_expression(quiet, l):
-    z = _draws((1, l), 11)  # d = l: the one-entry norm and the summed one
-    y = np.random.default_rng(13).standard_normal((z.shape[0], 1))
-    y[:_EDGES.size, 0] = _EDGES
-    new, old = _growth_g(l)(0.0, y, z, None), _old_growth_g(l, y, z)
-    assert _same(new, old)
-    # the sweep's G dB_k reads it with the same bits as the repeated array
-    db = np.random.default_rng(17).standard_normal((z.shape[0], l))
-    assert _same(np.einsum("pml,pl->pm", new, db), np.einsum("pml,pl->pm", old, db))
 
 
 def test_custom_spec_construction():
