@@ -10,19 +10,23 @@ regression-noise scale and an h-refinement delta, both measured on the run
 itself (nothing fixed a priori); exact conditional expectations have
 neither, so on a tree eps* is 0.
 
-The pair must share its grid, delay and `implicit_iters`, and is solved
-jointly: one scenario with m1 + m2 components (block-diagonal f and g, each
-part's phi reading its own components, the two terminal data side by side)
-goes through one backward sweep per grid, once on the paths and once on
-their coarsening, so each node's regression design serves both scenarios'
-targets (one basis per date, as in Gobet, Lemor & Warin 2005).  The
-components never mix, so each part is what a separate sweep would give, up
-to the summation order of the wider least-squares products.  Both sweeps
-reduce node by node, so no solution is held, and the fine sweep keeps of
-each node's margin only its mean, its min and its negative values: a
-threshold -eps <= 0 counts no other margin.  The coarse sweep runs first
-and keeps only its Y_0 means, so its ensemble is freed before the fine
-sweep starts: the two grids' arrays are never held together.
+The pair must share its grid, delay, `implicit_iters`, component count m
+and driver dimensions, and is solved jointly: one scenario with m1 + m2
+components (block-diagonal f and g, each part's phi reading its own
+components) goes through one backward sweep per grid, once on the paths and
+once on their coarsening, so each node's regression design serves both
+scenarios' targets (one basis per date, as in Gobet, Lemor & Warin 2005).
+One join puts the parts side by side, for the f, g and phi values along
+their component axis 1 and for the terminal data along axis 2: it writes a
+column-major block, the layout of the sweep's target block, and stores
+only the axes either part is stored along.  The components never mix, so
+each part is what a separate sweep would give, up to the summation order
+of the wider least-squares products.  Both sweeps reduce node by node, so
+no solution is held, and the fine sweep keeps of each node's margin only
+its mean, its min and its negative values: a threshold -eps <= 0 counts no
+other margin.  The coarse sweep runs first and keeps only its Y_0 means, so
+its ensemble is freed before the fine sweep starts: the two grids' arrays
+are never held together.
 """
 
 from __future__ import annotations
@@ -113,48 +117,52 @@ def _coarse_scenario(scen: Scenario, coarse_grid) -> Scenario:
 
 
 def _stack_generators(gen1: GeneratorSpec, gen2: GeneratorSpec) -> GeneratorSpec:
-    """Block-diagonal pair: components 0..m1-1 are gen1's, the rest gen2's."""
-    if (gen1.d, gen1.l) != (gen2.d, gen2.l):
-        raise ValidationError("a comparison pair must share the driver dimensions")
+    """Block-diagonal pair: components 0..m1-1 are gen1's, the rest gen2's.
+    The pair must share m, d and l (ValidationError otherwise): the margin
+    Y1 - Y2 is taken component by component."""
+    if (gen1.m, gen1.d, gen1.l) != (gen2.m, gen2.d, gen2.l):
+        raise ValidationError("a comparison pair must share the driver dimensions "
+                              "and its component count")
     p1, p2 = slice(0, gen1.m), slice(gen1.m, gen1.m + gen2.m)
     e1, e2 = slice(0, gen1.q_total), slice(gen1.q_total, None)
 
-    def f(t, y, z, e):
-        return np.concatenate([gen1.f(t, y[:, p1], z[:, p1], e[:, e1]),
-                               gen2.f(t, y[:, p2], z[:, p2], e[:, e2])], axis=1)
-
-    def g(t, y, z, e):
-        return np.concatenate([gen1.g(t, y[:, p1], z[:, p1], e[:, e1]),
-                               gen2.g(t, y[:, p2], z[:, p2], e[:, e2])], axis=1)
+    def joined(c1, c2):  # f or g of the pair
+        return lambda t, y, z, e: _side_by_side(c1(t, y[:, p1], z[:, p1], e[:, e1]),
+                                                c2(t, y[:, p2], z[:, p2], e[:, e2]), 1)
 
     def phi(ya, za):
-        return np.concatenate([gen1.phi(ya[:, p1], za[:, p1]),
-                               gen2.phi(ya[:, p2], za[:, p2])], axis=1)
+        return _side_by_side(gen1.phi(ya[:, p1], za[:, p1]),
+                             gen2.phi(ya[:, p2], za[:, p2]), 1)
 
     # |d(f1, f2)|^2 = |df1|^2 + |df2|^2: the larger constant bounds the pair
     lip = LipschitzData(c=max(gen1.lip.c, gen2.lip.c),
                         alpha1=max(gen1.lip.alpha1, gen2.lip.alpha1),
                         alpha2=max(gen1.lip.alpha2, gen2.lip.alpha2))
     return GeneratorSpec(name=f"{gen1.name}+{gen2.name}", m=gen1.m + gen2.m,
-                         d=gen1.d, l=gen1.l, f=f, g=g, lip=lip, phi=phi)
+                         d=gen1.d, l=gen1.l, f=joined(gen1.f, gen2.f),
+                         g=joined(gen1.g, gen2.g), lip=lip, phi=phi)
 
 
-def _side_by_side(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a and b joined along the component axis 2, stored only along the axes
-    either of them is stored along and broadcast over the rest."""
+def _side_by_side(a: np.ndarray, b: np.ndarray, axis: int) -> np.ndarray:
+    """a and b joined along `axis`, read-only and column-major as the sweep's
+    target block is, stored only along the axes either of them is stored
+    along and broadcast over the rest."""
     base_a, base_b = broadcast_base(a), broadcast_base(b)
     shape = [max(n_a, n_b) for n_a, n_b in zip(base_a.shape, base_b.shape)]
-    parts = [np.broadcast_to(base, shape[:2] + [full.shape[2]] + shape[3:])
+    parts = [np.broadcast_to(base, shape[:axis] + [full.shape[axis]] + shape[axis + 1:])
              for base, full in ((base_a, a), (base_b, b))]
-    return np.broadcast_to(np.concatenate(parts, axis=2),
-                           a.shape[:2] + (a.shape[2] + b.shape[2],) + a.shape[3:])
+    shape[axis] = a.shape[axis] + b.shape[axis]
+    joint = np.concatenate(parts, axis=axis, out=np.empty(shape, order="F"))
+    return np.broadcast_to(joint, a.shape[:axis] + (shape[axis],) + a.shape[axis + 1:])
 
 
 def _joint_scenario(s1: Scenario, s2: Scenario, paths: PathEnsemble) -> Scenario:
     """The pair as one scenario with m1 + m2 components, on s1's grid and delay.
 
-    Its terminal data stacks the pair's, whose order xi1 >= xi2 is checked.
+    The generators are stacked, and so checked, first; the terminal data
+    stacks the pair's, whose order xi1 >= xi2 is checked.
     """
+    generator = _stack_generators(s1.generator, s2.generator)
     term1 = s1.terminal_data(paths)
     term2 = s2.terminal_data(paths)
     gap = broadcast_base(term1.xi) - broadcast_base(term2.xi)
@@ -162,9 +170,9 @@ def _joint_scenario(s1: Scenario, s2: Scenario, paths: PathEnsemble) -> Scenario
         raise TerminalOrderViolated(
             f"terminal ordering xi1 >= xi2 fails (worst margin {float(gap.min()):.3g})")
     return replace(
-        s1, generator=_stack_generators(s1.generator, s2.generator),
-        terminal=TerminalData(grid=term1.grid, xi=_side_by_side(term1.xi, term2.xi),
-                              eta=_side_by_side(term1.eta, term2.eta)))
+        s1, generator=generator,
+        terminal=TerminalData(grid=term1.grid, xi=_side_by_side(term1.xi, term2.xi, 2),
+                              eta=_side_by_side(term1.eta, term2.eta, 2)))
 
 
 def _sweep_pair(s1: Scenario, s2: Scenario, paths: PathEnsemble, backend,
@@ -191,10 +199,11 @@ def run_comparison(scenario1: Scenario, scenario2: Scenario,
                    paths: PathEnsemble, backend) -> ComparisonReport:
     """Solve both scenarios on the same paths and report ordering margins.
 
-    The pair must share grid, delay and implicit_iters (ValidationError
-    otherwise); it is solved in one joint sweep per grid, the coarsening of
-    the paths first (when the backend calibrates on it), then the paths,
-    whose sweep reduces each node's margin by `reduce_margin`.  Terminal
+    The pair must share grid, delay, implicit_iters, component count and
+    driver dimensions (ValidationError otherwise, before any sweep); it is
+    solved in one joint sweep per grid, the coarsening of the paths first
+    (when the backend calibrates on it), then the paths, whose sweep
+    reduces each node's margin by `reduce_margin`.  Terminal
     samples must satisfy xi1 >= xi2 pointwise (TerminalOrderViolated
     otherwise).  The threshold epsilon is self-calibrated to 3x the run
     tolerance, which is 0 on the exact backend.

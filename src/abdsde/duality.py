@@ -211,17 +211,13 @@ def _bracket(coeffs: LinearDualityCoeffs, values: np.ndarray, grid: TimeGrid,
     """
     dd = grid.index_of(coeffs.delta)
     xi, eta = coeffs.profiles(grid)
-    out = values[grid.n_T] * xi[0]
-    if coeffs.rho != 0.0:
-        rows = np.ascontiguousarray(values[k0:].T)
-        out = out + coeffs.rho * np.trapezoid(rows, dx=grid.h, axis=1)
-    if coeffs.mu_bar != 0.0 or np.any(np.asarray(coeffs.sigma_bar) != 0.0):
-        # int_T^{T+delta} (mu_bar X_{s-delta} xi_s + sigma_bar X_{s-delta} eta_s) ds;
-        # eta has equal coordinates, so sigma_bar . eta_s = sum(sigma_bar) * eta
-        x_del = np.ascontiguousarray(values[grid.n_T - dd:].T)
-        weights = coeffs.mu_bar * xi + float(np.sum(coeffs.sigma_bar)) * eta
-        out = out + np.trapezoid(x_del * weights[None, :], dx=grid.h, axis=1)
-    return out
+    rows = np.ascontiguousarray(values[k0:].T)
+    out = values[grid.n_T] * xi[0] + coeffs.rho * np.trapezoid(rows, dx=grid.h, axis=1)
+    # int_T^{T+delta} (mu_bar X_{s-delta} xi_s + sigma_bar X_{s-delta} eta_s) ds;
+    # eta has equal coordinates, so sigma_bar . eta_s = sum(sigma_bar) * eta
+    x_del = np.ascontiguousarray(values[grid.n_T - dd:].T)
+    weights = coeffs.mu_bar * xi + float(np.sum(coeffs.sigma_bar)) * eta
+    return out + np.trapezoid(x_del * weights[None, :], dx=grid.h, axis=1)
 
 
 def duality_rhs(coeffs: LinearDualityCoeffs, outer_dB: np.ndarray,

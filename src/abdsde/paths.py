@@ -32,6 +32,9 @@ Discretization conventions, used consistently everywhere in the package:
 * forward integral of Z against dW: left-endpoint sum  sum_k Z_k dW_k
 * backward integral of G against dB: right-endpoint sum  sum_k G_{k+1} dB_k
 
+Both sums are one checked body that differs only in the driver it reads
+(`dw` or `db`) and in the shift of the integrand's node (0 or 1).
+
 The right-endpoint rule reproduces the sign of the Ito correction expected
 of the backward integral: for G_k = B_k the two sums differ by exactly the
 discrete quadratic variation sum_k (dB_k)^2.
@@ -242,15 +245,7 @@ def forward_integral(Z, paths: PathEnsemble, k_from: int, k_to: int) -> np.ndarr
     Z has per-node values in R^{m x d}, shape (P, n_nodes, m, d); returns
     per-path values in R^m: sum_{k=k_from}^{k_to-1} Z_k dW_k.
     """
-    if not (0 <= k_from <= k_to <= paths.n_stored):
-        raise ValidationError(f"bad node range [{k_from}, {k_to}] on {paths.n_stored} "
-                              "stored steps")
-    if Z.ndim != 4 or Z.shape[3] != paths.d:
-        raise ShapeMismatch(
-            f"integrand must have shape (P, nodes, m, {paths.d}), got {Z.shape}"
-        )
-    dW = _node_rows(paths.dw, k_from, k_to, (paths.n_paths, paths.d))
-    return np.einsum("pkmd,pkd->pm", Z[:, k_from:k_to], dW.transpose(1, 0, 2))
+    return _ito_sum(Z, paths, paths.dw, paths.d, 0, k_from, k_to)
 
 
 def backward_integral(G, paths: PathEnsemble, k_from: int, k_to: int) -> np.ndarray:
@@ -259,16 +254,21 @@ def backward_integral(G, paths: PathEnsemble, k_from: int, k_to: int) -> np.ndar
     G has per-node values in R^{m x l}, shape (P, n_nodes, m, l); returns
     per-path values in R^m: sum_{k=k_from}^{k_to-1} G_{k+1} dB_k.
     """
+    return _ito_sum(G, paths, paths.db, paths.l, 1, k_from, k_to)
+
+
+def _ito_sum(H, paths: PathEnsemble, read, c: int, shift: int, k_from: int,
+             k_to: int) -> np.ndarray:
+    """sum_{k=k_from}^{k_to-1} H_{k+shift} inc_k for one driver's increments
+    `read` of dimension c: shift 0 is the left endpoint, 1 the right."""
     if not (0 <= k_from <= k_to <= paths.n_stored):
         raise ValidationError(f"bad node range [{k_from}, {k_to}] on {paths.n_stored} "
                               "stored steps")
-    if G.ndim != 4 or G.shape[3] != paths.l:
-        raise ShapeMismatch(
-            f"integrand must have shape (P, nodes, m, {paths.l}), got {G.shape}"
-        )
-    dB = _node_rows(paths.db, k_from, k_to, (paths.n_paths, paths.l))
-    return np.einsum("pkml,pkl->pm",
-                     G[:, k_from + 1:k_to + 1], dB.transpose(1, 0, 2))
+    if H.ndim != 4 or H.shape[3] != c:
+        raise ShapeMismatch(f"integrand must have shape (P, nodes, m, {c}), got {H.shape}")
+    inc = _node_rows(read, k_from, k_to, (paths.n_paths, c))
+    return np.einsum("pkmc,pkc->pm", H[:, k_from + shift:k_to + shift],
+                     inc.transpose(1, 0, 2))
 
 
 def _node_rows(read, k_from: int, k_to: int, shape: tuple) -> np.ndarray:

@@ -45,11 +45,15 @@ class Scenario:
 
     def terminal_data(self, paths: PathEnsemble) -> TerminalData:
         """The terminal data on the paths, which must lie on the scenario's
-        grid, as given terminal data must (ShapeMismatch otherwise): every
-        solve starts here."""
+        grid, as given terminal data must, and carry the generator's driver
+        dimensions (ShapeMismatch otherwise): every solve starts here."""
         if paths.grid != self.grid:
             raise ShapeMismatch(f"the paths lie on {paths.grid}, the scenario "
                                 f"on {self.grid}")
+        gen = self.generator
+        if (paths.d, paths.l) != (gen.d, gen.l):
+            raise ShapeMismatch(f"the paths carry (d, l) = ({paths.d}, {paths.l}), "
+                                f"the generator ({gen.d}, {gen.l})")
         if isinstance(self.terminal, TerminalData):
             if self.terminal.grid != self.grid:
                 raise ShapeMismatch(f"the terminal data lie on {self.terminal.grid}, "

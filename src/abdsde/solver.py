@@ -347,19 +347,19 @@ def constant_initial(scenario: Scenario, paths: PathEnsemble,
 
 def picard_iterate(scenario: Scenario, paths: PathEnsemble, backend,
                    tol: float = 1e-9, max_iter: int = 64,
-                   init: SolutionProcess | None = None,
-                   params: ContractionParams | None = None):
+                   init: SolutionProcess | None = None):
     """Iterate the frozen-anticipation map to its fixed point.
 
-    Stops when the weighted distance between successive iterates drops
-    below `tol`; returns (solution, list of successive distances).  Because
-    anticipation reads strictly later nodes, the iteration terminates after
-    at most one application per segment of the interval segmentation.
+    Stops when the weighted distance between successive iterates, in the
+    norm of `contraction_params` for the scenario's Lipschitz data and M,
+    drops below `tol`; returns (solution, list of successive distances).
+    Because anticipation reads strictly later nodes, the iteration
+    terminates after at most one application per segment of the interval
+    segmentation.
     """
     if not tol > 0:
         raise ValidationError("tol must be positive")
-    if params is None:
-        params = contraction_params(scenario.generator.lip, scenario.M)
+    params = contraction_params(scenario.generator.lip, scenario.M)
     current = init if init is not None else default_initial(scenario, paths)
     log: list[float] = []
     for _ in range(max_iter):

@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from abdsde import cli
-from abdsde.comparison import (_coarse_scenario, _joint_scenario, check_monotone_chain,
+from abdsde import comparison
+from abdsde.comparison import (_coarse_scenario, _joint_scenario, _stack_generators,
+                               check_monotone_chain,
                                ComparisonReport, reduce_margin, run_comparison)
 from abdsde.condexp import RegressionBackend
 from abdsde.delays import constant_delay, DelaySpec
@@ -399,3 +401,52 @@ def test_a_pair_with_other_driver_dimensions_raises(dims):
     with pytest.raises(ValidationError, match="share the driver dimensions"):
         run_comparison(first, second, sample_paths(grid, 1, 1, 256, seed=1),
                        RegressionBackend())
+
+
+@pytest.mark.parametrize("m1,m2", [(1, 2), (2, 3)])
+def test_a_pair_with_other_component_counts_raises_before_any_sweep(m1, m2, monkeypatch):
+    # with m1 = 1 against m2 = 2 the margin Y1 - Y2 broadcast: mean_margin
+    # read [4, 3.5, 3, 2.5, 2], twice the true [2, 1.75, 1.5, 1.25, 1], and
+    # passed; m1 = 2 against m2 = 3 raised numpy's ValueError in the fine
+    # sweep, after the whole coarse sweep had run
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("swept")
+
+    grid = make_grid(1.0, 0.0, 0.25)
+    first = make_scenario(grid, builtin_generator("linear_bsde", m=m1, a=0.0, rho=1.0),
+                          constant_terminal(2.0))
+    second = make_scenario(grid, builtin_generator("linear_bsde", m=m2, a=0.0, rho=0.0),
+                           constant_terminal(1.0))
+    monkeypatch.setattr(comparison, "solve_backward_sweep", no_sweep)
+    with pytest.raises(ValidationError, match="share the driver dimensions"):
+        run_comparison(first, second, sample_paths(grid, 1, 1, 200, seed=1),
+                       RegressionBackend())
+
+
+def test_stacked_values_keep_the_bits_of_a_row_major_concatenate():
+    # the pair's f, g and phi join their parts column-major, the layout of
+    # the sweep's target block; the reference is the row-major concatenate
+    d, l, P = 2, 3, 50
+    gen1 = builtin_generator("duality_linear", d=d, l=l, mu=0.1, mu_bar=0.05,
+                             sigma=[0.1, 0.2], sigma_bar=[0.03, 0.0],
+                             kappa=[0.1, 0.2, 0.3], rho=0.2)
+    gen2 = builtin_generator("example41_f2", d=d, l=l)
+    pair = _stack_generators(gen1, gen2)
+    rng = np.random.default_rng(3)
+    y = rng.standard_normal((P, 2))
+    z = rng.standard_normal((P, 2, d))
+    e = rng.standard_normal((P, pair.q_total))
+    p1, p2 = slice(0, 1), slice(1, 2)
+    e1, e2 = slice(0, gen1.q_total), slice(gen1.q_total, None)
+    for name in ("f", "g"):
+        c1, c2 = getattr(gen1, name), getattr(gen2, name)
+        want = np.concatenate([c1(0.5, y[:, p1], z[:, p1], e[:, e1]),
+                               c2(0.5, y[:, p2], z[:, p2], e[:, e2])], axis=1)
+        got = getattr(pair, name)(0.5, y, z, e)
+        assert got.flags.f_contiguous, name
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+    want = np.concatenate([gen1.phi(y[:, p1], z[:, p1]), gen2.phi(y[:, p2], z[:, p2])],
+                          axis=1)
+    got = pair.phi(y, z)
+    assert got.flags.f_contiguous
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -398,6 +398,42 @@ def _row_major_bracket(coeffs, X, grid, k0):
     return out + np.trapezoid(x_del * weights[None, :], dx=grid.h, axis=1)
 
 
+def _forked_bracket(coeffs, values, grid, k0):
+    # the functional with each integral skipped when its coefficients are 0
+    dd = grid.index_of(coeffs.delta)
+    xi, eta = coeffs.profiles(grid)
+    out = values[grid.n_T] * xi[0]
+    if coeffs.rho != 0.0:
+        rows = np.ascontiguousarray(values[k0:].T)
+        out = out + coeffs.rho * np.trapezoid(rows, dx=grid.h, axis=1)
+    if coeffs.mu_bar != 0.0 or np.any(np.asarray(coeffs.sigma_bar) != 0.0):
+        x_del = np.ascontiguousarray(values[grid.n_T - dd:].T)
+        weights = coeffs.mu_bar * xi + float(np.sum(coeffs.sigma_bar)) * eta
+        out = out + np.trapezoid(x_del * weights[None, :], dx=grid.h, axis=1)
+    return out
+
+
+@pytest.mark.parametrize("zeroed", [{"rho": 0.0}, {"mu_bar": 0.0},
+                                    {"sigma_bar": (0.0, 0.0)},
+                                    {"mu_bar": 0.0, "sigma_bar": (0.0, 0.0)},
+                                    {"rho": 0.0, "mu_bar": 0.0, "sigma_bar": (0.0, 0.0)}],
+                         ids=["rho", "mu_bar", "sigma_bar", "both_delayed", "all"])
+def test_bracket_adds_a_zero_coefficient_term_without_moving_a_bit(zeroed):
+    # a term whose coefficients are 0 adds an exact zero; tobytes also
+    # compares the sign of a zero
+    coeffs = LinearDualityCoeffs(**dict(
+        dict(mu=0.1, mu_bar=0.05, sigma=(0.1, 0.12), sigma_bar=(0.07, 0.04),
+             kappa=(0.1,), rho=0.2, delta=0.25, t0=0.5,
+             terminal=TerminalSpec(name="affine",
+                                   params={"value": -1.0, "slope": 0.4, "eta": 0.3})),
+        **zeroed))
+    grid = coeffs.grid_for(1.0, 1 / 32)
+    k0 = grid.index_of(0.5)
+    X = solve_delayed_dsde(coeffs, sample_paths(grid, 2, 1, 300, seed=21), k0)
+    assert _bracket(coeffs, X.T, grid, k0).tobytes() \
+        == _forked_bracket(coeffs, X.T, grid, k0).tobytes()
+
+
 @pytest.mark.parametrize("d,l", [(1, 1), (2, 1), (2, 2)])
 def test_forward_kernel_keeps_the_bits_of_the_row_major_steps(d, l):
     # t0 = 0.5 > delta, so the delayed terms act from node k0 + dd on; both

@@ -123,6 +123,26 @@ def test_integral_closed_form_convergence(which):
     assert means[-1] < 5 * np.sqrt(2.0 ** -8 / (2 * 4000))
 
 
+@pytest.mark.parametrize("d,l", [(1, 1), (2, 1), (1, 3), (3, 2)])
+def test_both_ito_sums_keep_the_bits_of_their_own_einsums(d, l):
+    # the two sums share one body; the references are the separate
+    # expressions each of them was before
+    grid = make_grid(1.0, 0.0, 1 / 16)
+    paths = sample_paths(grid, d, l, 120, seed=17)
+    rng = np.random.default_rng(5)
+    Z = rng.standard_normal((120, grid.n_nodes, 2, d))
+    G = rng.standard_normal((120, grid.n_nodes, 2, l))
+    dW, dB = paths.dW, paths.dB
+    for k_from, k_to in ((0, grid.n_end), (2, 9), (5, 5)):
+        want_f = np.einsum("pkmd,pkd->pm", Z[:, k_from:k_to], dW[:, k_from:k_to])
+        want_b = np.einsum("pkml,pkl->pm", G[:, k_from + 1:k_to + 1],
+                           dB[:, k_from:k_to])
+        got_f = forward_integral(Z, paths, k_from, k_to)
+        got_b = backward_integral(G, paths, k_from, k_to)
+        assert got_f.tobytes() == want_f.tobytes()
+        assert got_b.tobytes() == want_b.tobytes()
+
+
 def test_integral_shape_mismatch():
     paths = sample_paths(GRID, 2, 1, 50, seed=1)
     bad = np.zeros((50, GRID.n_nodes, 1, 1))  # d should be 2

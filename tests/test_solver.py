@@ -1,3 +1,4 @@
+import inspect
 import math
 import tracemalloc
 import weakref
@@ -270,6 +271,22 @@ def test_terminal_data_for_another_path_count_raise_shape_mismatch():
                              RegressionBackend())
 
 
+@pytest.mark.parametrize("gen_dims,path_dims", [((2, 1), (1, 1)), ((1, 2), (1, 1)),
+                                                 ((1, 1), (1, 2)), ((1, 1), (2, 1))],
+                         ids=["gen_d2", "gen_l2", "paths_l2", "paths_d2"])
+def test_paths_with_other_driver_dimensions_raise_shape_mismatch(gen_dims, path_dims):
+    # a generator d = 2 on d = 1 paths ran with both Z columns fitted on the
+    # same dW, l = 1 on l = 2 paths read mean Y_0 2.380 for 2.371, and d = 1
+    # on d = 2 paths raised numpy's "non-broadcastable output operand"
+    grid = make_grid(1.0, 0.0, 0.25)
+    d, l = gen_dims
+    scen = make_scenario(grid, builtin_generator("linear_bsde", d=d, l=l),
+                         TerminalSpec(name="scaled_wt", params={"a": 0.5, "b": 1.0}))
+    paths = sample_paths(grid, *path_dims, 300, seed=3)
+    with pytest.raises(ShapeMismatch, match=r"the paths carry \(d, l\)"):
+        solve_backward_sweep(scen, paths, RegressionBackend())
+
+
 def test_a_frozen_process_on_another_grid_is_rejected_naming_both_grids():
     # both grids have 17 nodes; comparing only the node counts read the
     # frozen process as if it lay on the scenario grid (mean Y_0 6.58)
@@ -295,6 +312,13 @@ def test_picard_no_convergence_error():
     with pytest.raises(NoConvergence):
         picard_iterate(scen, paths, RegressionBackend(), tol=1e-12, max_iter=1,
                        init=constant_initial(scen, paths, 50.0))
+
+
+def test_picard_takes_its_norm_from_the_scenario():
+    # the contraction constants follow from the scenario's Lipschitz data
+    # and M; no caller sets them
+    assert list(inspect.signature(picard_iterate).parameters) == [
+        "scenario", "paths", "backend", "tol", "max_iter", "init"]
 
 
 def test_picard_rejects_a_nan_tolerance_before_sweeping(monkeypatch):
