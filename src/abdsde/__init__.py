@@ -17,7 +17,7 @@ from .generators import (audit_lipschitz, builtin_generator, check_feasible,
 from .grids import make_grid, TimeGrid
 from .paths import (backward_integral, forward_integral, PathEnsemble,
                     sample_paths)
-from .scenario import make_scenario, Scenario
+from .scenario import Scenario
 from .solver import (constant_initial, ContractionParams, contraction_params,
                      default_initial, picard_iterate, SolutionProcess,
                      solve_backward_sweep, weighted_distance, weighted_norm)

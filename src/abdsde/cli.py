@@ -36,7 +36,7 @@ from .comparison import run_comparison
 from .generators import builtin_generator, CATALOG, catalog_params, with_lipschitz
 from .grids import make_grid, TimeGrid
 from .paths import sample_paths
-from .scenario import make_scenario, Scenario
+from .scenario import Scenario
 from .solver import solve_backward_sweep
 from .terminal import TerminalSpec
 from .tree import oracle_solve, tree_for_grid
@@ -213,8 +213,7 @@ def _build_compare(config: dict, scenario: Scenario, dims: dict) -> Scenario | N
         _check_required(values, SCHEMA[key], f"compare.{key}")
     generator = _build_generator(section.get("generator", config["generator"]), dims)
     terminal = _build_terminal(section.get("terminal", config["terminal"]))
-    return make_scenario(scenario.grid, generator, terminal, delay=scenario.delay,
-                         implicit_iters=scenario.implicit_iters)
+    return replace(scenario, generator=generator, terminal=terminal)
 
 
 def _build_duality(config: dict, scenario: Scenario, g: dict,
@@ -306,8 +305,8 @@ def _build_all(config: dict) -> Built:
         grid = make_grid(g["T"], g["K"], g["h"])
         generator = _build_generator(config["generator"], dims)
         iters = integer(config["solver"]["implicit_iters"], "solver.implicit_iters", 1)
-        scenario = make_scenario(grid, generator, _build_terminal(config["terminal"]),
-                                 delay=_build_delay(config), implicit_iters=iters)
+        scenario = Scenario(grid, generator, _build_terminal(config["terminal"]),
+                            delay=_build_delay(config), implicit_iters=iters)
         duality = _build_duality(config, scenario, g, n_paths)  # rejects a tree first
         backend = _build_backend(config["backend"], grid)
         if isinstance(backend, RegressionBackend):

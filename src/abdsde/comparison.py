@@ -39,7 +39,7 @@ from .condexp import RegressionBackend
 from .errors import TerminalOrderViolated, ValidationError
 from .generators import GeneratorSpec, LipschitzData
 from .paths import PathEnsemble
-from .scenario import make_scenario, Scenario
+from .scenario import Scenario
 from .solver import solve_backward_sweep
 from .terminal import broadcast_base, TerminalData, TerminalSpec
 
@@ -109,11 +109,6 @@ def _can_coarsen(s1: Scenario, s2: Scenario, paths: PathEnsemble, backend) -> bo
             and isinstance(s1.terminal, TerminalSpec)
             and isinstance(s2.terminal, TerminalSpec)
             and paths.grid.n_steps % 2 == 0 and paths.grid.n_T % 2 == 0)
-
-
-def _coarse_scenario(scen: Scenario, coarse_grid) -> Scenario:
-    return make_scenario(coarse_grid, scen.generator, scen.terminal,
-                         delay=scen.delay, implicit_iters=scen.implicit_iters)
 
 
 def _stack_generators(gen1: GeneratorSpec, gen2: GeneratorSpec) -> GeneratorSpec:
@@ -217,9 +212,8 @@ def run_comparison(scenario1: Scenario, scenario2: Scenario,
         # the coarse sweep runs first and keeps only its Y_0 means, so its
         # ensemble is freed before the fine sweep allocates its ring
         coarse = paths.coarsen()
-        coarse_y0, _ = _sweep_pair(_coarse_scenario(scenario1, coarse.grid),
-                                   _coarse_scenario(scenario2, coarse.grid),
-                                   coarse, backend)
+        coarse_y0, _ = _sweep_pair(replace(scenario1, grid=coarse.grid),
+                                   replace(scenario2, grid=coarse.grid), coarse, backend)
         del coarse
     summaries = [None] * scenario1.grid.n_nodes
     y0, resid = _sweep_pair(scenario1, scenario2, paths, backend, summaries)

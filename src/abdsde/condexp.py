@@ -25,7 +25,8 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .errors import BackendMismatch, integer, NonFinite, real, SingularDesign, ValidationError
+from .errors import (BackendMismatch, integer, NonFinite, real, ShapeMismatch, SingularDesign,
+                     ValidationError)
 from .paths import PathEnsemble
 
 
@@ -183,6 +184,8 @@ def condexp(backend, targets: np.ndarray, k: int, paths: PathEnsemble) -> np.nda
     Both backends return 2-D blocks column-major too.
     """
     targets = np.asarray(targets, dtype=float)
+    if targets.shape[:1] != (paths.n_paths,):
+        raise ShapeMismatch(f"targets of shape {targets.shape} on {paths.n_paths} paths")
     if not np.all(np.isfinite(targets)):
         raise NonFinite("condexp received non-finite targets")
     flat = np.asfortranarray(targets.reshape(targets.shape[0], -1))

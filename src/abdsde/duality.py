@@ -41,12 +41,12 @@ import numpy as np
 
 from .condexp import (RegressionBackend, RegressionBasis, _poly_features,
                       _ridge_fit)
-from .errors import NonCommensurate, NonFinite, ValidationError
+from .errors import integer, NonCommensurate, NonFinite, ShapeMismatch, ValidationError
 from .delays import constant_delay, DelaySpec
 from .generators import builtin_generator
 from .grids import TimeGrid, make_grid
 from .paths import _node_rows, increment_blocks, PathEnsemble, sample_paths
-from .scenario import make_scenario, Scenario
+from .scenario import Scenario
 from .solver import solve_backward_sweep, SolutionProcess
 from .terminal import TerminalSpec
 
@@ -94,7 +94,7 @@ class LinearDualityCoeffs:
     def scenario(self, grid: TimeGrid) -> Scenario:
         delay = DelaySpec(delta=constant_delay(self.delta),
                           zeta=constant_delay(self.delta))
-        return make_scenario(grid, self.generator(), self.terminal, delay=delay)
+        return Scenario(grid, self.generator(), self.terminal, delay=delay)
 
     def grid_for(self, T: float, h: float) -> TimeGrid:
         return make_grid(T, self.delta, h)
@@ -238,7 +238,7 @@ def duality_rhs(coeffs: LinearDualityCoeffs, outer_dB: np.ndarray,
     # for a module-level import at start-up
     from concurrent.futures import ThreadPoolExecutor
 
-    n_outer = outer_dB.shape[0]
+    n_outer = integer(outer_dB.shape[0], "the outer path count", 1)
     workers = min(len(os.sched_getaffinity(0)), n_outer)
 
     def moments(j):
@@ -399,9 +399,16 @@ def measurability_check(sol: SolutionProcess, paths: PathEnsemble,
     For a solution of the linear duality scenario both should vanish: Z is
     regression noise shrinking with (h, P) refinement, and Y should be
     explained by the B-future.  tol_z is sqrt(n_features/(h P)), the scale
-    of that noise, times max(1, max |Y|); 1 - R^2 may reach 1e-3.
+    of that noise, times max(1, max |Y|); 1 - R^2 may reach 1e-3.  k0 must
+    be a swept node, 0 <= k0 < n_T (ValidationError), and the paths must
+    carry the solution's grid and path count (ShapeMismatch).
     """
     grid = sol.grid
+    if not 0 <= k0 < grid.n_T:
+        raise ValidationError(f"start node k0 = {k0} is outside 0 to {grid.n_T - 1}")
+    if (paths.grid, paths.n_paths) != (grid, sol.n_paths):
+        raise ShapeMismatch(f"the paths carry {paths.n_paths} paths on {paths.grid}, the "
+                            f"solution {sol.n_paths} on {grid}")
     z = sol.Z[:, k0: grid.n_T]
     z_norm = float(np.sqrt(np.mean(np.sum(z ** 2, axis=(2, 3)).sum(axis=1) * grid.h)))
     n_features = _MEASURABILITY_BASIS.n_features(paths.d + paths.l)
@@ -411,6 +418,5 @@ def measurability_check(sol: SolutionProcess, paths: PathEnsemble,
         _r2_on_b_features(sol.Y[:, k, 0], paths, k)
         for k in range(k0, grid.n_T)
     ]
-    return MeasurabilityReport(z_norm=z_norm,
-                               min_r2=float(min(r2)) if r2 else 1.0,
+    return MeasurabilityReport(z_norm=z_norm, min_r2=float(min(r2)),
                                tol_z=float(tol_z), tol_meas=1e-3)

@@ -1,16 +1,18 @@
 """Runtime scenario: grid + generator + anticipation maps + terminal data.
 
 A Scenario bundles everything the solvers need apart from the sampled paths
-and the conditional-expectation backend.  `make_scenario` performs the
-semantic validation: anticipation maps are validated against the grid and
-converted to index offsets, the feasibility condition alpha1 + alpha2*M < 1
-is enforced, and f(., 0, 0, 0) is checked finite on grid nodes.
+and the conditional-expectation backend.  It is valid by construction: on
+construction, and so on every `dataclasses.replace`, its anticipation maps
+are validated against the grid and converted to the index offsets it
+stores, the feasibility condition alpha1 + alpha2*M < 1 is enforced, and
+f(., 0, 0, 0) is checked finite on the nodes up to T.  It is frozen, so no
+field can change after those checks.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,14 +24,44 @@ from .paths import PathEnsemble
 from .terminal import TerminalData, TerminalSpec
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
     grid: TimeGrid
     generator: GeneratorSpec
     terminal: TerminalSpec | TerminalData
     delay: DelaySpec | None = None
-    offsets: GridOffsets | None = None
     implicit_iters: int = 1
+    offsets: GridOffsets | None = field(init=False, compare=False)
+
+    def __post_init__(self):
+        generator, delay, grid = self.generator, self.delay, self.grid
+        offsets = None
+        if generator.anticipates and delay is None:
+            raise ValidationError(
+                f"generator '{generator.name}' anticipates but no delay "
+                "spec was provided")
+        if delay is not None:
+            offsets = to_grid_offsets(delay, grid)  # validates the delay
+            if offsets.max_snap_error > 1e-12:
+                # stacklevel 1: every copy by `replace` warns from this line,
+                # so a filter that shows a warning once shows it once
+                warnings.warn(
+                    f"anticipation times are off-grid; snapping to nearest "
+                    f"nodes with error up to {offsets.max_snap_error:.3g}",
+                    stacklevel=1)
+        check_feasible(generator.lip, self.M)
+
+        # f(., 0, 0, 0) must be finite on grid nodes (square-integrability proxy)
+        y0 = np.zeros((1, generator.m))
+        z0 = np.zeros((1, generator.m, generator.d))
+        e0 = np.zeros((1, generator.q_total))
+        for t in grid.times[: grid.n_T + 1]:
+            val = np.asarray(generator.f(float(t), y0, z0, e0))
+            if not np.all(np.isfinite(val)):
+                raise NonFinite(f"f(t, 0, 0, 0) is non-finite at t={t}")
+
+        integer(self.implicit_iters, "implicit_iters", 1)
+        object.__setattr__(self, "offsets", offsets)
 
     @property
     def M(self) -> float:
@@ -65,35 +97,3 @@ class Scenario:
         return self.terminal.build(self.grid, paths, m=self.generator.m,
                                    d=self.generator.d)
 
-
-def make_scenario(grid: TimeGrid, generator: GeneratorSpec,
-                  terminal: TerminalSpec | TerminalData,
-                  delay: DelaySpec | None = None,
-                  implicit_iters: int = 1) -> Scenario:
-    offsets = None
-    if generator.anticipates and delay is None:
-        raise ValidationError(
-            f"generator '{generator.name}' anticipates but no delay "
-            "spec was provided")
-    if delay is not None:
-        offsets = to_grid_offsets(delay, grid)  # validates the delay
-        if offsets.max_snap_error > 1e-12:
-            warnings.warn(
-                f"anticipation times are off-grid; snapping to nearest "
-                f"nodes with error up to {offsets.max_snap_error:.3g}",
-                stacklevel=2)
-    check_feasible(generator.lip, 1.0 if delay is None else delay.M)
-
-    # f(., 0, 0, 0) must be finite on grid nodes (square-integrability proxy)
-    y0 = np.zeros((1, generator.m))
-    z0 = np.zeros((1, generator.m, generator.d))
-    e0 = np.zeros((1, generator.q_total))
-    for t in grid.times[: grid.n_T + 1]:
-        val = np.asarray(generator.f(float(t), y0, z0, e0))
-        if not np.all(np.isfinite(val)):
-            raise NonFinite(f"f(t, 0, 0, 0) is non-finite at t={t}")
-
-    integer(implicit_iters, "implicit_iters", 1)
-    return Scenario(grid=grid, generator=generator, terminal=terminal,
-                    delay=delay, offsets=offsets,
-                    implicit_iters=implicit_iters)

@@ -76,7 +76,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .condexp import condexp
-from .errors import Infeasible, NoConvergence, NonFinite, ShapeMismatch, ValidationError
+from .errors import (Infeasible, integer, NoConvergence, NonFinite, ShapeMismatch,
+                     ValidationError)
 from .generators import check_feasible, LipschitzData
 from .grids import TimeGrid
 from .paths import PathEnsemble
@@ -121,20 +122,16 @@ class ContractionParams:
     cbar: float
 
 
-def contraction_params(lip: LipschitzData, M: float,
-                       lam0: float | None = None) -> ContractionParams:
+def contraction_params(lip: LipschitzData, M: float) -> ContractionParams:
     """Contraction constants for Lipschitz data `lip` and substitution bound M.
 
-    With the default lambda0 = 2c(1+M)/(1 - alpha1 - alpha2*M) the factor is
-    cbar = (1 + alpha1 + alpha2*M)/2 < 1.  An explicit lambda0 must still
-    yield cbar < 1.
+    With lambda0 = 2c(1+M)/(1 - alpha1 - alpha2*M) the factor is
+    cbar = (1 + alpha1 + alpha2*M)/2 < 1, unless rounding takes a load
+    within an ulp of 1 to cbar = 1 (Infeasible).
     """
     load = check_feasible(lip, M)
     c = lip.c
-    if lam0 is None:
-        lam0 = 2.0 * c * (1.0 + M) / (1.0 - load) if c > 0 else 1.0
-    if not lam0 > 0:
-        raise Infeasible(f"lambda0 must be positive, got {lam0}")
+    lam0 = 2.0 * c * (1.0 + M) / (1.0 - load) if c > 0 else 1.0
     cbar = (c / lam0) * (1.0 + M) + load
     if cbar >= 1.0:
         raise Infeasible(
@@ -359,6 +356,7 @@ def picard_iterate(scenario: Scenario, paths: PathEnsemble, backend,
     """
     if not tol > 0:
         raise ValidationError("tol must be positive")
+    integer(max_iter, "max_iter", 1)
     params = contraction_params(scenario.generator.lip, scenario.M)
     current = init if init is not None else default_initial(scenario, paths)
     log: list[float] = []

@@ -46,6 +46,9 @@ class TreeModel(PathEnsemble):
     1, its B-increment as bit n + k is; each slab is filled when it is read."""
 
     def __init__(self, grid: TimeGrid):
+        if grid.n_steps > MAX_STEPS:
+            raise TooLarge(f"a {grid.n_steps}-step tree is beyond the cap of {MAX_STEPS} "
+                           f"steps (4^{MAX_STEPS} atoms)")
         self._root_h = np.sqrt(grid.h)
         self._describe(grid, 4 ** grid.n_steps, grid.n_steps, 1, 1)
 
@@ -88,11 +91,7 @@ def build_tree(n: int, h: float, n_T: int | None = None) -> TreeModel:
     pass the scenario's grid split when anticipation is in play.
     """
     integer(n, "the step count n", 1)
-    if n > MAX_STEPS:
-        raise TooLarge(f"a {n}-step tree is beyond the cap of {MAX_STEPS} steps "
-                       f"(4^{MAX_STEPS} atoms)")
-    grid = TimeGrid(h=h, n_T=n if n_T is None else n_T, n_end=n)
-    return TreeModel(grid)
+    return TreeModel(TimeGrid(h=h, n_T=n if n_T is None else n_T, n_end=n))
 
 
 def tree_for_grid(grid: TimeGrid) -> TreeModel:

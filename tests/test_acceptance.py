@@ -26,7 +26,7 @@ from abdsde.generators import (audit_lipschitz, builtin_generator,
                                with_lipschitz)
 from abdsde.grids import make_grid
 from abdsde.paths import backward_integral, sample_paths
-from abdsde.scenario import make_scenario
+from abdsde.scenario import Scenario
 from abdsde.solver import (constant_initial, contraction_params,
                            default_initial, picard_iterate,
                            solve_backward_sweep, weighted_distance)
@@ -59,8 +59,8 @@ def test_criterion1_oracle_equivalence():
     worst = 0.0
     for name, params in cases:
         gen = builtin_generator(name, **params)
-        scen = make_scenario(grid, gen, term,
-                             delay=delay if gen.anticipates else None)
+        scen = Scenario(grid, gen, term,
+                        delay=delay if gen.anticipates else None)
         sweep = solve_backward_sweep(scen, tree, tree.backend())
         exact = oracle_solve(scen, tree)
         worst = max(worst,
@@ -82,9 +82,9 @@ def test_criterion2_contraction():
     audit = audit_lipschitz(gen, samples=2000, seed=11)
     assert audit.passed and abs(audit.observed_alpha1 - 1.0 / 3.0) < 1e-9
     delay = DelaySpec(constant_delay(0.25), constant_delay(0.25))
-    scen = make_scenario(grid, gen,
-                         TerminalSpec(name="scaled_wt", params={"a": 0.5, "b": 1.0}),
-                         delay=delay)
+    scen = Scenario(grid, gen,
+                    TerminalSpec(name="scaled_wt", params={"a": 0.5, "b": 1.0}),
+                    delay=delay)
     params = contraction_params(gen.lip, scen.M)
     assert params.cbar == pytest.approx((1.0 + 1.0 / 3.0) / 2.0)
 
@@ -108,8 +108,8 @@ def test_criterion2_contraction():
 
 def _linear_y0(h: float, P: int = 10**5) -> float:
     grid = make_grid(1.0, 0.0, h)
-    scen = make_scenario(grid, builtin_generator("linear_bsde", a=1.0, rho=1.0),
-                         constant_terminal(1.0))
+    scen = Scenario(grid, builtin_generator("linear_bsde", a=1.0, rho=1.0),
+                    constant_terminal(1.0))
     paths = sample_paths(grid, 1, 1, P, seed=7)
     sol = solve_backward_sweep(scen, paths, RegressionBackend())
     return float(sol.Y[:, 0, 0].mean())
@@ -143,7 +143,7 @@ def test_criterion4_anticipated_deterministic_value():
     grid = make_grid(1.0, 0.5, 1.0 / 64)
     gen = builtin_generator("anticipated_drift")
     delay = DelaySpec(constant_delay(0.5), constant_delay(0.5))
-    scen = make_scenario(grid, gen, constant_terminal(1.0), delay=delay)
+    scen = Scenario(grid, gen, constant_terminal(1.0), delay=delay)
     paths = sample_paths(grid, 1, 1, 4096, seed=7)
     sol = solve_backward_sweep(scen, paths, RegressionBackend())
     err = abs(float(sol.Y[:, 0, 0].mean()) - 2.125)
@@ -175,9 +175,9 @@ def test_criterion5_segmentation():
     grid_c = make_grid(0.75, 0.25, 0.25)
     tree = tree_for_grid(grid_c)
     delay_c = DelaySpec(constant_delay(0.25), constant_delay(0.25))
-    scen = make_scenario(grid_c, builtin_generator("example41_f1"),
-                         TerminalSpec(name="scaled_wt", params={"a": 0.5, "b": 1.0}),
-                         delay=delay_c)
+    scen = Scenario(grid_c, builtin_generator("example41_f1"),
+                    TerminalSpec(name="scaled_wt", params={"a": 0.5, "b": 1.0}),
+                    delay=delay_c)
     glob = solve_backward_sweep(scen, tree, tree.backend())
     # piece by piece: application i of the frozen-anticipation map settles
     # segment i, so N applications reproduce the global sweep
@@ -196,12 +196,12 @@ def test_criterion5_segmentation():
 
 def _example41_pair(grid):
     delay = DelaySpec(constant_delay(grid.K), constant_delay(grid.K))
-    s1 = make_scenario(grid, builtin_generator("example41_f1"),
-                       TerminalSpec(name="scaled_wt", params={"a": 0.5, "b": 1.5}),
-                       delay=delay)
-    s2 = make_scenario(grid, builtin_generator("example41_f2"),
-                       TerminalSpec(name="scaled_wt", params={"a": 0.5, "b": 1.0}),
-                       delay=delay)
+    s1 = Scenario(grid, builtin_generator("example41_f1"),
+                  TerminalSpec(name="scaled_wt", params={"a": 0.5, "b": 1.5}),
+                  delay=delay)
+    s2 = Scenario(grid, builtin_generator("example41_f2"),
+                  TerminalSpec(name="scaled_wt", params={"a": 0.5, "b": 1.0}),
+                  delay=delay)
     return s1, s2
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from abdsde import cli
 from abdsde import comparison
-from abdsde.comparison import (_coarse_scenario, _joint_scenario, _stack_generators,
+from abdsde.comparison import (_joint_scenario, _stack_generators,
                                check_monotone_chain,
                                ComparisonReport, reduce_margin, run_comparison)
 from abdsde.condexp import RegressionBackend
@@ -20,7 +20,7 @@ from abdsde.errors import TerminalOrderViolated, ValidationError
 from abdsde.generators import builtin_generator, GeneratorSpec, LipschitzData
 from abdsde.grids import make_grid
 from abdsde.paths import sample_paths
-from abdsde.scenario import make_scenario
+from abdsde.scenario import Scenario
 from abdsde.solver import solve_backward_sweep
 from abdsde.terminal import broadcast_base, constant_terminal, TerminalSpec
 from abdsde.tree import tree_for_grid
@@ -28,8 +28,8 @@ from abdsde.tree import tree_for_grid
 
 def test_identical_scenarios_zero_margins():
     grid = make_grid(1.0, 0.0, 0.25)
-    scen = make_scenario(grid, builtin_generator("linear_bsde", a=1.0, rho=1.0),
-                         constant_terminal(1.0))
+    scen = Scenario(grid, builtin_generator("linear_bsde", a=1.0, rho=1.0),
+                    constant_terminal(1.0))
     paths = sample_paths(grid, 1, 1, 512, seed=11)
     report = replace(run_comparison(scen, scen, paths, RegressionBackend()),
                      epsilon=0.0)
@@ -44,10 +44,10 @@ def test_linear_pair_margin_matches_closed_form():
     errs = []
     for h in (1 / 16, 1 / 32, 1 / 64):
         grid = make_grid(1.0, 0.0, h)
-        s1 = make_scenario(grid, builtin_generator("linear_bsde", a=1.0, rho=1.0),
-                           constant_terminal(1.0))
-        s2 = make_scenario(grid, builtin_generator("linear_bsde", a=1.0, rho=0.0),
-                           constant_terminal(1.0))
+        s1 = Scenario(grid, builtin_generator("linear_bsde", a=1.0, rho=1.0),
+                      constant_terminal(1.0))
+        s2 = Scenario(grid, builtin_generator("linear_bsde", a=1.0, rho=0.0),
+                      constant_terminal(1.0))
         paths = sample_paths(grid, 1, 1, 128, seed=12)
         report = run_comparison(s1, s2, paths, RegressionBackend())
         errs.append(abs(report.mean_margin[0] - (math.e - 1.0)))
@@ -57,8 +57,8 @@ def test_linear_pair_margin_matches_closed_form():
 
 def test_terminal_order_violated():
     grid = make_grid(1.0, 0.0, 0.25)
-    s1 = make_scenario(grid, builtin_generator("zero"), constant_terminal(1.0))
-    s2 = make_scenario(grid, builtin_generator("zero"), constant_terminal(1.5))
+    s1 = Scenario(grid, builtin_generator("zero"), constant_terminal(1.0))
+    s2 = Scenario(grid, builtin_generator("zero"), constant_terminal(1.5))
     paths = sample_paths(grid, 1, 1, 128, seed=13)
     with pytest.raises(TerminalOrderViolated):
         run_comparison(s1, s2, paths, RegressionBackend())
@@ -67,13 +67,13 @@ def test_terminal_order_violated():
 def _example41_pair(grid, delay_value, shift=0.5):
     delay = DelaySpec(constant_delay(delay_value), constant_delay(delay_value))
     base = {"a": 0.5, "b": 1.0}
-    s1 = make_scenario(grid, builtin_generator("example41_f1"),
-                       TerminalSpec(name="scaled_wt",
+    s1 = Scenario(grid, builtin_generator("example41_f1"),
+                  TerminalSpec(name="scaled_wt",
                                     params={"a": base["a"], "b": base["b"] + shift}),
-                       delay=delay)
-    s2 = make_scenario(grid, builtin_generator("example41_f2"),
-                       TerminalSpec(name="scaled_wt", params=base),
-                       delay=delay)
+                  delay=delay)
+    s2 = Scenario(grid, builtin_generator("example41_f2"),
+                  TerminalSpec(name="scaled_wt", params=base),
+                  delay=delay)
     return s1, s2
 
 
@@ -155,7 +155,7 @@ def test_reduced_margins_keep_the_bits_of_the_dense_reduction(epsilon):
     # terminal shift 0.1, so some margins are below -0.05 too
     grid = make_grid(1.0, 0.5, 1 / 32)
     delay = DelaySpec(constant_delay(0.5), constant_delay(0.5))
-    s1, s2 = (make_scenario(grid, builtin_generator(name), TerminalSpec(
+    s1, s2 = (Scenario(grid, builtin_generator(name), TerminalSpec(
         name="scaled_wt", params={"a": 0.9, "b": b}), delay=delay)
         for name, b in (("example41_f1", 1.1), ("example41_f2", 1.0)))
     paths = sample_paths(grid, 1, 1, 2000, seed=8)
@@ -171,7 +171,7 @@ def test_reduced_margins_keep_the_bits_of_the_dense_reduction(epsilon):
 @pytest.mark.parametrize("epsilon", [-1e-3, -np.inf, np.nan])
 def test_a_negative_or_nan_epsilon_is_rejected(epsilon):
     grid = make_grid(1.0, 0.0, 0.25)
-    scen = make_scenario(grid, builtin_generator("zero"), constant_terminal(1.0))
+    scen = Scenario(grid, builtin_generator("zero"), constant_terminal(1.0))
     paths = sample_paths(grid, 1, 1, 128, seed=11)
     report = run_comparison(scen, scen, paths, RegressionBackend())
     with pytest.raises(ValidationError, match="epsilon must be >= 0"):
@@ -282,7 +282,7 @@ def test_comparison_peak_memory_stays_near_functionals():
     m = gen.m + built.compare.generator.m
     q = gen.q_total + built.compare.generator.q_total
     assert built.scenario.delay.delta == built.scenario.delay.zeta
-    sweeps = (built.scenario, _coarse_scenario(built.scenario, coarse_grid))
+    sweeps = (built.scenario, replace(built.scenario, grid=coarse_grid))
     held = 8 * P * sum(m * (1 + gen.d) + q * _pending_functionals(s) for s in sweeps)
     paths = cli._paths(built)
     tracemalloc.start()
@@ -302,8 +302,8 @@ def test_pair_must_share_delay_and_implicit_iters():
     tree = tree_for_grid(grid)
     s1, s2 = _example41_pair(grid, 0.4)
     shorter, _ = _example41_pair(grid, 0.2)
-    iterated = make_scenario(grid, s2.generator, s2.terminal, delay=s2.delay,
-                             implicit_iters=3)
+    iterated = Scenario(grid, s2.generator, s2.terminal, delay=s2.delay,
+                        implicit_iters=3)
     for other in (shorter, iterated):
         with pytest.raises(ValidationError):
             run_comparison(s1, other, tree, tree.backend())
@@ -313,9 +313,9 @@ def test_constant_component_gets_exactly_zero_z():
     # the first scenario's Y target is constant at every node, the second's
     # is not: one joint sweep, and only the constant component's Z is 0
     grid = make_grid(1.0, 0.0, 0.25)
-    s1 = make_scenario(grid, builtin_generator("zero"), constant_terminal(5.0))
-    s2 = make_scenario(grid, builtin_generator("linear_bsde", a=0.5, rho=0.0),
-                       TerminalSpec(name="scaled_wt", params={"a": 0.5, "b": 1.0}))
+    s1 = Scenario(grid, builtin_generator("zero"), constant_terminal(5.0))
+    s2 = Scenario(grid, builtin_generator("linear_bsde", a=0.5, rho=0.0),
+                  TerminalSpec(name="scaled_wt", params={"a": 0.5, "b": 1.0}))
     paths = sample_paths(grid, 1, 1, 4096, seed=5)
     joint = solve_backward_sweep(_joint_scenario(s1, s2, paths), paths,
                                  RegressionBackend())
@@ -353,8 +353,8 @@ def test_no_anticipation_pair_with_shared_diffusion():
             g=base.g, lip=LipschitzData(c=1.0, alpha1=1.0 / 3.0))
 
     grid = make_grid(1.0, 0.0, 1 / 16)
-    s1 = make_scenario(grid, pair_member(1.0), constant_terminal(1.0))
-    s2 = make_scenario(grid, pair_member(0.0), constant_terminal(1.0))
+    s1 = Scenario(grid, pair_member(1.0), constant_terminal(1.0))
+    s2 = Scenario(grid, pair_member(0.0), constant_terminal(1.0))
     paths = sample_paths(grid, 1, 1, 4096, seed=17)
     report = run_comparison(s1, s2, paths, RegressionBackend())
     assert report.violation_fraction() == 0.0
@@ -396,8 +396,8 @@ def test_chain_decreasing_middle_fails():
 @pytest.mark.parametrize("dims", [{"d": 2}, {"l": 2}], ids=["d2", "l2"])
 def test_a_pair_with_other_driver_dimensions_raises(dims):
     grid = make_grid(1.0, 0.0, 0.25)
-    first = make_scenario(grid, builtin_generator("zero"), constant_terminal(1.0))
-    second = make_scenario(grid, builtin_generator("zero", **dims), constant_terminal(1.0))
+    first = Scenario(grid, builtin_generator("zero"), constant_terminal(1.0))
+    second = Scenario(grid, builtin_generator("zero", **dims), constant_terminal(1.0))
     with pytest.raises(ValidationError, match="share the driver dimensions"):
         run_comparison(first, second, sample_paths(grid, 1, 1, 256, seed=1),
                        RegressionBackend())
@@ -413,10 +413,10 @@ def test_a_pair_with_other_component_counts_raises_before_any_sweep(m1, m2, monk
         raise AssertionError("swept")
 
     grid = make_grid(1.0, 0.0, 0.25)
-    first = make_scenario(grid, builtin_generator("linear_bsde", m=m1, a=0.0, rho=1.0),
-                          constant_terminal(2.0))
-    second = make_scenario(grid, builtin_generator("linear_bsde", m=m2, a=0.0, rho=0.0),
-                           constant_terminal(1.0))
+    first = Scenario(grid, builtin_generator("linear_bsde", m=m1, a=0.0, rho=1.0),
+                     constant_terminal(2.0))
+    second = Scenario(grid, builtin_generator("linear_bsde", m=m2, a=0.0, rho=0.0),
+                      constant_terminal(1.0))
     monkeypatch.setattr(comparison, "solve_backward_sweep", no_sweep)
     with pytest.raises(ValidationError, match="share the driver dimensions"):
         run_comparison(first, second, sample_paths(grid, 1, 1, 200, seed=1),

@@ -2,6 +2,7 @@ import inspect
 import os
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,12 +13,14 @@ from abdsde.condexp import RegressionBackend, RegressionBasis
 from abdsde.duality import (_bracket, _denominators, _forward, duality_check,
                             duality_rhs, LinearDualityCoeffs,
                             measurability_check, solve_delayed_dsde)
-from abdsde.errors import NonCommensurate, NonFinite, ValidationError
+from abdsde.errors import NonCommensurate, NonFinite, ShapeMismatch, ValidationError
 from abdsde.paths import PathEnsemble, sample_paths
 from abdsde.solver import solve_backward_sweep
 from abdsde.terminal import TerminalSpec
 from abdsde.tree import tree_for_grid
 from tree_helpers import stacked_steps
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def test_coeffs_require_start_after_delay():
@@ -170,6 +173,25 @@ def test_measurability_deterministic_case():
     assert report.passed
 
 
+@pytest.mark.parametrize("k0,paths_h,P,error", [
+    (8, 1 / 8, 400, ValidationError),
+    (99, 1 / 8, 400, ValidationError),
+    (-3, 1 / 8, 400, ValidationError),
+    (2, 1 / 8, 200, ShapeMismatch),
+    (2, 1 / 4, 400, ShapeMismatch),
+], ids=["k0-at-n_T", "k0-past-the-grid", "k0-negative", "other-path-count", "other-grid"])
+def test_measurability_check_rejects_a_start_or_paths_it_cannot_read(k0, paths_h, P, error):
+    # from k0 = n_T on no node would be checked and the report would pass
+    coeffs = LinearDualityCoeffs(mu=0.1, mu_bar=0.05, sigma=(0.1,), kappa=(0.1,),
+                                 rho=0.2, delta=0.25, t0=0.25)
+    grid = coeffs.grid_for(1.0, 1 / 8)
+    sol = solve_backward_sweep(coeffs.scenario(grid), sample_paths(grid, 1, 1, 400, seed=9),
+                               RegressionBackend())
+    paths = sample_paths(coeffs.grid_for(1.0, paths_h), 1, 1, P, seed=9)
+    with pytest.raises(error):
+        measurability_check(sol, paths, k0)
+
+
 def test_z_norm_shrinks_along_refinement_ladder():
     coeffs = LinearDualityCoeffs(mu=0.1, mu_bar=0.05, sigma=(0.1,),
                                  kappa=(0.1,), rho=0.2, delta=0.25, t0=0.25)
@@ -214,6 +236,47 @@ def test_tree_duality_exact_for_scalar_drift_families():
         rhs, _ = duality_rhs(coeffs, outer, grid, k0, inner=2, seed=(8,))
         resid = np.abs(sol.Y[:5, k0, 0] - rhs)
         assert resid.max() <= 1e-9
+
+
+TREE_REFEREE_COEFFS = {
+    "duality_small": dict(mu=0.1, mu_bar=0.05, sigma=(0.1,), kappa=(0.1,), rho=0.2),
+    "kappa_0.5": dict(mu=0.1, mu_bar=0.05, sigma=(0.1,), kappa=(0.5,), rho=0.2),
+    "strong": dict(mu=0.3, mu_bar=0.2, sigma=(0.3,), sigma_bar=(0.1,), kappa=(0.3,),
+                   rho=0.2),
+}
+
+
+def _exact_tree_residual(coeffs, h):
+    """|Y_t0 - rhs| on every atom of the tree of step h, both sides exact:
+    Y_t0 from the exact backend, and rhs the bracket of the forward solve
+    with dW = 0 on the atom's B-path, which is E[X | B] as each step is
+    linear in X with a zero-mean noise term."""
+    grid = coeffs.grid_for(0.375, h)
+    tree = tree_for_grid(grid)
+    k0 = grid.index_of(coeffs.t0)
+    y_t0 = solve_backward_sweep(coeffs.scenario(grid), tree, tree.backend()).Y[:, k0, 0]
+    denom = _denominators(coeffs, stacked_steps(tree)[1].transpose(1, 0, 2), grid, k0)
+    no_noise = np.zeros((tree.n_paths, grid.n_T - k0, coeffs.d))
+    rhs = _bracket(coeffs, _forward(coeffs, no_noise, denom, grid, k0), grid, k0)
+    return np.abs(y_t0 - rhs)
+
+
+@pytest.mark.parametrize("name", sorted(TREE_REFEREE_COEFFS))
+def test_the_exact_tree_duality_residual_is_first_order_and_within_its_kept_values(name):
+    # the residual on the tree holds no Monte Carlo noise and no regression
+    # floor: it is the step bias alone, and halves with h
+    rows = [line.split(",") for line in
+            (DATA / "tree_duality_residuals.csv").read_text().splitlines()
+            if not line.startswith("#")][1:]
+    kept = {(row[0], int(row[1])): (float(row[2]), float(row[3])) for row in rows}
+    coeffs = LinearDualityCoeffs(delta=0.125, t0=0.125, **TREE_REFEREE_COEFFS[name])
+    means = []
+    for n, h in ((4, 1 / 8), (8, 1 / 16)):
+        resid = _exact_tree_residual(coeffs, h)
+        mean, worst = kept[name, n]
+        assert resid.mean() <= mean and resid.max() <= worst, (n, resid.mean(), resid.max())
+        means.append(resid.mean())
+    assert 0.35 <= means[1] / means[0] <= 0.65, means
 
 
 def test_duality_rhs_is_b_measurable_in_the_limit():

@@ -10,7 +10,7 @@ from abdsde.generators import (_z_norm, audit_lipschitz, builtin_generator,
                                CATALOG, check_feasible, evaluate, GeneratorSpec,
                                LipschitzData, with_lipschitz)
 from abdsde.grids import make_grid
-from abdsde.scenario import make_scenario
+from abdsde.scenario import Scenario
 from abdsde.terminal import constant_terminal
 
 P1 = lambda *vals: np.array([list(vals)], dtype=float)
@@ -226,7 +226,7 @@ def test_q_total_is_read_off_phi(d):
         spec = builtin_generator(name, d=d, **vectors)
         y, z = rng.standard_normal((5, spec.m)), rng.standard_normal((5, spec.m, d))
         assert spec.eval_functionals(y, z).shape == (5, spec.q_total)
-        make_scenario(grid, spec, constant_terminal(1.0), delay=delay)
+        Scenario(grid, spec, constant_terminal(1.0), delay=delay)
     assert builtin_generator("duality_linear", d=d, sigma=[0.0] * d,
                              sigma_bar=[0.0] * d).q_total == 1 + d
     # a phi whose value is not a (P, q_total) block fails at construction

@@ -6,6 +6,7 @@ import sys
 import textwrap
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -562,6 +563,29 @@ def test_oracle_check_command(tmp_path):
     out = str(tmp_path / "orc.csv")
     assert run("oracle-check", scenario, out) == 0
     assert "result = PASS" in open(out).read()
+
+
+@pytest.mark.parametrize("command", ["oracle-check", "compare"])
+def test_an_off_grid_delay_warns_once_per_command(tmp_path, command):
+    # every scenario a command builds or copies by `replace` validates the
+    # delay again and warns from one location, so a grid's warning is
+    # printed once; compare's coarse calibration grid snaps by its own error
+    path = _write(tmp_path, "affine.yaml", """
+        grid: {T: 0.8, K: 0.4, h: 0.2}
+        delay: {delta: {a: 0.2, b: 0.15}}
+        generator: {name: example41_f1}
+        terminal: {name: scaled_wt, params: {a: 0.5, b: 1.5}}
+        paths: {count: 256, seed: 3}
+        compare:
+          generator: {name: example41_f2}
+          terminal: {name: scaled_wt, params: {a: 0.5, b: 1.0}}
+    """)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        assert run(command, path, str(tmp_path / "out.csv")) in (0, 1)
+    messages = [str(w.message) for w in caught]
+    assert messages[0].endswith("snapping to nearest nodes with error up to 0.09")
+    assert len(set(messages)) == len(messages)
 
 
 def test_oracle_check_builds_the_tree_once(tmp_path, monkeypatch):

@@ -2,6 +2,7 @@ import inspect
 import math
 import tracemalloc
 import weakref
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from abdsde.errors import (Infeasible, NoConvergence, NonFinite, NonTermination,
 from abdsde.generators import builtin_generator, GeneratorSpec, LipschitzData
 from abdsde.grids import make_grid
 from abdsde.paths import sample_paths
-from abdsde.scenario import make_scenario
+from abdsde.scenario import Scenario
 from abdsde.solver import (constant_initial, contraction_params,
                            default_initial, picard_iterate, SolutionProcess,
                            solve_backward_sweep, weighted_distance, weighted_norm)
@@ -28,8 +29,7 @@ from abdsde.tree import build_tree, oracle_solve, tree_for_grid, TreeModel
 # ---------------------------------------------------------------------------
 
 def test_contraction_params_worked_example():
-    p = contraction_params(LipschitzData(c=1.0, alpha1=0.25, alpha2=0.25),
-                           M=1.0, lam0=8.0)
+    p = contraction_params(LipschitzData(c=1.0, alpha1=0.25, alpha2=0.25), M=1.0)
     assert p.cbar == pytest.approx(0.75)
     assert p.gamma == pytest.approx(3.0)
     assert p.beta == pytest.approx(11.0)
@@ -46,19 +46,17 @@ def test_contraction_params_default_lambda():
 def test_contraction_params_infeasible():
     with pytest.raises(Infeasible):
         contraction_params(LipschitzData(c=1.0, alpha1=0.7, alpha2=0.4), M=1.0)
-    with pytest.raises(Infeasible):
-        # lambda0 too small for the declared c
-        contraction_params(LipschitzData(c=1.0, alpha1=0.0), M=1.0, lam0=0.5)
+    with pytest.raises(Infeasible, match="contraction factor 1 >= 1"):
+        # a feasible load an ulp below 1: (1 - load)/2 + load rounds to 1
+        contraction_params(LipschitzData(c=1.0, alpha1=math.nextafter(1.0, 0.0)), M=1.0)
 
 
-def test_contraction_params_rejects_a_nan_lambda():
-    # a NaN lambda0 used to give ContractionParams of NaNs
-    with pytest.raises(Infeasible, match="lambda0 must be positive, got nan"):
-        contraction_params(LipschitzData(c=1.0), M=1.0, lam0=float("nan"))
+def test_contraction_params_takes_lambda0_from_the_data_alone():
+    assert list(inspect.signature(contraction_params).parameters) == ["lip", "M"]
 
 
 def test_contraction_params_degenerate_c():
-    p = contraction_params(LipschitzData(c=0.0, alpha1=0.5), M=1.0, lam0=3.0)
+    p = contraction_params(LipschitzData(c=0.0, alpha1=0.5), M=1.0)
     assert p.cbar == pytest.approx(0.5)
     assert p.gamma == pytest.approx(1e-6)
 
@@ -122,7 +120,7 @@ def test_weighted_norm_equivalence_bounds():
 
 def test_zero_generator_exact():
     grid = make_grid(1.0, 0.5, 0.25)
-    scen = make_scenario(grid, builtin_generator("zero"), constant_terminal(2.0))
+    scen = Scenario(grid, builtin_generator("zero"), constant_terminal(2.0))
     paths = sample_paths(grid, 1, 1, 256, seed=1)
     sol = solve_backward_sweep(scen, paths, RegressionBackend())
     assert np.all(sol.Y == 2.0)
@@ -133,7 +131,7 @@ def test_terminal_part_pinned_bitwise():
     grid = make_grid(0.5, 0.5, 0.25)
     gen = builtin_generator("anticipated_drift")
     delay = DelaySpec(constant_delay(0.5), constant_delay(0.5))
-    scen = make_scenario(grid, gen, constant_terminal(1.0, eta=0.25), delay=delay)
+    scen = Scenario(grid, gen, constant_terminal(1.0, eta=0.25), delay=delay)
     paths = sample_paths(grid, 1, 1, 128, seed=2)
     term = scen.terminal_data(paths)
     sol = solve_backward_sweep(scen, paths, RegressionBackend())
@@ -147,8 +145,8 @@ def test_linear_closed_form_first_order_convergence():
     errs = {}
     for h in (1 / 16, 1 / 32):
         grid = make_grid(1.0, 0.0, h)
-        scen = make_scenario(grid, builtin_generator("linear_bsde", a=1.0, rho=1.0),
-                             constant_terminal(1.0))
+        scen = Scenario(grid, builtin_generator("linear_bsde", a=1.0, rho=1.0),
+                        constant_terminal(1.0))
         paths = sample_paths(grid, 1, 1, 128, seed=3)
         sol = solve_backward_sweep(scen, paths, RegressionBackend())
         errs[h] = abs(sol.Y[0, 0, 0] - (2 * math.e - 1))
@@ -161,7 +159,7 @@ def test_anticipated_deterministic_closed_form():
     grid = make_grid(1.0, 0.5, 1 / 64)
     gen = builtin_generator("anticipated_drift")
     delay = DelaySpec(constant_delay(0.5), constant_delay(0.5))
-    scen = make_scenario(grid, gen, constant_terminal(1.0), delay=delay)
+    scen = Scenario(grid, gen, constant_terminal(1.0), delay=delay)
     paths = sample_paths(grid, 1, 1, 128, seed=4)
     sol = solve_backward_sweep(scen, paths, RegressionBackend())
     y = sol.Y[0, :, 0]
@@ -183,8 +181,8 @@ def test_affine_delay_deterministic_closed_form():
         grid = make_grid(1.0, 1.0, h)
         delay = DelaySpec(affine_delay(0.5, 0.5), affine_delay(0.5, 0.5))
         with pytest.warns(UserWarning, match="snapping"):
-            scen = make_scenario(grid, builtin_generator("anticipated_drift"),
-                                 constant_terminal(1.0), delay=delay)
+            scen = Scenario(grid, builtin_generator("anticipated_drift"),
+                            constant_terminal(1.0), delay=delay)
         paths = sample_paths(grid, 1, 1, 128, seed=2)
         sol = solve_backward_sweep(scen, paths, RegressionBackend())
         errs.append(abs(float(sol.Y[0, 0, 0]) - 25.0 / 12.0))
@@ -200,7 +198,7 @@ def test_two_dimensional_w_martingale_representation():
     xi = (0.5 * (w_T[:, 0] + w_T[:, 1]))[:, None, None]
     term = TerminalData(grid=grid, xi=xi,
                         eta=np.zeros((20000, 1, 1, 2)))
-    scen = make_scenario(grid, builtin_generator("zero", d=2), term)
+    scen = Scenario(grid, builtin_generator("zero", d=2), term)
     sol = solve_backward_sweep(scen, paths, RegressionBackend())
     z_mean = sol.Z[:, 8, 0, :].mean(axis=0)
     assert np.allclose(z_mean, 0.5, atol=0.02)
@@ -215,7 +213,7 @@ def test_nonfinite_generator_detected():
         f=lambda t, y, z, e: np.where(np.abs(y) > 0.5, np.inf, 0.0),
         g=spec.g, lip=LipschitzData(c=0.0))
     grid = make_grid(0.5, 0.0, 0.25)
-    scen = make_scenario(grid, exploding, constant_terminal(1.0))
+    scen = Scenario(grid, exploding, constant_terminal(1.0))
     paths = sample_paths(grid, 1, 1, 128, seed=4)
     with pytest.raises(NonFinite):
         solve_backward_sweep(scen, paths, RegressionBackend())
@@ -231,8 +229,8 @@ def test_nonfinite_generator_detected():
 def test_paths_on_another_grid_are_rejected_naming_both_grids(grid, make_paths):
     # finer paths used to give a fit of the wrong steps without an error,
     # coarser ones an out-of-range step
-    scen = make_scenario(grid, builtin_generator("linear_bsde", a=1.0),
-                         TerminalSpec(name="scaled_wt", params={"a": 1.0, "b": 0.0}))
+    scen = Scenario(grid, builtin_generator("linear_bsde", a=1.0),
+                    TerminalSpec(name="scaled_wt", params={"a": 1.0, "b": 0.0}))
     paths = make_paths()
     if isinstance(paths, TreeModel):
         routes = [lambda: solve_backward_sweep(scen, paths, paths.backend()),
@@ -253,7 +251,7 @@ def test_terminal_data_on_another_grid_are_rejected_naming_both_grids():
     assert (built_on.n_T, built_on.n_end) == (grid.n_T, grid.n_end)
     term = TerminalSpec(name="scaled_wt", params={"a": 1.0, "b": 1.0}).build(
         built_on, sample_paths(built_on, 1, 1, 500, seed=3), m=1, d=1)
-    scen = make_scenario(grid, builtin_generator("linear_bsde", a=1.0), term)
+    scen = Scenario(grid, builtin_generator("linear_bsde", a=1.0), term)
     with pytest.raises(ShapeMismatch) as raised:
         solve_backward_sweep(scen, sample_paths(grid, 1, 1, 500, seed=3),
                              RegressionBackend())
@@ -265,7 +263,7 @@ def test_terminal_data_for_another_path_count_raise_shape_mismatch():
     grid = make_grid(1.0, 0.0, 0.25)
     term = TerminalSpec(name="scaled_wt", params={"a": 1.0}).build(
         grid, sample_paths(grid, 1, 1, 400, seed=3), m=1, d=1)
-    scen = make_scenario(grid, builtin_generator("linear_bsde", a=1.0), term)
+    scen = Scenario(grid, builtin_generator("linear_bsde", a=1.0), term)
     with pytest.raises(ShapeMismatch, match="different path count"):
         solve_backward_sweep(scen, sample_paths(grid, 1, 1, 500, seed=3),
                              RegressionBackend())
@@ -280,8 +278,8 @@ def test_paths_with_other_driver_dimensions_raise_shape_mismatch(gen_dims, path_
     # on d = 2 paths raised numpy's "non-broadcastable output operand"
     grid = make_grid(1.0, 0.0, 0.25)
     d, l = gen_dims
-    scen = make_scenario(grid, builtin_generator("linear_bsde", d=d, l=l),
-                         TerminalSpec(name="scaled_wt", params={"a": 0.5, "b": 1.0}))
+    scen = Scenario(grid, builtin_generator("linear_bsde", d=d, l=l),
+                    TerminalSpec(name="scaled_wt", params={"a": 0.5, "b": 1.0}))
     paths = sample_paths(grid, *path_dims, 300, seed=3)
     with pytest.raises(ShapeMismatch, match=r"the paths carry \(d, l\)"):
         solve_backward_sweep(scen, paths, RegressionBackend())
@@ -293,10 +291,10 @@ def test_a_frozen_process_on_another_grid_is_rejected_naming_both_grids():
     gen = builtin_generator("linear_bsde", a=1.0)
     fine, other = make_grid(1.0, 0.0, 1 / 16), make_grid(2.0, 0.0, 1 / 8)
     assert fine.n_nodes == other.n_nodes
-    frozen = solve_backward_sweep(make_scenario(fine, gen, constant_terminal(1.0)),
+    frozen = solve_backward_sweep(Scenario(fine, gen, constant_terminal(1.0)),
                                   sample_paths(fine, 1, 1, 500, seed=3),
                                   RegressionBackend())
-    scen = make_scenario(other, gen, constant_terminal(1.0))
+    scen = Scenario(other, gen, constant_terminal(1.0))
     paths = sample_paths(other, 1, 1, 500, seed=3)
     with pytest.raises(ShapeMismatch) as raised:
         solve_backward_sweep(scen, paths, RegressionBackend(), frozen=frozen)
@@ -307,7 +305,7 @@ def test_picard_no_convergence_error():
     grid = make_grid(0.75, 0.25, 0.25)
     gen = builtin_generator("example41_f1")
     delay = DelaySpec(constant_delay(0.25), constant_delay(0.25))
-    scen = make_scenario(grid, gen, constant_terminal(1.0), delay=delay)
+    scen = Scenario(grid, gen, constant_terminal(1.0), delay=delay)
     paths = sample_paths(grid, 1, 1, 256, seed=5)
     with pytest.raises(NoConvergence):
         picard_iterate(scen, paths, RegressionBackend(), tol=1e-12, max_iter=1,
@@ -328,7 +326,7 @@ def test_picard_rejects_a_nan_tolerance_before_sweeping(monkeypatch):
         raise AssertionError("swept")
 
     grid = make_grid(0.75, 0.25, 0.25)
-    scen = make_scenario(grid, builtin_generator("zero"), constant_terminal(1.0))
+    scen = Scenario(grid, builtin_generator("zero"), constant_terminal(1.0))
     paths = sample_paths(grid, 1, 1, 16, seed=5)
     monkeypatch.setattr(solver, "solve_backward_sweep", no_sweep)
     with pytest.raises(ValidationError, match="tol must be positive"):
@@ -340,10 +338,10 @@ def test_implicit_iters_flips_error_sign():
     gen = builtin_generator("linear_bsde", a=1.0, rho=1.0)
     paths = sample_paths(grid, 1, 1, 128, seed=3)
     explicit = solve_backward_sweep(
-        make_scenario(grid, gen, constant_terminal(1.0), implicit_iters=1),
+        Scenario(grid, gen, constant_terminal(1.0), implicit_iters=1),
         paths, RegressionBackend())
     refined = solve_backward_sweep(
-        make_scenario(grid, gen, constant_terminal(1.0), implicit_iters=8),
+        Scenario(grid, gen, constant_terminal(1.0), implicit_iters=8),
         paths, RegressionBackend())
     exact = 2 * math.e - 1
     assert explicit.Y[0, 0, 0] < exact < refined.Y[0, 0, 0]
@@ -359,7 +357,7 @@ def _example41_tree_setup():
     gen = builtin_generator("example41_f1")
     delay = DelaySpec(constant_delay(0.25), constant_delay(0.25))
     term = TerminalSpec(name="scaled_wt", params={"a": 0.5, "b": 1.0})
-    scen = make_scenario(grid, gen, term, delay=delay)
+    scen = Scenario(grid, gen, term, delay=delay)
     return scen, tree
 
 
@@ -375,7 +373,7 @@ def test_map_ignores_frozen_input_for_zero_generator():
     grid = make_grid(0.5, 0.0, 0.25)
     tree = tree_for_grid(grid)
     xi = TerminalSpec(name="scaled_wt", params={"a": 1.0, "b": 0.0})
-    scen = make_scenario(grid, builtin_generator("zero"), xi)
+    scen = Scenario(grid, builtin_generator("zero"), xi)
     a = solve_backward_sweep(scen, tree, tree.backend(),
                              frozen=constant_initial(scen, tree, 0.0))
     b = solve_backward_sweep(scen, tree, tree.backend(),
@@ -406,7 +404,7 @@ def test_map_contracts_random_inputs():
 def test_picard_zero_generator_one_iteration():
     grid = make_grid(0.5, 0.0, 0.25)
     tree = tree_for_grid(grid)
-    scen = make_scenario(grid, builtin_generator("zero"), constant_terminal(1.5))
+    scen = Scenario(grid, builtin_generator("zero"), constant_terminal(1.5))
     sol, log = picard_iterate(scen, tree, tree.backend(), tol=1e-9)
     assert len(log) == 1 and log[0] == 0.0
     assert np.all(sol.Y == 1.5)
@@ -444,7 +442,7 @@ def test_picard_on_regression_backend_converges():
     grid = make_grid(0.5, 0.5, 0.25)
     gen = builtin_generator("example41_f1")
     delay = DelaySpec(constant_delay(0.5), constant_delay(0.5))
-    scen = make_scenario(grid, gen, constant_terminal(1.0), delay=delay)
+    scen = Scenario(grid, gen, constant_terminal(1.0), delay=delay)
     paths = sample_paths(grid, 1, 1, 512, seed=6)
     sol, log = picard_iterate(scen, paths, RegressionBackend(), tol=1e-9)
     sweep = solve_backward_sweep(scen, paths, RegressionBackend())
@@ -470,9 +468,9 @@ def test_one_condexp_call_per_node_and_functionals_once_per_node(monkeypatch):
     monkeypatch.setattr(GeneratorSpec, "eval_functionals", counting_functionals)
     grid = make_grid(0.5, 0.25, 0.0625)
     delay = DelaySpec(constant_delay(0.25), constant_delay(0.25))
-    scen = make_scenario(grid, builtin_generator("example41_f1"),
-                         TerminalSpec(name="scaled_wt", params={"a": 0.5, "b": 1.5}),
-                         delay=delay)
+    scen = Scenario(grid, builtin_generator("example41_f1"),
+                    TerminalSpec(name="scaled_wt", params={"a": 0.5, "b": 1.5}),
+                    delay=delay)
     paths = sample_paths(grid, 1, 1, 512, seed=4)
     solve_backward_sweep(scen, paths, RegressionBackend())
     assert counts == {"condexp": grid.n_T, "functionals": grid.n_T + 1}
@@ -495,9 +493,9 @@ def _piecewise(scen, paths, backend):
 def test_segmented_equals_global_zero_generator():
     grid = make_grid(1.0, 0.5, 0.25)
     delay = DelaySpec(constant_delay(0.5), constant_delay(0.5))
-    scen = make_scenario(grid, builtin_generator("zero"),
-                         TerminalSpec(name="scaled_wt", params={"a": 1.0}),
-                         delay=delay)
+    scen = Scenario(grid, builtin_generator("zero"),
+                    TerminalSpec(name="scaled_wt", params={"a": 1.0}),
+                    delay=delay)
     paths = sample_paths(grid, 1, 1, 512, seed=8)
     a = solve_backward_sweep(scen, paths, RegressionBackend())
     b = _piecewise(scen, paths, RegressionBackend())
@@ -518,7 +516,7 @@ def test_segmented_single_segment_when_delay_covers_horizon():
     grid = make_grid(0.5, 0.5, 0.25)
     delay = DelaySpec(constant_delay(0.5), constant_delay(0.5))
     gen = builtin_generator("anticipated_drift")
-    scen = make_scenario(grid, gen, constant_terminal(1.0), delay=delay)
+    scen = Scenario(grid, gen, constant_terminal(1.0), delay=delay)
     paths = sample_paths(grid, 1, 1, 256, seed=9)
     b = _piecewise(scen, paths, RegressionBackend())
     assert segment_interval(delay, grid).points == (0.5, 0.0)
@@ -531,8 +529,8 @@ def test_sub_step_delay_still_solves_without_segmentation():
     grid = make_grid(1.0, 0.125, 0.125)
     delay = DelaySpec(constant_delay(0.01), constant_delay(0.01))
     with pytest.warns(UserWarning, match="snapping"):
-        scen = make_scenario(grid, builtin_generator("anticipated_drift"),
-                             constant_terminal(1.0), delay=delay)
+        scen = Scenario(grid, builtin_generator("anticipated_drift"),
+                        constant_terminal(1.0), delay=delay)
     sol = solve_backward_sweep(scen, sample_paths(grid, 1, 1, 256, seed=1),
                                RegressionBackend())
     assert np.all(np.isfinite(sol.Y))
@@ -551,8 +549,8 @@ def test_a_delay_is_validated_once_per_scenario_and_never_in_a_sweep(monkeypatch
     monkeypatch.setattr(delays, "validate_delay", counted)
     grid = make_grid(1.0, 0.5, 0.25)
     delay = DelaySpec(constant_delay(0.5), constant_delay(0.5))
-    scen = make_scenario(grid, builtin_generator("anticipated_drift"),
-                         constant_terminal(1.0), delay=delay)
+    scen = Scenario(grid, builtin_generator("anticipated_drift"),
+                    constant_terminal(1.0), delay=delay)
     assert len(calls) == 1
     paths = sample_paths(grid, 1, 1, 64, seed=3)
     solve_backward_sweep(scen, paths, RegressionBackend())
@@ -614,15 +612,15 @@ def _consumer_case(name):
                                       axis=1)[:, None], (2000, k_nodes, 2))
         term = TerminalData(grid=grid, xi=xi, eta=np.full((2000, k_nodes, 2, 2), 0.1))
         gen = builtin_generator("linear_bsde", m=2, d=2, l=2, a=0.5, rho=0.25)
-        return make_scenario(grid, gen, term), paths, backend
+        return Scenario(grid, gen, term), paths, backend
     if name == "pair":
         from abdsde.comparison import _joint_scenario
         grid = make_grid(0.5, 0.25, 0.0625)
         delay = DelaySpec(constant_delay(0.25), constant_delay(0.25))
         paths = sample_paths(grid, 1, 1, 2000, seed=9)
-        s1, s2 = (make_scenario(grid, builtin_generator(gen),
-                                TerminalSpec(name="scaled_wt", params={"a": 0.5, "b": b}),
-                                delay=delay)
+        s1, s2 = (Scenario(grid, builtin_generator(gen),
+                           TerminalSpec(name="scaled_wt", params={"a": 0.5, "b": b}),
+                           delay=delay)
                   for gen, b in (("example41_f1", 1.5), ("example41_f2", 1.0)))
         return _joint_scenario(s1, s2, paths), paths, backend
     grid, delay, gen = {
@@ -643,7 +641,7 @@ def _consumer_case(name):
     }[name]
     paths = sample_paths(grid, 1, 1, 2000, seed=7)
     term = TerminalSpec(name="scaled_wt", params={"a": 0.5, "b": 1.5})
-    return make_scenario(grid, builtin_generator(gen), term, delay=delay), paths, backend
+    return Scenario(grid, builtin_generator(gen), term, delay=delay), paths, backend
 
 
 @pytest.mark.parametrize("name", ["constant_K", "view_phi", "affine_below_K", "no_delay",
@@ -676,7 +674,7 @@ def _tree_affine_pair(generator="example41_f1"):
     delay = DelaySpec(affine_delay(0.1, 0.4), constant_delay(0.3))
     term = TerminalSpec(name="scaled_b_tail", params={"a": 0.6, "b": 1.0})
     with pytest.warns(UserWarning, match="snapping"):
-        scen = make_scenario(grid, builtin_generator(generator), term, delay=delay)
+        scen = Scenario(grid, builtin_generator(generator), term, delay=delay)
     assert list(scen.offsets.d_delta) == [1, 1, 2, 2, 3, 3]
     assert tree.n == 8 and not np.array_equal(scen.offsets.d_delta, scen.offsets.d_zeta)
     return scen, tree
@@ -882,7 +880,7 @@ def test_built_terminal_data_is_read_only_and_solves_as_a_copy(name):
         with pytest.raises(ValueError):
             values[0] = 0.0
     copied = TerminalData(grid=grid, xi=term.xi.copy(), eta=term.eta.copy())
-    sols = [solve_backward_sweep(make_scenario(grid, gen, t, delay=delay), paths,
+    sols = [solve_backward_sweep(Scenario(grid, gen, t, delay=delay), paths,
                                  RegressionBackend()) for t in (term, copied)]
     assert np.array_equal(sols[0].Y, sols[1].Y)
     assert np.array_equal(sols[0].Z, sols[1].Z)
@@ -891,8 +889,8 @@ def test_built_terminal_data_is_read_only_and_solves_as_a_copy(name):
 @pytest.mark.parametrize("frozen_paths", [400, 600])
 def test_a_frozen_process_of_another_path_count_raises_shape_mismatch(frozen_paths):
     grid = make_grid(1.0, 0.0, 0.25)
-    scen = make_scenario(grid, builtin_generator("linear_bsde", a=1.0),
-                         constant_terminal(1.0))
+    scen = Scenario(grid, builtin_generator("linear_bsde", a=1.0),
+                    constant_terminal(1.0))
     frozen = solve_backward_sweep(scen, sample_paths(grid, 1, 1, frozen_paths, seed=3),
                                   RegressionBackend())
     with pytest.raises(ShapeMismatch, match="frozen process holds a different path count"):
@@ -914,7 +912,45 @@ def _constant_f(value):
 ], ids=["anticipates-without-delay", "f-nan", "f-inf"])
 def test_make_scenario_rejects_a_generator_it_cannot_solve(generator, error, match):
     with pytest.raises(error, match=match):
-        make_scenario(make_grid(1.0, 0.5, 0.25), generator(), constant_terminal(1.0))
+        Scenario(make_grid(1.0, 0.5, 0.25), generator(), constant_terminal(1.0))
+
+
+def _drift_scenario(h):
+    return Scenario(make_grid(0.5, 0.5, h), builtin_generator("anticipated_drift"),
+                    TerminalSpec(name="scaled_wt", params={"a": 0.5, "b": 1.0}),
+                    delay=DelaySpec(constant_delay(0.25), constant_delay(0.25)))
+
+
+def test_a_replaced_scenario_derives_the_offsets_of_its_grid():
+    fresh = _drift_scenario(1 / 4)
+    copy = replace(_drift_scenario(1 / 8), grid=fresh.grid)
+    assert np.array_equal(copy.offsets.d_delta, [1, 1, 1])
+    assert np.array_equal(copy.offsets.d_zeta, fresh.offsets.d_zeta)
+    tree = tree_for_grid(fresh.grid)
+    y0 = [solve_backward_sweep(s, tree, tree.backend()).Y[:, 0, 0].mean()
+          for s in (copy, fresh)]
+    assert y0[0] == y0[1] == pytest.approx(1.5625, abs=1e-12)
+
+
+def test_a_directly_built_scenario_solves():
+    scen = _drift_scenario(1 / 4)
+    tree = tree_for_grid(scen.grid)
+    sol = solve_backward_sweep(scen, tree, tree.backend())
+    assert np.abs(sol.Y - oracle_solve(scen, tree).Y).max() <= 1e-10
+
+
+def test_a_scenario_field_cannot_be_assigned():
+    scen = _drift_scenario(1 / 4)
+    with pytest.raises(FrozenInstanceError):
+        scen.grid = make_grid(0.5, 0.5, 1 / 8)
+
+
+def test_a_scenario_derives_its_offsets_and_takes_none():
+    assert "offsets" not in inspect.signature(Scenario).parameters
+    scen = _drift_scenario(1 / 4)
+    with pytest.raises(TypeError, match="offsets"):
+        Scenario(scen.grid, scen.generator, scen.terminal, delay=scen.delay,
+                 offsets=scen.offsets)
 
 
 # on the grid make_grid(1.0, 0.5, 0.25) the terminal window has 3 nodes

@@ -8,7 +8,7 @@ from abdsde.delays import affine_delay, constant_delay, DelaySpec
 from abdsde.errors import NotMeasurable, ShapeMismatch, TooLarge
 from abdsde.generators import builtin_generator, CATALOG, GeneratorSpec
 from abdsde.grids import make_grid
-from abdsde.scenario import make_scenario
+from abdsde.scenario import Scenario
 from abdsde.solver import solve_backward_sweep
 from abdsde.terminal import constant_terminal, TerminalData, TerminalSpec
 from abdsde.tree import build_tree, oracle_solve, tree_for_grid
@@ -75,7 +75,7 @@ def test_oracle_martingale_representation_of_last_increment():
     gen = builtin_generator("zero")
     dW, _ = stacked_steps(tree)
     xi = dW[:, 0, 0] / np.sqrt(h)
-    scen = make_scenario(tree.grid, gen, _scalar_terminal(tree, xi))
+    scen = Scenario(tree.grid, gen, _scalar_terminal(tree, xi))
     sol = oracle_solve(scen, tree)
     assert sol.Y[:, 0, 0] == pytest.approx(0.0, abs=1e-14)
     assert sol.Z[:, 0, 0, 0] == pytest.approx(1 / np.sqrt(h), abs=1e-12)
@@ -84,8 +84,8 @@ def test_oracle_martingale_representation_of_last_increment():
 def test_oracle_constant_terminal():
     tree = build_tree(3, 0.2)
     gen = builtin_generator("zero")
-    scen = make_scenario(tree.grid, gen,
-                         TerminalSpec(name="constant", params={"value": 2.5}))
+    scen = Scenario(tree.grid, gen,
+                    TerminalSpec(name="constant", params={"value": 2.5}))
     sol = oracle_solve(scen, tree)
     assert np.all(sol.Y == 2.5)
     assert np.all(sol.Z == 0.0)
@@ -100,7 +100,7 @@ def test_oracle_b_only_terminal_is_w_free_with_zero_z():
                             kappa=[0.2], rho=0.1)
     delay = DelaySpec(constant_delay(0.2), constant_delay(0.2))
     term = TerminalSpec(name="scaled_b_tail", params={"a": 0.7, "b": 1.0})
-    scen = make_scenario(grid, gen, term, delay=delay)
+    scen = Scenario(grid, gen, term, delay=delay)
     sol = oracle_solve(scen, tree)
     assert np.abs(sol.Z[:, : grid.n_T]).max() <= 1e-13
     for k in range(grid.n_T):
@@ -116,7 +116,7 @@ def test_oracle_measurability_audit():
     gen = builtin_generator("example41_f1")
     delay = DelaySpec(constant_delay(0.4), constant_delay(0.4))
     term = TerminalSpec(name="scaled_wt", params={"a": 0.5, "b": 1.0})
-    scen = make_scenario(grid, gen, term, delay=delay)
+    scen = Scenario(grid, gen, term, delay=delay)
     sol = oracle_solve(scen, tree)
     for k in range(grid.n_T):
         ids = tree.f_atom_ids(k)
@@ -134,7 +134,7 @@ def test_oracle_telescoping_identity():
     gen = builtin_generator("example41_f1")
     delay = DelaySpec(constant_delay(0.4), constant_delay(0.4))
     term = TerminalSpec(name="scaled_wt", params={"a": 0.5, "b": 1.0})
-    scen = make_scenario(grid, gen, term, delay=delay)
+    scen = Scenario(grid, gen, term, delay=delay)
     sol = oracle_solve(scen, tree)
     Y = sol.Y[:, :, 0]
     Z = sol.Z[:, :, 0, 0]
@@ -169,8 +169,8 @@ def test_monte_carlo_pipeline_consistent_with_tree_enumeration():
     tree = tree_for_grid(grid)
     delay = DelaySpec(constant_delay(0.5), constant_delay(0.5))
     term = TerminalSpec(name="scaled_wt", params={"a": 0.5, "b": 1.0})
-    scen = make_scenario(grid, builtin_generator("example41_f1"), term,
-                         delay=delay)
+    scen = Scenario(grid, builtin_generator("example41_f1"), term,
+                    delay=delay)
     y0_tree = solve_backward_sweep(
         scen, tree, tree.backend()).Y[:, 0, 0].mean()
 
@@ -194,8 +194,8 @@ def test_solver_with_exact_backend_matches_oracle(name, params):
     gen = builtin_generator(name, **params)
     delay = DelaySpec(constant_delay(0.4), constant_delay(0.4))
     term = TerminalSpec(name="scaled_wt", params={"a": 0.5, "b": 1.0})
-    scen = make_scenario(grid, gen, term,
-                         delay=delay if gen.anticipates else None)
+    scen = Scenario(grid, gen, term,
+                    delay=delay if gen.anticipates else None)
     sweep = solve_backward_sweep(scen, tree, tree.backend())
     exact = oracle_solve(scen, tree)
     assert np.abs(sweep.Y - exact.Y).max() <= 1e-10
@@ -207,9 +207,9 @@ def test_oracle_evaluates_each_nodes_functionals_once(monkeypatch):
     grid = make_grid(0.6, 0.4, 0.2)
     tree = tree_for_grid(grid)
     delay = DelaySpec(constant_delay(0.4), constant_delay(0.4))
-    scen = make_scenario(grid, builtin_generator("example41_f1"),
-                         TerminalSpec(name="scaled_wt", params={"a": 0.5, "b": 1.0}),
-                         delay=delay)
+    scen = Scenario(grid, builtin_generator("example41_f1"),
+                    TerminalSpec(name="scaled_wt", params={"a": 0.5, "b": 1.0}),
+                    delay=delay)
     calls = []
     method = GeneratorSpec.eval_functionals
 
@@ -252,9 +252,9 @@ def _catalog_scenarios(draw):
     kind = draw(st.sampled_from(sorted(_TERMINAL_PARAMS)))
     terminal = TerminalSpec(name=kind, params={
         key: draw(_COEFFICIENT) for key in _TERMINAL_PARAMS[kind]})
-    return make_scenario(grid, builtin_generator(name, **params), terminal,
-                         delay=DelaySpec(delta, zeta),
-                         implicit_iters=draw(st.sampled_from((1, 3))))
+    return Scenario(grid, builtin_generator(name, **params), terminal,
+                    delay=DelaySpec(delta, zeta),
+                    implicit_iters=draw(st.sampled_from((1, 3))))
 
 
 @pytest.mark.filterwarnings("ignore:anticipation times are off-grid")
@@ -369,10 +369,10 @@ def test_oracle_never_evaluates_the_generator_on_every_atom(monkeypatch):
         return method(self, y_ant, z_ant)
 
     monkeypatch.setattr(GeneratorSpec, "eval_functionals", counting)
-    scen = make_scenario(grid, gen, TerminalSpec(name="scaled_b_tail",
+    scen = Scenario(grid, gen, TerminalSpec(name="scaled_b_tail",
                                                  params={"a": 0.5, "b": 1.0}),
-                         delay=delay, implicit_iters=3)
-    rows["f"].clear()  # make_scenario's own check of f
+                    delay=delay, implicit_iters=3)
+    rows["f"].clear()  # the Scenario's own check of f
     oracle_solve(scen, tree)
     assert len(rows["f"]) == 3 * grid.n_T and len(rows["phi"]) == grid.n_T + 1
     assert max(rows["f"]) <= 2 ** n
@@ -386,7 +386,7 @@ def test_oracle_rejects_terminal_data_the_node_does_not_see():
     tree = tree_for_grid(grid)
     dW, _ = stacked_steps(tree)
     xi = dW[:, tree.n - 1, 0]
-    scen = make_scenario(grid, builtin_generator("zero"), _scalar_terminal(tree, xi))
+    scen = Scenario(grid, builtin_generator("zero"), _scalar_terminal(tree, xi))
     with pytest.raises(NotMeasurable, match="node 2"):
         oracle_solve(scen, tree)
 
@@ -403,6 +403,6 @@ def test_atom_ids_match_the_formula_on_the_w_and_b_indices(n):
 @pytest.mark.parametrize("dims", [{"m": 2}, {"d": 2}, {"l": 2}], ids=["m2", "d2", "l2"])
 def test_the_oracle_is_scalar(dims):
     grid = make_grid(0.5, 0.0, 0.25)
-    scen = make_scenario(grid, builtin_generator("zero", **dims), constant_terminal(1.0))
+    scen = Scenario(grid, builtin_generator("zero", **dims), constant_terminal(1.0))
     with pytest.raises(ShapeMismatch, match="the exact oracle is scalar"):
         oracle_solve(scen, tree_for_grid(grid))
